@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 
 from repro.errors import LearningError
+from repro.telemetry import get_telemetry
 
 
 def train_test_split(X, y, test_fraction=0.25, seed=0):
@@ -80,13 +81,37 @@ def _grid_search_init(estimator_factory, X, y, n_splits, seed):
                          n_splits=n_splits, seed=seed)
 
 
-def _grid_search_task(params):
-    """Score one hyperparameter configuration (pool-worker friendly)."""
+def _grid_search_task(group):
+    """Score configurations that differ only in ``C`` (ascending).
+
+    Per fold, a fit whose estimator reports ``c_bound_ is False`` is
+    bitwise the fit at every larger ``C`` (see
+    :attr:`repro.learn.smo.SMOResult.c_bound`), so its score is reused
+    for the rest of the group instead of refitting; any other fit is
+    followed by a cold fit at the next ``C``.  Estimators without the
+    flag are always refit.  Returns ``(mean scores, fits reused)``.
+    """
     ctx = _GRID_CONTEXT
-    estimator = ctx["estimator_factory"](**params)
-    return float(np.mean(cross_val_score(
-        estimator, ctx["X"], ctx["y"], n_splits=ctx["n_splits"],
-        seed=ctx["seed"])))
+    X = np.asarray(ctx["X"])
+    y = np.asarray(ctx["y"])
+    estimators = [ctx["estimator_factory"](**params) for params in group]
+    fold_scores = [[] for _ in group]
+    reused = 0
+    for train_idx, test_idx in KFold(ctx["n_splits"], ctx["seed"]).split(
+            X.shape[0]):
+        unbound_score = None
+        for estimator, scores in zip(estimators, fold_scores):
+            if unbound_score is None:
+                model = estimator.clone()
+                model.fit(X[train_idx], y[train_idx])
+                score = model.score(X[test_idx], y[test_idx])
+                if getattr(model, "c_bound_", True) is False:
+                    unbound_score = score
+            else:
+                score = unbound_score
+                reused += 1
+            scores.append(score)
+    return [float(np.mean(np.asarray(s))) for s in fold_scores], reused
 
 
 def grid_search(estimator_factory, param_grid, X, y, n_splits=3, seed=0,
@@ -97,7 +122,9 @@ def grid_search(estimator_factory, param_grid, X, y, n_splits=3, seed=0,
     ----------
     estimator_factory:
         Callable ``(**params) -> estimator``; typically
-        :class:`repro.learn.svm.SVC` itself.
+        :class:`repro.learn.svm.SVC` itself.  Estimators built from
+        params that differ only in ``C`` must differ only in their
+        penalty (the fit reuse below relies on it).
     param_grid:
         Dict mapping parameter name to a list of candidate values.
     X, y:
@@ -106,16 +133,19 @@ def grid_search(estimator_factory, param_grid, X, y, n_splits=3, seed=0,
         Cross-validation configuration.
     n_jobs:
         Score configurations across this many worker processes
-        (``-1`` = all CPUs).  Each configuration's cross-validation is
-        independent and deterministic, so the parallel search returns
-        exactly the serial result.  The factory and data must be
-        picklable for ``n_jobs > 1``.
+        (``-1`` = all CPUs).  The unit of work is a group of
+        configurations sharing every parameter but ``C``, scored along
+        ascending ``C`` so a fit that ``C`` never bound is reused
+        (bitwise) for the larger values; every group is deterministic,
+        so the parallel search returns exactly the serial result.  The
+        factory and data must be picklable for ``n_jobs > 1``.
 
     Returns
     -------
     (best_params, best_score, results)
         ``results`` is a list of ``(params, mean_score)`` tuples in
-        evaluation order.
+        grid order (``itertools.product`` over the sorted names); each
+        score equals a cold per-configuration ``cross_val_score`` mean.
     """
     if not param_grid:
         raise LearningError("param_grid must not be empty")
@@ -123,12 +153,29 @@ def grid_search(estimator_factory, param_grid, X, y, n_splits=3, seed=0,
     configs = [dict(zip(names, values))
                for values in itertools.product(
                    *(param_grid[n] for n in names))]
+    # Group by the positions of every non-C value (values themselves
+    # need not be hashable), each group in ascending C.
+    groups = {}
+    for k, positions in enumerate(itertools.product(
+            *(range(len(param_grid[n])) for n in names))):
+        key = tuple(p for n, p in zip(names, positions) if n != "C")
+        groups.setdefault(key, []).append(k)
+    units = [sorted(members, key=lambda k: float(configs[k]["C"]))
+             if "C" in param_grid else members
+             for members in groups.values()]
     from repro.runtime.parallel import parallel_map
 
-    scores = parallel_map(
-        _grid_search_task, configs, n_jobs=n_jobs,
-        initializer=_grid_search_init,
+    outcomes = parallel_map(
+        _grid_search_task, [[configs[k] for k in unit] for unit in units],
+        n_jobs=n_jobs, initializer=_grid_search_init,
         initargs=(estimator_factory, X, y, n_splits, seed))
+    scores = [None] * len(configs)
+    reused = 0
+    for unit, (unit_scores, unit_reused) in zip(units, outcomes):
+        for k, score in zip(unit, unit_scores):
+            scores[k] = score
+        reused += unit_reused
+    get_telemetry().counter("repro_learn_grid_fits_reused_total", reused)
     results = list(zip(configs, scores))
     best_params, best_score = None, -np.inf
     for params, score in results:

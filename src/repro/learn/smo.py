@@ -12,9 +12,10 @@ two-variable subproblem analytically, and updates a cached gradient.
 
 The Gram matrix is precomputed when the problem is small enough
 (quadratic memory); otherwise kernel columns are computed on demand
-and kept in a bounded cache.  A caller that already holds the Gram
-matrix (e.g. the subset kernel cache of :mod:`repro.runtime`) can pass
-it in directly via ``gram=`` and skip the kernel evaluation entirely.
+and kept in a bounded :class:`repro.learn.columns.KernelColumnCache`.
+A caller that already holds the Gram matrix (e.g. the subset kernel
+cache of :mod:`repro.runtime`) can pass it in directly via ``gram=``
+and skip the kernel evaluation entirely.
 
 The solver also supports **warm starts**: ``alpha_init`` seeds the
 dual variables from a previous (related) solution.  An infeasible
@@ -22,80 +23,24 @@ seed is repaired deterministically -- clipped into the ``[0, C]`` box
 and shrunk in index order until the equality constraint
 ``sum_i alpha_i y_i = 0`` holds -- so a warm start never changes which
 problem is solved, only how many iterations it takes.
+
+Every result reports whether the penalty ``C`` ever influenced the run
+(:attr:`SMOResult.c_bound`).  When it did not, the run is bitwise the
+run for any larger ``C`` -- the exactness contract that lets
+:func:`repro.learn.model_selection.grid_search` reuse a fit along an
+ascending ``C`` path.
 """
 
 import numpy as np
 
 from repro.errors import LearningError
+from repro.learn.columns import KernelColumnCache
 from repro.telemetry import get_telemetry
 
 #: Default KKT violation tolerance.
 DEFAULT_TOL = 1e-3
 #: Problems up to this size precompute the full Gram matrix.
 PRECOMPUTE_LIMIT = 6000
-
-
-class _ColumnCache:
-    """Bounded LRU cache of kernel-matrix column *blocks*.
-
-    Columns are fetched a block at a time through one
-    ``kernel(X, X[i0:i1])`` call.  Column blocks of width >= 2 go
-    through the general GEMM kernel, whose columns are bit-identical
-    for **any** block width and alignment (single-column GEMV fetches
-    are not), so every column handed out here is independent of the
-    blocking -- the invariant that keeps large-problem fits identical
-    between this cache and the out-of-core column providers of
-    :mod:`repro.learn.columns`.  (The full ``kernel(X, X)`` product
-    takes BLAS's symmetric-rank-k path and differs from GEMM in the
-    last ulp, which is why column sources only serve problems above
-    :data:`PRECOMPUTE_LIMIT`.)
-    """
-
-    #: Columns fetched per kernel call.
-    BLOCK = 64
-
-    def __init__(self, kernel, X, max_columns, block=None):
-        self._kernel = kernel
-        self._X = X
-        self._n = X.shape[0]
-        block = self.BLOCK if block is None else int(block)
-        self._block = max(2, min(block, max(2, self._n)))
-        self._max_blocks = max(1, max(2, int(max_columns)) // self._block)
-        self._blocks = {}
-        self._order = []
-        #: Plain ints, aggregated once per solve -- the column fetch is
-        #: the SMO hot path, so no telemetry call happens per column.
-        self.hits = 0
-        self.misses = 0
-
-    def block_start(self, i):
-        """First column of the block serving column ``i``."""
-        i0 = (i // self._block) * self._block
-        i1 = min(self._n, i0 + self._block)
-        if i1 - i0 < 2:
-            # Never fetch a width-1 trailing block (GEMV bits differ
-            # from GEMM); widen it backward instead.
-            i0 = max(0, i1 - 2)
-        return i0
-
-    def column(self, i):
-        i0 = self.block_start(i)
-        block = self._blocks.get(i0)
-        if block is None:
-            self.misses += 1
-            i1 = min(self._n, i0 + max(self._block, 2))
-            block = self._kernel(self._X, self._X[i0:i1])
-            if len(self._order) >= self._max_blocks:
-                oldest = self._order.pop(0)
-                del self._blocks[oldest]
-            self._blocks[i0] = block
-            self._order.append(i0)
-        else:
-            self.hits += 1
-            if self._order[-1] != i0:
-                self._order.remove(i0)
-                self._order.append(i0)
-        return block[:, i - i0]
 
 
 def repair_alpha(alpha, y, C):
@@ -130,7 +75,7 @@ def repair_alpha(alpha, y, C):
 class SMOResult:
     """Solution of the dual problem."""
 
-    def __init__(self, alpha, bias, iterations, converged):
+    def __init__(self, alpha, bias, iterations, converged, c_bound=True):
         #: Dual coefficients, one per training sample.
         self.alpha = alpha
         #: Intercept of the decision function.
@@ -139,18 +84,11 @@ class SMOResult:
         self.iterations = iterations
         #: False when the iteration limit was hit before the KKT gap closed.
         self.converged = converged
-
-
-def _up_entry(alpha_k, y_k, C):
-    """Whether index ``k`` belongs to the I_up working set."""
-    return ((y_k > 0 and alpha_k < C - 1e-12)
-            or (y_k < 0 and alpha_k > 1e-12))
-
-
-def _low_entry(alpha_k, y_k, C):
-    """Whether index ``k`` belongs to the I_low working set."""
-    return ((y_k > 0 and alpha_k > 1e-12)
-            or (y_k < 0 and alpha_k < C - 1e-12))
+        #: False when ``C`` never influenced the run: no alpha reached
+        #: ``C - 1e-12``, no step box was cut by ``C``, and the solve
+        #: did not end on a degenerate-box or stall break.  The result
+        #: is then bitwise the result for every larger ``C``.
+        self.c_bound = c_bound
 
 
 def solve_smo(kernel, X, y, C, tol=DEFAULT_TOL, max_iter=None,
@@ -217,23 +155,30 @@ def solve_smo(kernel, X, y, C, tol=DEFAULT_TOL, max_iter=None,
             raise LearningError(
                 "precomputed gram must be ({n}, {n}); got {shape}".format(
                     n=n, shape=K.shape))
-        get_col = lambda i: K[i]
+        get_col = K.__getitem__
         route = "precomputed"
     elif n <= PRECOMPUTE_LIMIT:
         K = kernel(X, X)
-        get_col = lambda i: K[i]
+        get_col = K.__getitem__
         route = "dense"
     elif columns is not None:
         get_col = columns.column
         route = "columns"
     else:
-        cache = _ColumnCache(kernel, X, cache_columns)
-        get_col = cache.column
+        cache = KernelColumnCache(X, max_bytes=8 * n * cache_columns)
+        get_col = cache.provider(kernel).column
         route = "cache"
 
+    # The one upper-bound threshold every membership test compares to.
+    c_top = C - 1e-12
     alpha = np.zeros(n)
     warm_started = False
+    c_bound = bool(c_top <= 0.0)
     if alpha_init is not None:
+        # A seed entry at the bound is clipped or shrunk by the repair,
+        # which then depends on C.
+        c_bound = c_bound or bool(
+            np.any(np.asarray(alpha_init, dtype=float) >= c_top))
         repaired = repair_alpha(alpha_init, y, C)
         if repaired is not None:
             alpha = repaired
@@ -249,19 +194,29 @@ def solve_smo(kernel, X, y, C, tol=DEFAULT_TOL, max_iter=None,
     else:
         F = -y.copy()
 
-    # The I_up / I_low working-set membership depends only on (alpha,
-    # y), and each iteration changes alpha at exactly two indices, so
-    # the masks are maintained incrementally (identical values to the
-    # original full recomputation, a fraction of the per-iteration
-    # cost).
-    up_mask = ((y > 0) & (alpha < C - 1e-12)) | ((y < 0) & (alpha > 1e-12))
-    low_mask = ((y > 0) & (alpha > 1e-12)) | ((y < 0) & (alpha < C - 1e-12))
-    up_count = int(np.count_nonzero(up_mask))
-    low_count = int(np.count_nonzero(low_mask))
-    # Reused selection buffers (masked copies of F, no per-iteration
-    # allocation; values identical to the obvious np.where version).
-    F_up = np.empty_like(F)
-    F_low = np.empty_like(F)
+    # The two-variable step runs on Python floats mirrored from alpha
+    # and y: the same IEEE operations in the same order as on numpy
+    # scalars, without their per-operation overhead.  I_up / I_low
+    # membership depends only on (alpha, y) and changes at the two
+    # updated indices, so it is kept incrementally as penalty vectors
+    # (0 inside, +/-inf outside): each side's selection is one add into
+    # a reused buffer plus one argmin/argmax.
+    alpha_l = alpha.tolist()
+    y_l = y.tolist()
+    up_l = [(yk > 0 and ak < c_top) or (yk < 0 and ak > 1e-12)
+            for ak, yk in zip(alpha_l, y_l)]
+    low_l = [(yk > 0 and ak > 1e-12) or (yk < 0 and ak < c_top)
+             for ak, yk in zip(alpha_l, y_l)]
+    pen_up = np.where(up_l, 0.0, np.inf)
+    pen_low = np.where(low_l, 0.0, -np.inf)
+    up_count = sum(up_l)
+    low_count = sum(low_l)
+    inf = np.inf
+    gap = 2.0 * tol
+    F_sel = np.empty(n)
+    step_i = np.empty(n)
+    step_j = np.empty(n)
+    add, multiply = np.add, np.multiply
 
     iterations = 0
     converged = False
@@ -269,15 +224,13 @@ def solve_smo(kernel, X, y, C, tol=DEFAULT_TOL, max_iter=None,
         if up_count == 0 or low_count == 0:
             converged = True
             break
-        F_up.fill(np.inf)
-        np.copyto(F_up, F, where=up_mask)
-        F_low.fill(-np.inf)
-        np.copyto(F_low, F, where=low_mask)
-        i = int(np.argmin(F_up))
-        j = int(np.argmax(F_low))
-        b_up = F[i]
-        b_low = F[j]
-        if b_low - b_up <= 2.0 * tol:
+        add(F, pen_up, out=F_sel)
+        i = int(F_sel.argmin())
+        add(F, pen_low, out=F_sel)
+        j = int(F_sel.argmax())
+        b_up = F.item(i)
+        b_low = F.item(j)
+        if b_low - b_up <= gap:
             converged = True
             break
 
@@ -286,56 +239,76 @@ def solve_smo(kernel, X, y, C, tol=DEFAULT_TOL, max_iter=None,
         # The diagonal terms come from the fetched columns themselves
         # (Ki[i] is exactly K[i, i]), so no route needs an upfront
         # diagonal pass and all routes agree bitwise.
-        eta = Ki[i] + Kj[j] - 2.0 * Ki[j]
+        eta = Ki.item(i) + Kj.item(j) - 2.0 * Ki.item(j)
         if eta <= 1e-12:
             eta = 1e-12
 
         # Two-variable analytic step (Platt 1998, with F_k playing the
-        # role of Platt's prediction error E_k = f_k - y_k).
-        yi, yj = y[i], y[j]
-        ai_old, aj_old = alpha[i], alpha[j]
+        # role of Platt's prediction error E_k = f_k - y_k).  Every
+        # branch where C shapes the step marks the run C-bound.
+        yi = y_l[i]
+        yj = y_l[j]
+        ai_old = alpha_l[i]
+        aj_old = alpha_l[j]
         s = yi * yj
         if s > 0:
-            L = max(0.0, ai_old + aj_old - C)
-            H = min(C, ai_old + aj_old)
+            total = ai_old + aj_old
+            if total > C:
+                c_bound = True
+            L = max(0.0, total - C)
+            H = min(C, total)
         else:
             L = max(0.0, aj_old - ai_old)
             H = min(C, C + aj_old - ai_old)
         if H - L < 1e-14:
             # Degenerate box for the maximal violating pair: the pair
             # selection can make no further progress.
+            c_bound = True
             break
-        aj_new = aj_old + yj * (F[i] - F[j]) / eta
-        aj_new = min(max(aj_new, L), H)
+        aj_new = max(aj_old + yj * (b_up - b_low) / eta, L)
+        if aj_new > H:
+            aj_new = H
+            if s < 0:
+                c_bound = True
         ai_new = ai_old + s * (aj_old - aj_new)
 
         dai = ai_new - ai_old
         daj = aj_new - aj_old
         if abs(daj) < 1e-14:
             # Numerical stall: no representable progress on this pair.
+            c_bound = True
             break
-        alpha[i] = ai_new
-        alpha[j] = aj_new
-        F += dai * yi * Ki + daj * yj * Kj
+        alpha_l[i] = ai_new
+        alpha_l[j] = aj_new
+        # F += (dai*yi)*Ki + (daj*yj)*Kj, through reused buffers.
+        multiply(Ki, dai * yi, out=step_i)
+        multiply(Kj, daj * yj, out=step_j)
+        add(step_i, step_j, out=step_i)
+        add(F, step_i, out=F)
         for k in (i, j):
-            new_up = _up_entry(alpha[k], y[k], C)
-            if new_up != up_mask[k]:
+            ak = alpha_l[k]
+            yk = y_l[k]
+            if ak >= c_top:
+                c_bound = True
+            new_up = (yk > 0 and ak < c_top) or (yk < 0 and ak > 1e-12)
+            if new_up != up_l[k]:
+                up_l[k] = new_up
                 up_count += 1 if new_up else -1
-                up_mask[k] = new_up
-            new_low = _low_entry(alpha[k], y[k], C)
-            if new_low != low_mask[k]:
+                pen_up[k] = 0.0 if new_up else inf
+            new_low = (yk > 0 and ak > 1e-12) or (yk < 0 and ak < c_top)
+            if new_low != low_l[k]:
+                low_l[k] = new_low
                 low_count += 1 if new_low else -1
-                low_mask[k] = new_low
+                pen_low[k] = 0.0 if new_low else -inf
         iterations += 1
+    alpha = np.array(alpha_l)
 
     # Bias from the KKT mid-point of the final up/low bounds.
-    up_mask = ((y > 0) & (alpha < C - 1e-12)) | ((y < 0) & (alpha > 1e-12))
-    low_mask = ((y > 0) & (alpha > 1e-12)) | ((y < 0) & (alpha < C - 1e-12))
     candidates = []
-    if up_mask.any():
-        candidates.append(float(np.min(np.where(up_mask, F, np.inf))))
-    if low_mask.any():
-        candidates.append(float(np.max(np.where(low_mask, F, -np.inf))))
+    if up_count:
+        candidates.append(float(np.min(np.where(up_l, F, np.inf))))
+    if low_count:
+        candidates.append(float(np.max(np.where(low_l, F, -np.inf))))
     if candidates:
         bias = -sum(candidates) / len(candidates)
     else:
@@ -350,7 +323,7 @@ def solve_smo(kernel, X, y, C, tol=DEFAULT_TOL, max_iter=None,
         if warm_started:
             tel.counter("repro_learn_warm_starts_total", 1)
         if cache is not None:
-            tel.counter("repro_learn_column_cache_hits_total", cache.hits)
+            tel.counter("repro_learn_column_cache_hits_total", cache.n_hits)
             tel.counter("repro_learn_column_cache_misses_total",
-                        cache.misses)
-    return SMOResult(alpha, bias, iterations, converged)
+                        cache.n_fetches)
+    return SMOResult(alpha, bias, iterations, converged, c_bound)

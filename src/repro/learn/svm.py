@@ -114,6 +114,7 @@ class SVC:
         if classes.size == 1:
             # Degenerate single-class problem: constant prediction.
             self._constant = float(classes[0])
+            self.c_bound_ = False
             self._fitted = True
             return self
         self._constant = None
@@ -142,6 +143,9 @@ class SVC:
                      converged=result.converged)
         self.converged_ = result.converged
         self.n_iter_ = result.iterations
+        #: Whether C influenced the solve (see SMOResult.c_bound); a
+        #: False fit is bitwise the fit at any larger C.
+        self.c_bound_ = result.c_bound
         self.intercept_ = result.bias
         #: Full-length dual vector, kept for warm-starting later fits.
         self.alpha_ = result.alpha

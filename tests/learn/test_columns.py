@@ -5,8 +5,9 @@ import pytest
 
 from repro.errors import LearningError
 from repro.learn.columns import KernelColumnCache
+from repro.learn import smo as smo_module
 from repro.learn.kernels import kernel_function
-from repro.learn.smo import _ColumnCache
+from repro.learn.smo import solve_smo
 
 
 def _points(n=50, d=3, seed=0):
@@ -15,17 +16,35 @@ def _points(n=50, d=3, seed=0):
 
 class TestContract:
     def test_columns_match_internal_cache_bitwise(self):
-        """The external cache must serve the *same bytes* the SMO
-        solver's internal cache would fetch -- that equality is what
-        makes out-of-core fits bit-identical to in-RAM fits."""
+        """A gamma provider must serve the *same bytes* as the provider
+        ``solve_smo`` builds from its own kernel callable -- that
+        equality is what makes out-of-core fits bit-identical to in-RAM
+        fits."""
         X = _points()
         gamma = 0.7
         external = KernelColumnCache(X, max_bytes=1 << 20)
-        internal = _ColumnCache(kernel_function("rbf", gamma=gamma), X,
-                                max_columns=512)
+        internal = KernelColumnCache(X, max_bytes=8 * len(X) * 512)
         provider = external.provider(gamma)
+        solver_side = internal.provider(kernel_function("rbf", gamma=gamma))
         for i in range(len(X)):
-            assert np.array_equal(provider.column(i), internal.column(i))
+            assert np.array_equal(provider.column(i),
+                                  solver_side.column(i))
+
+    def test_out_of_core_fit_matches_in_ram_bitwise(self, monkeypatch):
+        """Above the precompute limit, ``columns=`` and the solver's own
+        cache give the same alphas, bias and iteration count."""
+        rng = np.random.default_rng(3)
+        X = _points(n=80, d=2, seed=3)
+        y = np.where(X[:, 0] + 0.5 * rng.normal(size=80) > 0, 1.0, -1.0)
+        kernel = kernel_function("rbf", gamma=0.7)
+        monkeypatch.setattr(smo_module, "PRECOMPUTE_LIMIT", 10)
+        in_ram = solve_smo(kernel, X, y, 10.0, cache_columns=8)
+        out_of_core = solve_smo(
+            kernel, X, y, 10.0,
+            columns=KernelColumnCache(X, max_bytes=1 << 12).provider(0.7))
+        assert np.array_equal(in_ram.alpha, out_of_core.alpha)
+        assert in_ram.bias == out_of_core.bias
+        assert in_ram.iterations == out_of_core.iterations
 
     def test_block_width_is_invisible(self):
         X = _points(seed=1)
@@ -72,6 +91,21 @@ class TestBounds:
         reference = kernel_function("rbf", gamma=1.0)(
             X, X[0:block].copy())[:, 0]
         assert np.array_equal(cache.column(1.0, 0), reference)
+
+    def test_hit_refreshes_recency(self):
+        """Eviction drops the least recently *used* block."""
+        X = _points(n=32)
+        cache = KernelColumnCache(X, max_bytes=2 * 8 * len(X) * 8,
+                                  block_columns=8)
+        cache.column(1.0, 0)    # block 0
+        cache.column(1.0, 8)    # block 8
+        cache.column(1.0, 1)    # hit: block 0 is now the newest
+        cache.column(1.0, 16)   # evicts block 8, not block 0
+        fetches = cache.n_fetches
+        cache.column(1.0, 2)
+        assert cache.n_fetches == fetches
+        cache.column(1.0, 9)
+        assert cache.n_fetches == fetches + 1
 
     def test_hit_and_fetch_stats(self):
         X = _points(n=20)

@@ -1,11 +1,17 @@
-"""SMO kernel-column-cache path tests (large-problem mode)."""
+"""SMO kernel-column-cache path tests (large-problem mode).
+
+Above the precompute limit the solver serves columns from
+:class:`repro.learn.columns.KernelColumnCache` through a provider of its
+own kernel callable -- the same class out-of-core fits use.
+"""
 
 import numpy as np
 
 from repro.learn import SVC
 from repro.learn.kernels import kernel_function
 from repro.learn import smo as smo_module
-from repro.learn.smo import _ColumnCache, solve_smo
+from repro.learn.columns import KernelColumnCache
+from repro.learn.smo import solve_smo
 
 
 def _blobs(n=80, seed=0):
@@ -13,6 +19,13 @@ def _blobs(n=80, seed=0):
     X1 = rng.normal([2, 0], 0.6, (n // 2, 2))
     X2 = rng.normal([-2, 0], 0.6, (n // 2, 2))
     return np.vstack([X1, X2]), np.r_[np.ones(n // 2), -np.ones(n // 2)]
+
+
+def _solver_cache(kernel, X, max_columns, block):
+    """The cache ``solve_smo`` builds for ``cache_columns=max_columns``."""
+    cache = KernelColumnCache(X, max_bytes=8 * len(X) * max_columns,
+                              block_columns=block)
+    return cache, cache.provider(kernel)
 
 
 class TestColumnCache:
@@ -26,7 +39,7 @@ class TestColumnCache:
         """
         X, _ = _blobs(20)
         kernel = kernel_function("rbf", gamma=1.0)
-        cache = _ColumnCache(kernel, X, max_columns=64, block=4)
+        _, cache = _solver_cache(kernel, X, max_columns=64, block=4)
         for i in (0, 5, 19):
             i0 = (i // 4) * 4
             expect = kernel(X, X[i0:i0 + 4].copy())[:, i - i0]
@@ -43,7 +56,7 @@ class TestColumnCache:
         """
         X, _ = _blobs(30, seed=1)
         kernel = kernel_function("rbf", gamma=0.5)
-        caches = [_ColumnCache(kernel, X, max_columns=64, block=b)
+        caches = [_solver_cache(kernel, X, max_columns=64, block=b)[1]
                   for b in (2, 4, 7, 16)]
         for i in range(len(X)):
             cols = [c.column(i) for c in caches]
@@ -53,13 +66,13 @@ class TestColumnCache:
     def test_eviction_keeps_results_correct(self):
         X, _ = _blobs(30)
         kernel = kernel_function("rbf", gamma=0.5)
-        cache = _ColumnCache(kernel, X, max_columns=8, block=4)
-        reference = [np.array(cache.column(i)) for i in range(len(X))]
+        cache, provider = _solver_cache(kernel, X, max_columns=8, block=4)
+        reference = [np.array(provider.column(i)) for i in range(len(X))]
         # Touch more blocks than the cache holds, then re-read: the
         # refetched columns must be bitwise stable.
         for i in range(len(X)):
-            assert np.array_equal(cache.column(i), reference[i])
-        assert len(cache._blocks) <= max(1, 8 // 4)
+            assert np.array_equal(provider.column(i), reference[i])
+        assert cache.n_cached_blocks <= cache.max_blocks == 2
 
 
 class TestCacheModeEquivalence:

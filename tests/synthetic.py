@@ -8,6 +8,8 @@ the (slower) circuit-level behaviour is covered by the integration
 tests and the per-module circuit tests.
 """
 
+import hashlib
+
 import numpy as np
 
 from repro.core.specs import Specification, SpecificationSet
@@ -43,9 +45,12 @@ class SyntheticDut:
         values = params @ self.map
         if self.noise:
             # Deterministic per-instance noise derived from the params
-            # keeps measure() a pure function (replayable).
+            # keeps measure() a pure function (replayable).  The seed is
+            # a SHA-256 of the bytes, never the built-in hash(), which
+            # Python randomizes per process.
+            digest = hashlib.sha256(params.tobytes()).digest()
             local = np.random.default_rng(
-                abs(hash(params.tobytes())) % (2 ** 32))
+                int.from_bytes(digest[:8], "little"))
             values = values + local.normal(0.0, self.noise, values.shape)
         return values
 
