@@ -116,10 +116,11 @@ def frequency_response_batch(geometries, freqs,
                 if op.errors[pos] is None]
         ac = batch.solve_ac(freqs, op.x, active=live)
         velocity = ac.branch_current("Fdrive")
+        live_set = set(live)
         for pos, k in enumerate(keys):
             error = op.errors[pos] or ac.errors[pos]
             if error is not None:
                 errors[k] = error
-            elif pos in live:
+            elif pos in live_set:
                 displacement[k] = np.abs(velocity[pos]) / omega
     return displacement, errors

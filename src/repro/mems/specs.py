@@ -14,7 +14,7 @@ what the Table 3 experiment eliminates wholesale.
 """
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import leastsq
 
 from repro.circuit import analysis as ana
 from repro.core.specs import Specification, SpecificationSet
@@ -22,6 +22,7 @@ from repro.errors import AnalysisError
 from repro.mems import mechanics
 from repro.mems.accelerometer import frequency_response
 from repro.mems.geometry import AccelerometerGeometry
+from repro.telemetry import get_telemetry
 
 #: The three insertion temperatures (deg C): cold, room, hot.
 TEMPERATURES = (-40.0, 27.0, 80.0)
@@ -67,6 +68,31 @@ def _build_specification_set():
 #: Table 2 analog: twelve specification tests (4 specs x 3 temperatures).
 MEMS_SPECIFICATIONS = _build_specification_set()
 
+#: Residual-evaluation budget of one MINPACK fit.
+_MAX_NFEV = 200
+#: Relative forward-difference step of the fit Jacobian.
+_FD_REL_STEP = np.finfo(float).eps ** 0.5
+
+
+class _FitTally:
+    """Fits and residual evaluations, counted locally.
+
+    Published once per measurement call (never per fit) as
+    ``repro_mems_fits_total`` / ``repro_mems_fit_evals_total``.
+    """
+
+    __slots__ = ("fits", "evals")
+
+    def __init__(self):
+        self.fits = 0
+        self.evals = 0
+
+    def publish(self):
+        tel = get_telemetry()
+        if tel.enabled and self.fits:
+            tel.counter("repro_mems_fits_total", self.fits)
+            tel.counter("repro_mems_fit_evals_total", self.evals)
+
 
 def fit_second_order(freqs, response):
     """Least-squares fit of a second-order magnitude response.
@@ -78,14 +104,28 @@ def fit_second_order(freqs, response):
     curve, and it stays well defined for overdamped devices that have
     no interior resonant peak.
 
-    Returns ``(A, f0, Q)``.
+    Returns ``(A, f0, Q)``; raises :class:`~repro.errors.AnalysisError`
+    when the fit does not converge within its evaluation budget.
+    """
+    return _fit_second_order(freqs, response, _FitTally())
+
+
+def _fit_second_order(freqs, response, tally):
+    """:func:`fit_second_order`, counting into ``tally``.
+
+    The fit is MINPACK's Levenberg-Marquardt ``lmder`` (Moré, 1978)
+    driven with exactly the arguments scipy (>= 1.16)
+    ``least_squares(method="lm", max_nfev=200)`` passes it, and a
+    Jacobian that reproduces scipy's 2-point ``approx_derivative``
+    operation for operation -- so every fitted parameter is bitwise
+    what ``least_squares`` returns, without its wrapper overhead.
     """
     freqs = np.asarray(list(freqs), dtype=float)
     response = np.asarray(response, dtype=float)
     if freqs.shape != response.shape or freqs.size < 5:
         raise AnalysisError("fit needs matching sweeps of >= 5 points")
-    if np.any(response <= 0):
-        raise AnalysisError("response must be strictly positive")
+    if not np.all(np.isfinite(response)) or np.any(response <= 0):
+        raise AnalysisError("response must be finite and strictly positive")
     log_resp = np.log(response)
 
     def residual(p):
@@ -96,16 +136,58 @@ def fit_second_order(freqs, response):
         mag2 = (1.0 - u) ** 2 + u / q ** 2
         return log_a - 0.5 * np.log(mag2) - log_resp
 
+    # MINPACK asks for the residual and then the Jacobian at the same
+    # point, and leastsq probes both at p0 before MINPACK does:
+    # byte-equal repeats reuse the last result instead of recomputing.
+    f_key, f_val, j_key, j_val = None, None, None, None
+    n_evals = 0
+
+    def fun(x):
+        nonlocal f_key, f_val, n_evals
+        key = x.tobytes()
+        if key != f_key:
+            f_key, f_val = key, residual(x)
+            n_evals += 1
+        return f_val
+
+    def jac(x):
+        # scipy's 2-point rule, step by step, one perturbed column at
+        # a time (a stacked evaluation takes numpy's other exp/log
+        # paths).  Python floats round exactly like float64 scalars.
+        nonlocal j_key, j_val, n_evals
+        key = x.tobytes()
+        if key == j_key:
+            return j_val
+        r0 = fun(x)
+        jt = np.empty((x.size, r0.size))
+        for i, xi in enumerate(x.tolist()):
+            axi = abs(xi)
+            h = (_FD_REL_STEP * (1.0 if xi >= 0 else -1.0)
+                 * (1.0 if axi <= 1.0 else axi))
+            x1 = x.copy()
+            x1[i] = xi + h
+            jt[i] = (residual(x1) - r0) / ((xi + h) - xi)
+        n_evals += x.size
+        j_key, j_val = key, jt.T
+        return j_val
+
     k_peak = int(np.argmax(response))
     f0_guess = freqs[k_peak] if 0 < k_peak < freqs.size - 1 else \
         float(np.sqrt(freqs[0] * freqs[-1]))
     p0 = np.log([float(response[0]), f0_guess, 1.5])
-    fit = least_squares(residual, p0, method="lm", max_nfev=200)
-    a, f0, q = np.exp(fit.x)
+    x, ier = leastsq(fun, p0, Dfun=jac, ftol=1e-8, xtol=1e-8, gtol=1e-8,
+                     maxfev=_MAX_NFEV)
+    tally.fits += 1
+    tally.evals += n_evals
+    if ier not in (1, 2, 3, 4):
+        raise AnalysisError(
+            "second-order fit did not converge (MINPACK status {})"
+            .format(ier))
+    a, f0, q = np.exp(x)
     return float(a), float(f0), float(q)
 
 
-def _specs_from_response(geometry, response):
+def _specs_from_response(geometry, response, tally):
     """The four per-temperature specs from a displacement response.
 
     Shared by the scalar and batched measurement paths so both extract
@@ -114,7 +196,7 @@ def _specs_from_response(geometry, response):
     m = mechanics.effective_mass(geometry)
 
     # Resonance parameters by curve fitting the simulated response.
-    x_static, f0, q = fit_second_order(SWEEP_FREQUENCIES, response)
+    x_static, f0, q = _fit_second_order(SWEEP_FREQUENCIES, response, tally)
 
     # Scale factor: displacement per g times the capacitive sense gain.
     displacement_per_g = x_static * m * mechanics.G0
@@ -136,11 +218,12 @@ def _specs_from_response(geometry, response):
     }
 
 
-def _named_specs_from_response(geometry, response, temperature_c):
+def _named_specs_from_response(geometry, response, temperature_c,
+                               tally):
     """Like :func:`_specs_from_response`, keyed by full test names."""
     return {test_name(base, temperature_c): value
             for base, value in
-            _specs_from_response(geometry, response).items()}
+            _specs_from_response(geometry, response, tally).items()}
 
 
 def measure_at_temperature(geometry, temperature_c):
@@ -150,7 +233,11 @@ def measure_at_temperature(geometry, temperature_c):
     """
     response = frequency_response(geometry, SWEEP_FREQUENCIES,
                                   temperature_c)
-    return _specs_from_response(geometry, response)
+    tally = _FitTally()
+    try:
+        return _specs_from_response(geometry, response, tally)
+    finally:
+        tally.publish()
 
 
 def measure_accelerometer(geometry=None):
@@ -161,10 +248,15 @@ def measure_accelerometer(geometry=None):
     """
     geometry = (geometry or AccelerometerGeometry()).validate()
     values = {}
-    for temp in TEMPERATURES:
-        at_t = measure_at_temperature(geometry, temp)
-        for base_name, value in at_t.items():
-            values[test_name(base_name, temp)] = value
+    tally = _FitTally()
+    try:
+        for temp in TEMPERATURES:
+            response = frequency_response(geometry, SWEEP_FREQUENCIES,
+                                          temp)
+            values.update(_named_specs_from_response(geometry, response,
+                                                     temp, tally))
+    finally:
+        tally.publish()
     return values
 
 
@@ -225,6 +317,7 @@ class AccelerometerBench:
         pop = BatchPopulation(len(geometries))
         pop.build(lambda geometry: geometry.validate(), geometries)
 
+        tally = _FitTally()
         for temp in TEMPERATURES:
             live = pop.live()
             if not live:
@@ -235,7 +328,8 @@ class AccelerometerBench:
             for pos, k in enumerate(live):
                 if k in alive:
                     pop.extract(k, _named_specs_from_response,
-                                geometries[k], response[pos], temp)
+                                geometries[k], response[pos], temp, tally)
+        tally.publish()
         return pop.rows(self.specifications.names)
 
     def generate_dataset(self, n_instances, seed, on_error="resample",

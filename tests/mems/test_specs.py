@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, DatasetError
 from repro.mems import (
     MEMS_SPECIFICATIONS,
     TEMPERATURES,
@@ -15,6 +15,7 @@ from repro.mems import (
 from repro.mems import test_name as spec_test_name
 from repro.mems import tests_at_temperature as temperature_block
 from repro.mems import mechanics as M
+from repro.mems import specs as mems_specs
 from repro.mems.specs import SWEEP_FREQUENCIES, fit_second_order
 
 
@@ -58,6 +59,31 @@ class TestSecondOrderFit:
             fit_second_order([1, 2, 3], [1, 2, 3, 4])
         with pytest.raises(AnalysisError):
             fit_second_order(np.arange(1, 7), np.zeros(6))
+        with pytest.raises(AnalysisError):
+            fit_second_order(np.arange(1, 7), [1, 2, np.inf, 4, 5, 6])
+
+
+@pytest.mark.filterwarnings("ignore:Number of calls:RuntimeWarning")
+class TestNonConvergedFit:
+    """A fit out of evaluations is a typed failure, not a spec value."""
+
+    def test_fit_raises(self, monkeypatch):
+        monkeypatch.setattr(mems_specs, "_MAX_NFEV", 1)
+        u = (SWEEP_FREQUENCIES / 5e3) ** 2
+        resp = 2e-6 / np.sqrt((1 - u) ** 2 + u / 1.8 ** 2)
+        with pytest.raises(AnalysisError, match="did not converge"):
+            fit_second_order(SWEEP_FREQUENCIES, resp)
+
+    @pytest.mark.parametrize("engine", ["scalar", "batched"])
+    def test_generation_aborts_through_the_typed_path(self, monkeypatch,
+                                                      engine):
+        monkeypatch.setattr(mems_specs, "_MAX_NFEV", 1)
+        bench = AccelerometerBench()
+        with pytest.raises(DatasetError, match="3 simulation failures"):
+            bench.generate_dataset(2, seed=0, max_failures=3,
+                                   engine=engine)
+        rows = bench.measure_batch([AccelerometerGeometry()])
+        assert isinstance(rows[0], AnalysisError)
 
 
 class TestMeasurement:

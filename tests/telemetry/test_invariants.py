@@ -13,6 +13,7 @@ from repro.core.costmodel import TestCostModel as CostModel
 from repro.core.pipeline import CompactionPipeline
 from repro.floor import TestFloor as Floor
 from repro.learn import SVC
+from repro.mems import TEMPERATURES, AccelerometerBench
 from repro.runtime.simulation import generate_instances
 from repro.telemetry import Telemetry, disable, set_telemetry
 
@@ -46,6 +47,24 @@ class TestGenerationBitIdentity:
             lambda: generate_instances(dut, 96, seed=3, n_jobs=n_jobs,
                                        engine=engine))
         assert baseline.tobytes() == observed.tobytes()
+
+
+@pytest.mark.parametrize("engine", ["scalar", "batched"])
+def test_mems_population_identical_telemetry_on_and_off(engine):
+    bench = AccelerometerBench()
+    disable()
+    baseline, _ = generate_instances(bench, 6, seed=3, engine=engine)
+    tel = Telemetry(run_id="invariant")
+    previous = set_telemetry(tel)
+    try:
+        observed, _ = generate_instances(bench, 6, seed=3, engine=engine)
+    finally:
+        set_telemetry(previous)
+    assert baseline.tobytes() == observed.tobytes()
+    counters = {c["name"]: c["value"] for c in tel.snapshot()["counters"]}
+    assert counters["repro_mems_fits_total"] == 6 * len(TEMPERATURES)
+    assert (counters["repro_mems_fit_evals_total"]
+            > counters["repro_mems_fits_total"])
 
 
 @pytest.fixture(scope="module")
