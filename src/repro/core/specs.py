@@ -102,6 +102,10 @@ class SpecificationSet:
     the range-based normalization used throughout the compaction flow.
     """
 
+    #: ``(lows, highs, spans)`` read-only arrays, built on first use by
+    #: the hot-path methods; never pickled (see :meth:`__getstate__`).
+    _bounds = None
+
     def __init__(self, specifications):
         specs = tuple(specifications)
         if not specs:
@@ -168,7 +172,27 @@ class SpecificationSet:
             raise CompactionError("cannot drop every specification")
         return SpecificationSet(kept)
 
+    # The bound cache is process-local derived state: dropping it keeps
+    # pickles -- and so artifact bytes and registry SHA-256 pins --
+    # exactly what they were before the cache existed.
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_bounds", None)
+        return state
+
     # -- array views ---------------------------------------------------------
+    def _bound_arrays(self):
+        """Cached read-only ``(lows, highs, highs - lows)``."""
+        bounds = self._bounds
+        if bounds is None:
+            lows = np.array([s.low for s in self._specs])
+            highs = np.array([s.high for s in self._specs])
+            bounds = (lows, highs, highs - lows)
+            for array in bounds:
+                array.flags.writeable = False
+            self._bounds = bounds
+        return bounds
+
     @property
     def lows(self):
         """Array of lower bounds (in specification order)."""
@@ -198,7 +222,8 @@ class SpecificationSet:
     def passes(self, values):
         """Boolean pass matrix (instances x specifications)."""
         values = self._check_matrix(values)
-        return (values >= self.lows) & (values <= self.highs)
+        lows, highs, _ = self._bound_arrays()
+        return (values >= lows) & (values <= highs)
 
     def labels(self, values):
         """Per-instance labels: +1 when every specification passes."""
@@ -213,12 +238,14 @@ class SpecificationSet:
     def normalize(self, values):
         """Map each column's acceptability range onto [0, 1]."""
         values = self._check_matrix(values)
-        return (values - self.lows) / (self.highs - self.lows)
+        lows, _, spans = self._bound_arrays()
+        return (values - lows) / spans
 
     def denormalize(self, values):
         """Inverse of :meth:`normalize`."""
         values = self._check_matrix(values)
-        return values * (self.highs - self.lows) + self.lows
+        lows, _, spans = self._bound_arrays()
+        return values * spans + lows
 
     def shifted(self, delta_fraction):
         """Apply :meth:`Specification.shifted` to every member.

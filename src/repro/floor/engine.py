@@ -55,7 +55,6 @@ from repro.tester.program import (
     RETEST_FULL,
     apply_retest_policy,
     check_retest_policy,
-    policy_cost,
 )
 
 #: Default devices per vectorized disposition batch.
@@ -73,13 +72,15 @@ def disposition_counts(decisions, first_pass, truth):
     per-device arrays -- callers account for it separately.)
     """
     good = truth == GOOD
+    shipped = decisions == GOOD
+    scrapped = decisions == BAD
     return dict(
         n_devices=int(decisions.shape[0]),
-        n_shipped=int(np.sum(decisions == GOOD)),
-        n_scrapped=int(np.sum(decisions == BAD)),
-        n_guard=int(np.sum(first_pass == GUARD)),
-        n_yield_loss=int(np.sum(good & (decisions == BAD))),
-        n_defect_escape=int(np.sum(~good & (decisions == GOOD))),
+        n_shipped=int(np.count_nonzero(shipped)),
+        n_scrapped=int(np.count_nonzero(scrapped)),
+        n_guard=int(np.count_nonzero(first_pass == GUARD)),
+        n_yield_loss=int(np.count_nonzero(good & scrapped)),
+        n_defect_escape=int(np.count_nonzero(shipped & ~good)),
     )
 
 
@@ -213,6 +214,12 @@ class TestFloor:
         #: Bin names, in profile order (default bin last).
         self.bin_names = self._bound.bins
         self._kept_specs = self._specs.subset(self._kept)
+        # Per-device costs are constants of the program: the same
+        # (per, full) pair policy_cost() derives, computed once.
+        cost_model = artifact.cost_model
+        self._unit_costs = (None if cost_model is None else
+                            (cost_model.cost(self._kept),
+                             cost_model.full_cost()))
 
     @classmethod
     def from_file(cls, path, **kwargs):
@@ -261,12 +268,22 @@ class TestFloor:
         kept_values = batch[:, self._kept_idx]
         first = self._first_pass(kept_values)
         truth = self._specs.labels(batch)
+        full_retest = self.retest_policy == RETEST_FULL
         decisions, n_retested = apply_retest_policy(
             first, truth, self.retest_policy)
-        n_guard = int(np.sum(first == GUARD))
-        cost, full_cost = policy_cost(
-            self.artifact.cost_model, self._kept, batch.shape[0],
-            n_guard, self.retest_policy)
+        # Under full_retest every guard device is retested.
+        n_guard = (n_retested if full_retest
+                   else int(np.count_nonzero(first == GUARD)))
+        # policy_cost()'s arithmetic on the precomputed unit costs.
+        if self._unit_costs is None:
+            cost, full_cost = 0.0, 0.0
+        else:
+            per_device, full_per_device = self._unit_costs
+            n = batch.shape[0]
+            cost = per_device * n
+            if full_retest:
+                cost += full_per_device * n_guard
+            full_cost = full_per_device * n
         truth_bins = self._bound.assign(batch)
         kept_norm = (self._kept_specs.normalize(kept_values)
                      if self._bank is not None else None)
@@ -274,9 +291,11 @@ class TestFloor:
             self._bound, decisions, truth_bins, kept_norm=kept_norm,
             bank=self._bank,
             boundary_margin=self.bin_boundary_margin)
+        # Record only: the charts are evaluated when something asks
+        # (a /metrics scrape, the end-of-lot report), not per batch.
         if self.monitor is not None:
-            self.monitor.update(kept_values, first, bins=bins,
-                                bin_names=self.bin_names)
+            self.monitor.observe(kept_values, first, bins=bins,
+                                 bin_names=self.bin_names)
         outcome = BatchDisposition(
             decisions=decisions, first_pass=first, truth=truth,
             n_retested=n_retested, cost=cost, full_cost=full_cost,
@@ -294,11 +313,11 @@ class TestFloor:
         tel.counter("repro_floor_batches_total", 1)
         tel.counter("repro_floor_devices_total", outcome.n_devices)
         tel.counter("repro_floor_shipped_total",
-                    int(np.sum(outcome.decisions == GOOD)))
+                    int(np.count_nonzero(outcome.decisions == GOOD)))
         tel.counter("repro_floor_scrapped_total",
-                    int(np.sum(outcome.decisions == BAD)))
+                    int(np.count_nonzero(outcome.decisions == BAD)))
         tel.counter("repro_floor_guard_total",
-                    int(np.sum(outcome.first_pass == GUARD)))
+                    int(np.count_nonzero(outcome.first_pass == GUARD)))
         tel.counter("repro_floor_retests_total", outcome.n_retested)
         tel.counter("repro_floor_bin_retests_total",
                     outcome.n_bin_retested)

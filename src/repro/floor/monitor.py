@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.core.metrics import GUARD
 from repro.errors import CompactionError
+from repro.rules.binning import bin_histogram
 
 
 @dataclass(frozen=True)
@@ -186,6 +187,28 @@ class DriftMonitor:
     def update(self, kept_values, first_pass, bins=None, bin_names=()):
         """Feed one disposition batch; returns the current alarms.
 
+        :meth:`observe` followed by :meth:`alarms`; see :meth:`observe`
+        for the parameters.
+
+        Returns
+        -------
+        tuple of DriftAlarm
+            Alarms active for the *current* window (empty when the
+            window is still below ``min_devices`` or in control).
+        """
+        self.observe(kept_values, first_pass, bins=bins,
+                     bin_names=bin_names)
+        return self.alarms()
+
+    def observe(self, kept_values, first_pass, bins=None, bin_names=()):
+        """Record one disposition batch into the rolling window.
+
+        Only the batch's window record is appended; no chart is
+        evaluated.  The floor calls this once per batch and leaves
+        chart evaluation to whoever reads the charts (:meth:`alarms`,
+        :meth:`chart_state`, :meth:`export_gauges`), so a per-batch
+        service call never pays for statistics nobody reads.
+
         Parameters
         ----------
         kept_values:
@@ -200,12 +223,6 @@ class DriftMonitor:
             training rates when those are available; otherwise the
             counts are still windowed (see :meth:`bin_rates_window`)
             but raise no alarms.
-
-        Returns
-        -------
-        tuple of DriftAlarm
-            Alarms active for the *current* window (empty when the
-            window is still below ``min_devices`` or in control).
         """
         kept_values = np.asarray(kept_values, dtype=float)
         if kept_values.ndim == 1:
@@ -217,17 +234,14 @@ class DriftMonitor:
         first_pass = np.asarray(first_pass)
         bin_counts = None
         if bins is not None:
-            bins = np.asarray(bins)
-            bin_counts = {name: int(np.sum(bins == i))
-                          for i, name in enumerate(bin_names)}
+            bin_counts = bin_histogram(bins, bin_names)
         self._window.append((
             kept_values.shape[0],
             kept_values.sum(axis=0),
-            int(np.sum(first_pass == GUARD)),
+            int(np.count_nonzero(first_pass == GUARD)),
             bin_counts,
         ))
         self.n_seen += kept_values.shape[0]
-        return self.alarms()
 
     def bin_rates_window(self):
         """``{bin_name: rate}`` over the current window (``{}`` when

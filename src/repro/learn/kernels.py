@@ -34,12 +34,24 @@ def resolve_gamma(gamma, X):
     return gamma
 
 
-def squared_distances(A, B):
-    """Pairwise squared Euclidean distances between rows of A and B."""
+def row_norms_squared(B):
+    """Row-wise squared norms of ``B`` as a ``(1, n)`` row."""
+    B = np.asarray(B, dtype=float)
+    return np.sum(B * B, axis=1)[None, :]
+
+
+def squared_distances(A, B, bb=None):
+    """Pairwise squared Euclidean distances between rows of A and B.
+
+    ``bb`` optionally supplies :func:`row_norms_squared` of ``B``
+    (e.g. a fitted model's support vectors, computed once); the result
+    is bitwise the same as letting this function compute it.
+    """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     aa = np.sum(A * A, axis=1)[:, None]
-    bb = np.sum(B * B, axis=1)[None, :]
+    if bb is None:
+        bb = row_norms_squared(B)
     d2 = aa + bb - 2.0 * (A @ B.T)
     np.maximum(d2, 0.0, out=d2)
     return d2
@@ -66,8 +78,8 @@ def kernel_function(name, gamma=1.0, degree=3, coef0=0.0):
                     + coef0) ** degree
         return poly
     if name == "rbf":
-        def rbf(A, B):
-            return np.exp(-gamma * squared_distances(A, B))
+        def rbf(A, B, bb=None):
+            return np.exp(-gamma * squared_distances(A, B, bb))
         return rbf
     if name == "sigmoid":
         def sigmoid(A, B):

@@ -12,7 +12,11 @@ penalty ``C`` that prices the unbounded slack errors the paper calls
 import numpy as np
 
 from repro.errors import LearningError
-from repro.learn.kernels import kernel_function, resolve_gamma
+from repro.learn.kernels import (
+    kernel_function,
+    resolve_gamma,
+    row_norms_squared,
+)
 from repro.learn.smo import solve_smo
 from repro.telemetry import get_telemetry
 
@@ -60,6 +64,7 @@ class SVC:
         self._constant = None
         self._gram_view = None
         self._column_source = None
+        self._sv_norms = None
 
     def set_train_columns(self, source):
         """Attach a bounded kernel-column source (or ``None``).
@@ -101,6 +106,7 @@ class SVC:
         """
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float).ravel()
+        self._sv_norms = None
         if X.ndim != 2 or X.shape[0] != y.shape[0]:
             raise LearningError(
                 "X must be (n, m) with matching y; got {} and {}".format(
@@ -195,7 +201,14 @@ class SVC:
                 stop = start + chunk_size
                 out[start:stop] = self.decision_function(X[start:stop])
             return out
-        K = self._kernel(X, self.support_vectors_)
+        if self.kernel == "rbf":
+            # The support vectors never change between fits, so their
+            # squared norms are computed once per fit, not per call.
+            if self._sv_norms is None:
+                self._sv_norms = row_norms_squared(self.support_vectors_)
+            K = self._kernel(X, self.support_vectors_, bb=self._sv_norms)
+        else:
+            K = self._kernel(X, self.support_vectors_)
         return K @ self.dual_coef_ + self.intercept_
 
     def predict(self, X, chunk_size=None):
@@ -225,14 +238,17 @@ class SVC:
                 "tol": self.tol, "max_iter": self.max_iter}
 
     # -- pickling -------------------------------------------------------------
-    # The kernel closure and the (potentially huge, process-local) Gram
-    # view are dropped on serialization; the kernel is rebuilt from the
-    # stored hyperparameters, so fitted models round-trip through
-    # ``pickle`` -- a requirement for crossing process boundaries in
-    # :mod:`repro.runtime`.
+    # The kernel closure, the (potentially huge, process-local) Gram
+    # view and the support-vector norm cache are dropped on
+    # serialization; the kernel is rebuilt from the stored
+    # hyperparameters, so fitted models round-trip through ``pickle``
+    # -- a requirement for crossing process boundaries in
+    # :mod:`repro.runtime` -- and artifact bytes do not depend on
+    # whether the model has scored anything yet.
     def __getstate__(self):
         state = self.__dict__.copy()
         state.pop("_kernel", None)
+        state.pop("_sv_norms", None)
         state["_gram_view"] = None
         state["_column_source"] = None
         return state
@@ -241,6 +257,7 @@ class SVC:
         self.__dict__.update(state)
         self.__dict__.setdefault("_gram_view", None)
         self.__dict__.setdefault("_column_source", None)
+        self._sv_norms = None
         if self._fitted and self._constant is None and hasattr(self, "gamma_"):
             self._kernel = kernel_function(
                 self.kernel, gamma=self.gamma_, degree=self.degree,

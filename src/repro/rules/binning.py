@@ -109,7 +109,7 @@ def assign_bins(bound, decisions, truth_bins, kept_norm=None, bank=None,
         if boundary_margin > 0.0:
             boundary = bank.margins(rows) < boundary_margin
             predicted = np.where(boundary, true_grade[shipped], predicted)
-            n_bin_retested = int(np.sum(boundary))
+            n_bin_retested = int(np.count_nonzero(boundary))
         grade = true_grade.copy()
         grade[shipped] = predicted
 
@@ -120,4 +120,5 @@ def assign_bins(bound, decisions, truth_bins, kept_norm=None, bank=None,
 def bin_histogram(bins, names) -> dict:
     """``{bin_name: count}`` over an index array (all names present)."""
     bins = np.asarray(bins)
-    return {name: int(np.sum(bins == i)) for i, name in enumerate(names)}
+    return {name: int(np.count_nonzero(bins == i))
+            for i, name in enumerate(names)}

@@ -647,12 +647,6 @@ class BoundProfile:
         bin_idx, _, _ = self.match(values, uncertainty_scale=0.0)
         return bin_idx
 
-    def bin_counts(self, bin_idx) -> dict:
-        """``{bin_name: count}`` histogram of an index array."""
-        bin_idx = np.asarray(bin_idx)
-        return {name: int(np.sum(bin_idx == i))
-                for i, name in enumerate(self.bins)}
-
     def verdict(self, row, uncertainty_scale: float = 1.0) -> Verdict:
         """Structured :class:`Verdict` for one device row."""
         values = self._check(row)

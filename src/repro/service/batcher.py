@@ -336,12 +336,24 @@ class MicroBatcher:
         if self.on_flush is not None:
             self.on_flush()
 
+        # A lone request is the whole batch: it reuses the counts just
+        # computed for the stats (n_retested is batch-level state).
+        whole = len(batch_requests) == 1
+        if whole:
+            del counts["n_retested"]
         offset = 0
         for request in batch_requests:
             stop = offset + request.rows.shape[0]
             if not request.future.cancelled():
                 request.future.set_result(
-                    _slice_result(outcome, offset, stop, reason)
+                    _slice_result(
+                        outcome,
+                        offset,
+                        stop,
+                        reason,
+                        counts if whole else None,
+                        bin_counts if whole else None,
+                    )
                 )
             offset = stop
 
@@ -358,17 +370,29 @@ class MicroBatcher:
 
 
 def _slice_result(
-    outcome: BatchDisposition, start: int, stop: int, reason: str
+    outcome: BatchDisposition,
+    start: int,
+    stop: int,
+    reason: str,
+    counts: dict | None = None,
+    bin_counts: dict | None = None,
 ) -> dict:
-    """One request's view of the combined batch outcome."""
+    """One request's view of the combined batch outcome.
+
+    ``counts``/``bin_counts`` may carry the slice's already-computed
+    :func:`disposition_counts` and bin histogram (a flush holding a
+    single request); otherwise they are computed from the slice.
+    """
     decisions = outcome.decisions[start:stop]
-    result = {
-        "decisions": decisions,
-        "counts": disposition_counts(
+    if counts is None:
+        counts = disposition_counts(
             decisions,
             outcome.first_pass[start:stop],
             outcome.truth[start:stop],
-        ),
+        )
+    result = {
+        "decisions": decisions,
+        "counts": counts,
         "batch_rows": int(outcome.n_devices),
         "flush_reason": reason,
     }
@@ -378,5 +402,7 @@ def _slice_result(
         bins = outcome.bins[start:stop]
         result["bins"] = bins
         result["bin_names"] = outcome.bin_names
-        result["bin_counts"] = bin_histogram(bins, outcome.bin_names)
+        if bin_counts is None:
+            bin_counts = bin_histogram(bins, outcome.bin_names)
+        result["bin_counts"] = bin_counts
     return result

@@ -58,7 +58,7 @@ def apply_retest_policy(first_pass, true_labels, policy):
     first_pass = np.asarray(first_pass)
     decisions = first_pass.copy()
     guard_mask = first_pass == GUARD
-    n_guard = int(np.sum(guard_mask))
+    n_guard = int(np.count_nonzero(guard_mask))
     if policy == RETEST_FULL:
         decisions[guard_mask] = np.asarray(true_labels)[guard_mask]
     elif policy == RETEST_ACCEPT:

@@ -142,3 +142,26 @@ class TestSpecificationSet:
         text = self._set().describe()
         for name in ("a", "b", "c"):
             assert name in text
+
+    def test_mutating_returned_bounds_does_not_change_labels(self):
+        """``lows``/``highs`` are fresh copies, not the cached bounds."""
+        specs = self._set()
+        V = np.array([[0.5, 0.0, 150.0], [2.0, 0.0, 150.0]])
+        before = specs.labels(V)
+        lows, highs = specs.lows, specs.highs
+        lows[:] = 1e9
+        highs[:] = -1e9
+        assert specs.lows is not lows
+        assert np.array_equal(specs.labels(V), before)
+        assert np.array_equal(specs.normalize(V)[0], [0.5, 0.5, 0.5])
+
+    def test_pickle_carries_no_bound_cache(self):
+        import pickle
+
+        warm = self._set()
+        warm.labels(np.zeros((1, 3)))
+        assert "_bounds" not in warm.__getstate__()
+        assert pickle.dumps(warm) == pickle.dumps(self._set())
+        restored = pickle.loads(pickle.dumps(warm))
+        assert np.array_equal(restored.labels(np.zeros((1, 3))),
+                              warm.labels(np.zeros((1, 3))))

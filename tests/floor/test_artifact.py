@@ -86,6 +86,23 @@ class TestRoundTrip:
         assert np.array_equal(loaded.model.predict_measurements(X[:, :3]),
                               model.predict_measurements(X[:, :3]))
 
+    def test_saved_bytes_do_not_depend_on_scoring(self, tmp_path,
+                                                  artifact, populations):
+        """Hot-path caches never reach the file: scoring through a
+        floor first leaves the saved bytes unchanged."""
+        _, test = populations
+        path = tmp_path / "program.rtp"
+        artifact.save(path)
+        loaded = Artifact.load(path)
+        cold_path = tmp_path / "cold.rtp"
+        loaded.save(cold_path)
+        Floor(loaded).run_dataset(test)
+        Floor(loaded.with_lookup(resolution=9)).run_dataset(test)
+        loaded.lookup = None
+        warm_path = tmp_path / "warm.rtp"
+        loaded.save(warm_path)
+        assert warm_path.read_bytes() == cold_path.read_bytes()
+
 
 class TestValidation:
     def test_junk_file_rejected(self, tmp_path):

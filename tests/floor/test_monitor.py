@@ -7,6 +7,7 @@ from repro.core.metrics import GUARD
 from repro.core.specs import GOOD
 from repro.errors import CompactionError
 from repro.floor import DriftBaseline, DriftMonitor
+from repro.floor import TestFloor as Floor
 
 from tests.synthetic import make_synthetic_dataset
 
@@ -138,3 +139,45 @@ class TestCharts:
             DriftMonitor(baseline, z_threshold=0.0)
         with pytest.raises(CompactionError, match="window"):
             DriftMonitor(baseline, window_batches=0)
+
+
+class TestRecordOnly:
+    """``observe`` records; charts are evaluated only when asked."""
+
+    def test_observe_then_alarms_equals_update(self):
+        baseline, _ = _baseline()
+        updated = DriftMonitor(baseline, window_batches=6, min_devices=120)
+        observed = DriftMonitor(baseline, window_batches=6, min_devices=120)
+        rng = np.random.default_rng(13)
+        bin_names = ("A", "B", "C")
+        for step, shift in enumerate((0.0, 0.0, 2.5, 2.5, 0.0, 3.0, 0.0)):
+            batch = _stream(rng, baseline, 40 + 7 * step, shift)
+            first = rng.choice([GOOD, GUARD, -1], size=batch.shape[0])
+            bins = rng.integers(0, 3, size=batch.shape[0])
+            want = updated.update(batch, first, bins=bins,
+                                  bin_names=bin_names)
+            assert observed.observe(batch, first, bins=bins,
+                                    bin_names=bin_names) is None
+            assert observed.alarms() == want
+            assert observed.chart_state() == updated.chart_state()
+        assert observed.n_seen == updated.n_seen
+
+    def test_observe_validates_like_update(self):
+        baseline, _ = _baseline()
+        with pytest.raises(CompactionError, match="measured specs"):
+            DriftMonitor(baseline).observe(np.zeros((5, 7)),
+                                           np.full(5, GOOD))
+
+    def test_dispose_never_evaluates_a_chart(self, monkeypatch):
+        from tests.floor.test_dispose_golden import _program, _traffic
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("dispose evaluated a drift chart")
+
+        floor = Floor(_program("bank"), bin_boundary_margin=0.25)
+        rows = _traffic()
+        monkeypatch.setattr(DriftMonitor, "alarms", refuse)
+        monkeypatch.setattr(DriftMonitor, "chart_state", refuse)
+        for start in range(0, rows.shape[0], 16):
+            floor.dispose(rows[start:start + 16])
+        assert floor.monitor.n_seen == rows.shape[0]

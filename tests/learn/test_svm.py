@@ -1,5 +1,7 @@
 """SVC and SMO solver tests."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,3 +156,38 @@ class TestSvc:
         X, y = _blobs(n=30, separation=6.0, seed=seed)
         model = SVC(C=100.0, gamma=1.0).fit(X, y)
         assert model.score(X, y) == 1.0
+
+
+class TestSupportNormCache:
+    """The RBF path caches support-vector norms; results never show it."""
+
+    def test_refit_scores_equal_a_fresh_model(self):
+        X1, y1 = _blobs(seed=1)
+        X2, y2 = _blobs(n=80, separation=2.0, seed=2)
+        probe = np.random.default_rng(3).normal(0.0, 2.0, (50, 2))
+        model = SVC(C=5.0)
+        model.fit(X1, y1).decision_function(probe)  # warm the cache
+        refit = model.fit(X2, y2).decision_function(probe)
+        fresh = SVC(C=5.0).fit(X2, y2).decision_function(probe)
+        assert np.array_equal(refit, fresh)
+
+    def test_scores_equal_the_uncached_kernel(self):
+        X, y = _blobs(n=80, separation=2.0, seed=4)
+        model = SVC(C=5.0).fit(X, y)
+        probe = np.random.default_rng(5).normal(0.0, 2.0, (33, 2))
+        kernel = kernel_function("rbf", gamma=model.gamma_)
+        direct = (kernel(probe, model.support_vectors_) @ model.dual_coef_
+                  + model.intercept_)
+        assert np.array_equal(model.decision_function(probe), direct)
+        assert np.array_equal(model.decision_function(probe), direct)
+
+    def test_pickle_carries_no_norm_cache(self):
+        X, y = _blobs(seed=6)
+        cold = SVC().fit(X, y)
+        warm = SVC().fit(X, y)
+        warm.decision_function(X)
+        assert "_sv_norms" not in warm.__getstate__()
+        assert pickle.dumps(warm) == pickle.dumps(cold)
+        restored = pickle.loads(pickle.dumps(warm))
+        assert np.array_equal(restored.decision_function(X),
+                              warm.decision_function(X))

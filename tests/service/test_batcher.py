@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import ServiceError, ServiceOverloadError
 from repro.floor import TestFloor as Floor
+from repro.floor.engine import disposition_counts
 from repro.service import MicroBatcher
 
 
@@ -193,6 +194,35 @@ class TestEquivalence:
                           "n_yield_loss", "n_defect_escape"):
                 assert counts[field] == alone[field]
             assert result["batch_rows"] == 10
+
+    @pytest.mark.parametrize("max_batch_size", [16, 64])
+    def test_reply_layout_is_the_same_alone_or_coalesced(
+            self, live_pair, max_batch_size):
+        """A lone request reuses the batch's counts; a coalesced one
+        recomputes its slice.  Either way the reply carries exactly
+        the slice's ``disposition_counts`` (same keys, same order, no
+        ``n_retested``) and bin histogram."""
+        dut, artifact = live_pair
+        chunks = [_rows(dut, 16, seed=50 + i) for i in range(4)]
+
+        async def scenario():
+            batcher = MicroBatcher(Floor(artifact),
+                                   max_batch_size=max_batch_size,
+                                   max_latency=60.0)
+            return await asyncio.gather(
+                *(batcher.submit(chunk) for chunk in chunks))
+
+        results = asyncio.run(asyncio.wait_for(scenario(), 10))
+        direct = Floor(artifact, monitor=False)
+        for chunk, result in zip(chunks, results):
+            alone = direct.dispose(chunk)
+            want = disposition_counts(alone.decisions, alone.first_pass,
+                                      alone.truth)
+            assert list(result["counts"].items()) == list(want.items())
+            assert (list(result["bin_counts"].items())
+                    == list(alone.bin_counts().items()))
+            assert result["batch_rows"] == (16 if max_batch_size == 16
+                                            else 64)
 
 
 class TestMonitorContinuity:

@@ -5,6 +5,8 @@ import asyncio
 
 import pytest
 
+from repro.floor import TestFloor as Floor
+from repro.floor import TestProgramArtifact as Artifact
 from repro.service import (
     FloorService,
     TrafficPlan,
@@ -14,6 +16,7 @@ from repro.service import (
 from repro.telemetry import (
     Telemetry,
     parse_prometheus,
+    prometheus_text,
     set_telemetry,
 )
 
@@ -74,6 +77,49 @@ class TestPrometheusScrape:
         status, reply = run_with_service(scenario, registry)
         assert status == 200
         parse_prometheus(reply["text"])
+
+    def test_served_drift_gauges_equal_an_offline_floor(
+            self, registry, saved, live_pair):
+        """Charts evaluated on scrape report what an offline floor fed
+        the same batches reports: the per-spec/guard/bin gauges and
+        the raised/cleared transition counters, scrape for scrape."""
+        dut, _ = live_pair
+        healthy = _rows(dut, 16 * 88, seed=21)
+        phases = [healthy[:16 * 24],
+                  _rows(dut, 16 * 24, seed=22) + 1.0,   # drifted
+                  healthy[16 * 24:]]    # 64 batches: rolls the window
+
+        def drift_families(text):
+            return {name: family
+                    for name, family in parse_prometheus(text).items()
+                    if name.startswith("repro_floor_drift_")}
+
+        async def scenario(service, client):
+            scrapes = []
+            for rows in phases:
+                for start in range(0, rows.shape[0], 16):
+                    await client.request("POST", "/disposition", {
+                        "device": "synthB",
+                        "measurements": rows[start:start + 16].tolist()})
+                _, reply = await client.request(
+                    "GET", "/metrics?format=prometheus")
+                scrapes.append(drift_families(reply["text"]))
+            return scrapes
+
+        served = run_with_service(scenario, registry)
+
+        floor = Floor(Artifact.load(saved["live"]))
+        offline_tel = Telemetry(run_id="offline")
+        offline = []
+        for rows in phases:
+            for start in range(0, rows.shape[0], 16):
+                floor.dispose(rows[start:start + 16])
+            floor.monitor.export_gauges(offline_tel)
+            offline.append(drift_families(prometheus_text(offline_tel)))
+        assert served == offline
+        # The traffic really raised and then cleared alarms.
+        assert "repro_floor_drift_raised_total" in served[1]
+        assert "repro_floor_drift_cleared_total" in served[2]
 
 
 class TestRequestIds:
