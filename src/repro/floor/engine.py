@@ -55,6 +55,8 @@ from repro.tester.program import (
     RETEST_FULL,
     apply_retest_policy,
     check_retest_policy,
+    policy_cost,
+    unit_costs,
 )
 
 #: Default devices per vectorized disposition batch.
@@ -214,12 +216,8 @@ class TestFloor:
         #: Bin names, in profile order (default bin last).
         self.bin_names = self._bound.bins
         self._kept_specs = self._specs.subset(self._kept)
-        # Per-device costs are constants of the program: the same
-        # (per, full) pair policy_cost() derives, computed once.
-        cost_model = artifact.cost_model
-        self._unit_costs = (None if cost_model is None else
-                            (cost_model.cost(self._kept),
-                             cost_model.full_cost()))
+        # Per-device costs are constants of the program.
+        self._unit_costs = unit_costs(artifact.cost_model, self._kept)
 
     @classmethod
     def from_file(cls, path, **kwargs):
@@ -268,22 +266,11 @@ class TestFloor:
         kept_values = batch[:, self._kept_idx]
         first = self._first_pass(kept_values)
         truth = self._specs.labels(batch)
-        full_retest = self.retest_policy == RETEST_FULL
         decisions, n_retested = apply_retest_policy(
             first, truth, self.retest_policy)
-        # Under full_retest every guard device is retested.
-        n_guard = (n_retested if full_retest
-                   else int(np.count_nonzero(first == GUARD)))
-        # policy_cost()'s arithmetic on the precomputed unit costs.
-        if self._unit_costs is None:
-            cost, full_cost = 0.0, 0.0
-        else:
-            per_device, full_per_device = self._unit_costs
-            n = batch.shape[0]
-            cost = per_device * n
-            if full_retest:
-                cost += full_per_device * n_guard
-            full_cost = full_per_device * n
+        cost, full_cost = policy_cost(
+            self._unit_costs, batch.shape[0], n_retested,
+            self.retest_policy)
         truth_bins = self._bound.assign(batch)
         kept_norm = (self._kept_specs.normalize(kept_values)
                      if self._bank is not None else None)

@@ -309,19 +309,26 @@ class MicroBatcher:
             self.stats.n_size_flushes += 1
         elif reason == "latency":
             self.stats.n_latency_flushes += 1
-        counts = outcome.counts()
-        self.stats.n_shipped += counts["n_shipped"]
-        self.stats.n_scrapped += counts["n_scrapped"]
-        self.stats.n_guard += counts["n_guard"]
-        self.stats.n_retested += counts["n_retested"]
+        self.stats.n_retested += int(outcome.n_retested)
         self.stats.n_bin_retested += outcome.n_bin_retested
         self.stats.total_cost += outcome.cost
-        bin_counts = outcome.bin_counts()
-        if bin_counts:
-            for name, value in bin_counts.items():
+        # The stats add up the replies' counts and bin histograms: both
+        # are per-device sums over the slices that partition the batch.
+        replies = []
+        offset = 0
+        for request in batch_requests:
+            stop = offset + request.rows.shape[0]
+            reply = _slice_result(outcome, offset, stop, reason)
+            replies.append(reply)
+            counts = reply["counts"]
+            self.stats.n_shipped += counts["n_shipped"]
+            self.stats.n_scrapped += counts["n_scrapped"]
+            self.stats.n_guard += counts["n_guard"]
+            for name, value in reply.get("bin_counts", {}).items():
                 self.stats.bin_counts[name] = (
                     self.stats.bin_counts.get(name, 0) + value
                 )
+            offset = stop
         tel = get_telemetry()
         if tel.enabled:
             tel.counter("repro_service_flushes_total", 1, reason=reason)
@@ -336,26 +343,9 @@ class MicroBatcher:
         if self.on_flush is not None:
             self.on_flush()
 
-        # A lone request is the whole batch: it reuses the counts just
-        # computed for the stats (n_retested is batch-level state).
-        whole = len(batch_requests) == 1
-        if whole:
-            del counts["n_retested"]
-        offset = 0
-        for request in batch_requests:
-            stop = offset + request.rows.shape[0]
+        for request, reply in zip(batch_requests, replies):
             if not request.future.cancelled():
-                request.future.set_result(
-                    _slice_result(
-                        outcome,
-                        offset,
-                        stop,
-                        reason,
-                        counts if whole else None,
-                        bin_counts if whole else None,
-                    )
-                )
-            offset = stop
+                request.future.set_result(reply)
 
     def __repr__(self) -> str:
         return (
@@ -370,29 +360,17 @@ class MicroBatcher:
 
 
 def _slice_result(
-    outcome: BatchDisposition,
-    start: int,
-    stop: int,
-    reason: str,
-    counts: dict | None = None,
-    bin_counts: dict | None = None,
+    outcome: BatchDisposition, start: int, stop: int, reason: str
 ) -> dict:
-    """One request's view of the combined batch outcome.
-
-    ``counts``/``bin_counts`` may carry the slice's already-computed
-    :func:`disposition_counts` and bin histogram (a flush holding a
-    single request); otherwise they are computed from the slice.
-    """
+    """One request's view of the combined batch outcome."""
     decisions = outcome.decisions[start:stop]
-    if counts is None:
-        counts = disposition_counts(
+    result = {
+        "decisions": decisions,
+        "counts": disposition_counts(
             decisions,
             outcome.first_pass[start:stop],
             outcome.truth[start:stop],
-        )
-    result = {
-        "decisions": decisions,
-        "counts": counts,
+        ),
         "batch_rows": int(outcome.n_devices),
         "flush_reason": reason,
     }
@@ -402,7 +380,5 @@ def _slice_result(
         bins = outcome.bins[start:stop]
         result["bins"] = bins
         result["bin_names"] = outcome.bin_names
-        if bin_counts is None:
-            bin_counts = bin_histogram(bins, outcome.bin_names)
-        result["bin_counts"] = bin_counts
+        result["bin_counts"] = bin_histogram(bins, outcome.bin_names)
     return result

@@ -27,6 +27,7 @@ from repro.tester.program import (
     apply_retest_policy,
     check_retest_policy,
     policy_cost,
+    unit_costs,
 )
 
 __all__ = [
@@ -40,4 +41,5 @@ __all__ = [
     "apply_retest_policy",
     "check_retest_policy",
     "policy_cost",
+    "unit_costs",
 ]

@@ -68,22 +68,33 @@ def apply_retest_policy(first_pass, true_labels, policy):
     return decisions, (n_guard if policy == RETEST_FULL else 0)
 
 
-def policy_cost(cost_model, kept, n_devices, n_guard, policy):
+def unit_costs(cost_model, kept):
+    """Per-device ``(compacted, full)`` test costs for :func:`policy_cost`.
+
+    ``None`` when there is no cost model.  Callers compute this once
+    per program and reuse it for every population they cost.
+    """
+    if cost_model is None:
+        return None
+    return cost_model.cost(kept), cost_model.full_cost()
+
+
+def policy_cost(costs, n_devices, n_retested, policy):
     """Population test cost under a retest policy.
 
     Every device pays the compacted set; with ``full_retest`` each
-    guard-band device additionally pays the complete test set.  Returns
+    retested (guard-band) device additionally pays the complete test
+    set.  ``costs`` is the :func:`unit_costs` pair.  Returns
     ``(total_cost, full_cost)`` — the second being the cost of testing
     the same population with the full specification set (the paper's
-    baseline).  ``cost_model=None`` yields ``(0.0, 0.0)``.
+    baseline).  ``costs=None`` yields ``(0.0, 0.0)``.
     """
-    if cost_model is None:
+    if costs is None:
         return 0.0, 0.0
-    per_device = cost_model.cost(kept)
-    full_per_device = cost_model.full_cost()
+    per_device, full_per_device = costs
     total = per_device * n_devices
     if policy == RETEST_FULL:
-        total += full_per_device * n_guard
+        total += full_per_device * n_retested
     return total, full_per_device * n_devices
 
 
@@ -205,13 +216,12 @@ class TestProgram:
         compacted pass).
         """
         first = self._first_pass(dataset)
-        n_guard = int(np.sum(first == GUARD))
         decisions, n_retested = apply_retest_policy(
             first, dataset.labels, self.retest_policy)
         report = evaluate_predictions(dataset.labels, decisions)
         total_cost, full_cost = policy_cost(
-            self.cost_model, self.kept, len(dataset), n_guard,
-            self.retest_policy)
+            unit_costs(self.cost_model, self.kept), len(dataset),
+            n_retested, self.retest_policy)
 
         bins = truth_bins = None
         bin_names = ()

@@ -23,6 +23,12 @@ the ``accept``/``reject`` retest policies.  An optimization of the
 disposition path that claims bit-identity is checked here, not
 assumed.
 
+The records were made with numpy 2.4.6 (bundled OpenBLAS 0.3.31,
+x86-64).  The live and bank programs score through BLAS matrix
+products and the bank is trained by SMO, so a different BLAS build can
+move a knife-edge decision; the module skips on numpy < 2.4, whose
+builds were not checked against these records.
+
 To print the records of the current code (e.g. after a deliberate
 change to the disposition contract), run
 ``python tests/floor/test_dispose_golden.py``.
@@ -46,6 +52,10 @@ from tests.synthetic import SyntheticDut, make_synthetic_dataset
 FIXTURE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "fixtures")
 V1_PATH = os.path.join(FIXTURE_DIR, "v1_artifact.rtp")
+
+pytestmark = pytest.mark.skipif(
+    tuple(int(p) for p in np.__version__.split(".")[:2]) < (2, 4),
+    reason="records made with numpy 2.4; older builds not checked")
 
 ARRAYS = ("decisions", "first_pass", "truth", "truth_bins", "bins")
 BATCH_SIZES = (1, 16, 256)

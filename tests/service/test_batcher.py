@@ -196,12 +196,12 @@ class TestEquivalence:
             assert result["batch_rows"] == 10
 
     @pytest.mark.parametrize("max_batch_size", [16, 64])
-    def test_reply_layout_is_the_same_alone_or_coalesced(
+    def test_replies_and_stats_match_the_offline_counts(
             self, live_pair, max_batch_size):
-        """A lone request reuses the batch's counts; a coalesced one
-        recomputes its slice.  Either way the reply carries exactly
-        the slice's ``disposition_counts`` (same keys, same order, no
-        ``n_retested``) and bin histogram."""
+        """Alone or coalesced, a reply carries exactly its slice's
+        ``disposition_counts`` (same keys, same order, no
+        ``n_retested``) and bin histogram, and the stats add up to the
+        whole stream's counts."""
         dut, artifact = live_pair
         chunks = [_rows(dut, 16, seed=50 + i) for i in range(4)]
 
@@ -209,10 +209,11 @@ class TestEquivalence:
             batcher = MicroBatcher(Floor(artifact),
                                    max_batch_size=max_batch_size,
                                    max_latency=60.0)
-            return await asyncio.gather(
+            results = await asyncio.gather(
                 *(batcher.submit(chunk) for chunk in chunks))
+            return batcher.stats, results
 
-        results = asyncio.run(asyncio.wait_for(scenario(), 10))
+        stats, results = asyncio.run(asyncio.wait_for(scenario(), 10))
         direct = Floor(artifact, monitor=False)
         for chunk, result in zip(chunks, results):
             alone = direct.dispose(chunk)
@@ -223,6 +224,12 @@ class TestEquivalence:
                     == list(alone.bin_counts().items()))
             assert result["batch_rows"] == (16 if max_batch_size == 16
                                             else 64)
+        whole = direct.dispose(np.vstack(chunks))
+        counts = whole.counts()
+        for name in ("n_shipped", "n_scrapped", "n_guard", "n_retested"):
+            assert getattr(stats, name) == counts[name]
+        assert (list(stats.bin_counts.items())
+                == list(whole.bin_counts().items()))
 
 
 class TestMonitorContinuity:
