@@ -9,18 +9,38 @@ dense :func:`numpy.linalg.solve` once per instance per Newton iteration
 This module removes it:
 
 **Stamp plan.**  :class:`CircuitBatch` compiles the shared topology
-once into per-device *stamp plans*: for every device position, the
-fixed matrix slots it writes (``(row, col)`` index pairs, ground rows
-dropped) plus the per-instance value vectors ((B,) arrays gathered from
-the B device objects).  Assembly then stacks all instances' MNA systems
-into one ``(B, n, n)`` / ``(B, n)`` pair with a handful of vectorized
-adds, and one stacked :func:`numpy.linalg.solve` call factors the whole
-population through LAPACK's ``gesv``.
+once into value banks and scatter plans.  The static stamps of every
+device become one ``(B, S)`` value bank (per-instance values gathered
+from the B device objects) plus the fixed flat matrix slot of each
+entry (ground rows dropped).  A :class:`_ScatterPlan` adds value
+columns into their slots in *layers*: the r-th addition into a slot
+goes into layer r, so each layer is one vectorized add with unique
+slots and every slot receives its additions in exactly the scalar
+stamping order.  Assembly then stacks all instances' MNA systems into
+one ``(B, n, n)`` / ``(B, n)`` pair, and one stacked
+:func:`numpy.linalg.solve` call factors the whole population through
+LAPACK's ``gesv``.
+
+**Nonlinear plan.**  The MOSFETs and diodes are not stamped one device
+position at a time.  :class:`_NonlinearPlan` gathers their parameters
+into ``(B, k)`` banks and their terminals into index arrays, evaluates
+every nonlinear device of every instance in one vectorized pass (the
+scalar expressions in the scalar order), and scatters the values into
+``G`` and ``b`` through layered plans in scalar device-then-entry
+order.  DC and transient Newton start from a copy of the static
+matrix, exactly as the scalar solvers do, so the nonlinear entries go
+on top.  The AC base matrix is different: ``ac.solve_ac`` stamps each
+device's static and linearized entries together, device by device, and
+the op-amp's resistors sit among its MOSFETs.  The AC plan therefore
+runs over the static and linearized entries interleaved in device
+order; appending every linearized entry after the static ones would
+change the rounding.
 
 **Masked Newton (DC).**  All instances iterate together; an instance
 leaves the active set the moment its own node voltages converge, so its
 solution is frozen exactly where the scalar iteration would have
-stopped.  Instances whose matrix turns singular mid-iteration, or that
+stopped.  Each iteration is one nonlinear-plan pass and one stacked
+solve.  Instances whose matrix turns singular mid-iteration, or that
 fail to converge within the iteration limit, are *demoted*: they re-run
 through the scalar :func:`~repro.circuit.dc.solve_dc` (with its full
 gmin/source-stepping homotopy arsenal) individually, so one hard
@@ -45,12 +65,13 @@ Parity contract
 For every built-in device except the diode, a batched analysis is
 **bit-identical** to running the scalar analysis on each instance:
 the vectorized stamp formulas perform the same IEEE operations in the
-same order, per-entry accumulation replays the scalar stamping order,
-and LAPACK's ``gesv`` factors a stacked system exactly as it factors
-each matrix alone.  The diode's exponential goes through
-:func:`numpy.exp` instead of :func:`math.exp`, which may differ in the
-last ulp; diode circuits are therefore equivalent only to ~1e-15
-relative.  The parity suite in ``tests/circuit/test_batch.py`` pins
+same order (elementwise operations and ``np.where`` round the same at
+any array shape), the layered plans replay the scalar per-slot
+accumulation order, and LAPACK's ``gesv`` factors a stacked system
+exactly as it factors each matrix alone.  The diode's exponential goes
+through :func:`numpy.exp` instead of :func:`math.exp`, which may differ
+in the last ulp; diode circuits are therefore equivalent only to
+~1e-15 relative.  The parity suite in ``tests/circuit/test_batch.py`` pins
 both statements down.
 
 Demotion preserves the contract trivially: a demoted instance *is* the
@@ -81,13 +102,6 @@ def _vcol(x, i):
     if i >= 0:
         return x[:, i]
     return np.zeros(x.shape[0])
-
-
-def _take(values, idx):
-    """Slice a per-instance value vector (scalars pass through)."""
-    if isinstance(values, np.ndarray):
-        return values[idx]
-    return values
 
 
 def _pattern4(i, j, v):
@@ -123,12 +137,6 @@ def _entry(entries, i, j, v):
         entries.append((i, j, v))
 
 
-def _badd_b(b, i, vals):
-    """Accumulate ``vals`` into column ``i`` of the RHS stack."""
-    if i >= 0:
-        b[:, i] += vals
-
-
 # ---------------------------------------------------------------------------
 # Per-device-position batch handlers
 # ---------------------------------------------------------------------------
@@ -143,7 +151,6 @@ class _BatchDevice:
     accumulation rounds identically.
     """
 
-    nonlinear = False
     reactive = False
 
     def __init__(self, column):
@@ -182,13 +189,6 @@ class _BatchDevice:
     def tran_b_rows(self, t, state, idx):
         """``[(row, values)]`` mirroring ``stamp_tran_b``."""
         return ()
-
-    # -- state-dependent stamps ----------------------------------------
-    def ac_linearized(self, G, x_op, idx):
-        """Add the small-signal conductances at the operating point."""
-
-    def stamp_nonlinear(self, G, b, x, idx):
-        """Add the Newton companion stamps at candidate solution ``x``."""
 
     # -- reactive integration state ------------------------------------
     def init_state(self, x, idx):
@@ -382,7 +382,7 @@ class _BatchVccs(_BatchDevice):
 
 
 class _BatchDiode(_BatchDevice):
-    nonlinear = True
+    """Parameters only: the stamps live in :class:`_NonlinearPlan`."""
 
     def __init__(self, column):
         super().__init__(column)
@@ -390,41 +390,13 @@ class _BatchDiode(_BatchDevice):
         self.nvt = self._gather("nvt")
         self.vcrit = self._gather("vcrit")
 
-    def _vd(self, x):
-        i, j = self.nodes
-        return _vcol(x, i) - _vcol(x, j)
-
-    def _conductance(self, x, idx):
-        isat = self.isat[idx]
-        nvt = self.nvt[idx]
-        vd = np.minimum(self._vd(x), self.vcrit[idx] + 5.0 * nvt)
-        # np.exp may differ from math.exp in the last ulp: diode
-        # batches are ~1e-15-relative to scalar, not bit-identical.
-        e = np.exp(np.minimum(vd / nvt, 80.0))
-        idd = isat * (e - 1.0)
-        gd = isat * e / nvt + dev.GMIN
-        return vd, idd, gd
-
-    def _stamp_g(self, G, gd):
-        i, j = self.nodes
-        for (r, c, v) in _pattern4(i, j, gd):
-            G[:, r, c] += v
-
-    def stamp_nonlinear(self, G, b, x, idx):
-        vd, idd, gd = self._conductance(x, idx)
-        ieq = idd - gd * vd
-        self._stamp_g(G, gd)
-        i, j = self.nodes
-        _badd_b(b, i, -ieq)
-        _badd_b(b, j, ieq)
-
-    def ac_linearized(self, G, x_op, idx):
-        _, _, gd = self._conductance(x_op, idx)
-        self._stamp_g(G, gd)
-
 
 class _BatchMosfet(_BatchDevice):
-    nonlinear = True
+    """Parameters only: the stamps live in :class:`_NonlinearPlan`.
+
+    ``sign`` is per instance: topology validation does not pin
+    ``kind``, so one position may mix NMOS and PMOS instances.
+    """
 
     def __init__(self, column):
         super().__init__(column)
@@ -433,76 +405,6 @@ class _BatchMosfet(_BatchDevice):
         self.beta = self._gather("beta")
         self.vth = self._gather("vth")
         self.lam = self._gather("lam")
-
-    def _terminal_voltages(self, x):
-        d, g, s = self.nodes
-        return _vcol(x, d), _vcol(x, g), _vcol(x, s)
-
-    def evaluate(self, x, idx):
-        """Vectorized :meth:`Mosfet.evaluate`, branch for branch.
-
-        Every arithmetic expression keeps the scalar association order,
-        and the region/polarity branches become masks, so each lane
-        rounds exactly as the scalar device would.
-        """
-        sign = self.sign[idx]
-        beta = self.beta[idx]
-        vth = self.vth[idx]
-        lam = self.lam[idx]
-        vd, vg, vs = self._terminal_voltages(x)
-        vgs = sign * (vg - vs)
-        vds = sign * (vd - vs)
-        swapped = vds < 0.0
-        vgs = np.where(swapped, vgs - vds, vgs)
-        vds = np.where(swapped, -vds, vds)
-        vov = vgs - vth
-        clm = 1.0 + lam * vds
-        half = vov * vds - 0.5 * vds * vds
-        idn_tri = beta * half * clm
-        gm_tri = beta * vds * clm
-        gds_tri = beta * (vov - vds) * clm + beta * half * lam
-        idn_sat = 0.5 * beta * vov * vov * clm
-        gm_sat = beta * vov * clm
-        gds_sat = 0.5 * beta * vov * vov * lam
-        triode = vds < vov
-        idn = np.where(triode, idn_tri, idn_sat)
-        gm = np.where(triode, gm_tri, gm_sat)
-        gds = np.where(triode, gds_tri, gds_sat)
-        cutoff = vov <= 0.0
-        idn = np.where(cutoff, 0.0, idn)
-        gm = np.where(cutoff, 0.0, gm)
-        gds = np.where(cutoff, dev.GMIN, gds)
-        idn = np.where(swapped, -idn, idn)
-        gds = np.where(swapped, gds + gm, gds)
-        gm = np.where(swapped, -gm, gm)
-        return sign * idn, gm, gds + dev.GMIN
-
-    def _stamp_g(self, G, gm, gds):
-        d, g, s = self.nodes
-        entries = []
-        _entry(entries, d, g, gm)
-        _entry(entries, d, d, gds)
-        _entry(entries, d, s, -(gm + gds))
-        _entry(entries, s, g, -gm)
-        _entry(entries, s, d, -gds)
-        _entry(entries, s, s, gm + gds)
-        for (r, c, v) in entries:
-            G[:, r, c] += v
-
-    def stamp_nonlinear(self, G, b, x, idx):
-        d, g, s = self.nodes
-        vd, vg, vs = self._terminal_voltages(x)
-        idd, gm, gds = self.evaluate(x, idx)
-        vgs = vg - vs
-        vds = vd - vs
-        ieq = idd - gm * vgs - gds * vds
-        self._stamp_g(G, gm, gds)
-        _badd_b(b, d, -ieq)
-        _badd_b(b, s, ieq)
-
-    def ac_linearized(self, G, x_op, idx):
-        _, gm, gds = self.evaluate(x_op, idx)
-        self._stamp_g(G, gm, gds)
 
 
 #: Exact-type handler registry.  Subclasses are rejected on purpose: a
@@ -519,6 +421,201 @@ _HANDLERS = {
     dev.Diode: _BatchDiode,
     dev.Mosfet: _BatchMosfet,
 }
+
+
+# ---------------------------------------------------------------------------
+# Compiled stamp plans
+# ---------------------------------------------------------------------------
+
+class _ScatterPlan:
+    """Add value columns into fixed slots, replaying a scalar order.
+
+    ``targets`` lists ``(slot, column)`` pairs in the order the scalar
+    stamps accumulate them.  The r-th addition into a slot goes into
+    layer r, so no layer writes a slot twice and each layer is one
+    vectorized ``out[:, slots] += values[:, columns]``.  Running the
+    layers in order hands every slot its additions in exactly the
+    scalar order, so every slot rounds as the scalar stamps do.
+    """
+
+    def __init__(self, targets):
+        layers: list = []
+        depth: dict = {}
+        for slot, column in targets:
+            r = depth.get(slot, 0)
+            depth[slot] = r + 1
+            if r == len(layers):
+                layers.append(([], []))
+            layers[r][0].append(slot)
+            layers[r][1].append(column)
+        self.layers = [(np.array(slots, dtype=np.intp),
+                        np.array(columns, dtype=np.intp))
+                       for slots, columns in layers]
+
+    def apply(self, out, values):
+        """Accumulate ``values`` (m, width) into ``out`` (m, n_slots)."""
+        for slots, columns in self.layers:
+            out[:, slots] += values[:, columns]
+
+
+#: MOSFET G entries in ``Mosfet.stamp_nonlinear`` order, as terminal
+#: pairs (0 = drain, 1 = gate, 2 = source); entry ``e`` carries value
+#: ``e`` of ``gm, gds, -(gm + gds), -gm, -gds, gm + gds``.
+_MOSFET_G = ((0, 1), (0, 0), (0, 2), (2, 1), (2, 0), (2, 2))
+
+#: Diode G entries in ``Diode.stamp_nonlinear`` order: terminal pair
+#: and value (0 = ``gd``, 1 = ``-gd``).
+_DIODE_G = ((0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1))
+
+
+class _NonlinearPlan:
+    """Every nonlinear device of a batch, evaluated in one pass.
+
+    The parameters of all MOSFET positions are gathered into ``(B, k)``
+    banks (the diodes into their own ``(B, q)`` bank), and the terminal
+    nodes into index arrays in which ground points at an appended zero
+    column of ``x``.  :meth:`values` evaluates every device of every
+    instance at once with the scalar expressions in the scalar order
+    (elementwise IEEE operations and ``np.where`` round the same at any
+    array shape); the G and b scatter plans then add the values in the
+    scalar device-then-entry order.
+
+    :meth:`values` returns one ``(m, width)`` matrix.  Its columns are:
+    MOSFET value ``e`` of MOSFET ``p`` at ``e * k + p``; diode value
+    ``v`` of diode ``p`` at ``6k + v * q + p``; then, with
+    ``g_width = 6k + 2q``, ``-ieq`` and ``ieq`` of device ``c`` (MOSFETs
+    first) at ``g_width + c`` and ``g_width + k + q + c``.
+    """
+
+    def __init__(self, handlers, n):
+        mos = [h for h in handlers if isinstance(h, _BatchMosfet)]
+        dio = [h for h in handlers if isinstance(h, _BatchDiode)]
+        k, q = len(mos), len(dio)
+        self.empty = not (k or q)
+        # (4, B, k): sign, beta, vth, lam; (3, B, q): isat, nvt, vcrit.
+        self.mos_params = (np.array([[h.sign, h.beta, h.vth, h.lam]
+                                     for h in mos]).transpose(1, 2, 0)
+                           if k else None)
+        self.dio_params = (np.array([[h.isat, h.nvt, h.vcrit]
+                                     for h in dio]).transpose(1, 2, 0)
+                           if q else None)
+        # (3, k) / (2, q) terminal indices; ground is the zero column n.
+        self.mos_nodes = np.array(
+            [[t if t >= 0 else n for t in h.nodes] for h in mos],
+            dtype=np.intp).reshape(k, 3).T
+        self.dio_nodes = np.array(
+            [[t if t >= 0 else n for t in h.nodes] for h in dio],
+            dtype=np.intp).reshape(q, 2).T
+        g_width = 6 * k + 2 * q
+        n_dev = k + q
+        self.width = g_width + 2 * n_dev
+        # Per handler, in device order: its G targets (none if linear).
+        self.g_targets: list = []
+        b_targets = []
+        n_mos = n_dio = 0
+        for handler in handlers:
+            nodes = handler.nodes
+            if isinstance(handler, _BatchMosfet):
+                c, n_mos = n_mos, n_mos + 1
+                entries = [(nodes[r], nodes[t], e * k + c)
+                           for e, (r, t) in enumerate(_MOSFET_G)]
+                rows = (nodes[0], nodes[2])  # drain -ieq, source +ieq
+            elif isinstance(handler, _BatchDiode):
+                c, n_dio = k + n_dio, n_dio + 1
+                entries = [(nodes[r], nodes[t], 6 * k + v * q + c - k)
+                           for (r, t, v) in _DIODE_G]
+                rows = nodes
+            else:
+                self.g_targets.append([])
+                continue
+            self.g_targets.append([(r * n + t, col)
+                                   for (r, t, col) in entries
+                                   if r >= 0 and t >= 0])
+            for row, col in zip(rows, (g_width + c, g_width + n_dev + c)):
+                if row >= 0:
+                    b_targets.append((row, col))
+        self.g_plan = _ScatterPlan(
+            [t for targets in self.g_targets for t in targets])
+        self.b_plan = _ScatterPlan(b_targets)
+
+    def values(self, x, idx):
+        """The ``(m, width)`` value matrix at the stack ``x``.
+
+        ``x`` is ``(m, n)``; ``idx`` gives the batch position of each
+        row (for the parameter banks).
+        """
+        m = x.shape[0]
+        xe = np.concatenate([x, np.zeros((m, 1))], axis=1)
+        g_cols, neg, pos = [], [], []
+        if self.mos_params is not None:
+            sign, beta, vth, lam = self.mos_params[:, idx]
+            v = xe[:, self.mos_nodes]
+            vd, vg, vs = v[:, 0], v[:, 1], v[:, 2]
+            # Mosfet.evaluate, branch for branch: the region and
+            # polarity branches become masks, and shared left-to-right
+            # prefixes of its products are computed once.
+            dgs = vg - vs
+            dds = vd - vs
+            vgs = sign * dgs
+            vds = sign * dds
+            swapped = vds < 0.0
+            vgs = np.where(swapped, vgs - vds, vgs)
+            vds = np.where(swapped, -vds, vds)
+            vov = vgs - vth
+            clm = 1.0 + lam * vds
+            half = beta * (vov * vds - 0.5 * vds * vds)
+            idn_tri = half * clm
+            gm_tri = beta * vds * clm
+            gds_tri = beta * (vov - vds) * clm + half * lam
+            sat = 0.5 * beta * vov * vov
+            idn_sat = sat * clm
+            gm_sat = beta * vov * clm
+            gds_sat = sat * lam
+            triode = vds < vov
+            idn = np.where(triode, idn_tri, idn_sat)
+            gm = np.where(triode, gm_tri, gm_sat)
+            gds = np.where(triode, gds_tri, gds_sat)
+            cutoff = vov <= 0.0
+            idn = np.where(cutoff, 0.0, idn)
+            gm = np.where(cutoff, 0.0, gm)
+            gds = np.where(cutoff, dev.GMIN, gds)
+            idn = np.where(swapped, -idn, idn)
+            gds = np.where(swapped, gds + gm, gds)
+            gm = np.where(swapped, -gm, gm)
+            idd = sign * idn
+            gds = gds + dev.GMIN
+            # Mosfet.stamp_nonlinear: G values and companion current.
+            total = gm + gds
+            g_cols += [gm, gds, -total, -gm, -gds, total]
+            ieq = idd - gm * dgs - gds * dds
+            neg.append(-ieq)
+            pos.append(ieq)
+        if self.dio_params is not None:
+            isat, nvt, vcrit = self.dio_params[:, idx]
+            v = xe[:, self.dio_nodes]
+            vd = np.minimum(v[:, 0] - v[:, 1], vcrit + 5.0 * nvt)
+            # np.exp may differ from math.exp in the last ulp: diode
+            # batches are ~1e-15-relative to scalar, not bit-identical.
+            e = np.exp(np.minimum(vd / nvt, 80.0))
+            idd = isat * (e - 1.0)
+            gd = isat * e / nvt + dev.GMIN
+            g_cols += [gd, -gd]
+            ieq = idd - gd * vd
+            neg.append(-ieq)
+            pos.append(ieq)
+        return np.concatenate(g_cols + neg + pos, axis=1)
+
+    def stamp(self, G, b, x, idx):
+        """Add the Newton companion stamps at candidate solution ``x``.
+
+        ``G`` must be C-contiguous (a fresh stack), so that its flat
+        ``(m, n * n)`` reshape is a view the plan writes through.
+        """
+        if self.empty:
+            return
+        values = self.values(x, idx)
+        self.g_plan.apply(G.reshape(G.shape[0], -1), values)
+        self.b_plan.apply(b, values)
 
 
 # ---------------------------------------------------------------------------
@@ -671,8 +768,28 @@ class CircuitBatch:
                     "device type {!r} ({!r})".format(
                         type(column[0]).__name__, column[0].name))
             self._handlers.append(handler_type(column))
-        self._nonlinear = [h for h in self._handlers if h.nonlinear]
         self._reactive = [h for h in self._handlers if h.reactive]
+        self._nonlinear = _NonlinearPlan(self._handlers, self.n_unknowns)
+        # Static G entries as one (B, S) value bank.  The static plan
+        # replays stamp_static; the AC plan interleaves each device's
+        # static and linearized entries as ac.solve_ac stamps them
+        # (linearized values are columns 0..width-1, the bank after).
+        n = self.n_unknowns
+        width = self._nonlinear.width
+        bank: list = []
+        static_targets: list = []
+        ac_targets: list = []
+        for handler, linearized in zip(self._handlers,
+                                       self._nonlinear.g_targets):
+            for (i, j, vals) in handler.static_entries():
+                static_targets.append((i * n + j, len(bank)))
+                ac_targets.append((i * n + j, width + len(bank)))
+                bank.append(np.broadcast_to(vals, (self.size,)))
+            ac_targets.extend(linearized)
+        self._static_bank = (np.stack(bank, axis=1) if bank
+                             else np.zeros((self.size, 0)))
+        self._static_plan = _ScatterPlan(static_targets)
+        self._ac_plan = _ScatterPlan(ac_targets)
         # Reactive entry list (omega-linear coefficients), flattened in
         # the same order the scalar per-frequency loop stamps.
         self._reactive_entries: list = []
@@ -725,16 +842,21 @@ class CircuitBatch:
     # -- stacked assembly --------------------------------------------------
     def _assemble_static(self, idx):
         """Stacked DC assembly, replaying ``dc._assemble_static``."""
-        m = idx.size
-        n = self.n_unknowns
-        G = np.zeros((m, n, n))
-        b = np.zeros((m, n))
+        G = self._static_G(idx)
+        b = np.zeros((idx.size, self.n_unknowns))
         for handler in self._handlers:
-            for (i, j, vals) in handler.static_entries():
-                G[:, i, j] += _take(vals, idx)
             for (i, vals) in handler.dc_b_rows(idx):
                 b[:, i] += vals
         return G, b
+
+    def _static_G(self, idx):
+        """Stacked ``stamp_static`` conductances of the rows ``idx``."""
+        m = idx.size
+        n = self.n_unknowns
+        G = np.zeros((m, n, n))
+        self._static_plan.apply(G.reshape(m, n * n),
+                                self._static_bank[idx])
+        return G
 
     def _assemble_ac(self, x_op, idx):
         """Stacked AC base assembly, replaying ``ac.solve_ac``."""
@@ -742,11 +864,13 @@ class CircuitBatch:
         n = self.n_unknowns
         G = np.zeros((m, n, n), dtype=complex)
         b = np.zeros((m, n), dtype=complex)
-        x_sub = x_op[idx]
-        for handler in self._handlers:
-            for (i, j, vals) in handler.static_entries():
-                G[:, i, j] += _take(vals, idx)
-            handler.ac_linearized(G, x_sub, idx)
+        if self._nonlinear.empty:
+            values = self._static_bank[idx]
+        else:
+            values = np.concatenate(
+                [self._nonlinear.values(x_op[idx], idx),
+                 self._static_bank[idx]], axis=1)
+        self._ac_plan.apply(G.reshape(m, n * n), values)
         for handler in self._handlers:
             if not handler.reactive:
                 for (i, vals) in handler.ac_b_rows(idx):
@@ -755,15 +879,10 @@ class CircuitBatch:
 
     def _assemble_tran_G(self, dt, trap, idx):
         """Stacked companion assembly, replaying ``_assemble_tran_static``."""
-        m = idx.size
-        n = self.n_unknowns
-        G = np.zeros((m, n, n))
-        for handler in self._handlers:
-            for (i, j, vals) in handler.static_entries():
-                G[:, i, j] += _take(vals, idx)
+        G = self._static_G(idx)
         for handler in self._reactive:
             for (i, j, vals) in handler.tran_G_entries(dt, trap):
-                G[:, i, j] += _take(vals, idx)
+                G[:, i, j] += vals[idx]
         return G
 
     def _assemble_tran_b(self, t, states, idx):
@@ -779,11 +898,6 @@ class CircuitBatch:
             for (i, vals) in handler.tran_b_rows(t, state, idx):
                 b[:, i] += vals
         return b
-
-    def _stamp_nonlinear(self, G, b, x, idx):
-        """Stacked Newton companion stamps, in scalar device order."""
-        for handler in self._nonlinear:
-            handler.stamp_nonlinear(G, b, x, idx)
 
     # -- masked batched Newton ---------------------------------------------
     def _newton_masked(self, G0, b0, x0, idx, max_step, vtol, max_iter):
@@ -808,7 +922,7 @@ class CircuitBatch:
             # nonlinear stamps below can write into them directly.
             G = G0[active]
             b = b0[active]
-            self._stamp_nonlinear(G, b, x[active], idx[active])
+            self._nonlinear.stamp(G, b, x[active], idx[active])
             try:
                 x_new = np.linalg.solve(G, b[..., None])[..., 0]
             except np.linalg.LinAlgError:
@@ -928,7 +1042,7 @@ class CircuitBatch:
 
         work = idx.copy()
         G_base, b = self._assemble_ac(x_op, work)
-        coefs = [(i, j, _take(vals, work))
+        coefs = [(i, j, vals[work])
                  for (i, j, vals) in self._reactive_entries]
 
         block = max(1, AC_CHUNK_ENTRIES // max(1, work.size * n * n))

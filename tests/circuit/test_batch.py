@@ -3,7 +3,8 @@
 The kernel's promise: a batched analysis equals running the scalar
 analysis per instance -- bit for bit for every built-in device except
 the diode (whose exponential goes through ``np.exp``), with failures
-confined to their own instance via demotion to the scalar path.
+confined to their own instance via demotion to the scalar path.  The
+shared-slot cases pin the layered scatter order of the nonlinear plan.
 """
 
 import numpy as np
@@ -61,6 +62,74 @@ def _gm_cancel(gm, cap_node="n"):
     ckt.vccs("Gx", "n", "0", "n", "0", gm)
     ckt.capacitor("Cl", cap_node, "0", 1e-9)
     return ckt
+
+
+def _diff_pair(vid, scale=1.0, tail_kind="n", step=False):
+    """A mirror-loaded differential pair: five MOSFETs on shared nodes.
+
+    Every nonlinear device shares a node with another (``tail``,
+    ``n1``, ``out``, ``vdd``), and the diode-connected mirror device
+    M3 adds twice into one slot itself, so several devices accumulate
+    into the same matrix slots.  ``Rl`` sits among the MOSFETs, as the
+    op-amp's resistors do, so the AC base interleaves static and
+    linearized entries.  ``tail_kind="p"`` flips the tail device's
+    polarity (biased on through a negative gate voltage).
+    """
+    ckt = Circuit("mirror-diff-pair")
+    ckt.voltage_source("Vdd", "vdd", "0", dc=3.3)
+    vinp = 1.6 + vid / 2
+    if step:
+        vinp = dev.Pulse(vinp, vinp + 0.05, delay=2e-8, rise=1e-8)
+    ckt.voltage_source("Vinp", "inp", "0", dc=vinp, ac=0.5)
+    ckt.voltage_source("Vinn", "inn", "0", dc=1.6 - vid / 2, ac=-0.5)
+    ckt.voltage_source("Vb", "vb", "0",
+                       dc=1.0 if tail_kind == "n" else -0.4)
+    ckt.mosfet("M1", "n1", "inp", "tail", kind="n", w=20e-6 * scale,
+               l=1e-6)
+    ckt.mosfet("M2", "out", "inn", "tail", kind="n", w=20e-6, l=1e-6)
+    ckt.resistor("Rl", "out", "0", 200e3 * scale)
+    ckt.mosfet("M3", "n1", "n1", "vdd", kind="p", w=40e-6, l=1e-6)
+    ckt.mosfet("M4", "out", "n1", "vdd", kind="p", w=40e-6 * scale,
+               l=1e-6)
+    ckt.mosfet("M5", "tail", "vb", "0", kind=tail_kind, w=10e-6, l=2e-6)
+    ckt.capacitor("Cl", "out", "0", 1e-12)
+    return ckt
+
+
+def _diode_mosfet(vdd, r1, step=False):
+    """Diodes sharing the gate and source nodes of a MOSFET stage."""
+    ckt = Circuit("diode-mosfet")
+    if step:
+        vdd = dev.Pulse(vdd, vdd + 0.2, delay=2e-8, rise=1e-8)
+    ckt.voltage_source("Vdd", "vdd", "0", dc=vdd, ac=1.0)
+    ckt.resistor("R1", "vdd", "a", r1)
+    ckt.diode("D1", "a", "g")
+    ckt.resistor("R2", "g", "0", 20e3)
+    ckt.mosfet("M1", "out", "g", "s", kind="n", w=20e-6, l=1e-6)
+    ckt.diode("D2", "s", "0")
+    ckt.resistor("Rd", "vdd", "out", 10e3)
+    ckt.capacitor("Cl", "out", "0", 1e-12)
+    return ckt
+
+
+@pytest.fixture
+def no_demotion(monkeypatch):
+    """Fail if the batch hands any instance to the scalar solvers.
+
+    A demoted instance *is* the scalar path, so parity would hold
+    without exercising the batched stamps at all.  Compute the scalar
+    references before requesting this guard.
+    """
+    from repro.circuit import batch as batch_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("instance demoted to the scalar path")
+
+    def install():
+        monkeypatch.setattr(batch_mod._dc, "solve_dc", refuse)
+        monkeypatch.setattr(batch_mod._tran, "solve_transient", refuse)
+
+    return install
 
 
 class TestTopologyValidation:
@@ -364,6 +433,92 @@ class TestTransientParity:
         batch = CircuitBatch([_rlc(1e3, 1e-3, 1e-9)])
         with pytest.raises(ConvergenceError, match="integration method"):
             batch.solve_transient(1e-6, 1e-8, method="euler")
+
+
+class TestSharedSlotParity:
+    """Several nonlinear devices adding into the same matrix slots.
+
+    The batched kernel scatters every nonlinear value through a layered
+    plan; these cases pin that each shared slot still receives its
+    additions in the scalar device-then-entry order.
+    """
+
+    FREQS = np.logspace(2, 9, 15)
+
+    def _pairs(self):
+        rng = np.random.default_rng(21)
+        return [_diff_pair(rng.uniform(-0.02, 0.02),
+                           1 + rng.uniform(-0.2, 0.2))
+                for _ in range(6)]
+
+    def test_diff_pair_dc_ac_bitwise(self, no_demotion):
+        circuits = self._pairs()
+        ops = [solve_dc(c) for c in circuits]
+        acs = [solve_ac(c, self.FREQS, op) for c, op in zip(circuits, ops)]
+        assert len({op.iterations for op in ops}) > 1
+        no_demotion()
+        batch = CircuitBatch(circuits)
+        res = batch.solve_dc()
+        ac = batch.solve_ac(self.FREQS, res.x)
+        for k in range(len(circuits)):
+            assert np.array_equal(ops[k].x, res.x[k])
+            assert ops[k].iterations == res.iterations[k]
+            assert np.array_equal(acs[k]._X, ac._X[k])
+
+    def test_diff_pair_transient_bitwise(self, no_demotion):
+        rng = np.random.default_rng(22)
+        circuits = [_diff_pair(rng.uniform(-0.02, 0.02),
+                               1 + rng.uniform(-0.2, 0.2), step=True)
+                    for _ in range(4)]
+        scalar = [solve_transient(c, 1e-7, 2e-9) for c in circuits]
+        no_demotion()
+        res = CircuitBatch(circuits).solve_transient(1e-7, 2e-9)
+        assert all(error is None for error in res.errors)
+        for k in range(len(circuits)):
+            assert np.array_equal(scalar[k]._X, res._X[k])
+
+    def test_per_instance_polarity_bitwise(self, no_demotion):
+        """One position holds NMOS in some instances, PMOS in others."""
+        circuits = [_diff_pair(0.01), _diff_pair(-0.01, tail_kind="p"),
+                    _diff_pair(0.0, 1.1),
+                    _diff_pair(0.005, 0.9, tail_kind="p")]
+        ops = [solve_dc(c) for c in circuits]
+        acs = [solve_ac(c, self.FREQS, op) for c, op in zip(circuits, ops)]
+        for circuit, op in zip(circuits, ops):
+            assert circuit.device("M5").operating_region(op.x) \
+                == "saturation"
+        no_demotion()
+        batch = CircuitBatch(circuits)
+        res = batch.solve_dc()
+        ac = batch.solve_ac(self.FREQS, res.x)
+        for k in range(len(circuits)):
+            assert np.array_equal(ops[k].x, res.x[k])
+            assert np.array_equal(acs[k]._X, ac._X[k])
+
+    def test_diode_and_mosfet_close(self, no_demotion):
+        """Diodes and a MOSFET share slots; np.exp bounds the match."""
+        rng = np.random.default_rng(3)
+        circuits = [_diode_mosfet(3.0 * (1 + rng.uniform(-0.2, 0.2)),
+                                  5e3 * (1 + rng.uniform(-0.3, 0.3)))
+                    for _ in range(5)]
+        steps = [_diode_mosfet(3.0 * (1 + rng.uniform(-0.2, 0.2)), 5e3,
+                               step=True) for _ in range(3)]
+        ops = [solve_dc(c) for c in circuits]
+        acs = [solve_ac(c, self.FREQS, op) for c, op in zip(circuits, ops)]
+        trs = [solve_transient(c, 1e-7, 2e-9) for c in steps]
+        no_demotion()
+        batch = CircuitBatch(circuits)
+        res = batch.solve_dc()
+        ac = batch.solve_ac(self.FREQS, res.x)
+        tr = CircuitBatch(steps).solve_transient(1e-7, 2e-9)
+        for k in range(len(circuits)):
+            np.testing.assert_allclose(res.x[k], ops[k].x,
+                                       rtol=1e-9, atol=0)
+            np.testing.assert_allclose(ac._X[k], acs[k]._X,
+                                       rtol=1e-9, atol=0)
+        for k in range(len(steps)):
+            np.testing.assert_allclose(tr._X[k], trs[k]._X,
+                                       rtol=1e-9, atol=1e-12)
 
 
 class TestActiveSubsets:
