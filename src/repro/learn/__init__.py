@@ -7,8 +7,8 @@ is assumed, this subpackage implements the full stack:
 * :mod:`repro.learn.kernels` -- linear / polynomial / RBF / sigmoid
   kernels and Gram-matrix evaluation;
 * :mod:`repro.learn.smo` -- the Platt/Keerthi sequential minimal
-  optimization (SMO) dual solver with maximal-violating-pair working
-  set selection and a kernel cache;
+  optimization (SMO) dual solver with LIBSVM's second-order working
+  set selection (WSS2) and a kernel cache;
 * :mod:`repro.learn.svm` -- the :class:`~repro.learn.svm.SVC` public
   estimator (fit / predict / decision_function);
 * :mod:`repro.learn.ovr` -- one-vs-rest :class:`SVC` banks for

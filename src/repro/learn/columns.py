@@ -26,6 +26,14 @@ alphas included.  Problems at or below
 precompute the Gram matrix as always (the full-matrix product takes
 BLAS's symmetric-rank-k path, which differs from GEMM in the last ulp,
 so mixing the two would break identity).
+
+The solver's second-order pair selection needs the whole kernel
+diagonal before its first step.  :meth:`ColumnProvider.diagonal`
+computes every block once, with the shapes column fetches use, and
+keeps only the block diagonals, so ``diagonal()[t]`` is bitwise
+``column(t)[t]`` and the contract above extends to the pair choice.
+That pass costs the kernel work of one full Gram matrix, once per
+kernel and cache, with one block resident at a time.
 """
 
 from collections import OrderedDict
@@ -53,6 +61,10 @@ class ColumnProvider:
     def column(self, i):
         """Kernel column ``i`` (a read-only view into a cached block)."""
         return self._cache._column(self._key, self._kernel, i)
+
+    def diagonal(self):
+        """The kernel diagonal, ``diagonal()[t]`` bitwise ``column(t)[t]``."""
+        return self._cache._diagonal(self._key, self._kernel)
 
 
 class KernelColumnCache:
@@ -84,6 +96,8 @@ class KernelColumnCache:
         self._max_blocks = max(2, int(max_bytes) // max(1, per_block))
         #: ``(kernel key, first column) -> block``, oldest first.
         self._blocks = OrderedDict()
+        #: ``kernel key -> diagonal`` (n floats each, never evicted).
+        self._diagonals = {}
         #: Fetch statistics (plain ints: the column fetch is the SMO hot
         #: path, so callers aggregate them once per solve).
         self.n_fetches = 0
@@ -156,3 +170,23 @@ class KernelColumnCache:
             self._blocks.move_to_end(key)
             self.n_hits += 1
         return block[:, i - i0]
+
+    def _diagonal(self, key, kernel):
+        diag = self._diagonals.get(key)
+        if diag is not None:
+            return diag
+        # Each block is computed once, with exactly the shapes column
+        # fetches use, and only its diagonal is kept; the blocks do not
+        # enter the LRU.
+        n = self._X.shape[0]
+        diag = np.empty(n)
+        t = 0
+        while t < n:
+            i0, i1 = self._block_range(t)
+            block = kernel(self._X, self._X[i0:i1])
+            rows = np.arange(t, i1)
+            diag[t:i1] = block[rows, rows - i0]
+            t = i1
+        diag.flags.writeable = False
+        self._diagonals[key] = diag
+        return diag

@@ -5,10 +5,16 @@ Solves::
     max_a  sum(a) - 1/2 * sum_ij a_i a_j y_i y_j K_ij
     s.t.   0 <= a_i <= C,    sum_i a_i y_i = 0
 
-using the maximal-violating-pair working-set selection of Keerthi et
-al. -- the same algorithm family as LIBSVM.  Each iteration picks the
-pair ``(i, j)`` that most violates the KKT conditions, solves the
-two-variable subproblem analytically, and updates a cached gradient.
+using LIBSVM's second-order working-set selection (WSS2 of Fan, Chen &
+Lin, "Working Set Selection Using Second Order Information for Training
+SVM", JMLR 6, 2005).  Each iteration takes ``i`` as the most violating
+index of ``I_up`` (as in Keerthi et al.'s maximal violating pair), then
+the ``j`` of ``I_low`` whose two-variable step would raise the dual
+objective most, solves that subproblem analytically, and updates a
+cached gradient.  The rule needs the kernel diagonal up front: the
+in-RAM routes read it off the Gram matrix, the column routes from
+:meth:`repro.learn.columns.ColumnProvider.diagonal`, in the very bits
+the column fetches carry, so every route selects the same pairs.
 
 The Gram matrix is precomputed when the problem is small enough
 (quadratic memory); otherwise kernel columns are computed on demand
@@ -39,7 +45,9 @@ from repro.telemetry import get_telemetry
 
 #: Default KKT violation tolerance.
 DEFAULT_TOL = 1e-3
-#: Problems up to this size precompute the full Gram matrix.
+#: Problems up to this size precompute the full Gram matrix (and keep
+#: each row of the pair curvature ``eta`` WSS2 computes, which can take
+#: as much memory again).
 PRECOMPUTE_LIMIT = 6000
 
 
@@ -87,7 +95,14 @@ class SMOResult:
         #: False when ``C`` never influenced the run: no alpha reached
         #: ``C - 1e-12``, no step box was cut by ``C``, and the solve
         #: did not end on a degenerate-box or stall break.  The result
-        #: is then bitwise the result for every larger ``C``.
+        #: is then bitwise the result for every larger ``C``: the pair
+        #: selection reads only ``F``, the kernel and the ``I_up`` /
+        #: ``I_low`` memberships, which depend on ``C`` only through
+        #: alphas at ``C - 1e-12``; for a pair of equal labels the box
+        #: ``[max(0, a_i + a_j - C), min(C, a_i + a_j)]`` depends on
+        #: ``C`` only when ``a_i + a_j > C``; for opposite labels its
+        #: upper end ``min(C, C + a_j - a_i)`` always does, so a step
+        #: clipped there marks the run, whichever ``j`` WSS2 chose.
         self.c_bound = c_bound
 
 
@@ -121,12 +136,13 @@ def solve_smo(kernel, X, y, C, tol=DEFAULT_TOL, max_iter=None,
         evaluations (used by the :mod:`repro.runtime` kernel cache).
     columns:
         Optional external column source with a ``column(i)`` method
-        returning kernel column ``i`` (e.g. the bounded block cache of
-        :mod:`repro.learn.columns`).  Consulted only for problems
-        *above* :data:`PRECOMPUTE_LIMIT`: below it the Gram matrix is
-        precomputed exactly as without a source, so attaching one
-        never changes small-problem results, while large problems get
-        block-fetched columns that are bit-identical to the internal
+        returning kernel column ``i`` and a ``diagonal()`` method whose
+        entry ``t`` is bitwise ``column(t)[t]`` (e.g. the bounded block
+        cache of :mod:`repro.learn.columns`).  Consulted only for
+        problems *above* :data:`PRECOMPUTE_LIMIT`: below it the Gram
+        matrix is precomputed exactly as without a source, so attaching
+        one never changes small-problem results, while large problems
+        get block-fetched columns that are bit-identical to the internal
         cache's at a caller-bounded working set.
     alpha_init:
         Optional dual warm start; repaired with :func:`repair_alpha`
@@ -145,6 +161,8 @@ def solve_smo(kernel, X, y, C, tol=DEFAULT_TOL, max_iter=None,
         raise LearningError("labels must be -1/+1")
     if C <= 0:
         raise LearningError("C must be positive")
+    if tol < 0:
+        raise LearningError("tol must be non-negative")
     if max_iter is None:
         max_iter = max(2000, 200 * n)
 
@@ -156,17 +174,22 @@ def solve_smo(kernel, X, y, C, tol=DEFAULT_TOL, max_iter=None,
                 "precomputed gram must be ({n}, {n}); got {shape}".format(
                     n=n, shape=K.shape))
         get_col = K.__getitem__
+        d = np.diagonal(K).copy()
         route = "precomputed"
     elif n <= PRECOMPUTE_LIMIT:
         K = kernel(X, X)
         get_col = K.__getitem__
+        d = np.diagonal(K).copy()
         route = "dense"
     elif columns is not None:
         get_col = columns.column
+        d = columns.diagonal()
         route = "columns"
     else:
         cache = KernelColumnCache(X, max_bytes=8 * n * cache_columns)
-        get_col = cache.provider(kernel).column
+        provider = cache.provider(kernel)
+        get_col = provider.column
+        d = provider.diagonal()
         route = "cache"
 
     # The one upper-bound threshold every membership test compares to.
@@ -199,8 +222,8 @@ def solve_smo(kernel, X, y, C, tol=DEFAULT_TOL, max_iter=None,
     # scalars, without their per-operation overhead.  I_up / I_low
     # membership depends only on (alpha, y) and changes at the two
     # updated indices, so it is kept incrementally as penalty vectors
-    # (0 inside, +/-inf outside): each side's selection is one add into
-    # a reused buffer plus one argmin/argmax.
+    # (0 inside, +/-inf outside): each side's masked gradient is one
+    # add into a reused buffer.
     alpha_l = alpha.tolist()
     y_l = y.tolist()
     up_l = [(yk > 0 and ak < c_top) or (yk < 0 and ak > 1e-12)
@@ -213,10 +236,22 @@ def solve_smo(kernel, X, y, C, tol=DEFAULT_TOL, max_iter=None,
     low_count = sum(low_l)
     inf = np.inf
     gap = 2.0 * tol
-    F_sel = np.empty(n)
+    # Array operands (not Python floats) for the per-iteration floors:
+    # array-array ufuncs skip the scalar conversion.
+    zeros = np.zeros(n)
+    eta_floor = np.full(n, 1e-12)
+    F_up = np.empty(n)
+    gain = np.empty(n)
+    # Rows of the floored eta_it.  The in-RAM routes keep each row once
+    # computed (np.empty commits a row's pages only when it is first
+    # written); the column routes recompute it into one buffer.
+    memo = route in ("precomputed", "dense")
+    eta_rows = np.empty((n, n) if memo else (1, n))
+    eta_known = [False] * n
     step_i = np.empty(n)
     step_j = np.empty(n)
-    add, multiply = np.add, np.multiply
+    add, subtract, multiply = np.add, np.subtract, np.multiply
+    divide, maximum = np.divide, np.maximum
 
     iterations = 0
     converged = False
@@ -224,24 +259,37 @@ def solve_smo(kernel, X, y, C, tol=DEFAULT_TOL, max_iter=None,
         if up_count == 0 or low_count == 0:
             converged = True
             break
-        add(F, pen_up, out=F_sel)
-        i = int(F_sel.argmin())
-        add(F, pen_low, out=F_sel)
-        j = int(F_sel.argmax())
+        add(F, pen_up, out=F_up)
+        i = int(F_up.argmin())
         b_up = F.item(i)
-        b_low = F.item(j)
-        if b_low - b_up <= gap:
+        # gain holds F_t - b_up over I_low (-inf outside); its maximum
+        # is b_low - b_up, the KKT gap, bit for bit.
+        add(F, pen_low, out=gain)
+        subtract(gain, b_up, out=gain)
+        if gain.item(gain.argmax()) <= gap:
             converged = True
             break
 
+        # Second-order choice of j (Fan, Chen & Lin 2005, WSS2): over
+        # t in I_low with F_t > b_up, maximize the dual increase of the
+        # unclipped step, (F_t - b_up)**2 / eta_it with
+        # eta_it = (K_ii + d_t) - 2 K_it floored at 1e-12 (K_it + K_it
+        # is 2 K_it exactly).
         Ki = get_col(i)
+        den = eta_rows[i if memo else 0]
+        if not eta_known[i]:
+            add(d, d.item(i), out=den)
+            add(Ki, Ki, out=step_i)
+            subtract(den, step_i, out=den)
+            maximum(den, eta_floor, out=den)
+            eta_known[i] = memo
+        maximum(gain, zeros, out=gain)
+        multiply(gain, gain, out=gain)
+        divide(gain, den, out=gain)
+        j = int(gain.argmax())
+        F_j = F.item(j)
+        eta = den.item(j)
         Kj = get_col(j)
-        # The diagonal terms come from the fetched columns themselves
-        # (Ki[i] is exactly K[i, i]), so no route needs an upfront
-        # diagonal pass and all routes agree bitwise.
-        eta = Ki.item(i) + Kj.item(j) - 2.0 * Ki.item(j)
-        if eta <= 1e-12:
-            eta = 1e-12
 
         # Two-variable analytic step (Platt 1998, with F_k playing the
         # role of Platt's prediction error E_k = f_k - y_k).  Every
@@ -261,11 +309,11 @@ def solve_smo(kernel, X, y, C, tol=DEFAULT_TOL, max_iter=None,
             L = max(0.0, aj_old - ai_old)
             H = min(C, C + aj_old - ai_old)
         if H - L < 1e-14:
-            # Degenerate box for the maximal violating pair: the pair
+            # Degenerate box for the selected pair: the pair
             # selection can make no further progress.
             c_bound = True
             break
-        aj_new = max(aj_old + yj * (b_up - b_low) / eta, L)
+        aj_new = max(aj_old + yj * (b_up - F_j) / eta, L)
         if aj_new > H:
             aj_new = H
             if s < 0:

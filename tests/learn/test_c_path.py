@@ -13,7 +13,7 @@ import pytest
 from repro.learn import SVC, cross_val_score, grid_search
 from repro.learn.kernels import kernel_function
 from repro.learn.model_selection import KFold
-from repro.learn.smo import solve_smo
+from repro.learn.smo import repair_alpha, solve_smo
 from repro.telemetry import Telemetry, set_telemetry
 
 
@@ -115,6 +115,55 @@ def test_bound_solution_depends_on_c():
     assert small.c_bound is True
     assert not np.array_equal(small.alpha,
                               solve_smo(kernel, X, y, 10.0).alpha)
+
+
+def test_second_order_pair_clipped_by_c_is_c_bound():
+    """WSS2's ``j`` need not be ``argmax F``; a step C clips is C-bound.
+
+    The warm start (repaired to ``a_0 = 44507.7``) makes ``i = 1``, and
+    ``argmax F`` over ``I_low`` is index 0.  ``x_3`` duplicates ``x_1``,
+    so ``eta_13`` floors at 1e-12 and WSS2 takes ``j = 3`` instead.  Its
+    step is cut at ``H = C + a_3 - a_1``, and the rounding leaves
+    ``a_1`` an ulp below ``C``: only the clip itself can flag the run.
+    """
+    X = np.array([[-1.2], [0.2], [0.1], [0.2]])
+    y = np.array([1.0, 1.0, -1.0, -1.0])
+    C = 1e5
+    seed = np.array([96102.9, 84522.2, 81671.1, 47358.8])
+    kernel = kernel_function("rbf", gamma=1.0)
+    repaired = repair_alpha(seed, y, C)
+    K = kernel(X, X)
+    F = K @ (repaired * y) - y
+    # Every alpha is strictly inside (0, C): all four indices are in
+    # both I_up and I_low.
+    assert (int(np.argmin(F)), int(np.argmax(F))) == (1, 0)
+    step = solve_smo(kernel, X, y, C, alpha_init=seed, max_iter=1)
+    moved = np.flatnonzero(step.alpha != repaired).tolist()
+    assert moved == [1, 3]
+    assert step.alpha[3] == (C + seed[3]) - seed[1]
+    assert np.all(step.alpha < C)
+    assert step.c_bound is True
+
+
+def test_unbound_fits_are_bitwise_the_fits_at_ten_times_c():
+    unbound = 0
+    for blobs, grid in PROBLEMS.values():
+        X, y = _blobs(*blobs)
+        for gamma in grid["gamma"]:
+            kernel = kernel_function("rbf", gamma=gamma)
+            for train_idx, _ in KFold(3, 0).split(len(y)):
+                Xf, yf = X[train_idx], y[train_idx]
+                for c in grid["C"]:
+                    small = solve_smo(kernel, Xf, yf, c)
+                    if small.c_bound:
+                        continue
+                    unbound += 1
+                    large = solve_smo(kernel, Xf, yf, 10.0 * c)
+                    assert large.alpha.tobytes() == small.alpha.tobytes()
+                    assert large.bias.hex() == small.bias.hex()
+                    assert (large.iterations, large.c_bound) == (
+                        small.iterations, False)
+    assert unbound > 0
 
 
 def test_bound_fits_are_never_reused():

@@ -53,6 +53,22 @@ class TestContract:
         for i in range(len(X)):
             assert np.array_equal(a.column(0.5, i), b.column(0.5, i))
 
+    @pytest.mark.parametrize("n,block", [(50, 4), (50, 13), (9, 4)])
+    def test_diagonal_is_bitwise_the_column_entries(self, n, block):
+        """The solver's diagonal reads the very bytes column fetches do,
+        so WSS2 selects identically on every route.  ``n = 9`` at width
+        4 leaves a width-1 trailing block, which fetches widen backward.
+        With 40 features, many entries of ``diag(kernel(X, X))`` (the
+        syrk product) differ from these in the last ulp.
+        """
+        X = _points(n=n, d=40, seed=2)
+        for kernel in (0.5, kernel_function("linear")):
+            provider = KernelColumnCache(
+                X, max_bytes=1 << 20, block_columns=block).provider(kernel)
+            diag = provider.diagonal()
+            for t in range(n):
+                assert diag[t].tobytes() == provider.column(t)[t].tobytes()
+
     def test_multiple_gammas_coexist(self):
         X = _points()
         cache = KernelColumnCache(X, max_bytes=1 << 20)

@@ -5,7 +5,9 @@ the pinned record is ``sha256(alpha.tobytes())``, ``bias.hex()``, the
 iteration count and the convergence flag.  Any change to the solver's
 floating-point operations or their order moves at least one record, so
 a solver optimization that claims bit-identity is checked here, not
-assumed.
+assumed.  The oracle is :func:`_reference_solve`, a plain-numpy form of
+the solver's second-order (WSS2) loop; a first-order form of the same
+loop checks that both rules solve the same QP.
 
 The cases cover the dense, precomputed-``gram``, internal column-cache
 and external ``columns=`` routes, warm starts (feasible and repaired
@@ -89,7 +91,7 @@ def _warm_repaired():
 
 
 def _degenerate_box():
-    """A warm start whose maximal violating pair has an empty box.
+    """A warm start whose selected pair has an empty box.
 
     At ``C = 1e6`` the upper bound ``C + a_j - a_i`` of the pair
     (alpha ``C`` on the negative point, ``2e-12`` on a positive one)
@@ -129,44 +131,44 @@ def _record(result):
 
 GOLDEN = {
     "cache_roomy": (
-        "41a0aa6ad2b898b8c3d986e867149a4da00f219d51ce08eb1d8168058b2d6cd7",
-        "0x1.7f28828c9c876p-10", 528, True),
+        "b64ede0739c4257761e79f3f3c6f62524c6d2513c7e09195ab4190aa6b5cfb59",
+        "0x1.1a662ee2ab875p-10", 168, True),
     "cache_tight": (
-        "41a0aa6ad2b898b8c3d986e867149a4da00f219d51ce08eb1d8168058b2d6cd7",
-        "0x1.7f28828c9c876p-10", 528, True),
+        "b64ede0739c4257761e79f3f3c6f62524c6d2513c7e09195ab4190aa6b5cfb59",
+        "0x1.1a662ee2ab875p-10", 168, True),
     "columns_rbf": (
-        "049013d4196be61c1c95ef0940169db39f32b2144544d114980df4a0eb995791",
-        "-0x1.51f7a17d516f5p+0", 406, True),
+        "5f6ec101331a6a9ed5a3621e882615979155cb5884c8038ff6dd6d620479f19b",
+        "-0x1.522cdc6c3a180p+0", 196, True),
     "degenerate_box": (
         "7a5aff4a50a07c85968639568645a33318a55a2f76216251cfaafd8a5b879afb",
         "-0x0.0p+0", 0, False),
     "dense_capped": (
-        "9feeb83a607df1bef61dabb82ef87a96992938ce9802b9c792411b2f5f4289ea",
-        "-0x1.921336909e010p-3", 40, False),
+        "cdcfdea74e61ac64197686e0edeb22d7e2e58cfbafcb0168a4154c8ba4eaa887",
+        "-0x1.0aca519d9ade0p-4", 40, False),
     "dense_linear_c05": (
-        "35fb319c1aa9b4149bae58865a968a1819268b737b70be0683e36f9da6523760",
-        "-0x1.0335cf057b400p-2", 115, True),
+        "9d9645b9cba11233931cfc2b4199e65074dec31ddf9a106e1272f9b6c9487067",
+        "-0x1.fcf3b568782bcp-3", 41, True),
     "dense_overlap_c1": (
-        "283d58ec84d261f6b0c1ee93e3b4caea2ce8bdd7ffc73ba4f6edb1019c8f0b5e",
-        "-0x1.f13918973d77ep-4", 303, True),
+        "b463ac7b619ea3cbf4ecfccfd181415224429cd96a5494d306500c944b41f167",
+        "-0x1.f128056e4cc9ep-4", 117, True),
     "dense_overlap_c50": (
-        "da27631abbfa258f8fc85640daef5d6424bea11de50cc9fd77a442c71e41d64a",
-        "-0x1.efdba32254088p-5", 2239, True),
+        "bd3e6fecd0cb8cd469ec5ae82ae16f011e6c359c92ae18cce8fc378fc7d4a6f8",
+        "-0x1.f18fd10cd7150p-5", 416, True),
     "dense_separable": (
-        "93e0b7fd4b057efe5278cd80f0b3863a4ef34586bfacd93b03e26cac8ec145c7",
-        "0x1.7ff3d26417eb0p-7", 34, True),
+        "21244f146639aa4a32aa3ab0f3d692ea691c441e1be0acc548b2f9d648cb42f0",
+        "0x1.8ac78ae6217fcp-7", 24, True),
     "gram_poly": (
-        "c0de193c0ba1a80b22404e437daa84b23a1d34e0f2da049148e683cd86b4ead1",
-        "0x1.a827fcce1c6e8p-3", 35, True),
+        "36fe1a40c2a7a91ed3e659a2713c766bfaecef7809a62811baf75dae98fd2b66",
+        "0x1.a9790c433730fp-3", 27, True),
     "gram_rbf": (
-        "2d548f0d9e76e55e06f2d4ebf19475840d1928bfedd78b1e05da4945b488df89",
-        "-0x1.d27e1424bd3fep-4", 496, True),
+        "6bec920fbdb15352aeb6b37d64ac2b689d8b7cafc76ddc057b50160010c833a6",
+        "-0x1.d2d009b7b3c5bp-4", 253, True),
     "warm_from_smaller_c": (
-        "94c651983821145d8dd831dc07c46d6ca148db505510193e33c5d90ed89598cd",
-        "0x1.c2eaa84ee821dp-4", 273, True),
+        "6ef1d5e8ea7c05a101ab756ecaff2a000a4e75a6ee98ec7e62364a2fc284a693",
+        "0x1.c2f77f03ac264p-4", 244, True),
     "warm_repaired": (
-        "0bed859a49ef13e9cd0d661e41436e2dbf52b6577841226ff2c2be2844461bc1",
-        "0x1.8689ef143e7e4p-5", 88, True),
+        "b55ae6ca5dcc8e7ac4ace01cb935463e55c0515fb7fa030e597d4fc1613b0b70",
+        "0x1.865cf370efc88p-5", 78, True),
 }
 
 
@@ -181,13 +183,19 @@ def test_cases_cover_every_stop():
     assert GOLDEN["degenerate_box"][2:] == (0, False)
 
 
-def _reference_solve(K, y, C, tol=1e-3, max_iter=None, alpha_init=None):
-    """The straightforward numpy-scalar form of the solver's loop.
+def _reference_solve(K, y, C, tol=1e-3, max_iter=None, alpha_init=None,
+                     first_order=False):
+    """The straightforward numpy form of the solver's loop.
 
     Same operations in the same order as :func:`solve_smo` on a Gram
     matrix, written without any of its interpreter-overhead cuts
     (masked copies for the pair selection, numpy scalars for the step,
-    full mask recomputation); the solver must match it bit for bit.
+    full mask recomputation, no eta-row memo); the solver must match
+    it bit for bit.  ``i`` minimizes ``F`` over ``I_up``; ``j``
+    maximizes ``(F_t - F_i)**2 / eta_it`` over ``t`` in ``I_low`` with
+    ``F_t > F_i`` (Fan, Chen & Lin 2005, WSS2).  ``first_order=True``
+    instead takes ``j = argmax F`` over ``I_low`` (the maximal violating
+    pair of Keerthi et al.), the rule the solver used before WSS2.
     """
     n = len(y)
     max_iter = max(2000, 200 * n) if max_iter is None else max_iter
@@ -202,6 +210,7 @@ def _reference_solve(K, y, C, tol=1e-3, max_iter=None, alpha_init=None):
         for k in np.flatnonzero(alpha):
             F += (alpha[k] * y[k]) * K[int(k)]
         F -= y
+    d = np.diagonal(K)
 
     def masks():
         up = ((y > 0) & (alpha < C - 1e-12)) | ((y < 0) & (alpha > 1e-12))
@@ -215,11 +224,20 @@ def _reference_solve(K, y, C, tol=1e-3, max_iter=None, alpha_init=None):
             converged = True
             break
         i = int(np.argmin(np.where(up, F, np.inf)))
-        j = int(np.argmax(np.where(low, F, -np.inf)))
-        if F[j] - F[i] <= 2.0 * tol:
+        b_low = np.max(np.where(low, F, -np.inf))
+        if b_low - F[i] <= 2.0 * tol:
             converged = True
             break
-        eta = max(K[i, i] + K[j, j] - 2.0 * K[i, j], 1e-12)
+        if first_order:
+            j = int(np.argmax(np.where(low, F, -np.inf)))
+            eta = max(K[i, i] + K[j, j] - 2.0 * K[i, j], 1e-12)
+        else:
+            eta_row = np.maximum((K[i, i] + d) - 2.0 * K[i], 1e-12)
+            diff = F - F[i]
+            gain = np.where(low & (diff > 0), diff * diff / eta_row,
+                            -np.inf)
+            j = int(np.argmax(gain))
+            eta = eta_row[j]
         s = y[i] * y[j]
         if s > 0:
             L = max(0.0, alpha[i] + alpha[j] - C)
@@ -247,8 +265,7 @@ def _reference_solve(K, y, C, tol=1e-3, max_iter=None, alpha_init=None):
     return smo_module.SMOResult(alpha, bias, iterations, converged)
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_solver_matches_reference_loop(seed):
+def _random_problem(seed):
     """Random problems, cold and warm, across C regimes and kernels."""
     rng = np.random.default_rng(1000 + seed)
     n = int(rng.integers(20, 90))
@@ -257,9 +274,95 @@ def test_solver_matches_reference_loop(seed):
     kernel = ("rbf", "linear", "poly")[seed % 3]
     K = kernel_function(kernel, gamma=float(rng.uniform(0.2, 3.0)))(X, X)
     seed_alpha = (rng.uniform(0.0, 2.0 * C, n) if seed % 2 else None)
-    got = solve_smo(None, X, y, C, gram=K, alpha_init=seed_alpha)
+    return kernel, K, y, C, seed_alpha
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_solver_matches_reference_loop(seed):
+    _, K, y, C, seed_alpha = _random_problem(seed)
+    got = solve_smo(None, K, y, C, gram=K, alpha_init=seed_alpha)
     want = _reference_solve(K, y, C, alpha_init=seed_alpha)
     assert _record(got) == _record(want)
+
+
+#: The converged blob cases' problems: ``(n, spread, seed, C, kernel,
+#: gamma)`` as in :data:`CASES`, solved on ``kernel(X, X)``.
+BLOB_PROBLEMS = [
+    (80, 0.4, 0, 10.0, "rbf", 1.0),
+    (120, 1.0, 1, 1.0, "rbf", 1.0),
+    (120, 1.0, 1, 50.0, "rbf", 1.0),
+    (100, 0.9, 2, 0.5, "linear", 1.0),
+    (110, 0.9, 6, 5.0, "rbf", 2.0),
+    (60, 0.7, 7, 1.0, "poly", 0.5),
+    (90, 0.9, 8, 10.0, "rbf", 1.0),
+    (100, 0.6, 9, 100.0, "rbf", 0.8),
+]
+
+#: Dual objectives of the two rules agree to this relative tolerance.
+#: Both stop at a KKT gap <= 2 * tol = 2e-3; the largest relative gap
+#: between their objectives over these problems is 7e-6 (random seed
+#: 10, a linear kernel at ``C`` about 470).
+DUAL_RTOL = 1e-4
+
+#: An iteration cap both rules converge under on every problem here.
+#: The default cap stops three random problems early: the cubic
+#: kernels of seeds 5 and 8 (diagonals spanning up to eight decades)
+#: and the linear kernel of seed 10 at ``C`` about 470.
+QP_MAX_ITER = 200_000
+
+
+def _qp_problems():
+    for seed in range(12):
+        yield _random_problem(seed)
+    for n, spread, seed, C, kernel, gamma in BLOB_PROBLEMS:
+        X, y = _blobs(n, spread, seed)
+        yield kernel, kernel_function(kernel, gamma=gamma)(X, X), y, C, None
+
+
+def _kkt_gap(K, y, C, alpha):
+    F = K @ (alpha * y) - y
+    up = ((y > 0) & (alpha < C - 1e-12)) | ((y < 0) & (alpha > 1e-12))
+    low = ((y > 0) & (alpha > 1e-12)) | ((y < 0) & (alpha < C - 1e-12))
+    return np.max(F[low]) - np.min(F[up])
+
+
+def _dual(K, y, alpha):
+    v = alpha * y
+    return np.sum(alpha) - 0.5 * v @ K @ v
+
+
+def test_second_order_solves_the_same_qp():
+    """WSS2 and the first-order rule reach the same optimum.
+
+    WSS2 takes fewer iterations in total on the RBF and linear
+    problems (the kernels the compaction flow fits).  On the cubic
+    problems it does not: seeds 5 and 8 take 13,749 and 107,955
+    iterations against the first-order rule's 8,470 and 79,605, so the
+    polynomial total is only checked for convergence.
+    """
+    totals = {}
+    for kernel, K, y, C, seed_alpha in _qp_problems():
+        second = solve_smo(None, K, y, C, gram=K, alpha_init=seed_alpha,
+                           max_iter=QP_MAX_ITER)
+        first = _reference_solve(K, y, C, alpha_init=seed_alpha,
+                                 max_iter=QP_MAX_ITER, first_order=True)
+        for result in (second, first):
+            assert result.converged
+            # F recomputed in one product differs from the solver's
+            # incremental F in the last bits only.
+            assert _kkt_gap(K, y, C, result.alpha) <= 2e-3 + 1e-9
+            assert abs(result.alpha @ y) <= 1e-9
+            # The step's rounding can leave alpha an ulp outside the
+            # box; the solver's membership tests allow 1e-12.
+            assert np.all((result.alpha >= -1e-12)
+                          & (result.alpha <= C + 1e-12))
+        w2, w1 = _dual(K, y, second.alpha), _dual(K, y, first.alpha)
+        assert abs(w2 - w1) <= DUAL_RTOL * max(1.0, abs(w1))
+        pair = totals.setdefault(kernel, [0, 0])
+        pair[0] += second.iterations
+        pair[1] += first.iterations
+    assert totals["rbf"][0] < totals["rbf"][1]
+    assert totals["linear"][0] < totals["linear"][1]
 
 
 if __name__ == "__main__":

@@ -55,6 +55,8 @@ class TestSmo:
             solve_smo(kernel, X, y, C=-1.0)
         with pytest.raises(LearningError, match="-1/\\+1"):
             solve_smo(kernel, X, np.arange(10.0), C=1.0)
+        with pytest.raises(LearningError, match="non-negative"):
+            solve_smo(kernel, X, y, C=1.0, tol=-1e-3)
 
 
 class TestSvc:
