@@ -30,10 +30,13 @@ so mixing the two would break identity).
 The solver's second-order pair selection needs the whole kernel
 diagonal before its first step.  :meth:`ColumnProvider.diagonal`
 computes every block once, with the shapes column fetches use, and
-keeps only the block diagonals, so ``diagonal()[t]`` is bitwise
+reads the block diagonals, so ``diagonal()[t]`` is bitwise
 ``column(t)[t]`` and the contract above extends to the pair choice.
 That pass costs the kernel work of one full Gram matrix, once per
-kernel and cache, with one block resident at a time.
+kernel and cache.  Its blocks fill the LRU while it has room, so with
+a budget for the whole matrix no column is computed twice.  The
+diagonals themselves (``n`` floats per kernel) are kept outside the
+byte budget.
 """
 
 from collections import OrderedDict
@@ -96,7 +99,8 @@ class KernelColumnCache:
         self._max_blocks = max(2, int(max_bytes) // max(1, per_block))
         #: ``(kernel key, first column) -> block``, oldest first.
         self._blocks = OrderedDict()
-        #: ``kernel key -> diagonal`` (n floats each, never evicted).
+        #: ``kernel key -> diagonal`` (n floats each, never evicted and
+        #: not counted against ``max_bytes``).
         self._diagonals = {}
         #: Fetch statistics (plain ints: the column fetch is the SMO hot
         #: path, so callers aggregate them once per solve).
@@ -176,14 +180,20 @@ class KernelColumnCache:
         if diag is not None:
             return diag
         # Each block is computed once, with exactly the shapes column
-        # fetches use, and only its diagonal is kept; the blocks do not
-        # enter the LRU.
+        # fetches use; while the LRU has room the block enters it under
+        # the key a column fetch would use, so those fetches hit.
         n = self._X.shape[0]
         diag = np.empty(n)
         t = 0
         while t < n:
             i0, i1 = self._block_range(t)
-            block = kernel(self._X, self._X[i0:i1])
+            block_key = (key, i0)
+            block = self._blocks.get(block_key)
+            if block is None:
+                block = kernel(self._X, self._X[i0:i1])
+                self.n_fetches += 1
+                if len(self._blocks) < self._max_blocks:
+                    self._blocks[block_key] = block
             rows = np.arange(t, i1)
             diag[t:i1] = block[rows, rows - i0]
             t = i1

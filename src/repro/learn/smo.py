@@ -45,10 +45,11 @@ from repro.telemetry import get_telemetry
 
 #: Default KKT violation tolerance.
 DEFAULT_TOL = 1e-3
-#: Problems up to this size precompute the full Gram matrix (and keep
-#: each row of the pair curvature ``eta`` WSS2 computes, which can take
-#: as much memory again).
+#: Problems up to this size precompute the full Gram matrix.
 PRECOMPUTE_LIMIT = 6000
+#: Byte budget of the solver's memo of pair-curvature rows (every row
+#: is kept up to n = 1024; larger problems keep fewer and recompute).
+ETA_CACHE_BYTES = 8 * 1024 * 1024
 
 
 def repair_alpha(alpha, y, C):
@@ -242,12 +243,12 @@ def solve_smo(kernel, X, y, C, tol=DEFAULT_TOL, max_iter=None,
     eta_floor = np.full(n, 1e-12)
     F_up = np.empty(n)
     gain = np.empty(n)
-    # Rows of the floored eta_it.  The in-RAM routes keep each row once
-    # computed (np.empty commits a row's pages only when it is first
-    # written); the column routes recompute it into one buffer.
-    memo = route in ("precomputed", "dense")
-    eta_rows = np.empty((n, n) if memo else (1, n))
-    eta_known = [False] * n
+    # Floored eta_it rows, memoized direct-mapped within
+    # ETA_CACHE_BYTES: row i lives in slot i % slots, tagged with i, and
+    # is recomputed whenever another row took the slot.
+    slots = max(1, min(n, ETA_CACHE_BYTES // (8 * n)))
+    eta_rows = np.empty((slots, n))
+    eta_tags = [-1] * slots
     step_i = np.empty(n)
     step_j = np.empty(n)
     add, subtract, multiply = np.add, np.subtract, np.multiply
@@ -276,13 +277,14 @@ def solve_smo(kernel, X, y, C, tol=DEFAULT_TOL, max_iter=None,
         # eta_it = (K_ii + d_t) - 2 K_it floored at 1e-12 (K_it + K_it
         # is 2 K_it exactly).
         Ki = get_col(i)
-        den = eta_rows[i if memo else 0]
-        if not eta_known[i]:
+        slot = i % slots
+        den = eta_rows[slot]
+        if eta_tags[slot] != i:
             add(d, d.item(i), out=den)
             add(Ki, Ki, out=step_i)
             subtract(den, step_i, out=den)
             maximum(den, eta_floor, out=den)
-            eta_known[i] = memo
+            eta_tags[slot] = i
         maximum(gain, zeros, out=gain)
         multiply(gain, gain, out=gain)
         divide(gain, den, out=gain)

@@ -95,16 +95,34 @@ def test_grid_search_equals_cold_reference(problem, n_jobs):
         assert 0 < reused < total
 
 
-def test_unbound_solution_is_bitwise_the_larger_c_solution():
+def _unbound_fits():
+    """``(kernel, X, y, C)`` candidates: the whole separable problem at
+    C = 10 (unbound), then every fold fit of the grid problems."""
     X, y = _blobs(60, 0.3, 0)
-    kernel = kernel_function("rbf", gamma=0.5)
-    small = solve_smo(kernel, X, y, 10.0)
-    assert small.c_bound is False
-    large = solve_smo(kernel, X, y, 100.0)
-    assert large.alpha.tobytes() == small.alpha.tobytes()
-    assert large.bias.hex() == small.bias.hex()
-    assert (large.iterations, large.converged, large.c_bound) == (
-        small.iterations, small.converged, False)
+    yield kernel_function("rbf", gamma=0.5), X, y, 10.0
+    for blobs, grid in PROBLEMS.values():
+        X, y = _blobs(*blobs)
+        for gamma in grid["gamma"]:
+            kernel = kernel_function("rbf", gamma=gamma)
+            for train_idx, _ in KFold(3, 0).split(len(y)):
+                for c in grid["C"]:
+                    yield kernel, X[train_idx], y[train_idx], c
+
+
+def test_unbound_solution_is_bitwise_the_larger_c_solution():
+    unbound = 0
+    for k, (kernel, X, y, c) in enumerate(_unbound_fits()):
+        small = solve_smo(kernel, X, y, c)
+        assert k > 0 or small.c_bound is False
+        if small.c_bound:
+            continue
+        unbound += 1
+        large = solve_smo(kernel, X, y, 10.0 * c)
+        assert large.alpha.tobytes() == small.alpha.tobytes()
+        assert large.bias.hex() == small.bias.hex()
+        assert (large.iterations, large.converged, large.c_bound) == (
+            small.iterations, small.converged, False)
+    assert unbound > 1
 
 
 def test_bound_solution_depends_on_c():
@@ -143,27 +161,6 @@ def test_second_order_pair_clipped_by_c_is_c_bound():
     assert step.alpha[3] == (C + seed[3]) - seed[1]
     assert np.all(step.alpha < C)
     assert step.c_bound is True
-
-
-def test_unbound_fits_are_bitwise_the_fits_at_ten_times_c():
-    unbound = 0
-    for blobs, grid in PROBLEMS.values():
-        X, y = _blobs(*blobs)
-        for gamma in grid["gamma"]:
-            kernel = kernel_function("rbf", gamma=gamma)
-            for train_idx, _ in KFold(3, 0).split(len(y)):
-                Xf, yf = X[train_idx], y[train_idx]
-                for c in grid["C"]:
-                    small = solve_smo(kernel, Xf, yf, c)
-                    if small.c_bound:
-                        continue
-                    unbound += 1
-                    large = solve_smo(kernel, Xf, yf, 10.0 * c)
-                    assert large.alpha.tobytes() == small.alpha.tobytes()
-                    assert large.bias.hex() == small.bias.hex()
-                    assert (large.iterations, large.c_bound) == (
-                        small.iterations, False)
-    assert unbound > 0
 
 
 def test_bound_fits_are_never_reused():

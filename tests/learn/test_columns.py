@@ -59,15 +59,35 @@ class TestContract:
         so WSS2 selects identically on every route.  ``n = 9`` at width
         4 leaves a width-1 trailing block, which fetches widen backward.
         With 40 features, many entries of ``diag(kernel(X, X))`` (the
-        syrk product) differ from these in the last ulp.
+        syrk product) differ from these in the last ulp.  The budget
+        holds two blocks, so most columns are computed afresh rather
+        than read from blocks the diagonal pass left in the LRU.
         """
         X = _points(n=n, d=40, seed=2)
         for kernel in (0.5, kernel_function("linear")):
             provider = KernelColumnCache(
-                X, max_bytes=1 << 20, block_columns=block).provider(kernel)
+                X, max_bytes=1, block_columns=block).provider(kernel)
             diag = provider.diagonal()
             for t in range(n):
                 assert diag[t].tobytes() == provider.column(t)[t].tobytes()
+
+    def test_diagonal_blocks_fill_the_lru_within_budget(self):
+        X = _points(n=50)
+        roomy = KernelColumnCache(X, max_bytes=1 << 20, block_columns=8)
+        roomy.provider(0.5).diagonal()
+        assert (roomy.n_fetches, roomy.n_cached_blocks) == (7, 7)
+        for i in range(len(X)):
+            roomy.column(0.5, i)
+        assert (roomy.n_fetches, roomy.n_hits) == (7, 50)
+        # A second diagonal pass of the same kernel computes nothing.
+        roomy.provider(0.5).diagonal()
+        assert roomy.n_fetches == 7
+
+        tight = KernelColumnCache(X, max_bytes=3 * 8 * len(X) * 8,
+                                  block_columns=8)
+        tight.provider(0.5).diagonal()
+        assert tight.n_cached_blocks == tight.max_blocks == 3
+        assert tight.n_fetches == 7
 
     def test_multiple_gammas_coexist(self):
         X = _points()

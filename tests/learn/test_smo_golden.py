@@ -20,6 +20,7 @@ numerical change), run ``python tests/learn/test_smo_golden.py``.
 
 import contextlib
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,6 +176,34 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_solution_is_bitwise_pinned(name):
     assert _record(CASES[name]()) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("budget", [0, 3600])
+def test_eta_memo_budget_is_invisible(name, budget, monkeypatch):
+    """A memo too small for every row only recomputes rows: budget 0
+    leaves one slot, and 3600 bytes leave 3 to 5 slots on the blob
+    cases, so rows keep evicting each other."""
+    monkeypatch.setattr(smo_module, "ETA_CACHE_BYTES", budget)
+    assert _record(CASES[name]()) == GOLDEN[name]
+
+
+def test_eta_memo_stays_within_its_budget(monkeypatch):
+    """The memo allocates at most ``ETA_CACHE_BYTES``, however large
+    the problem; an unbounded memo would take another Gram matrix."""
+    n, rows = 400, 16
+    X, y = _blobs(n, 1.0, 1)
+    K = kernel_function("rbf", gamma=1.0)(X, X)
+    monkeypatch.setattr(smo_module, "ETA_CACHE_BYTES", 8 * n * rows)
+    tracemalloc.start()
+    try:
+        solve_smo(None, X, y, 1.0, gram=K, max_iter=50)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Besides the memo, the solver holds about 24 vectors of n floats
+    # (buffers, the diagonal and the Python-float mirrors).
+    assert peak <= 8 * n * (rows + 32) < K.nbytes
 
 
 def test_cases_cover_every_stop():
@@ -363,6 +392,9 @@ def test_second_order_solves_the_same_qp():
         pair[1] += first.iterations
     assert totals["rbf"][0] < totals["rbf"][1]
     assert totals["linear"][0] < totals["linear"][1]
+    # Not a gap in the test: WSS2 is expected to need more iterations
+    # than the first-order rule on the cubic problems (see above), so
+    # totals["poly"] is deliberately not compared.
 
 
 if __name__ == "__main__":
