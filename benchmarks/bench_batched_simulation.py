@@ -1,10 +1,12 @@
 """Experiment R5 -- batched MNA simulation kernel throughput.
 
 Generates the same Monte-Carlo populations (paper Fig. 1) through the
-scalar per-instance simulator and through the batched MNA kernel
-(``engine="batched"``: every Newton iteration, frequency point and
-time step of the whole population is one stacked LAPACK call), and
-compares wall clock and results:
+scalar per-instance simulator (the bench wrapped in
+:class:`tests.synthetic.ScalarOnly`, which hides ``measure_batch``)
+and through the batched MNA kernel the bench gets by default (every
+Newton iteration, frequency point and time step of the whole
+population is one stacked LAPACK call), and compares wall clock and
+results:
 
 1. op-amp population -- the expensive case, five full circuit analyses
    per instance, and the PR's acceptance gate: **>= 3x** on a single
@@ -51,6 +53,7 @@ from repro.mems import AccelerometerBench
 from repro.opamp import OpAmpBench
 from repro.process.montecarlo import generate_dataset
 from repro.runtime import cpu_count
+from tests.synthetic import ScalarOnly
 
 #: Acceptance bar: batched op-amp generation on one core.
 SPEEDUP_FLOOR = 3.0
@@ -67,10 +70,10 @@ N_MEMS_SMOKE = 40
 def _compare(name, bench, n, seed):
     """Scalar vs batched generation of one population; returns a row."""
     scalar, t_scalar = wall_time(
-        generate_dataset, bench, n, seed, max_failures=max(10, n))
+        generate_dataset, ScalarOnly(bench), n, seed,
+        max_failures=max(10, n))
     batched, t_batched = wall_time(
-        generate_dataset, bench, n, seed, max_failures=max(10, n),
-        engine="batched")
+        generate_dataset, bench, n, seed, max_failures=max(10, n))
     # The contract, asserted in every environment: the batched kernel
     # reproduces the scalar dataset exactly -- values and labels.
     equivalent = (np.array_equal(scalar.values, batched.values)

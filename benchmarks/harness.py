@@ -21,11 +21,10 @@ simulating; a shorter store is extended in place.
 
 Set ``REPRO_BENCH_SIM_JOBS=N`` (``-1`` = all CPUs) to fan uncached
 population generation out across worker processes through
-:mod:`repro.runtime.simulation`, and ``REPRO_BENCH_SIM_ENGINE=batched``
-to vectorize it through the batched MNA kernel
-(:mod:`repro.circuit.batch`); per-instance seeding keeps every cached
-population bit-identical to a serial scalar run, so the cache remains
-valid at any worker count and either engine.
+:mod:`repro.runtime.simulation` (each worker runs the batched MNA
+kernel of :mod:`repro.circuit.batch` on its slot chunks); per-instance
+seeding keeps every cached population bit-identical to a serial run,
+so the cache remains valid at any worker count.
 """
 
 import os
@@ -59,11 +58,6 @@ def sim_jobs():
     return int(os.environ.get("REPRO_BENCH_SIM_JOBS", "1"))
 
 
-def sim_engine():
-    """Simulation engine for population generation (env override)."""
-    return os.environ.get("REPRO_BENCH_SIM_ENGINE", "scalar")
-
-
 def _make_bench(device):
     if device == "opamp":
         from repro.opamp import OpAmpBench
@@ -94,8 +88,7 @@ def load_population(device, n, seed, n_jobs=None):
     bench = _make_bench(device)
     store = ensure_dataset(
         CACHE_DIR, bench, n, seed,
-        n_jobs=sim_jobs() if n_jobs is None else n_jobs,
-        engine=sim_engine())
+        n_jobs=sim_jobs() if n_jobs is None else n_jobs)
     return store.head(n)
 
 

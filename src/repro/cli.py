@@ -34,11 +34,11 @@ On the simulating commands (``fig5``, ``table3``, ``cost``,
 ``batch``), ``--sim-jobs N`` fans the Monte-Carlo device simulations
 out across worker processes through
 :mod:`repro.runtime.simulation` -- per-instance seeding makes the
-populations bit-identical at any worker count -- and
-``--sim-engine batched`` additionally stacks whole instance
-populations into single LAPACK solves through the batched MNA kernel
-(:mod:`repro.circuit.batch`; identical datasets, several times faster
-per core); ``batch`` simulates all its lots through one scheduler.
+populations bit-identical at any worker count.  Both benches
+implement ``measure_batch``, which is used when present: whole
+instance populations are stacked into single LAPACK solves through
+the batched MNA kernel (:mod:`repro.circuit.batch`); ``batch``
+simulates all its lots through one scheduler.
 On the greedy-loop commands
 (``fig5``, ``batch``), ``--jobs N`` additionally routes compaction
 through the parallel cache-aware engine of :mod:`repro.runtime`
@@ -53,7 +53,7 @@ production lots through the :class:`~repro.floor.engine.TestFloor`,
 reporting per-lot yield loss, defect escape, cost, throughput and
 drift alarms.  The round trip is deterministic: the same artifact and
 seeds disposition identically at any
-``--batch-size``/``--sim-jobs``/``--sim-engine``.
+``--batch-size``/``--sim-jobs``.
 
 ``serve`` hosts a registry of deployed artifacts behind the asyncio
 HTTP/JSON floor service of :mod:`repro.service` (micro-batching,
@@ -126,13 +126,12 @@ def _populations(bench, requests, args):
         from repro.data import ensure_dataset
 
         return [ensure_dataset(root, bench, n, seed,
-                               n_jobs=args.sim_jobs,
-                               engine=args.sim_engine).head(n)
+                               n_jobs=args.sim_jobs).head(n)
                 for n, seed in requests]
     from repro.process.montecarlo import generate_many
 
     return generate_many([(bench, n, seed) for n, seed in requests],
-                         n_jobs=args.sim_jobs, engine=args.sim_engine)
+                         n_jobs=args.sim_jobs)
 
 
 def _simulate_pair(bench, args):
@@ -374,7 +373,6 @@ def cmd_floor(args):
         args.lots, args.devices, device), file=sys.stderr)
     try:
         report = floor.run_lots(bench, lots, n_jobs=args.sim_jobs,
-                                engine=args.sim_engine,
                                 dataset_root=args.dataset)
     except ReproError as exc:
         # e.g. an artifact trained on a different bench's ranges, or
@@ -412,8 +410,7 @@ def _print_dataset(store):
     """One summary block per store: identity line, shards, last event."""
     print(repr(store))
     print("root: {}".format(store.root))
-    print("seed: {}  engine: {}  dtype: {}".format(
-        store.seed, store.engine, store.manifest.dtype))
+    print("seed: {}  dtype: {}".format(store.seed, store.manifest.dtype))
     events = store.manifest.events
     if events:
         last = events[-1]
@@ -437,8 +434,7 @@ def cmd_dataset_generate(args):
     try:
         store = generate_shards(
             args.root, bench, args.rows, args.seed,
-            shard_rows=shard_rows, n_jobs=args.sim_jobs,
-            engine=args.sim_engine)
+            shard_rows=shard_rows, n_jobs=args.sim_jobs)
     except ReproError as exc:
         return _fail(exc)
     _print_dataset(store)
@@ -780,12 +776,6 @@ def build_parser():
                        help="worker processes for Monte-Carlo "
                             "generation (-1 = all CPUs; default "
                             "serial; identical datasets at any count)")
-        p.add_argument("--sim-engine", choices=("scalar", "batched"),
-                       default="scalar",
-                       help="device-simulation engine: 'batched' "
-                            "stacks whole instance populations into "
-                            "single LAPACK solves (identical datasets "
-                            "either way; composes with --sim-jobs)")
         p.add_argument("--dataset", default=None, metavar="DIR",
                        help="source populations from manifested shard "
                             "stores cached under DIR (rows already on "
@@ -960,8 +950,6 @@ def build_parser():
     gen.add_argument("--sim-jobs", type=int, default=1,
                      help="worker processes (-1 = all CPUs; identical "
                           "shards at any count)")
-    gen.add_argument("--sim-engine", choices=("scalar", "batched"),
-                     default="scalar")
     add_telemetry(gen)
     gen.set_defaults(func=cmd_dataset_generate)
 

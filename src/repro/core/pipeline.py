@@ -70,7 +70,7 @@ class CompactionPipeline:
         return self.compactor.run(train, test)
 
     def run_simulated(self, dut, n_train, n_test, seed=0, sim_jobs=None,
-                      seed_mode="per-instance", dataset_root=None):
+                      dataset_root=None):
         """Paper Fig. 1 end to end: simulate the populations, then run.
 
         The training population is generated with ``seed`` and the
@@ -84,14 +84,9 @@ class CompactionPipeline:
         shard stores under that directory instead
         (:func:`repro.data.ensure_dataset`): existing rows are
         memory-mapped and only the shortfall is simulated, and the
-        rows are bit-identical to the direct generation (requires the
-        default ``seed_mode="per-instance"``).
+        rows are bit-identical to the direct generation.
         """
         if dataset_root is not None:
-            if seed_mode != "per-instance":
-                raise CompactionError(
-                    "shard stores record per-instance seed trees; "
-                    "seed_mode={!r} cannot be cached".format(seed_mode))
             from repro.data import ensure_dataset
 
             train = ensure_dataset(dataset_root, dut, n_train, seed,
@@ -103,12 +98,12 @@ class CompactionPipeline:
 
         train, test = generate_many(
             [(dut, n_train, seed), (dut, n_test, seed + 1)],
-            n_jobs=sim_jobs, seed_mode=seed_mode)
+            n_jobs=sim_jobs)
         return self.run(train, test)
 
     def deploy(self, train, test, cost_model=None, device=None,
-               train_seed=None, generation="per-instance",
-               lookup_resolution=None, extra_provenance=None):
+               train_seed=None, lookup_resolution=None,
+               extra_provenance=None):
         """Compact and package for the production floor.
 
         Runs :meth:`run` and wraps the result in a
@@ -123,8 +118,7 @@ class CompactionPipeline:
         result = self.run(train, test)
         artifact = TestProgramArtifact.from_result(
             result, train, cost_model=cost_model, device=device,
-            train_seed=train_seed, generation=generation,
-            lookup_resolution=lookup_resolution,
+            train_seed=train_seed, lookup_resolution=lookup_resolution,
             extra_provenance=extra_provenance)
         return result, artifact
 

@@ -110,8 +110,7 @@ def _append_batches(root, manifest, batch_iter, report, prefix=None):
 
 
 def generate_shards(root, dut, n_rows, seed, shard_rows=DEFAULT_SHARD_ROWS,
-                    n_jobs=None, engine="scalar", max_failures=None,
-                    device=None):
+                    n_jobs=None, max_failures=None, device=None):
     """Generate a fresh shard store; returns a :class:`ShardedSpecDataset`.
 
     ``root`` must not already hold a store (use :func:`extend_shards`
@@ -132,32 +131,30 @@ def generate_shards(root, dut, n_rows, seed, shard_rows=DEFAULT_SHARD_ROWS,
               if max_failures is None else int(max_failures))
     manifest = Manifest(
         device=device or dataset_device_name(dut), seed=seed,
-        engine=engine, shard_rows=shard_rows, n_rows=0,
+        shard_rows=shard_rows, n_rows=0,
         specifications=dut.specifications)
     manifest.events.append({
-        "op": "generate", "start": 0, "stop": 0, "engine": engine,
-        "max_failures": budget, "elapsed_s": 0.0,
-        "instances_per_minute": 0.0,
+        "op": "generate", "start": 0, "stop": 0, "max_failures": budget,
+        "elapsed_s": 0.0, "instances_per_minute": 0.0,
     })
     report = GenerationReport(n_requested=n_rows)
     batches = generate_instance_batches(
         dut, n_rows, seed, batch_size=manifest.shard_rows,
-        n_jobs=n_jobs, engine=engine, max_failures=budget, report=report)
+        n_jobs=n_jobs, max_failures=budget, report=report)
     with get_telemetry().span("data.generate", rows=n_rows,
-                              device=manifest.device, engine=engine):
+                              device=manifest.device):
         _append_batches(root, manifest, batches, report)
     return ShardedSpecDataset(root)
 
 
 def extend_shards(root, dut, n_rows, seed=None, n_jobs=None,
-                  engine=None, max_failures=None):
+                  max_failures=None):
     """Grow an existing store to ``n_rows`` without re-simulating.
 
-    Returns the reopened :class:`ShardedSpecDataset`.  ``seed`` and
-    ``engine`` default to the manifest's values; a ``seed`` that
-    contradicts the manifest raises -- the store's identity is its
-    ``(device, seed)`` pair.  If the store already holds ``n_rows`` or
-    more, this is a no-op.
+    Returns the reopened :class:`ShardedSpecDataset`.  ``seed``
+    defaults to the manifest's value; a ``seed`` that contradicts it
+    raises -- the store's identity is its ``(device, seed)`` pair.  If
+    the store already holds ``n_rows`` or more, this is a no-op.
     """
     root = os.fspath(root)
     store = ShardedSpecDataset(root)
@@ -174,7 +171,6 @@ def extend_shards(root, dut, n_rows, seed=None, n_jobs=None,
     old_n = manifest.n_rows
     if n_rows <= old_n:
         return store
-    engine = manifest.engine if engine is None else engine
     # A resume event: the store grows from old_n without re-simulating
     # its prefix.  Count it and span the whole extension.
     tel = get_telemetry()
@@ -189,7 +185,7 @@ def extend_shards(root, dut, n_rows, seed=None, n_jobs=None,
     report.n_simulated = sum(int(s["n_simulated"])
                              for s in manifest.shards)
     manifest.events.append({
-        "op": "extend", "start": old_n, "stop": old_n, "engine": engine,
+        "op": "extend", "start": old_n, "stop": old_n,
         "max_failures": budget, "elapsed_s": 0.0,
         "instances_per_minute": 0.0,
     })
@@ -208,7 +204,7 @@ def extend_shards(root, dut, n_rows, seed=None, n_jobs=None,
             store._maps.pop(index, None)  # file is about to be replaced
             batches = generate_instance_batches(
                 dut, fill - old_n, manifest.seed, batch_size=shard_rows,
-                n_jobs=n_jobs, engine=engine, max_failures=budget,
+                n_jobs=n_jobs, max_failures=budget,
                 first_slot=old_n, report=report)
             _append_batches(root, manifest, batches, report,
                             prefix=(index, old_values,
@@ -218,13 +214,30 @@ def extend_shards(root, dut, n_rows, seed=None, n_jobs=None,
         if row < n_rows:
             batches = generate_instance_batches(
                 dut, n_rows - row, manifest.seed, batch_size=shard_rows,
-                n_jobs=n_jobs, engine=engine, max_failures=budget,
+                n_jobs=n_jobs, max_failures=budget,
                 first_slot=row, report=report)
             _append_batches(root, manifest, batches, report)
     return ShardedSpecDataset(root)
 
 
-def repair_shards(root, dut, n_jobs=None, engine=None):
+def _store_budget(manifest):
+    """The failure budget a store was generated under.
+
+    The largest ``max_failures`` recorded by the manifest's generate
+    and extend events (a store built with a larger budget than the
+    default must be repaired under it), else the default for the
+    store's size.  A larger budget never changes a row that succeeded,
+    so the largest recorded one reproduces every shard.
+    """
+    recorded = [int(event["max_failures"]) for event in manifest.events
+                if event.get("op") in ("generate", "extend")
+                and event.get("max_failures") is not None]
+    if recorded:
+        return max(recorded)
+    return default_max_failures(max(manifest.n_rows, 1))
+
+
+def repair_shards(root, dut, n_jobs=None):
     """Regenerate corrupted shards from the per-instance seed tree.
 
     Re-hashes every shard against the manifest; each shard that fails
@@ -234,8 +247,8 @@ def repair_shards(root, dut, n_jobs=None, engine=None):
     re-verified against the *original* manifest hash.  Because every
     slot is a pure function of ``(dut, seed, slot index)``, a repaired
     shard is bit-identical to the one first generated; a repair that
-    does not hash back to the manifest means the DUT, seed or engine
-    does not match the store, and raises
+    does not hash back to the manifest means the DUT or seed does not
+    match the store, and raises
     :class:`~repro.errors.DatasetError` rather than bless wrong bytes.
 
     Returns the list of repaired shard indices (empty = store clean).
@@ -247,8 +260,7 @@ def repair_shards(root, dut, n_jobs=None, engine=None):
         raise DatasetError(
             "store {} was generated for a different specification set "
             "than this DUT".format(root))
-    engine = manifest.engine if engine is None else engine
-    budget = default_max_failures(max(manifest.n_rows, 1))
+    budget = _store_budget(manifest)
     repaired = []
     tel = get_telemetry()
     with tel.span("data.repair", device=manifest.device,
@@ -269,15 +281,15 @@ def repair_shards(root, dut, n_jobs=None, engine=None):
             report = GenerationReport(n_requested=stop - start)
             batches = generate_instance_batches(
                 dut, stop - start, manifest.seed, batch_size=stop - start,
-                n_jobs=n_jobs, engine=engine, max_failures=budget,
-                first_slot=start, report=report)
+                n_jobs=n_jobs, max_failures=budget, first_slot=start,
+                report=report)
             values = np.ascontiguousarray(np.vstack(list(batches)).T)
             digest = shard_io.write_shard(
                 os.path.join(root, entry["file"]), values)
             if digest != entry["sha256"]:
                 raise DatasetError(
                     "repaired shard {} ({}) hashes to {} but the manifest "
-                    "records {} -- this DUT/seed/engine does not reproduce "
+                    "records {} -- this DUT/seed does not reproduce "
                     "the store; refusing to bless wrong bytes".format(
                         index, entry["file"], digest, entry["sha256"]))
             repaired.append(index)
@@ -285,15 +297,14 @@ def repair_shards(root, dut, n_jobs=None, engine=None):
     if repaired:
         manifest.events.append({
             "op": "repair", "start": 0, "stop": manifest.n_rows,
-            "engine": engine, "shards": list(repaired),
+            "shards": list(repaired),
         })
         manifest.save(root)
     return repaired
 
 
 def ensure_dataset(root, dut, n_rows, seed, shard_rows=DEFAULT_SHARD_ROWS,
-                   n_jobs=None, engine="scalar", max_failures=None,
-                   device=None):
+                   n_jobs=None, max_failures=None, device=None):
     """Open-or-grow the ``(device, seed)`` store under cache root ``root``.
 
     The store lives in ``root/<device>-s<seed>``.  A missing store is
@@ -309,8 +320,7 @@ def ensure_dataset(root, dut, n_rows, seed, shard_rows=DEFAULT_SHARD_ROWS,
     path = os.path.join(os.fspath(root), "{}-s{}".format(safe, int(seed)))
     if _store_exists(path):
         return extend_shards(path, dut, n_rows, seed=seed, n_jobs=n_jobs,
-                             engine=engine, max_failures=max_failures)
+                             max_failures=max_failures)
     return generate_shards(path, dut, n_rows, seed,
                            shard_rows=shard_rows, n_jobs=n_jobs,
-                           engine=engine, max_failures=max_failures,
-                           device=device)
+                           max_failures=max_failures, device=device)

@@ -66,14 +66,13 @@ def shard_file_name(index):
 class Manifest:
     """In-memory form of ``manifest.json``."""
 
-    def __init__(self, device, seed, engine, shard_rows, n_rows,
+    def __init__(self, device, seed, shard_rows, n_rows,
                  specifications, shards=None, events=None,
                  scheme=SCHEME, dtype=DTYPE):
         if not isinstance(specifications, SpecificationSet):
             specifications = SpecificationSet(specifications)
         self.device = str(device)
         self.seed = int(seed)
-        self.engine = str(engine)
         self.shard_rows = int(shard_rows)
         self.n_rows = int(n_rows)
         self.specifications = specifications
@@ -139,7 +138,6 @@ class Manifest:
             "device": self.device,
             "scheme": self.scheme,
             "seed": self.seed,
-            "engine": self.engine,
             "dtype": self.dtype,
             "shard_rows": self.shard_rows,
             "n_rows": self.n_rows,
@@ -192,8 +190,7 @@ class Manifest:
         try:
             return cls(
                 device=raw["device"], seed=raw["seed"],
-                engine=raw["engine"], shard_rows=raw["shard_rows"],
-                n_rows=raw["n_rows"],
+                shard_rows=raw["shard_rows"], n_rows=raw["n_rows"],
                 specifications=specs_from_meta(raw["specifications"]),
                 shards=raw["shards"], events=raw.get("events", []),
                 scheme=raw.get("scheme", SCHEME),

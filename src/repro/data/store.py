@@ -68,10 +68,6 @@ class ShardedSpecDataset:
         return self.manifest.device
 
     @property
-    def engine(self):
-        return self.manifest.engine
-
-    @property
     def shard_rows(self):
         return self.manifest.shard_rows
 

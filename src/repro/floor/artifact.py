@@ -181,8 +181,8 @@ class TestProgramArtifact:
     # -- construction ------------------------------------------------------
     @classmethod
     def from_result(cls, result, train, cost_model=None, device=None,
-                    train_seed=None, generation="per-instance",
-                    lookup_resolution=None, extra_provenance=None):
+                    train_seed=None, lookup_resolution=None,
+                    extra_provenance=None):
         """Package a compaction run for deployment.
 
         Parameters
@@ -195,10 +195,11 @@ class TestProgramArtifact:
             the drift baseline statistics.
         cost_model:
             Optional cost model to ship with the program.
-        device, train_seed, generation:
-            Provenance: DUT name (e.g. ``OpAmpBench.name``), the
-            Monte-Carlo seed of the training population, and the
-            generation scheme (``seed_mode``).
+        device, train_seed:
+            Provenance: DUT name (e.g. ``OpAmpBench.name``) and the
+            Monte-Carlo seed of the training population.  The header
+            also records the generation scheme, always
+            ``"per-instance"`` (per-slot seed-tree streams).
         lookup_resolution:
             When given (an int, or ``"auto"`` for the default sizing),
             a lookup table is built immediately.
@@ -210,7 +211,7 @@ class TestProgramArtifact:
             "created_unix": time.time(),
             "device": device,
             "train_seed": train_seed,
-            "generation": generation,
+            "generation": "per-instance",
             "n_train": len(train),
             "tolerance": result.tolerance,
             "order": tuple(result.order),

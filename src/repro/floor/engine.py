@@ -495,17 +495,16 @@ class TestFloor:
     # -- simulated traffic -------------------------------------------------
     def run_simulated(self, dut, n_devices, seed, n_jobs=None,
                       batch_size=None, lot=None, max_failures=None,
-                      keep_decisions=False, engine="scalar",
-                      dataset=None):
+                      keep_decisions=False, dataset=None):
         """Stream a simulated Monte-Carlo population through the floor.
 
         Devices come from the deterministic per-instance seed tree
         (:func:`repro.runtime.simulation.generate_instance_batches`):
         the population -- and therefore every decision and count in
-        the report -- is identical at any ``n_jobs``, any
-        ``batch_size`` and either simulation ``engine``
-        (``"batched"`` vectorizes the device simulations through the
-        stacked MNA kernel), and is never materialized in full.
+        the report -- is identical at any ``n_jobs`` and any
+        ``batch_size``, and is never materialized in full.  A DUT with
+        ``measure_batch`` is simulated through it (the stacked MNA
+        kernel for the real benches).
 
         ``dataset`` optionally replays the population from a
         pre-generated :class:`~repro.data.store.ShardedSpecDataset`
@@ -532,21 +531,19 @@ class TestFloor:
                       else int(batch_size))
         stream = generate_instance_batches(
             dut, n_devices, seed, batch_size=batch_size,
-            n_jobs=n_jobs, max_failures=max_failures, engine=engine)
+            n_jobs=n_jobs, max_failures=max_failures)
         return self.run_stream(
             stream, batch_size=batch_size,
             lot=("seed={}".format(seed) if lot is None else lot),
             keep_decisions=keep_decisions)
 
     def run_lots(self, dut, lots, n_jobs=None, batch_size=None,
-                 keep_decisions=False, engine="scalar",
-                 dataset_root=None):
+                 keep_decisions=False, dataset_root=None):
         """Run a lot schedule; returns a :class:`FloorReport`.
 
         ``lots`` is a sequence of ``(n_devices, seed)`` pairs, one per
         production lot.  Lots stream in order; within a lot the
-        simulation fans out across ``n_jobs`` workers (and/or through
-        the batched kernel with ``engine="batched"``).
+        simulation fans out across ``n_jobs`` workers.
 
         ``dataset_root`` sources every lot from a manifested shard
         store under that directory (:func:`repro.data.ensure_dataset`
@@ -562,14 +559,12 @@ class TestFloor:
             dataset = None
             if dataset_root is not None:
                 dataset = ensure_dataset(dataset_root, dut, n_devices,
-                                         seed, n_jobs=n_jobs,
-                                         engine=engine)
+                                         seed, n_jobs=n_jobs)
             reports.append(self.run_simulated(
                 dut, n_devices, seed, n_jobs=n_jobs,
                 batch_size=batch_size,
                 lot="lot{}(seed={})".format(index, seed),
-                keep_decisions=keep_decisions, engine=engine,
-                dataset=dataset))
+                keep_decisions=keep_decisions, dataset=dataset))
         return FloorReport(tuple(reports))
 
     def __repr__(self):

@@ -333,22 +333,19 @@ class AccelerometerBench:
         return pop.rows(self.specifications.names)
 
     def generate_dataset(self, n_instances, seed, on_error="resample",
-                         n_jobs=None, seed_mode="per-instance",
-                         max_failures=None, return_report=False,
-                         engine="scalar"):
+                         n_jobs=None, max_failures=None,
+                         return_report=False):
         """Convenience wrapper around the Monte-Carlo generator.
 
         ``n_jobs`` fans the instance simulations out across worker
-        processes and ``engine="batched"`` routes whole slot batches
-        through the vectorized MNA kernel (bit-identical dataset at any
-        worker count and either engine); see
+        processes; whole slot batches go through :meth:`measure_batch`
+        and the vectorized MNA kernel (bit-identical dataset at any
+        worker count); see
         :func:`repro.process.montecarlo.generate_dataset`.
         """
         from repro.process.montecarlo import generate_dataset
 
         return generate_dataset(self, n_instances, seed=seed,
                                 on_error=on_error, n_jobs=n_jobs,
-                                seed_mode=seed_mode,
                                 max_failures=max_failures,
-                                return_report=return_report,
-                                engine=engine)
+                                return_report=return_report)

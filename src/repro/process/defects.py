@@ -106,8 +106,8 @@ class DefectInjector:
         # one (defects are injected at sampling time, so the batched
         # kernel sees defective parameter sets like any others); a
         # wrapper around a scalar-only DUT must *not* advertise the
-        # batched protocol, or the engine's pre-flight validation
-        # would pass and the run would fail mid-flight instead.
+        # batched protocol, since generation picks its slot path from
+        # that attribute.
         if name == "measure_batch":
             measure = getattr(self._dut, "measure_batch", None)
             if measure is not None:

@@ -6,23 +6,16 @@ measurements and stores them -- until the requested number of training
 instances is reached.  ``generate_many`` batches several independent
 populations (device x temperature x lot) through one scheduler.
 
-Seeding modes
--------------
+Seeding
+-------
 
-``seed_mode="per-instance"`` (default)
-    Every instance slot draws from its own child stream of
-    ``numpy.random.SeedSequence(seed)`` (resamples after simulation
-    failures stay inside the slot's stream).  Results are a pure
-    function of ``(dut, seed, slot)``, so generation parallelizes
-    across processes (``n_jobs``) with **bit-identical output at any
-    worker count**, and the first ``k`` rows of an ``n``-instance run
-    equal a ``k``-instance run.  See
-    :mod:`repro.runtime.simulation` for the engine.
-``seed_mode="sequential"``
-    The legacy single shared stream: draw ``i + 1`` follows draw ``i``
-    (and every resample shifts all later draws).  Kept for back-compat
-    with seed-pinned datasets; inherently order-dependent, therefore
-    serial-only.
+Every instance slot draws from its own child stream of
+``numpy.random.SeedSequence(seed)`` (resamples after simulation
+failures stay inside the slot's stream).  Results are a pure function
+of ``(dut, seed, slot)``, so generation parallelizes across processes
+(``n_jobs``) with **bit-identical output at any worker count**, and
+the first ``k`` rows of an ``n``-instance run equal a ``k``-instance
+run.  See :mod:`repro.runtime.simulation` for the engine.
 
 The DUT protocol
 ----------------
@@ -40,10 +33,12 @@ Any object with these three members can be used as a device under test:
 ``measure_batch(params_list)`` (optional)
     Simulate many instances at once, returning one entry per input:
     either a value row or the :class:`~repro.errors.ReproError` that
-    instance's ``measure`` would have raised.  Implementing it enables
-    ``engine="batched"``, which routes whole slot waves through the
-    vectorized MNA kernel (:mod:`repro.circuit.batch`); the produced
-    dataset must be identical to ``measure`` per instance.
+    instance's ``measure`` would have raised.  ``measure_batch`` is
+    used when present: generation then routes whole slot waves through
+    it (for the real benches, the vectorized MNA kernel of
+    :mod:`repro.circuit.batch`), so the produced dataset must be
+    identical to ``measure`` per instance.  Without it, every slot is
+    simulated through ``measure``.
 
 :class:`repro.opamp.OpAmpBench` and :class:`repro.mems.AccelerometerBench`
 implement it; so can user-provided devices.  For parallel generation
@@ -57,14 +52,6 @@ import numpy as np
 
 from repro.errors import DatasetError, ReproError
 from repro.process.dataset import SpecDataset
-
-#: Valid ``seed_mode`` values.
-SEED_MODES = ("per-instance", "sequential")
-
-#: Valid ``engine`` values (the single authoritative tuple;
-#: :mod:`repro.runtime.simulation` imports it from here).
-ENGINES = ("scalar", "batched")
-
 
 def default_max_failures(n_instances):
     """The documented default failure budget of a generation run."""
@@ -182,34 +169,9 @@ class BatchPopulation:
         return out
 
 
-def _resolve_generation_mode(seed_mode, n_jobs, engine="scalar"):
-    """Validate the (seed_mode, n_jobs, engine) combination."""
-    if seed_mode not in SEED_MODES:
-        raise DatasetError("seed_mode must be one of {}".format(
-            list(SEED_MODES)))
-    if engine not in ENGINES:
-        raise DatasetError("engine must be one of {}".format(
-            list(ENGINES)))
-    if seed_mode == "sequential":
-        if engine != "scalar":
-            raise DatasetError(
-                "seed_mode='sequential' replays the legacy one-at-a-"
-                "time draw order and only supports engine='scalar'")
-        if n_jobs is not None:
-            from repro.runtime.parallel import resolve_n_jobs
-
-            if resolve_n_jobs(n_jobs) > 1:
-                raise DatasetError(
-                    "seed_mode='sequential' replays the order-dependent "
-                    "legacy stream and cannot run in parallel; use "
-                    "seed_mode='per-instance' with n_jobs")
-    return seed_mode
-
-
 def generate_dataset(dut, n_instances, seed, on_error="resample",
                      max_failures=None, return_report=False,
-                     n_jobs=None, seed_mode="per-instance",
-                     engine="scalar"):
+                     n_jobs=None):
     """Generate a labeled Monte-Carlo :class:`SpecDataset` for ``dut``.
 
     Parameters
@@ -221,7 +183,7 @@ def generate_dataset(dut, n_instances, seed, on_error="resample",
         Number of device instances in the returned dataset.
     seed:
         Seed for the random process disturbances; generation is fully
-        reproducible (see the seeding modes in the module docstring).
+        reproducible (see the module docstring).
     on_error:
         ``"resample"`` (default): when a simulation fails to converge
         or a measurement cannot be extracted, record the failure and
@@ -233,19 +195,8 @@ def generate_dataset(dut, n_instances, seed, on_error="resample",
         When True, return ``(dataset, GenerationReport)``.
     n_jobs:
         Worker processes for the instance simulations (``None``/``1``
-        serial, ``-1`` one per CPU).  Requires the default
-        ``seed_mode="per-instance"``; the result is bit-identical at
+        serial, ``-1`` one per CPU); the result is bit-identical at
         any worker count.
-    seed_mode:
-        ``"per-instance"`` (default) or ``"sequential"`` (legacy
-        shared-stream draw order, serial-only).
-    engine:
-        ``"scalar"`` (default, one ``dut.measure`` per instance) or
-        ``"batched"`` (whole slot chunks through ``dut.measure_batch``
-        and the stacked MNA kernel of :mod:`repro.circuit.batch`).
-        The dataset, report and abort behaviour are identical between
-        engines; ``"batched"`` requires the DUT to implement
-        ``measure_batch`` and the default ``seed_mode``.
 
     Returns
     -------
@@ -255,75 +206,19 @@ def generate_dataset(dut, n_instances, seed, on_error="resample",
         raise DatasetError("n_instances must be positive")
     if on_error not in ("resample", "raise"):
         raise DatasetError("on_error must be 'resample' or 'raise'")
-    _resolve_generation_mode(seed_mode, n_jobs, engine)
+    from repro.runtime.simulation import generate_instances
 
-    if seed_mode == "per-instance":
-        from repro.runtime.simulation import generate_instances
-
-        values, report = generate_instances(
-            dut, n_instances, seed, n_jobs=n_jobs, on_error=on_error,
-            max_failures=max_failures, engine=engine)
-    else:
-        values, report = _generate_sequential(
-            dut, n_instances, seed, on_error, max_failures)
-
+    values, report = generate_instances(
+        dut, n_instances, seed, n_jobs=n_jobs, on_error=on_error,
+        max_failures=max_failures)
     dataset = SpecDataset(dut.specifications, values)
     if return_report:
         return dataset, report
     return dataset
 
 
-def _generate_sequential(dut, n_instances, seed, on_error, max_failures):
-    """The legacy single-stream generation loop (serial by nature)."""
-    import time
-
-    if max_failures is None:
-        max_failures = default_max_failures(n_instances)
-
-    rng = np.random.default_rng(seed)
-    n_specs = len(dut.specifications)
-    values = np.empty((n_instances, n_specs))
-    report = GenerationReport(n_requested=n_instances)
-    t_start = time.perf_counter()
-
-    filled = 0
-    while filled < n_instances:
-        params = dut.sample_parameters(rng)
-        try:
-            row = np.asarray(dut.measure(params), dtype=float)
-        except ReproError as exc:
-            report.record_failure(str(exc))
-            if on_error == "raise":
-                raise
-            if report.n_failed >= max_failures:
-                raise DatasetError(
-                    "Monte-Carlo generation aborted: {} simulation "
-                    "failures (last: {})".format(report.n_failed, exc))
-            continue
-        finally:
-            report.n_simulated += 1
-        if row.shape != (n_specs,):
-            raise DatasetError(
-                "DUT measure() returned shape {}, expected ({},)".format(
-                    row.shape, n_specs))
-        if not np.all(np.isfinite(row)):
-            report.record_failure("non-finite measurement")
-            if on_error == "raise":
-                raise DatasetError("non-finite measurement from DUT")
-            if report.n_failed >= max_failures:
-                raise DatasetError(
-                    "Monte-Carlo generation aborted: too many non-finite "
-                    "measurements")
-            continue
-        values[filled] = row
-        filled += 1
-    report.elapsed_s = time.perf_counter() - t_start
-    return values, report
-
-
 def generate_many(requests, n_jobs=None, on_error="resample",
-                  max_failures=None, return_reports=False,
-                  seed_mode="per-instance", engine="scalar"):
+                  max_failures=None, return_reports=False):
     """Generate several independent Monte-Carlo populations at once.
 
     This is the lot scheduler for device x temperature x lot batches:
@@ -344,12 +239,6 @@ def generate_many(requests, n_jobs=None, on_error="resample",
         (``max_failures`` defaults per lot from its own size).
     return_reports:
         When True, return ``(dataset, GenerationReport)`` pairs.
-    seed_mode:
-        ``"per-instance"`` (default) or the serial-only
-        ``"sequential"`` legacy order.
-    engine:
-        ``"scalar"`` or ``"batched"``, as in :func:`generate_dataset`,
-        applied to every request.
 
     Returns
     -------
@@ -363,18 +252,11 @@ def generate_many(requests, n_jobs=None, on_error="resample",
                 "generate_many expects (dut, n_instances, seed) requests")
     if on_error not in ("resample", "raise"):
         raise DatasetError("on_error must be 'resample' or 'raise'")
-    _resolve_generation_mode(seed_mode, n_jobs, engine)
+    from repro.runtime.simulation import generate_lot_instances
 
-    if seed_mode == "sequential":
-        results = [_generate_sequential(dut, n, seed, on_error,
-                                        max_failures)
-                   for dut, n, seed in requests]
-    else:
-        from repro.runtime.simulation import generate_lot_instances
-
-        results = generate_lot_instances(
-            [(dut, n, seed, max_failures) for dut, n, seed in requests],
-            n_jobs=n_jobs, on_error=on_error, engine=engine)
+    results = generate_lot_instances(
+        [(dut, n, seed, max_failures) for dut, n, seed in requests],
+        n_jobs=n_jobs, on_error=on_error)
 
     out = []
     for (dut, _, _), (values, report) in zip(requests, results):

@@ -19,9 +19,9 @@ runtime around that hot path:
     per-instance ``SeedSequence`` streams fan device simulation out
     across processes with bit-identical datasets at any worker count,
     including the :func:`~repro.runtime.simulation.
-    generate_lot_instances` scheduler for whole lot batches and the
-    ``engine="batched"`` switch that routes slot chunks through the
-    stacked MNA kernel (:mod:`repro.circuit.batch`).
+    generate_lot_instances` scheduler for whole lot batches.  A DUT's
+    ``measure_batch`` is used when present, routing slot chunks
+    through the stacked MNA kernel (:mod:`repro.circuit.batch`).
 ``repro.runtime.parallel``
     The process-pool plumbing (worker resolution, ordered maps,
     serial fallbacks) everything above shares.

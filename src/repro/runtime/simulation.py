@@ -29,11 +29,6 @@ a pure function of ``(dut, seed, slot index)``:
   ``n``-instance run equal a ``k``-instance run outright (populations
   can be grown or subsampled without resimulating).
 
-The legacy single-shared-stream draw order remains available as
-``seed_mode="sequential"`` in :func:`repro.process.montecarlo.
-generate_dataset` for back-compat with seed-pinned datasets; it is
-inherently order-dependent and therefore serial-only.
-
 DUT purity
 ----------
 
@@ -44,20 +39,21 @@ DefectInjector` counting ``n_injected``) still produce correct data,
 but their in-process counters only reflect the instances their own
 copy simulated -- run them serially when the side state matters.
 
-Engines
--------
+Slot paths
+----------
 
-``engine="scalar"`` simulates slots one at a time through
-``dut.measure``.  ``engine="batched"`` gathers whole slot waves and
-routes them through ``dut.measure_batch`` -- the batched MNA kernel of
-:mod:`repro.circuit.batch`, which stacks every instance's circuit
-systems into single LAPACK calls.  The seed tree is untouched:
-parameters are still drawn per slot from per-slot streams (resamples
-included), so the dataset, the failure accounting and the abort
-decision are identical between engines, at any worker count, and the
-two compose (each worker process runs the batched kernel on its own
-slot chunks).  Slots that fail simulation are resampled in follow-up
-waves containing only the retrying slots.
+The path is picked by what the DUT can do.  A DUT with
+``measure_batch`` gets whole slot waves routed through it -- for the
+real benches, the batched MNA kernel of :mod:`repro.circuit.batch`,
+which stacks every instance's circuit systems into single LAPACK
+calls.  Slots that fail simulation are resampled in follow-up waves
+containing only the retrying slots.  A DUT without it is simulated one
+slot at a time through ``dut.measure``.  The seed tree is untouched
+either way: parameters are still drawn per slot from per-slot streams
+(resamples included), so the dataset, the failure accounting and the
+abort decision are identical on both paths, at any worker count, and
+the batched path composes with process fan-out (each worker runs the
+kernel on its own slot chunks).
 
 Entry points
 ------------
@@ -78,36 +74,42 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import DatasetError, ReproError
-from repro.process.montecarlo import (
-    ENGINES,
-    GenerationReport,
-    default_max_failures,
-)
+from repro.process.montecarlo import GenerationReport, default_max_failures
 from repro.runtime.parallel import make_pool, resolve_n_jobs
 from repro.telemetry import get_telemetry
 
 #: Per-process worker state (set by :func:`_init_simulation_worker`).
 _WORKER = {}
 
-#: Slots per ``measure_batch`` call of the batched engine: large enough
+#: Slots per ``measure_batch`` call of the batched path: large enough
 #: to amortize the stamp-plan compilation and stacked-solve overhead,
 #: small enough to bound the stacked-array working set (a transient
 #: waveform stack is ``slots x steps x unknowns`` floats).
 BATCH_SLOTS = 128
 
 
-def _require_engine(engine, duts):
-    """Validate the engine choice against the lot's DUTs."""
-    if engine not in ENGINES:
-        raise DatasetError("engine must be one of {}".format(
-            list(ENGINES)))
-    if engine == "batched":
-        for dut in duts:
-            if getattr(dut, "measure_batch", None) is None:
-                raise DatasetError(
-                    "DUT {!r} does not implement measure_batch; use "
-                    "engine='scalar'".format(
-                        getattr(dut, "name", type(dut).__name__)))
+def _uses_batch(dut):
+    """True when ``dut`` implements the optional ``measure_batch``."""
+    return getattr(dut, "measure_batch", None) is not None
+
+
+def _path_name(duts):
+    """The slot path(s) a run takes, as reported on its spans."""
+    return "+".join(sorted({"batched" if _uses_batch(dut) else "scalar"
+                            for dut in duts}))
+
+
+def _chunk_size(dut, n_instances, n_jobs):
+    """Slots per task: one on the per-slot path, else a batched chunk."""
+    if not _uses_batch(dut):
+        return 1
+    return _batched_chunk_size(n_instances, n_jobs)
+
+
+def _chunks(streams, size):
+    """``streams`` cut into consecutive tuples of at most ``size``."""
+    return [tuple(streams[start:start + size])
+            for start in range(0, len(streams), size)]
 
 
 def _batched_chunk_size(n_instances, n_jobs):
@@ -266,6 +268,20 @@ def simulate_slots_batched(dut, entropies, n_specs, on_error,
             for slot in range(n)]
 
 
+def simulate_chunk(dut, entropies, n_specs, on_error, failure_budget):
+    """Simulate consecutive slots on the path ``dut`` supports.
+
+    Returns one :class:`SlotResult` per entropy, in order: through
+    :func:`simulate_slots_batched` when ``dut`` has ``measure_batch``,
+    otherwise :func:`simulate_slot` per entropy.
+    """
+    if _uses_batch(dut):
+        return simulate_slots_batched(dut, entropies, n_specs, on_error,
+                                      failure_budget)
+    return [simulate_slot(dut, entropy, n_specs, on_error,
+                          failure_budget) for entropy in entropies]
+
+
 def _init_simulation_worker(duts, n_specs, on_error, budgets):
     """Pool initializer: park the shared lot configuration per process."""
     _WORKER["duts"] = duts
@@ -274,21 +290,12 @@ def _init_simulation_worker(duts, n_specs, on_error, budgets):
     _WORKER["budgets"] = budgets
 
 
-def _simulate_slot_task(task):
-    """Simulate one ``(lot index, slot entropy)`` task in a worker."""
-    lot, entropy = task
-    return simulate_slot(_WORKER["duts"][lot], entropy,
-                         _WORKER["n_specs"][lot], _WORKER["on_error"],
-                         _WORKER["budgets"][lot])
-
-
 def _simulate_chunk_task(task):
-    """Simulate one ``(lot index, entropy chunk)`` batched-kernel task."""
+    """Simulate one ``(lot index, entropy chunk)`` task in a worker."""
     lot, entropies = task
-    return simulate_slots_batched(_WORKER["duts"][lot], entropies,
-                                  _WORKER["n_specs"][lot],
-                                  _WORKER["on_error"],
-                                  _WORKER["budgets"][lot])
+    return simulate_chunk(_WORKER["duts"][lot], entropies,
+                          _WORKER["n_specs"][lot], _WORKER["on_error"],
+                          _WORKER["budgets"][lot])
 
 
 def _record_sim_progress(tel, n_slots, seconds, d_attempts, d_failures,
@@ -298,7 +305,7 @@ def _record_sim_progress(tel, n_slots, seconds, d_attempts, d_failures,
     Called parent-side only (worker processes carry no telemetry):
     attempt/failure deltas come from the run's
     :class:`~repro.process.montecarlo.GenerationReport`, so the
-    counters are identical at any worker count and either engine.
+    counters are identical at any worker count and on either path.
     """
     tel.counter("repro_sim_slots_total", n_slots)
     tel.counter("repro_sim_attempts_total", d_attempts)
@@ -353,14 +360,13 @@ class _LotCollector:
         return self._values, self.report
 
 
-def generate_lot_instances(lots, n_jobs=None, on_error="resample",
-                           engine="scalar"):
+def generate_lot_instances(lots, n_jobs=None, on_error="resample"):
     """Simulate many independent Monte-Carlo lots through one slot pool.
 
     Slot results are consumed incrementally in slot order, so an abort
     (failure budget met, or first error in ``"raise"`` mode) stops the
     run without simulating the remaining slots: serially nothing past
-    the abort point runs at all (the batched engine stops at chunk
+    the abort point runs at all (the batched path stops at chunk
     granularity); in parallel the queued tasks are cancelled and only
     in-flight slots complete.
 
@@ -375,12 +381,9 @@ def generate_lot_instances(lots, n_jobs=None, on_error="resample",
         / ``1`` serial, ``-1`` one per CPU).  Results are independent
         of the worker count.
     on_error:
-        ``"resample"`` or ``"raise"``, applied to every lot.
-    engine:
-        ``"scalar"`` (one ``dut.measure`` per slot) or ``"batched"``
-        (slot chunks through ``dut.measure_batch`` and the stacked MNA
-        kernel).  Datasets, reports and abort decisions are identical
-        between engines; see the module docstring.
+        ``"resample"`` or ``"raise"``, applied to every lot.  Each
+        lot takes the slot path its DUT supports (see the module
+        docstring); results are identical on either path.
 
     Returns
     -------
@@ -390,7 +393,6 @@ def generate_lot_instances(lots, n_jobs=None, on_error="resample",
     lots = list(lots)
     if on_error not in ("resample", "raise"):
         raise DatasetError("on_error must be 'resample' or 'raise'")
-    _require_engine(engine, [lot[0] for lot in lots])
     n_jobs = resolve_n_jobs(n_jobs)
     duts, n_specs, budgets, tasks, collectors = [], [], [], [], []
     for lot_index, (dut, n_instances, seed, max_failures) in enumerate(lots):
@@ -402,30 +404,19 @@ def generate_lot_instances(lots, n_jobs=None, on_error="resample",
         n_specs.append(len(dut.specifications))
         budgets.append(budget)
         streams = instance_streams(seed, n_instances)
-        if engine == "batched":
-            chunk = _batched_chunk_size(n_instances, n_jobs)
-            tasks.extend((lot_index,
-                          tuple(streams[start:start + chunk]))
-                         for start in range(0, n_instances, chunk))
-        else:
-            tasks.extend((lot_index, stream) for stream in streams)
+        tasks.extend((lot_index, chunk) for chunk in _chunks(
+            streams, _chunk_size(dut, n_instances, n_jobs)))
         collectors.append(_LotCollector(n_instances, n_specs[lot_index],
                                         on_error, budget))
 
-    task_fn = (_simulate_chunk_task if engine == "batched"
-               else _simulate_slot_task)
     tel = get_telemetry()
 
-    def feed(lot_index, result):
-        collector = collectors[lot_index]
-        if engine == "batched":
-            for slot_result in result:
-                collector.add(slot_result)
-        else:
-            collector.add(result)
+    def feed(lot_index, results):
+        for result in results:
+            collectors[lot_index].add(result)
 
     initargs = (tuple(duts), tuple(n_specs), on_error, tuple(budgets))
-    with tel.span("sim.lots", lots=len(lots), engine=engine,
+    with tel.span("sim.lots", lots=len(lots), engine=_path_name(duts),
                   n_jobs=n_jobs,
                   slots=sum(int(lot[1]) for lot in lots)):
         t_start = time.perf_counter()
@@ -433,14 +424,15 @@ def generate_lot_instances(lots, n_jobs=None, on_error="resample",
             # Lazy in-process map: an abort stops further simulation.
             _init_simulation_worker(*initargs)
             for task in tasks:
-                feed(task[0], task_fn(task))
+                feed(task[0], _simulate_chunk_task(task))
         else:
             pool = make_pool(min(n_jobs, len(tasks)),
                              initializer=_init_simulation_worker,
                              initargs=initargs)
             try:
-                for task, result in zip(tasks, pool.map(task_fn, tasks)):
-                    feed(task[0], result)
+                for task, results in zip(
+                        tasks, pool.map(_simulate_chunk_task, tasks)):
+                    feed(task[0], results)
             finally:
                 pool.shutdown(wait=True, cancel_futures=True)
         # One shared scheduler simulated every lot; the whole run's
@@ -460,8 +452,7 @@ def generate_lot_instances(lots, n_jobs=None, on_error="resample",
 
 
 def generate_instances(dut, n_instances, seed, n_jobs=None,
-                       on_error="resample", max_failures=None,
-                       engine="scalar"):
+                       on_error="resample", max_failures=None):
     """Simulate one Monte-Carlo population with per-instance seeding.
 
     Returns ``(values, report)``; see :func:`generate_lot_instances`
@@ -469,14 +460,14 @@ def generate_instances(dut, n_instances, seed, n_jobs=None,
     """
     [(values, report)] = generate_lot_instances(
         [(dut, n_instances, seed, max_failures)],
-        n_jobs=n_jobs, on_error=on_error, engine=engine)
+        n_jobs=n_jobs, on_error=on_error)
     return values, report
 
 
 def generate_instance_batches(dut, n_instances, seed, batch_size,
                               n_jobs=None, on_error="resample",
-                              max_failures=None, engine="scalar",
-                              first_slot=0, report=None):
+                              max_failures=None, first_slot=0,
+                              report=None):
     """Stream one Monte-Carlo population as consecutive value batches.
 
     A generator yielding ``(batch, n_specs)`` value arrays of at most
@@ -499,10 +490,10 @@ def generate_instance_batches(dut, n_instances, seed, batch_size,
     (:func:`instance_streams_range`), keeping memory proportional to
     ``batch_size`` rather than ``n_instances``.
 
-    ``engine="batched"`` simulates each batch's slots through
-    ``dut.measure_batch`` and the stacked MNA kernel (in sub-chunks of
-    :data:`BATCH_SLOTS`) instead of one ``dut.measure`` per slot --
-    same rows, same failure accounting, at any ``batch_size``.
+    A DUT with ``measure_batch`` has each batch's slots simulated
+    through it (in sub-chunks of :data:`BATCH_SLOTS`) instead of one
+    ``dut.measure`` per slot -- same rows, same failure accounting, at
+    any ``batch_size``.
 
     ``first_slot`` starts the stream at that slot of the seed tree
     instead of slot 0: the yielded rows equal rows ``[first_slot,
@@ -524,7 +515,6 @@ def generate_instance_batches(dut, n_instances, seed, batch_size,
         raise DatasetError("first_slot must be non-negative")
     if on_error not in ("resample", "raise"):
         raise DatasetError("on_error must be 'resample' or 'raise'")
-    _require_engine(engine, [dut])
     n_specs = len(dut.specifications)
     budget = (default_max_failures(n_instances)
               if max_failures is None else int(max_failures))
@@ -541,13 +531,6 @@ def generate_instance_batches(dut, n_instances, seed, batch_size,
             yield chunk, _LotCollector(len(chunk), n_specs, on_error,
                                        budget, report=report)
 
-    def chunk_results(streams):
-        """Slot results of one batch chunk through the batched kernel."""
-        for start in range(0, len(streams), BATCH_SLOTS):
-            yield from simulate_slots_batched(
-                dut, tuple(streams[start:start + BATCH_SLOTS]),
-                n_specs, on_error, budget)
-
     def record_batch(tel, collector, seconds, prev):
         if tel.enabled:
             _record_sim_progress(
@@ -557,50 +540,33 @@ def generate_instance_batches(dut, n_instances, seed, batch_size,
 
     tel = get_telemetry()
     n_jobs = resolve_n_jobs(n_jobs)
-    if n_jobs <= 1 or n_instances <= 1:
+    span_attrs = {"engine": _path_name([dut])}
+    pool = None
+    if n_jobs > 1 and n_instances > 1:
+        span_attrs["n_jobs"] = n_jobs
+        pool = make_pool(min(n_jobs, n_instances),
+                         initializer=_init_simulation_worker,
+                         initargs=((dut,), (n_specs,), on_error, (budget,)))
+
+        def run_chunks(chunks):
+            return pool.map(_simulate_chunk_task,
+                            [(0, streams) for streams in chunks])
+    else:
         # Plain local calls: generators interleave (a consumer may
         # alternate several streams), so the serial path must not
-        # touch the process-global _WORKER configuration.
-        for chunk, collector in batches():
-            prev = (report.n_simulated, report.n_failed)
-            with tel.span("sim.batch", engine=engine) as span:
-                t0 = time.perf_counter()
-                if engine == "batched":
-                    for result in chunk_results(chunk):
-                        collector.add(result)
-                else:
-                    for stream in chunk:
-                        collector.add(simulate_slot(
-                            dut, stream, n_specs, on_error, budget))
-                elapsed = time.perf_counter() - t0
-                span.set(slots=collector._slot)
-            report.elapsed_s += elapsed
-            record_batch(tel, collector, elapsed, prev)
-            yield collector.finish()[0]
-        return
-
-    pool = make_pool(min(n_jobs, n_instances),
-                     initializer=_init_simulation_worker,
-                     initargs=((dut,), (n_specs,), on_error, (budget,)))
+        # touch the process-global _WORKER configuration.  Lazy, so
+        # an abort stops further simulation.
+        def run_chunks(chunks):
+            return (simulate_chunk(dut, streams, n_specs, on_error, budget)
+                    for streams in chunks)
     try:
         for chunk, collector in batches():
             prev = (report.n_simulated, report.n_failed)
-            with tel.span("sim.batch", engine=engine,
-                          n_jobs=n_jobs) as span:
+            with tel.span("sim.batch", **span_attrs) as span:
                 t0 = time.perf_counter()
-                if engine == "batched":
-                    size = _batched_chunk_size(len(chunk), n_jobs)
-                    chunk_tasks = [
-                        (0, tuple(chunk[start:start + size]))
-                        for start in range(0, len(chunk), size)]
-                    for results in pool.map(_simulate_chunk_task,
-                                            chunk_tasks):
-                        for result in results:
-                            collector.add(result)
-                else:
-                    for result in pool.map(
-                            _simulate_slot_task,
-                            [(0, stream) for stream in chunk]):
+                size = _chunk_size(dut, len(chunk), n_jobs)
+                for results in run_chunks(_chunks(chunk, size)):
+                    for result in results:
                         collector.add(result)
                 elapsed = time.perf_counter() - t0
                 span.set(slots=collector._slot)
@@ -608,4 +574,5 @@ def generate_instance_batches(dut, n_instances, seed, batch_size,
             record_batch(tel, collector, elapsed, prev)
             yield collector.finish()[0]
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)

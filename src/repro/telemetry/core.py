@@ -15,7 +15,7 @@ contract: instrumented code reads clocks and bumps counters, but no
 seed, dataset row, disposition, bin or artifact byte ever depends on
 whether telemetry is enabled.  ``tests/telemetry/test_invariants.py``
 asserts datasets and floor decisions bit-identical with telemetry on
-and off, across simulation engines and worker counts.
+and off, on both simulation paths and at any worker count.
 
 Zero cost when disabled
 -----------------------

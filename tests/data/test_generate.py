@@ -1,14 +1,19 @@
 """Resumable generation: extend ≡ cold, across shard sizes and workers."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
+from repro.chaos import corrupt_file
 from repro.data import (
     ShardedSpecDataset,
     dataset_device_name,
     ensure_dataset,
     extend_shards,
     generate_shards,
+    repair_shards,
 )
 from repro.errors import DatasetError
 from repro.process.montecarlo import generate_dataset
@@ -161,3 +166,31 @@ class TestEnsureDataset:
         assert partial.n_shards == 3
         resumed = ensure_dataset(tmp_path, dut, 40, 1)
         assert resumed.shard_hashes() == cold.shard_hashes()
+
+
+class TestLegacyManifest:
+    def test_engine_key_is_ignored(self, tmp_path):
+        """Stores whose manifest records a simulation engine open,
+        extend and repair to the bytes of a fresh store."""
+        dut, seed = SyntheticDut(), 6
+        fresh = generate_shards(tmp_path / "fresh", dut, 40, seed,
+                                shard_rows=16)
+        assert "engine" not in fresh.manifest.to_json()
+        legacy = generate_shards(tmp_path / "legacy", dut, 20, seed,
+                                 shard_rows=16)
+        path = os.path.join(legacy.root, "manifest.json")
+        with open(path) as handle:
+            raw = json.load(handle)
+        raw["engine"] = "scalar"
+        for event in raw["events"]:
+            event["engine"] = "scalar"
+        with open(path, "w") as handle:
+            json.dump(raw, handle)
+
+        assert ShardedSpecDataset(legacy.root).n_rows == 20
+        legacy = extend_shards(legacy.root, dut, 40)
+        assert legacy.shard_hashes() == fresh.shard_hashes()
+        corrupt_file(legacy.shard_path(0), seed=3)
+        assert repair_shards(legacy.root, dut) == [0]
+        assert ShardedSpecDataset(legacy.root).shard_hashes() == \
+            fresh.shard_hashes()

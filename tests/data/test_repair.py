@@ -18,7 +18,14 @@ from repro.chaos import corrupt_file
 from repro.data import ShardedSpecDataset, generate_shards, repair_shards
 from repro.errors import DatasetError
 
+from tests.runtime.test_simulation import PureFlakyDut
 from tests.synthetic import SyntheticDut
+
+
+class VeryFlakyDut(PureFlakyDut):
+    """Fails on most draws: needs more than the default budget."""
+
+    FAIL_BAND = (0.0, 0.9)
 
 
 def _store(tmp_path, n=40, seed=5, shard_rows=16):
@@ -125,3 +132,19 @@ class TestRepair:
         with open(_shard_file(root_a, store_a, 0), "rb") as fa:
             with open(_shard_file(root_b, store_b, 0), "rb") as fb:
                 assert fa.read() == fb.read()
+
+    def test_repair_uses_the_store_failure_budget(self, tmp_path):
+        """A store generated under a larger max_failures than the
+        default is repaired under that budget, not the default."""
+        root = tmp_path / "store"
+        store = generate_shards(root, VeryFlakyDut(), 40, seed=5,
+                                shard_rows=20, max_failures=200)
+        original_hashes = store.shard_hashes()
+        assert sum(s["n_failed"] for s in store.manifest.shards) > 10
+        path = _shard_file(root, store, 1)
+        del store
+        with open(path, "r+b") as handle:
+            handle.truncate(os.path.getsize(path) // 2)
+
+        assert repair_shards(root, VeryFlakyDut()) == [1]
+        assert ShardedSpecDataset(root).shard_hashes() == original_hashes

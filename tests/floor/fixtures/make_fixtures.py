@@ -13,8 +13,8 @@ Produces, in this directory:
 ``binary_parity.json``
     The exact floor decisions, lot-report counts and service-level
     count dicts for a deterministic synthetic traffic pattern, at
-    every (engine, batch_size, n_jobs) combination the conformance
-    suite replays.  The suite asserts today's code reproduces these
+    every (slot path, batch_size, n_jobs) combination; the conformance
+    suite replays a subset.  The suite asserts today's code reproduces these
     *bit-identically* -- the refactor-safety contract for the binary
     disposition path.
 
@@ -37,14 +37,14 @@ from repro.core.pipeline import CompactionPipeline  # noqa: E402
 from repro.floor import TestFloor, TestProgramArtifact  # noqa: E402
 from repro.learn import SVC  # noqa: E402
 
-from tests.synthetic import SyntheticDut, make_synthetic_dataset  # noqa: E402
+from tests.synthetic import SLOT_PATHS, SyntheticDut  # noqa: E402
+from tests.synthetic import make_synthetic_dataset  # noqa: E402
 
 #: The traffic/deploy geometry the conformance suite replays.
 TRAIN_N = 300
 TEST_N = 200
 STREAM_N = 257  # deliberately not a multiple of any batch size
 STREAM_SEED = 12345
-ENGINES = ("scalar", "batched")
 BATCH_SIZES = (32, 101)
 N_JOBS = (None, 2)
 
@@ -73,14 +73,14 @@ def main():
 
     dut = SyntheticDut()
     runs = {}
-    for engine in ENGINES:
+    for path, wrap in sorted(SLOT_PATHS.items()):
         for batch_size in BATCH_SIZES:
             for n_jobs in N_JOBS:
                 floor = TestFloor(artifact, batch_size=batch_size)
                 report = floor.run_simulated(
-                    dut, STREAM_N, STREAM_SEED, n_jobs=n_jobs,
-                    engine=engine, keep_decisions=True)
-                key = "{}|b{}|j{}".format(engine, batch_size,
+                    wrap(dut), STREAM_N, STREAM_SEED, n_jobs=n_jobs,
+                    keep_decisions=True)
+                key = "{}|b{}|j{}".format(path, batch_size,
                                           n_jobs or 1)
                 runs[key] = {
                     "decisions": [int(d) for d in report.decisions],
@@ -122,7 +122,7 @@ def main():
     print("wrote", out)
     first = next(iter(runs.values()))
     if any(run != first for run in runs.values()):
-        raise SystemExit("fixture runs disagree across engine/batch/jobs")
+        raise SystemExit("fixture runs disagree across path/batch/jobs")
     print("all {} runs identical; counts: {}".format(
         len(runs), first["counts"]))
 

@@ -3,7 +3,8 @@
 ``tests/floor/fixtures/binary_parity.json`` pins the decisions, counts
 and costs a pre-binning revision produced for a deterministic traffic
 pattern.  Every test here replays that traffic through today's code --
-the floor at every (engine, batch_size, n_jobs) combination, the bare
+the floor at every (batch_size, n_jobs) combination on the default
+(batched) slot path plus once through the per-slot scalar path, the bare
 ``TestProgram.run`` path, the per-request dispose-slice view and the
 live HTTP service -- and asserts bit-identical output.  On top of the
 legacy surface, the degenerate 2-bin structure the fixtures' v1
@@ -34,7 +35,7 @@ from repro.service import (
     run_load,
 )
 
-from tests.synthetic import SyntheticDut
+from tests.synthetic import SLOT_PATHS, SyntheticDut
 
 FIXTURE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "fixtures")
@@ -42,9 +43,14 @@ FIXTURE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 #: Replay geometry -- must match tests/floor/fixtures/make_fixtures.py.
 STREAM_N = 257
 STREAM_SEED = 12345
-ENGINES = ("scalar", "batched")
 BATCH_SIZES = (32, 101)
 N_JOBS = (None, 2)
+
+#: (slot path, batch_size, n_jobs) replays: the default path at every
+#: batch size and worker count, the scalar-only oracle once.  Each
+#: names the fixture run ``"<path>|b<batch_size>|j<n_jobs>"``.
+CONFIGS = ([("batched", b, j) for b in BATCH_SIZES for j in N_JOBS]
+           + [("scalar", 32, None)])
 
 COUNT_KEYS = ("n_devices", "n_shipped", "n_scrapped", "n_retested",
               "n_guard", "n_yield_loss", "n_defect_escape")
@@ -71,31 +77,29 @@ def assert_counts_match(report, expected):
 class TestFloorParity:
     """run_simulated reproduces the pinned decisions at every config."""
 
-    @pytest.mark.parametrize("n_jobs", N_JOBS)
-    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("path,batch_size,n_jobs", CONFIGS)
     def test_bit_identical_to_fixture(self, fixture_data, legacy_artifact,
-                                      engine, batch_size, n_jobs):
-        key = "{}|b{}|j{}".format(engine, batch_size, n_jobs or 1)
+                                      path, batch_size, n_jobs):
+        key = "{}|b{}|j{}".format(path, batch_size, n_jobs or 1)
         expected = fixture_data["runs"][key]
         floor = Floor(legacy_artifact, batch_size=batch_size)
         report = floor.run_simulated(
-            SyntheticDut(), STREAM_N, STREAM_SEED, n_jobs=n_jobs,
-            engine=engine, keep_decisions=True)
+            SLOT_PATHS[path](SyntheticDut()), STREAM_N, STREAM_SEED,
+            n_jobs=n_jobs, keep_decisions=True)
 
         assert [int(d) for d in report.decisions] == expected["decisions"]
         assert_counts_match(report, expected["counts"])
         assert report.total_cost == expected["total_cost"]
         assert report.full_cost == expected["full_cost"]
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("path", ["scalar", "batched"])
     def test_degenerate_bins_relabel_the_binary_decision(
-            self, fixture_data, legacy_artifact, engine):
+            self, fixture_data, legacy_artifact, path):
         """A v1 artifact bins as PASS/FAIL -- nothing more."""
-        expected = fixture_data["runs"]["{}|b32|j1".format(engine)]
+        expected = fixture_data["runs"]["{}|b32|j1".format(path)]
         floor = Floor(legacy_artifact, batch_size=32)
         report = floor.run_simulated(
-            SyntheticDut(), STREAM_N, STREAM_SEED, engine=engine,
+            SLOT_PATHS[path](SyntheticDut()), STREAM_N, STREAM_SEED,
             keep_decisions=True)
 
         assert report.bin_names == ("PASS", "FAIL")

@@ -7,8 +7,8 @@ dataset contract: an optimization of it must leave every bit in place.
 * The golden records pin ``float.hex`` of ``(A, f0, Q)`` for seeded
   sweeps (10 perturbed geometries x 3 temperatures, the synthetic
   under/overdamped curves of ``test_specs.py`` and two curves with no
-  interior peak), plus the sha256 of a small generated dataset on each
-  engine.  They were recorded with the fit driven through
+  interior peak), plus the sha256 of a small generated dataset, checked
+  on both slot paths.  They were recorded with the fit driven through
   ``scipy.optimize.least_squares(method="lm")``.
 * The oracle compares the fit, byte for byte, with that
   ``least_squares`` call on ~100 seeded sweeps.
@@ -33,6 +33,9 @@ from repro.mems import TEMPERATURES, AccelerometerBench
 from repro.mems.accelerometer import (frequency_response,
                                       frequency_response_batch)
 from repro.mems.specs import SWEEP_FREQUENCIES, fit_second_order
+from repro.process.montecarlo import generate_dataset
+
+from tests.synthetic import SLOT_PATHS
 
 pytestmark = pytest.mark.skipif(
     tuple(int(p) for p in scipy.__version__.split(".")[:2]) < (1, 16),
@@ -68,8 +71,9 @@ def _record(response):
                                                    response))
 
 
-def _dataset_sha(engine):
-    ds = AccelerometerBench().generate_dataset(24, seed=7, engine=engine)
+def _dataset_sha(path="batched"):
+    ds = generate_dataset(SLOT_PATHS[path](AccelerometerBench()), 24,
+                          seed=7)
     return hashlib.sha256(ds.values.tobytes()).hexdigest()
 
 
@@ -178,12 +182,8 @@ GOLDEN = {
         "0x1.ccccccccccca5p+0"),
 }
 
-DATASET_SHA256 = {
-    "batched":
-        "fab3f51d3c2917cfe48c32d31a81e067718448a32ed88d98b6b4c3ac5e398fd7",
-    "scalar":
-        "fab3f51d3c2917cfe48c32d31a81e067718448a32ed88d98b6b4c3ac5e398fd7",
-}
+DATASET_SHA256 = (
+    "fab3f51d3c2917cfe48c32d31a81e067718448a32ed88d98b6b4c3ac5e398fd7")
 
 
 @pytest.fixture(scope="module")
@@ -200,9 +200,9 @@ def test_fit_matches_golden(cases, name):
     assert _record(cases[name]) == GOLDEN[name]
 
 
-@pytest.mark.parametrize("engine", sorted(DATASET_SHA256))
-def test_dataset_matches_golden(engine):
-    assert _dataset_sha(engine) == DATASET_SHA256[engine]
+@pytest.mark.parametrize("path", sorted(SLOT_PATHS))
+def test_dataset_matches_golden(path):
+    assert _dataset_sha(path) == DATASET_SHA256
 
 
 def _least_squares_fit(freqs, response):
@@ -249,6 +249,4 @@ if __name__ == "__main__":
         print('    "{}": (\n        "{}", "{}",\n        "{}"),'.format(
             name, *_record(response)))
     print()
-    for engine in ("batched", "scalar"):
-        print('    "{}":\n        "{}",'.format(engine,
-                                                 _dataset_sha(engine)))
+    print('DATASET_SHA256 = (\n    "{}")'.format(_dataset_sha()))

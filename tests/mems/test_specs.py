@@ -17,6 +17,9 @@ from repro.mems import tests_at_temperature as temperature_block
 from repro.mems import mechanics as M
 from repro.mems import specs as mems_specs
 from repro.mems.specs import SWEEP_FREQUENCIES, fit_second_order
+from repro.process.montecarlo import generate_dataset
+
+from tests.synthetic import SLOT_PATHS
 
 
 class TestNaming:
@@ -74,14 +77,14 @@ class TestNonConvergedFit:
         with pytest.raises(AnalysisError, match="did not converge"):
             fit_second_order(SWEEP_FREQUENCIES, resp)
 
-    @pytest.mark.parametrize("engine", ["scalar", "batched"])
+    @pytest.mark.parametrize("path", ["scalar", "batched"])
     def test_generation_aborts_through_the_typed_path(self, monkeypatch,
-                                                      engine):
+                                                      path):
         monkeypatch.setattr(mems_specs, "_MAX_NFEV", 1)
         bench = AccelerometerBench()
         with pytest.raises(DatasetError, match="3 simulation failures"):
-            bench.generate_dataset(2, seed=0, max_failures=3,
-                                   engine=engine)
+            generate_dataset(SLOT_PATHS[path](bench), 2, seed=0,
+                             max_failures=3)
         rows = bench.measure_batch([AccelerometerGeometry()])
         assert isinstance(rows[0], AnalysisError)
 

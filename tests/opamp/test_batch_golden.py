@@ -7,9 +7,9 @@ claims bit-identity is checked here against records of a seeded
 population, not assumed:
 
 ``population``
-    a 24-row ``engine="batched"`` dataset: the SHA-256 of the bytes of
-    ``values`` and of ``labels``, plus ``float.hex`` of every spec of
-    the first row and of the first spec of the last row;
+    a 24-row dataset on the default (batched) path: the SHA-256 of the
+    bytes of ``values`` and of ``labels``, plus ``float.hex`` of every
+    spec of the first row and of the first spec of the last row;
 ``resample``
     a failure-injecting bench whose failed slots are resampled from
     their own streams: the SHA-256 of ``values``, and the report's
@@ -47,7 +47,7 @@ def _sha(array):
 
 def _population():
     ds = OpAmpBench().generate_dataset(
-        POPULATION["n"], seed=POPULATION["seed"], engine="batched")
+        POPULATION["n"], seed=POPULATION["seed"])
     return {
         "values": _sha(ds.values),
         "labels": _sha(ds.labels),
@@ -60,8 +60,7 @@ def _population():
 def _resample():
     ds, report = FlakyOpAmpBench().generate_dataset(
         RESAMPLE["n"], seed=RESAMPLE["seed"],
-        max_failures=RESAMPLE["max_failures"], engine="batched",
-        return_report=True)
+        max_failures=RESAMPLE["max_failures"], return_report=True)
     return {"values": _sha(ds.values), "labels": _sha(ds.labels),
             "n_failed": report.n_failed,
             "n_simulated": report.n_simulated}

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import ConvergenceError, DatasetError
 from repro.process.montecarlo import GenerationReport, generate_dataset
 
-from tests.synthetic import SyntheticDut
+from tests.synthetic import SLOT_PATHS, SyntheticDut
 
 
 class FlakyDut(SyntheticDut):
@@ -77,13 +77,12 @@ class TestGenerateDataset:
         with pytest.raises(DatasetError, match="aborted"):
             generate_dataset(dut, 50, seed=0, max_failures=5)
 
-    @pytest.mark.parametrize("seed_mode", ["per-instance", "sequential"])
-    def test_budget_aborts_at_exactly_max_failures(self, seed_mode):
+    @pytest.mark.parametrize("path", sorted(SLOT_PATHS))
+    def test_budget_aborts_at_exactly_max_failures(self, path):
         """Regression: max_failures=3 used to abort only at failure 4."""
-        dut = FlakyDut(fail_every=2)
+        dut = SLOT_PATHS[path](FlakyDut(fail_every=2))
         with pytest.raises(DatasetError, match="3 simulation failures"):
-            generate_dataset(dut, 50, seed=0, max_failures=3,
-                             seed_mode=seed_mode)
+            generate_dataset(dut, 50, seed=0, max_failures=3)
 
     def test_input_validation(self):
         dut = SyntheticDut()

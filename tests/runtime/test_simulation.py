@@ -1,11 +1,11 @@
 """Determinism contract of the parallel Monte-Carlo generation engine.
 
-The engine's promise: for ``seed_mode="per-instance"`` the generated
-dataset is a pure function of ``(dut, seed, n_instances)`` --
-independent of worker count and execution order, with failures and
-resamples confined to their own instance slot -- while
-``seed_mode="sequential"`` replays the legacy shared-stream draw order
-byte for byte.
+The engine's promise: the generated dataset is a pure function of
+``(dut, seed, n_instances)`` -- independent of worker count, execution
+order and slot path, with failures and resamples confined to their own
+instance slot.  A DUT with ``measure_batch`` takes the batched path;
+:class:`tests.synthetic.ScalarOnly` hides it to get the per-slot
+``measure`` loop, the oracle every parity test compares against.
 """
 
 import numpy as np
@@ -15,9 +15,9 @@ from repro.errors import ConvergenceError, DatasetError
 from repro.mems import AccelerometerBench
 from repro.opamp import OpAmpBench
 from repro.process.montecarlo import generate_dataset, generate_many
-from repro.runtime.simulation import instance_streams
+from repro.runtime.simulation import BATCH_SLOTS, instance_streams
 
-from tests.synthetic import SyntheticDut
+from tests.synthetic import ScalarOnly, SyntheticDut
 
 
 class PureFlakyDut(SyntheticDut):
@@ -55,16 +55,14 @@ class CountingAlwaysFailDut(SyntheticDut):
         raise ConvergenceError("dead device")
 
 
-class FlakyOpAmpBench(OpAmpBench):
-    """A real op-amp bench with pure, param-dependent failure injection.
+class _InjectedFailures:
+    """Pure, param-dependent failure injection for a real bench.
 
-    Module-level (not test-local) so worker processes can unpickle it
-    under any multiprocessing start method.  The batched path injects
-    the same failures so scalar/batched runs resample identically.
+    Module-level (not test-local) so worker processes can unpickle the
+    benches under any multiprocessing start method.  ``measure_batch``
+    injects the same failures as ``measure``, so both slot paths
+    resample identically.
     """
-
-    def _fails_on(self, params):
-        return params.w1 > self.nominal.w1  # pure in the params
 
     def measure(self, params):
         if self._fails_on(params):
@@ -78,22 +76,14 @@ class FlakyOpAmpBench(OpAmpBench):
                 for params, row in zip(params_list, rows)]
 
 
-class FlakyAccelerometerBench(AccelerometerBench):
-    """A real MEMS bench with pure, geometry-dependent failures."""
+class FlakyOpAmpBench(_InjectedFailures, OpAmpBench):
+    def _fails_on(self, params):
+        return params.w1 > self.nominal.w1
 
+
+class FlakyAccelerometerBench(_InjectedFailures, AccelerometerBench):
     def _fails_on(self, geometry):
         return geometry.beam_width > self.nominal.beam_width
-
-    def measure(self, geometry):
-        if self._fails_on(geometry):
-            raise ConvergenceError("injected failure")
-        return super().measure(geometry)
-
-    def measure_batch(self, geometries):
-        rows = super().measure_batch(geometries)
-        return [ConvergenceError("injected failure")
-                if self._fails_on(geometry) else row
-                for geometry, row in zip(geometries, rows)]
 
 
 class TestPerInstanceDeterminism:
@@ -146,27 +136,33 @@ class TestPerInstanceDeterminism:
         for n_jobs in (None, 2):
             with pytest.raises(DatasetError,
                                match="3 simulation failures"):
-                generate_dataset(AlwaysFailDut(), 10, seed=0,
+                generate_dataset(ScalarOnly(AlwaysFailDut()), 10, seed=0,
                                  max_failures=3, n_jobs=n_jobs)
 
     def test_abort_stops_simulating(self):
         """The failure budget bounds *work*, not just the outcome: a
-        serial run of a dead DUT simulates exactly max_failures times
-        however many instances were requested."""
+        serial per-slot run of a dead DUT simulates exactly
+        max_failures times however many instances were requested."""
+        dut = CountingAlwaysFailDut()
+        with pytest.raises(DatasetError, match="aborted"):
+            generate_dataset(ScalarOnly(dut), 1000, seed=0,
+                             max_failures=5)
+        assert dut.calls == 5
+
+    def test_batched_abort_stops_within_one_chunk(self):
+        """A DUT with measure_batch takes the batched path, where the
+        abort lands at chunk granularity: each slot of the first chunk
+        retries up to the budget, so a dead DUT costs more than the
+        per-slot loop but at most BATCH_SLOTS x max_failures calls."""
         dut = CountingAlwaysFailDut()
         with pytest.raises(DatasetError, match="aborted"):
             generate_dataset(dut, 1000, seed=0, max_failures=5)
-        assert dut.calls == 5
+        assert 5 < dut.calls <= BATCH_SLOTS * 5
 
     def test_raise_mode_propagates_from_workers(self):
         with pytest.raises(ConvergenceError, match="dead device"):
             generate_dataset(AlwaysFailDut(), 10, seed=0,
                              on_error="raise", n_jobs=2)
-
-    def test_invalid_seed_mode_rejected(self):
-        with pytest.raises(DatasetError, match="seed_mode"):
-            generate_dataset(SyntheticDut(), 10, seed=0,
-                             seed_mode="per-lot")
 
 
 class MiscountingBatchDut(SyntheticDut):
@@ -188,31 +184,30 @@ class NonFiniteDut(SyntheticDut):
 
 
 class TestBatchedEngine:
-    """engine='batched': same dataset, reports and aborts as scalar."""
+    """The batched path: same dataset, reports and aborts as per-slot."""
 
     def test_batched_equals_scalar(self):
         dut = SyntheticDut()
-        scalar = generate_dataset(dut, 40, seed=42)
-        batched = generate_dataset(dut, 40, seed=42, engine="batched")
+        scalar = generate_dataset(ScalarOnly(dut), 40, seed=42)
+        batched = generate_dataset(dut, 40, seed=42)
         assert np.array_equal(scalar.values, batched.values)
         assert np.array_equal(scalar.labels, batched.labels)
 
     def test_batched_parallel_equals_scalar_serial(self):
         dut = SyntheticDut()
-        scalar = generate_dataset(dut, 30, seed=8)
-        batched = generate_dataset(dut, 30, seed=8, engine="batched",
-                                   n_jobs=2)
+        scalar = generate_dataset(ScalarOnly(dut), 30, seed=8)
+        batched = generate_dataset(dut, 30, seed=8, n_jobs=2)
         assert np.array_equal(scalar.values, batched.values)
 
     def test_resampled_slots_identical_with_failures(self):
         """Failing slots redraw from their own streams in retry waves;
-        dataset and report match the scalar engine exactly."""
+        dataset and report match the per-slot path exactly."""
         dut = PureFlakyDut()
-        scalar, rs = generate_dataset(dut, 60, seed=5, max_failures=100,
+        scalar, rs = generate_dataset(ScalarOnly(dut), 60, seed=5,
+                                      max_failures=100,
                                       return_report=True)
         batched, rb = generate_dataset(dut, 60, seed=5,
                                        max_failures=100,
-                                       engine="batched",
                                        return_report=True)
         assert rs.n_failed > 0  # the injection actually fired
         assert np.array_equal(scalar.values, batched.values)
@@ -221,13 +216,12 @@ class TestBatchedEngine:
         assert rs.failures == rb.failures
 
     def test_nonfinite_rows_counted_identically(self):
-        dut_a, dut_b = NonFiniteDut(), NonFiniteDut()
-        scalar, rs = generate_dataset(dut_a, 50, seed=3,
+        dut = NonFiniteDut()
+        scalar, rs = generate_dataset(ScalarOnly(dut), 50, seed=3,
                                       max_failures=100,
                                       return_report=True)
-        batched, rb = generate_dataset(dut_b, 50, seed=3,
+        batched, rb = generate_dataset(dut, 50, seed=3,
                                        max_failures=100,
-                                       engine="batched",
                                        return_report=True)
         assert rs.n_failed > 0
         assert "non-finite measurement" in rs.failures
@@ -241,35 +235,36 @@ class TestBatchedEngine:
             with pytest.raises(DatasetError,
                                match="3 simulation failures"):
                 generate_dataset(AlwaysFailDut(), 10, seed=0,
-                                 max_failures=3, engine="batched",
-                                 n_jobs=n_jobs)
+                                 max_failures=3, n_jobs=n_jobs)
 
     def test_abort_report_matches_scalar(self):
-        scalar_dut = CountingAlwaysFailDut()
+        scalar_dut = ScalarOnly(CountingAlwaysFailDut())
         batched_dut = CountingAlwaysFailDut()
         with pytest.raises(DatasetError) as scalar_exc:
             generate_dataset(scalar_dut, 20, seed=0, max_failures=5)
         with pytest.raises(DatasetError) as batched_exc:
-            generate_dataset(batched_dut, 20, seed=0, max_failures=5,
-                             engine="batched")
+            generate_dataset(batched_dut, 20, seed=0, max_failures=5)
         assert str(scalar_exc.value) == str(batched_exc.value)
 
     def test_raise_mode_propagates_first_error(self):
         with pytest.raises(ConvergenceError, match="dead device"):
             generate_dataset(AlwaysFailDut(), 10, seed=0,
-                             on_error="raise", engine="batched")
+                             on_error="raise")
 
     def test_prefix_property_holds(self):
         dut = SyntheticDut()
-        big = generate_dataset(dut, 32, seed=9, engine="batched")
-        small = generate_dataset(dut, 8, seed=9, engine="batched")
+        big = generate_dataset(dut, 32, seed=9)
+        small = generate_dataset(dut, 8, seed=9)
         assert np.array_equal(small.values, big.values[:8])
 
     def test_generate_many_batched_equals_scalar(self):
-        requests = [(SyntheticDut(seed=s), 15, s) for s in (1, 2, 3)]
-        scalar = generate_many(requests)
-        batched = generate_many(requests, engine="batched")
-        for a, b in zip(scalar, batched):
+        """Lots on either path share one scheduler."""
+        duts = [SyntheticDut(seed=s) for s in (1, 2, 3)]
+        scalar = generate_many([(ScalarOnly(dut), 15, s)
+                                for s, dut in enumerate(duts, 1)])
+        mixed = generate_many([(ScalarOnly(dut) if s == 2 else dut, 15, s)
+                               for s, dut in enumerate(duts, 1)])
+        for a, b in zip(scalar, mixed):
             assert np.array_equal(a.values, b.values)
 
     def test_streaming_batches_batched_equals_scalar(self):
@@ -277,19 +272,16 @@ class TestBatchedEngine:
 
         dut = PureFlakyDut()
         scalar = np.vstack(list(generate_instance_batches(
-            dut, 40, seed=13, batch_size=9, max_failures=200)))
+            ScalarOnly(dut), 40, seed=13, batch_size=9, max_failures=200)))
         batched = np.vstack(list(generate_instance_batches(
-            dut, 40, seed=13, batch_size=9, max_failures=200,
-            engine="batched")))
+            dut, 40, seed=13, batch_size=9, max_failures=200)))
         assert np.array_equal(scalar, batched)
 
     def test_chunk_size_composes_with_workers(self):
         """Small populations still split across workers: the chunk
-        size shrinks toward n/n_jobs so engine='batched' composes
+        size shrinks toward n/n_jobs so the batched path composes
         with process fan-out instead of serializing."""
-        from repro.runtime.simulation import (
-            BATCH_SLOTS, _batched_chunk_size,
-        )
+        from repro.runtime.simulation import _batched_chunk_size
 
         assert _batched_chunk_size(1000, 1) == BATCH_SLOTS
         assert _batched_chunk_size(100, 2) == 50
@@ -302,61 +294,29 @@ class TestBatchedEngine:
         import repro.runtime.simulation as sim
 
         dut = PureFlakyDut()
-        reference = generate_dataset(dut, 30, seed=5, max_failures=100,
-                                     engine="batched")
+        reference = generate_dataset(dut, 30, seed=5, max_failures=100)
         monkeypatch.setattr(sim, "BATCH_SLOTS", 4)
-        chunked = generate_dataset(dut, 30, seed=5, max_failures=100,
-                                   engine="batched")
+        chunked = generate_dataset(dut, 30, seed=5, max_failures=100)
         assert np.array_equal(reference.values, chunked.values)
 
-    def test_engine_validated(self):
-        with pytest.raises(DatasetError, match="engine"):
-            generate_dataset(SyntheticDut(), 10, seed=0, engine="warp")
-
-    def test_dut_without_measure_batch_rejected(self):
-        class NoBatch:
-            specifications = SyntheticDut().specifications
-
-            def sample_parameters(self, rng):
-                return rng.normal(size=3)
-
-            def measure(self, params):
-                return np.zeros(6)
-
-        with pytest.raises(DatasetError, match="measure_batch"):
-            generate_dataset(NoBatch(), 10, seed=0, engine="batched")
-
-    def test_wrapped_dut_without_measure_batch_rejected_up_front(self):
-        """A DefectInjector must not advertise the batched protocol
-        when its wrapped DUT cannot batch: the engine's pre-flight
-        validation rejects it before any simulation starts."""
+    def test_wrapped_dut_without_measure_batch_takes_scalar_path(self):
+        """A DefectInjector advertises measure_batch exactly when its
+        wrapped DUT can batch; otherwise generation runs per slot and
+        yields the same population as the batch-capable wrapper."""
         from repro.process.defects import DefectInjector
 
-        class NoBatch:
-            specifications = SyntheticDut().specifications
-
-            def sample_parameters(self, rng):
-                return rng.normal(size=3)
-
-            def measure(self, params):
-                return np.zeros(6)
-
-        wrapped = DefectInjector(NoBatch(), defect_rate=0.1)
-        assert getattr(wrapped, "measure_batch", None) is None
-        with pytest.raises(DatasetError, match="measure_batch"):
-            generate_dataset(wrapped, 10, seed=0, engine="batched")
-        # A batch-capable wrapped DUT still exposes the hook.
-        assert DefectInjector(SyntheticDut()).measure_batch is not None
-
-    def test_sequential_seed_mode_rejected(self):
-        with pytest.raises(DatasetError, match="sequential"):
-            generate_dataset(SyntheticDut(), 10, seed=0,
-                             seed_mode="sequential", engine="batched")
+        scalar = DefectInjector(ScalarOnly(SyntheticDut()),
+                                defect_rate=0.1)
+        batched = DefectInjector(SyntheticDut(), defect_rate=0.1)
+        assert getattr(scalar, "measure_batch", None) is None
+        assert batched.measure_batch is not None
+        assert np.array_equal(
+            generate_dataset(scalar, 10, seed=0).values,
+            generate_dataset(batched, 10, seed=0).values)
 
     def test_miscounting_measure_batch_rejected(self):
         with pytest.raises(DatasetError, match="results for"):
-            generate_dataset(MiscountingBatchDut(), 10, seed=0,
-                             engine="batched")
+            generate_dataset(MiscountingBatchDut(), 10, seed=0)
 
 
 class TestBatchedEngineMems:
@@ -364,66 +324,38 @@ class TestBatchedEngineMems:
 
     def test_mems_batched_equals_scalar(self):
         bench = AccelerometerBench()
-        scalar = bench.generate_dataset(12, seed=23)
-        batched = bench.generate_dataset(12, seed=23, engine="batched")
+        scalar = generate_dataset(ScalarOnly(bench), 12, seed=23)
+        batched = bench.generate_dataset(12, seed=23)
         assert np.array_equal(scalar.values, batched.values)
         assert np.array_equal(scalar.labels, batched.labels)
 
     def test_defect_injected_population_identical(self):
         """DefectInjector wraps the bench: defects are drawn at
-        sampling time, so both engines measure identical defective
+        sampling time, so both paths measure identical defective
         populations -- and produce identical pass/fail labels."""
         from repro.process.defects import DefectInjector
 
-        scalar_dut = DefectInjector(AccelerometerBench(),
+        scalar_dut = DefectInjector(ScalarOnly(AccelerometerBench()),
                                     defect_rate=0.3)
         batched_dut = DefectInjector(AccelerometerBench(),
                                      defect_rate=0.3)
         scalar = generate_dataset(scalar_dut, 15, seed=41,
                                   max_failures=100)
         batched = generate_dataset(batched_dut, 15, seed=41,
-                                   max_failures=100, engine="batched")
+                                   max_failures=100)
         assert scalar_dut.n_injected > 0
         assert np.array_equal(scalar.values, batched.values)
         assert np.array_equal(scalar.labels, batched.labels)
 
     def test_mems_batched_with_forced_resamples(self):
-        scalar_bench, batched_bench = (FlakyAccelerometerBench(),
-                                       FlakyAccelerometerBench())
-        scalar, rs = scalar_bench.generate_dataset(
+        scalar, rs = generate_dataset(
+            ScalarOnly(FlakyAccelerometerBench()), 10, seed=29,
+            max_failures=100, return_report=True)
+        batched, rb = FlakyAccelerometerBench().generate_dataset(
             10, seed=29, max_failures=100, return_report=True)
-        batched, rb = batched_bench.generate_dataset(
-            10, seed=29, max_failures=100, engine="batched",
-            return_report=True)
         assert rs.n_failed > 0
         assert np.array_equal(scalar.values, batched.values)
         assert rs.failures == rb.failures
-
-
-class TestSequentialBackCompat:
-    def test_replays_legacy_shared_stream(self):
-        """seed_mode='sequential' reproduces the historical draw order."""
-        dut = SyntheticDut()
-        rng = np.random.default_rng(42)
-        legacy = np.vstack([dut.measure(dut.sample_parameters(rng))
-                            for _ in range(50)])
-        ds = generate_dataset(dut, 50, seed=42, seed_mode="sequential")
-        assert np.array_equal(ds.values, legacy)
-
-    def test_differs_from_per_instance(self):
-        dut = SyntheticDut()
-        seq = generate_dataset(dut, 20, seed=3, seed_mode="sequential")
-        per = generate_dataset(dut, 20, seed=3)
-        assert not np.array_equal(seq.values, per.values)
-
-    def test_parallel_request_rejected(self):
-        with pytest.raises(DatasetError, match="sequential"):
-            generate_dataset(SyntheticDut(), 10, seed=0,
-                             seed_mode="sequential", n_jobs=2)
-        # n_jobs resolving to serial is fine.
-        ds = generate_dataset(SyntheticDut(), 10, seed=0,
-                              seed_mode="sequential", n_jobs=1)
-        assert len(ds) == 10
 
 
 class TestGenerateMany:
@@ -504,21 +436,19 @@ class TestRealBenches:
         batched MNA kernel reproduces the scalar op-amp population
         bit for bit."""
         bench = OpAmpBench()
-        scalar = bench.generate_dataset(4, seed=17)
-        batched = bench.generate_dataset(4, seed=17, engine="batched")
+        scalar = generate_dataset(ScalarOnly(bench), 4, seed=17)
+        batched = bench.generate_dataset(4, seed=17)
         assert np.array_equal(scalar.values, batched.values)
         assert np.array_equal(scalar.labels, batched.labels)
 
     def test_opamp_batched_with_forced_resamples(self):
-        """Injected failures force slot resamples; the batched engine
+        """Injected failures force slot resamples; the batched path
         replays them from the same per-slot streams."""
-        scalar_bench, batched_bench = (FlakyOpAmpBench(),
-                                       FlakyOpAmpBench())
-        scalar, rs = scalar_bench.generate_dataset(
-            3, seed=31, max_failures=50, return_report=True)
-        batched, rb = batched_bench.generate_dataset(
-            3, seed=31, max_failures=50, engine="batched",
+        scalar, rs = generate_dataset(
+            ScalarOnly(FlakyOpAmpBench()), 3, seed=31, max_failures=50,
             return_report=True)
+        batched, rb = FlakyOpAmpBench().generate_dataset(
+            3, seed=31, max_failures=50, return_report=True)
         assert rs.n_failed > 0
         assert np.array_equal(scalar.values, batched.values)
         assert (rs.n_failed, rs.n_simulated) == (rb.n_failed,
@@ -559,7 +489,7 @@ class TestInstanceBatchStreaming:
         from repro.runtime.simulation import generate_instance_batches
 
         dut = CountingAlwaysFailDut()
-        stream = generate_instance_batches(dut, 100, seed=0,
+        stream = generate_instance_batches(ScalarOnly(dut), 100, seed=0,
                                            batch_size=10,
                                            max_failures=5)
         with pytest.raises(DatasetError, match="5 simulation failures"):

@@ -59,7 +59,7 @@ class SyntheticDut:
 
         Routes through :meth:`measure` (and therefore any subclass
         failure injection), converting per-instance errors into
-        returned entries -- exercising the batched *engine* without a
+        returned entries -- exercising the batched path without a
         circuit-level kernel.
         """
         out = []
@@ -69,6 +69,30 @@ class SyntheticDut:
             except ReproError as exc:
                 out.append(exc)
         return out
+
+
+class ScalarOnly:
+    """DUT proxy without ``measure_batch``: the per-slot scalar oracle.
+
+    Forwards the DUT protocol minus ``measure_batch``, so generation
+    simulates every slot through ``measure``.
+    """
+
+    def __init__(self, dut):
+        self.dut = dut
+        self.specifications = dut.specifications
+        self.name = getattr(dut, "name", type(dut).__name__)
+
+    def sample_parameters(self, rng):
+        return self.dut.sample_parameters(rng)
+
+    def measure(self, params):
+        return self.dut.measure(params)
+
+
+#: The two slot paths by name, each as a DUT wrapper (parametrize over
+#: the keys to run a test on both).
+SLOT_PATHS = {"batched": lambda dut: dut, "scalar": ScalarOnly}
 
 
 def make_synthetic_dataset(n=400, n_specs=6, n_latent=3, noise=0.0,

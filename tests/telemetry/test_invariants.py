@@ -2,8 +2,8 @@
 
 Instrumented code reads clocks and bumps counters; these tests pin
 down that no dataset row, compaction choice or floor decision depends
-on whether a registry is active -- across simulation engines and
-worker counts, exactly as the package docstring promises.
+on whether a registry is active -- on both slot paths and at any
+worker count, exactly as the package docstring promises.
 """
 
 import numpy as np
@@ -17,7 +17,7 @@ from repro.mems import TEMPERATURES, AccelerometerBench
 from repro.runtime.simulation import generate_instances
 from repro.telemetry import Telemetry, disable, set_telemetry
 
-from tests.synthetic import SyntheticDut, make_synthetic_dataset
+from tests.synthetic import SLOT_PATHS, SyntheticDut, make_synthetic_dataset
 
 
 class FixedSVCFactory:
@@ -34,30 +34,28 @@ def _with_telemetry(fn):
         set_telemetry(previous)
 
 
-@pytest.mark.parametrize("engine", ["scalar", "batched"])
+@pytest.mark.parametrize("path", ["scalar", "batched"])
 @pytest.mark.parametrize("n_jobs", [None, 2])
 class TestGenerationBitIdentity:
-    def test_population_identical_telemetry_on_and_off(self, engine,
+    def test_population_identical_telemetry_on_and_off(self, path,
                                                        n_jobs):
-        dut = SyntheticDut(n_specs=5, seed=11)
+        dut = SLOT_PATHS[path](SyntheticDut(n_specs=5, seed=11))
         disable()
-        baseline, _ = generate_instances(dut, 96, seed=3,
-                                         n_jobs=n_jobs, engine=engine)
+        baseline, _ = generate_instances(dut, 96, seed=3, n_jobs=n_jobs)
         observed, _ = _with_telemetry(
-            lambda: generate_instances(dut, 96, seed=3, n_jobs=n_jobs,
-                                       engine=engine))
+            lambda: generate_instances(dut, 96, seed=3, n_jobs=n_jobs))
         assert baseline.tobytes() == observed.tobytes()
 
 
-@pytest.mark.parametrize("engine", ["scalar", "batched"])
-def test_mems_population_identical_telemetry_on_and_off(engine):
-    bench = AccelerometerBench()
+@pytest.mark.parametrize("path", ["scalar", "batched"])
+def test_mems_population_identical_telemetry_on_and_off(path):
+    bench = SLOT_PATHS[path](AccelerometerBench())
     disable()
-    baseline, _ = generate_instances(bench, 6, seed=3, engine=engine)
+    baseline, _ = generate_instances(bench, 6, seed=3)
     tel = Telemetry(run_id="invariant")
     previous = set_telemetry(tel)
     try:
-        observed, _ = generate_instances(bench, 6, seed=3, engine=engine)
+        observed, _ = generate_instances(bench, 6, seed=3)
     finally:
         set_telemetry(previous)
     assert baseline.tobytes() == observed.tobytes()

@@ -58,22 +58,15 @@ class TestParser:
             with pytest.raises(SystemExit):
                 build_parser().parse_args([command, "--sim-jobs", "2"])
 
-    def test_sim_engine_on_simulating_commands(self):
-        for command in ("fig5", "table3", "cost", "batch", "deploy"):
-            args = build_parser().parse_args([command])
-            assert args.sim_engine == "scalar"
-            args = build_parser().parse_args(
-                [command, "--sim-engine", "batched"])
-            assert args.sim_engine == "batched"
-
-    def test_sim_engine_choices_validated(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fig5", "--sim-engine", "warp"])
-
-    def test_sim_engine_on_floor(self):
-        args = build_parser().parse_args(
-            ["floor", "--artifact", "x.rtp", "--sim-engine", "batched"])
-        assert args.sim_engine == "batched"
+    def test_no_sim_engine_flag(self):
+        """The kernel follows the DUT's capability: no command offers
+        a choice."""
+        for argv in (["fig5"], ["table3"], ["cost"], ["batch"],
+                     ["deploy"], ["floor", "--artifact", "x.rtp"],
+                     ["dataset", "generate", "/tmp/s", "--rows", "1"],
+                     ["dataset", "extend", "/tmp/s", "--rows", "1"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv + ["--sim-engine", "x"])
 
     def test_deploy_options(self):
         args = build_parser().parse_args(["deploy"])
@@ -276,11 +269,10 @@ class TestDatasetParser:
         args = build_parser().parse_args(
             ["dataset", "generate", "/tmp/store", "--device", "mems",
              "--rows", "500", "--seed", "3", "--shard-rows", "64",
-             "--sim-jobs", "2", "--sim-engine", "batched"])
+             "--sim-jobs", "2"])
         assert (args.root, args.device, args.rows, args.seed) == \
             ("/tmp/store", "mems", 500, 3)
-        assert (args.shard_rows, args.sim_jobs, args.sim_engine) == \
-            (64, 2, "batched")
+        assert (args.shard_rows, args.sim_jobs) == (64, 2)
 
     def test_generate_requires_rows(self):
         with pytest.raises(SystemExit):
@@ -289,14 +281,6 @@ class TestDatasetParser:
     def test_requires_a_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["dataset"])
-
-    def test_extend_has_no_engine_override(self):
-        """The manifest's engine wins on extend: no --sim-engine flag,
-        or an extension could silently change the store's bit stream."""
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["dataset", "extend", "/tmp/s", "--rows", "10",
-                 "--sim-engine", "scalar"])
 
     def test_dataset_flag_on_simulating_commands(self):
         for command in ("fig5", "table3", "cost", "batch"):

@@ -44,13 +44,13 @@ def mems_data():
 def opamp_data():
     """Small real op-amp population.
 
-    Generated on the batched MNA kernel: its datasets are bytewise the
-    scalar engine's (same sha256 of ``values`` and ``labels``) at about
-    a sixth of the time.
+    Generated on the batched MNA kernel, the path every bench takes:
+    its datasets are bytewise the per-slot scalar loop's (same sha256
+    of ``values`` and ``labels``) at about a sixth of the time.
     """
     bench = OpAmpBench()
-    train = bench.generate_dataset(120, seed=80, engine="batched")
-    test = bench.generate_dataset(80, seed=81, engine="batched")
+    train = bench.generate_dataset(120, seed=80)
+    test = bench.generate_dataset(80, seed=81)
     return train, test
 
 
