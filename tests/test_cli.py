@@ -58,15 +58,30 @@ class TestParser:
             with pytest.raises(SystemExit):
                 build_parser().parse_args([command, "--sim-jobs", "2"])
 
-    def test_no_sim_engine_flag(self):
-        """The kernel follows the DUT's capability: no command offers
-        a choice."""
+    def test_sim_engine_on_simulating_commands(self):
+        """The kernel follows the DUT's capability: no simulating
+        command offers a choice."""
         for argv in (["fig5"], ["table3"], ["cost"], ["batch"],
-                     ["deploy"], ["floor", "--artifact", "x.rtp"],
+                     ["deploy"],
                      ["dataset", "generate", "/tmp/s", "--rows", "1"],
                      ["dataset", "extend", "/tmp/s", "--rows", "1"]):
+            assert not hasattr(build_parser().parse_args(argv),
+                               "sim_engine")
             with pytest.raises(SystemExit):
-                build_parser().parse_args(argv + ["--sim-engine", "x"])
+                build_parser().parse_args(argv + ["--sim-engine",
+                                                  "batched"])
+
+    def test_sim_engine_choices_validated(self):
+        """Neither a once-valid value nor an unknown one is accepted."""
+        for value in ("scalar", "batched", "warp"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["fig5", "--sim-engine", value])
+
+    def test_sim_engine_on_floor(self):
+        argv = ["floor", "--artifact", "x.rtp"]
+        assert not hasattr(build_parser().parse_args(argv), "sim_engine")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--sim-engine", "batched"])
 
     def test_deploy_options(self):
         args = build_parser().parse_args(["deploy"])
