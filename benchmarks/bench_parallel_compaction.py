@@ -1,20 +1,19 @@
-"""Experiment R1 -- runtime engine speedup over the plain compactor.
+"""Experiment R1 -- parallel compaction speedup over the serial loop.
 
-Runs the same greedy compaction (paper Fig. 2) four ways and compares
+Runs the same greedy compaction (paper Fig. 2) three ways and compares
 wall-clock time and results:
 
-1. plain serial :class:`~repro.core.compaction.TestCompactor` (the
-   baseline everything must stay equivalent to);
-2. :class:`~repro.runtime.engine.CompactionEngine` serial -- Gram
-   cache + warm starts + final-refit reuse;
-3. the engine with ``n_jobs`` workers -- speculative candidate
-   fan-out (bit-identical to mode 2 by construction);
-4. :meth:`~repro.runtime.engine.CompactionEngine.run_many` over
-   several Monte-Carlo lots, serial vs. parallel.
+1. :class:`~repro.core.compaction.TestCompactor` serial (``n_jobs=1``)
+   -- Gram cache + warm starts + final-refit reuse, the baseline
+   everything must stay bitwise equal to;
+2. the compactor with ``n_jobs`` workers -- speculative candidate
+   fan-out;
+3. :meth:`~repro.core.compaction.TestCompactor.run_many` over several
+   Monte-Carlo lots, serial vs. parallel.
 
-The engine's parallel speedup needs real cores: the assertions demand
->= 2x over the plain baseline only when the machine has at least four
-CPUs.  Result equivalence is asserted unconditionally.
+The parallel speedup needs real cores: the assertions demand >= 2x
+over the serial run only when the machine has at least four CPUs.
+Result equivalence is asserted unconditionally.
 
 Runnable directly (``python benchmarks/bench_parallel_compaction.py``)
 or through pytest-benchmark like every other experiment here.
@@ -35,7 +34,7 @@ if __name__ == "__main__":
 from benchmarks.harness import datasets, print_table, run_once, wall_time
 from repro.core.compaction import TestCompactor
 from repro.learn.svm import SVC
-from repro.runtime import CompactionEngine, cpu_count
+from repro.runtime import cpu_count
 
 #: Compaction configuration under test.
 TOLERANCE = 0.01
@@ -56,14 +55,9 @@ def _model_factory():
     return SVC(C=500.0, gamma=8.0)
 
 
-def _make_compactor():
+def _make_compactor(n_jobs):
     return TestCompactor(tolerance=TOLERANCE, guard_band=GUARD,
-                         model_factory=_model_factory)
-
-
-def _make_engine(n_jobs):
-    return CompactionEngine(tolerance=TOLERANCE, guard_band=GUARD,
-                            model_factory=_model_factory, n_jobs=n_jobs)
+                         model_factory=_model_factory, n_jobs=n_jobs)
 
 
 def _same_outcome(a, b):
@@ -78,48 +72,44 @@ def run_experiment():
              test.subset(range(i, len(test), N_LOTS)))
             for i in range(N_LOTS)]
 
-    baseline, t_plain = wall_time(_make_compactor().run, train, test)
-    serial, t_serial = wall_time(_make_engine(1).run, train, test)
-    parallel, t_par = wall_time(_make_engine(N_JOBS).run, train, test)
+    serial, t_serial = wall_time(_make_compactor(1).run, train, test)
+    parallel, t_par = wall_time(_make_compactor(N_JOBS).run, train, test)
     lots_serial, t_lots_serial = wall_time(
-        _make_engine(1).run_many, lots)
+        _make_compactor(1).run_many, lots)
     lots_par, t_lots_par = wall_time(
-        _make_engine(N_JOBS).run_many, lots)
+        _make_compactor(N_JOBS).run_many, lots)
 
     rows = [
-        ("plain TestCompactor", t_plain, 1.0),
-        ("engine n_jobs=1 (cache+warm)", t_serial, t_plain / t_serial),
-        ("engine n_jobs={}".format(N_JOBS), t_par, t_plain / t_par),
+        ("n_jobs=1", t_serial, 1.0),
+        ("n_jobs={}".format(N_JOBS), t_par, t_serial / t_par),
         ("run_many {} lots serial".format(N_LOTS), t_lots_serial, 1.0),
         ("run_many {} lots n_jobs={}".format(N_LOTS, N_JOBS),
          t_lots_par, t_lots_serial / t_lots_par),
     ]
     print_table(
-        "R1: runtime engine speedup ({} CPUs available)".format(
+        "R1: parallel compaction speedup ({} CPUs available)".format(
             cpu_count()),
         ["mode", "seconds", "speedup"], rows)
     print("\nkept: {}  eliminated: {}".format(
-        ", ".join(baseline.kept), ", ".join(baseline.eliminated)))
+        ", ".join(serial.kept), ", ".join(serial.eliminated)))
     print("speculation: {}".format(parallel.stats.get("speculation")))
     print("kernel cache (serial run): {}".format(
         serial.stats.get("kernel_cache")))
 
     # Equivalence is non-negotiable in every environment.
-    assert _same_outcome(baseline, serial)
     assert _same_outcome(serial, parallel)
     assert [r.eliminated for r in lots_serial] == \
         [r.eliminated for r in lots_par]
     for a, b in zip(serial.steps, parallel.steps):
         assert a.report == b.report and a.eliminated == b.eliminated
 
-    # Speedup needs real cores; the ISSUE's acceptance bar is a
-    # 4-core run.
+    # Speedup needs real cores; the bar is set for a 4-core machine.
     if cpu_count() >= 4 and not os.environ.get("REPRO_BENCH_NO_SPEEDUP"):
-        assert t_plain / t_par >= 2.0 or \
+        assert t_serial / t_par >= 2.0 or \
             t_lots_serial / t_lots_par >= 2.0, (
                 "expected >=2x from parallel execution; got "
                 "single-run {:.2f}x, batch {:.2f}x".format(
-                    t_plain / t_par, t_lots_serial / t_lots_par))
+                    t_serial / t_par, t_lots_serial / t_lots_par))
     return rows
 
 

@@ -1,9 +1,9 @@
-"""Compact many Monte-Carlo lots through the parallel runtime engine.
+"""Compact many Monte-Carlo lots with parallel candidate evaluation.
 
 Production test development rarely compacts a single dataset: lots
 arrive continuously, and tolerance sweeps re-run the flow at many
 ``e_T`` settings.  This example drives both bulk patterns through
-:class:`repro.runtime.CompactionEngine`:
+:class:`repro.core.compaction.TestCompactor`:
 
 1. one compaction with speculative multi-process candidate evaluation
    (``n_jobs``), verified identical to the serial run;
@@ -18,9 +18,10 @@ Run:
 import sys
 import time
 
+from repro.core.compaction import TestCompactor
 from repro.learn.svm import SVC
 from repro.opamp import OpAmpBench
-from repro.runtime import CompactionEngine, cpu_count
+from repro.runtime import cpu_count
 
 
 def model_factory():
@@ -36,15 +37,15 @@ def main(n_jobs):
         lots.append((bench.generate_dataset(300, seed=100 + 2 * lot),
                      bench.generate_dataset(150, seed=101 + 2 * lot)))
 
-    engine = CompactionEngine(tolerance=0.02, guard_band=0.05,
+    compactor = TestCompactor(tolerance=0.02, guard_band=0.05,
                               model_factory=model_factory, n_jobs=n_jobs)
-    serial = CompactionEngine(tolerance=0.02, guard_band=0.05,
-                              model_factory=model_factory, n_jobs=1)
+    serial = TestCompactor(tolerance=0.02, guard_band=0.05,
+                           model_factory=model_factory, n_jobs=1)
 
     # -- one lot, speculative parallel loop ---------------------------
     train, test = lots[0]
     t0 = time.perf_counter()
-    result = engine.run(train, test)
+    result = compactor.run(train, test)
     t_par = time.perf_counter() - t0
     t0 = time.perf_counter()
     reference = serial.run(train, test)
@@ -58,10 +59,10 @@ def main(n_jobs):
 
     # -- all lots through one scheduler -------------------------------
     t0 = time.perf_counter()
-    results = engine.run_many(lots)
+    results = compactor.run_many(lots)
     t_batch = time.perf_counter() - t0
     print("\nbatch of {} lots in {:.1f}s (n_jobs={}):".format(
-        len(lots), t_batch, engine.n_jobs))
+        len(lots), t_batch, compactor.n_jobs))
     for lot, r in enumerate(results):
         print("  lot {}: kept {:2d}  eliminated {:2d}  {}".format(
             lot, len(r.kept), len(r.eliminated), r.final_report.summary()))

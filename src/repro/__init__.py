@@ -22,17 +22,18 @@ contribution:
 ``repro.core``
     The paper's contribution: statistical-learning-based specification
     test compaction with guard banding, grid data compaction, test
-    ordering and cost modeling (paper Fig. 2, Sections 3-4).
+    ordering and cost modeling (paper Fig. 2, Sections 3-4).  The
+    greedy loop shares Gram matrices across its fits, warm-starts
+    SMO, and with ``n_jobs > 1`` evaluates candidates speculatively
+    in worker processes -- bitwise the serial result.
 ``repro.tester``
     Deployment of a compacted test set on a tester via grid lookup
     tables, including the guard-band retest flow (paper Section 3.3).
 ``repro.runtime``
     The production runtime: deterministic multi-process Monte-Carlo
     generation (per-instance seed streams, bit-identical at any worker
-    count), subset-keyed kernel/Gram caching, SMO warm starts,
-    speculative multi-process candidate evaluation and batch
-    scheduling over dataset lots -- identical results to the serial
-    flow, much less wall clock.
+    count), subset-keyed kernel/Gram caching and the process pools
+    shared by every fan-out.
 ``repro.floor``
     The production test floor: deployable test-program artifacts
     (save a trained program to one versioned file, load it on any
@@ -58,7 +59,6 @@ Quickstart::
 __version__ = "1.0.0"
 
 __all__ = [
-    "CompactionEngine",
     "CompactionPipeline",
     "compact_specification_tests",
     "Specification",
@@ -70,7 +70,6 @@ __all__ = [
 ]
 
 _LAZY_EXPORTS = {
-    "CompactionEngine": ("repro.runtime.engine", "CompactionEngine"),
     "CompactionPipeline": ("repro.core.pipeline", "CompactionPipeline"),
     "compact_specification_tests": (
         "repro.core.pipeline", "compact_specification_tests"),

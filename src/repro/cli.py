@@ -5,7 +5,7 @@
     python -m repro.cli table1            # op-amp specification table
     python -m repro.cli table3 --train 500
     python -m repro.cli fig5 --tolerance 0.02
-    python -m repro.cli fig5 --jobs 4     # parallel compaction engine
+    python -m repro.cli fig5 --jobs 4     # speculative parallel compaction
     python -m repro.cli fig5 --sim-jobs 4 # parallel Monte-Carlo generation
     python -m repro.cli cost --sim-jobs -1
     python -m repro.cli batch --lots 4 --jobs 4 --sim-jobs 4
@@ -40,11 +40,11 @@ instance populations are stacked into single LAPACK solves through
 the batched MNA kernel (:mod:`repro.circuit.batch`); ``batch``
 simulates all its lots through one scheduler.
 On the greedy-loop commands
-(``fig5``, ``batch``), ``--jobs N`` additionally routes compaction
-through the parallel cache-aware engine of :mod:`repro.runtime`
-(identical results at any worker count, less wall clock); ``batch``
-compacts the lots through one
-:meth:`~repro.runtime.engine.CompactionEngine.run_many` scheduler.
+(``fig5``, ``batch``, ``deploy``), ``--jobs N`` evaluates upcoming
+compaction candidates speculatively in N worker processes (identical
+results at any worker count, less wall clock); ``batch`` compacts the
+lots through one
+:meth:`~repro.core.compaction.TestCompactor.run_many` scheduler.
 
 ``deploy`` trains a compacted program and saves it as a versioned
 :class:`~repro.floor.artifact.TestProgramArtifact` file; ``floor``
@@ -186,7 +186,7 @@ def cmd_fig5(args):
     train, test = _simulate_pair(bench, args)
     result = compact_specification_tests(
         train, test, tolerance=args.tolerance, guard_band=args.guard,
-        n_jobs=args.jobs if args.jobs != 1 else None)
+        n_jobs=args.jobs)
     _print_rows(["test", "decision", "YL %", "DE %", "guard %"],
                 [(r["test"],
                   "eliminated" if r["eliminated"] else "kept",
@@ -241,7 +241,7 @@ def cmd_cost(args):
 
 def cmd_batch(args):
     """Compact several Monte-Carlo lots through one batch scheduler."""
-    from repro.runtime import CompactionEngine
+    from repro.core.compaction import TestCompactor
 
     bench = _bench(args.device)
     print("Simulating {} lots of {} + {} {} instances...".format(
@@ -257,9 +257,9 @@ def cmd_batch(args):
     populations = _populations(bench, requests, args)
     pairs = list(zip(populations[0::2], populations[1::2]))
 
-    engine = CompactionEngine(
-        tolerance=args.tolerance, guard_band=args.guard, n_jobs=args.jobs)
-    results = engine.run_many(pairs)
+    results = TestCompactor(
+        tolerance=args.tolerance, guard_band=args.guard,
+        n_jobs=args.jobs).run_many(pairs)
 
     _print_rows(
         ["lot", "kept", "eliminated", "YL %", "DE %", "guard %"],
@@ -318,7 +318,7 @@ def cmd_deploy(args):
     train, test = _simulate_pair(bench, args)
     pipeline = CompactionPipeline(
         tolerance=args.tolerance, guard_band=args.guard,
-        n_jobs=args.jobs if args.jobs != 1 else None)
+        n_jobs=args.jobs)
     result, artifact = pipeline.deploy(
         train, test, cost_model=_default_cost_model(args.device),
         device=bench.name, train_seed=args.seed,
@@ -765,7 +765,7 @@ def build_parser():
         # Only the greedy-loop commands consume workers; advertising
         # --jobs on the table printers would be a silent no-op.
         p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the runtime engine "
+                       help="worker processes for compaction "
                             "(-1 = all CPUs; default serial)")
         return p
 

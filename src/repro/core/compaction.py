@@ -14,16 +14,29 @@ turn:
 
 The output is the compacted test set plus the statistical model that
 replaces the eliminated tests during production test.
+
+Every candidate trains on a column subset of the same training
+matrix, so one run shares a
+:class:`~repro.runtime.kernel_cache.GramCache` across its fits (the
+strict/loose pair of a candidate shares one Gram matrix), seeds each
+loose fit from its strict sibling's dual solution, and reuses the last
+accepted candidate's model as the final one.  With ``n_jobs > 1``
+upcoming candidates are evaluated speculatively in worker processes,
+along both branches of each pending decision; the loop still consumes
+the decisions in examination order, so the result is bitwise the
+serial one.
 """
 
+from collections import deque
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.core.guardband import AutoTunedSVCFactory, GuardBandedClassifier
 from repro.core.metrics import ClassificationReport, evaluate_predictions
 from repro.core.ordering import FunctionalOrder, OrderingStrategy
 from repro.errors import CompactionError
+
+# repro.runtime imports repro.process, which imports repro.core, so
+# this module imports from repro.runtime inside its functions.
 
 
 @dataclass(frozen=True)
@@ -63,9 +76,9 @@ class CompactionResult:
     order: tuple = ()
     #: Tolerance e_T the run was configured with.
     tolerance: float = 0.0
-    #: Optional runtime counters (cache hits, speculation efficiency,
-    #: worker count) -- populated by :mod:`repro.runtime`, empty for
-    #: the plain compactor.
+    #: Run counters: worker count, candidates examined, final-refit
+    #: reuse, the Gram cache's hits and misses (serial runs) and the
+    #: speculation counts (``n_jobs > 1``).
     stats: dict = field(default_factory=dict)
 
     @property
@@ -125,8 +138,8 @@ class GridCompactedModel:
 class GridCompactedFactory:
     """Factory wrapper inserting grid compaction before every fit.
 
-    A plain module-level class (rather than a closure) so configured
-    compactors can cross process boundaries in :mod:`repro.runtime`.
+    A plain module-level class (rather than a closure) so a configured
+    compactor can be shipped to the pool workers of a parallel run.
     """
 
     def __init__(self, base, grid):
@@ -166,27 +179,24 @@ class TestCompactor:
     grid_compactor:
         Optional :class:`~repro.core.grid.GridCompactor` applied to the
         training features before each model fit (paper Section 4.3).
+        Grid compaction rewrites the training rows, so such runs fit
+        without the Gram cache.
     count_guard_as_error:
         When True, guard-band devices count toward ``e_p`` (a stricter
         acceptance criterion than the paper's, which retests them).
     min_kept:
         Never eliminate below this many measured tests (default 1; the
         model needs at least one feature).
-    kernel_cache:
-        Optional :class:`repro.runtime.kernel_cache.GramCache` over the
-        training dataset, shared by every candidate fit (see
-        :class:`~repro.core.guardband.GuardBandedClassifier`).  Ignored
-        when a grid compactor is configured -- grid compaction rewrites
-        the training rows, so the cached Gram no longer applies.
-    warm_start:
-        Warm-start the loose guard-band model from the strict one's
-        dual solution on every fit.
+    n_jobs:
+        Worker processes for speculative candidate evaluation and
+        :meth:`run_many` batches.  ``1`` (the default) runs serially
+        in-process, ``-1`` uses every CPU.  The result is bitwise the
+        same at any value.
     """
 
     def __init__(self, tolerance=0.01, guard_band=0.05, order=None,
                  model_factory=None, grid_compactor=None,
-                 count_guard_as_error=False, min_kept=1,
-                 kernel_cache=None, warm_start=False):
+                 count_guard_as_error=False, min_kept=1, n_jobs=1):
         if tolerance < 0:
             raise CompactionError("tolerance must be non-negative")
         if min_kept < 1:
@@ -203,8 +213,9 @@ class TestCompactor:
         self.grid_compactor = grid_compactor
         self.count_guard_as_error = bool(count_guard_as_error)
         self.min_kept = int(min_kept)
-        self.kernel_cache = kernel_cache
-        self.warm_start = bool(warm_start)
+        from repro.runtime.parallel import resolve_n_jobs
+
+        self.n_jobs = resolve_n_jobs(n_jobs)
 
     # -- internals -------------------------------------------------------
     def _resolve_order(self, dataset):
@@ -214,13 +225,20 @@ class TestCompactor:
             return self.order.order(dataset)
         return FunctionalOrder(self.order).order(dataset)
 
-    def _fit_model(self, train, feature_names):
+    def _gram_cache(self, train):
+        """A fresh Gram cache over ``train`` for one run's fits."""
+        if self.grid_compactor is not None:
+            return None
+        from repro.runtime.kernel_cache import GramCache
+
+        return GramCache.from_dataset(train)
+
+    def _fit_model(self, train, feature_names, kernel_cache):
         base = self.model_factory or AutoTunedSVCFactory()
-        cache = None if self.grid_compactor is not None else self.kernel_cache
         model = GuardBandedClassifier(
             feature_names, delta=self.guard_band,
             model_factory=self._wrapped_factory(base),
-            kernel_cache=cache, warm_start=self.warm_start)
+            kernel_cache=kernel_cache, warm_start=True)
         model.fit(train)
         return model
 
@@ -236,12 +254,14 @@ class TestCompactor:
             error += report.guard_rate
         return error
 
-    def evaluate_subset(self, train, test, eliminated):
+    def evaluate_subset(self, train, test, eliminated, kernel_cache=None):
         """Fit and evaluate a model for one fixed eliminated set.
 
         Returns ``(model, report)``.  This is the building block used
         both by the greedy loop and by block eliminations such as the
-        MEMS temperature experiment (paper Table 3).
+        MEMS temperature experiment (paper Table 3).  ``kernel_cache``
+        is a :class:`~repro.runtime.kernel_cache.GramCache` over
+        ``train`` shared with other fits; ``None`` fits without one.
         """
         eliminated = tuple(eliminated)
         kept = [n for n in train.names if n not in set(eliminated)]
@@ -249,37 +269,37 @@ class TestCompactor:
             raise CompactionError(
                 "elimination of {} would leave fewer than {} tests".format(
                     eliminated, self.min_kept))
-        model = self._fit_model(train, kept)
+        model = self._fit_model(train, kept, kernel_cache)
         predictions = model.predict_dataset(test)
         report = evaluate_predictions(test.labels, predictions)
         return model, report
 
     # -- the greedy loop ----------------------------------------------------
-    def _greedy_loop(self, train, test, order):
+    def _greedy_loop(self, order, max_eliminable, evaluate):
         """Examine each test in ``order``; eliminate while tolerable.
 
-        Returns ``(eliminated, steps, last_fit)`` where ``last_fit``
-        is ``(candidate, model, report)`` of the most recent accepted
-        candidate (``None`` when nothing was eliminated) -- the
-        runtime engine reuses it as the final refit.
+        ``evaluate(eliminated, i)`` returns ``(model, report)`` for the
+        candidate ``eliminated + (order[i],)``.  Returns
+        ``(eliminated, steps, last_fit)`` where ``last_fit`` is
+        ``(model, report)`` of the most recent accepted candidate
+        (``None`` when nothing was eliminated).
         """
         eliminated = ()
         steps = []
         last_fit = None
-        for test_name in order:
-            if len(train.names) - len(eliminated) <= self.min_kept:
+        for i, test_name in enumerate(order):
+            if len(eliminated) >= max_eliminable:
                 break
-            candidate = eliminated + (test_name,)
-            model, report = self.evaluate_subset(train, test, candidate)
+            model, report = evaluate(eliminated, i)
             accept = self._candidate_error(report) <= self.tolerance
             if accept:
-                eliminated = candidate
-                last_fit = (candidate, model, report)
+                eliminated += (test_name,)
+                last_fit = (model, report)
             steps.append(CompactionStep(
                 test_name=test_name,
                 eliminated=accept,
                 report=report,
-                eliminated_so_far=tuple(eliminated)))
+                eliminated_so_far=eliminated))
         return eliminated, steps, last_fit
 
     def run(self, train, test):
@@ -302,15 +322,177 @@ class TestCompactor:
             raise CompactionError(
                 "train and test datasets must share specifications")
         order = self._resolve_order(train)
-        eliminated, steps, _ = self._greedy_loop(train, test, order)
-        kept = tuple(n for n in train.names if n not in set(eliminated))
-        model, final_report = self.evaluate_subset(train, test, eliminated)
+        max_eliminable = len(train.names) - self.min_kept
+        stats = {"n_jobs": self.n_jobs}
+        if self.n_jobs > 1:
+            from repro.runtime.parallel import make_pool
+
+            # Candidates are fitted in the workers, each against its
+            # own Gram cache (see _init_candidate_worker).
+            cache = None
+            with make_pool(self.n_jobs, initializer=_init_candidate_worker,
+                           initargs=(self, train, test)) as pool:
+                speculator = _Speculator(pool, order, 2 * self.n_jobs,
+                                         max_eliminable)
+                eliminated, steps, last_fit = self._greedy_loop(
+                    order, max_eliminable, speculator)
+                speculator.discard(eliminated, len(order))
+            stats["speculation"] = speculator.stats
+        else:
+            cache = self._gram_cache(train)
+            eliminated, steps, last_fit = self._greedy_loop(
+                order, max_eliminable,
+                lambda elim, i: self.evaluate_subset(
+                    train, test, elim + (order[i],), cache))
+            if cache is not None:
+                stats["kernel_cache"] = dict(cache.stats)
+        stats["candidates_examined"] = len(steps)
+        # The last accepted candidate was fitted on exactly the final
+        # eliminated set; reuse it.  Without one nothing was eliminated,
+        # and the final model is the constant-good stub, which fits
+        # nothing.
+        stats["final_refit_reused"] = last_fit is not None
+        if last_fit is None:
+            last_fit = self.evaluate_subset(train, test, eliminated, cache)
+        model, final_report = last_fit
+        model.release_kernel_cache()
         return CompactionResult(
-            kept=kept,
-            eliminated=tuple(eliminated),
+            kept=tuple(n for n in train.names if n not in set(eliminated)),
+            eliminated=eliminated,
             model=model,
             final_report=final_report,
             steps=steps,
             order=order,
             tolerance=self.tolerance,
+            stats=stats,
         )
+
+    # -- batch API ---------------------------------------------------------
+    def run_many(self, pairs):
+        """Compact many independent ``(train, test)`` pairs.
+
+        With ``n_jobs > 1`` the pairs fan out across one process pool
+        whose workers compact serially, each with its own Gram cache;
+        results are bitwise a serial loop's and come back in input
+        order.  This is the bulk entry point for Monte-Carlo lots and
+        tolerance sweeps.
+        """
+        pairs = list(pairs)
+        if any(len(pair) != 2 for pair in pairs):
+            raise CompactionError("run_many expects (train, test) pairs")
+        if self.n_jobs <= 1 or len(pairs) <= 1:
+            return [self.run(train, test) for train, test in pairs]
+        from repro.runtime.parallel import make_pool
+
+        with make_pool(min(self.n_jobs, len(pairs)),
+                       initializer=_init_pair_worker,
+                       initargs=(self,)) as pool:
+            return list(pool.map(_run_pair, pairs))
+
+
+def speculation_plan(eliminated, next_index, order, limit, max_eliminable):
+    """Candidate subsets worth evaluating from the current loop state.
+
+    Walks the accept/reject decision tree breadth-first from the state
+    ``(eliminated, next_index)``: the certain head candidate first,
+    then both possible next candidates, and so on.  Nearer decisions
+    are listed first, so feeding the first ``limit`` entries to a pool
+    keeps every worker busy on the work most likely to be needed.
+    States the greedy loop can never reach (elimination floor hit,
+    order exhausted) produce no candidates.
+
+    Returns a list of candidate tuples; the head candidate, when the
+    loop still has one to examine, is always first.
+    """
+    plan = []
+    seen = set()
+    queue = deque([(tuple(eliminated), next_index)])
+    while queue and len(plan) < limit:
+        state_elim, i = queue.popleft()
+        if i >= len(order) or len(state_elim) >= max_eliminable:
+            continue
+        candidate = state_elim + (order[i],)
+        if candidate not in seen:
+            seen.add(candidate)
+            plan.append(candidate)
+        queue.append((state_elim, i + 1))   # branch: candidate rejected
+        queue.append((candidate, i + 1))    # branch: candidate accepted
+    return plan
+
+
+class _Speculator:
+    """The greedy loop's ``evaluate`` for ``n_jobs > 1``.
+
+    Before waiting on the head candidate it submits the nearest
+    entries of :func:`speculation_plan` (up to ``window`` in flight),
+    so whichever way each decision goes the next evaluation is
+    usually running already; candidates on the branch not taken are
+    cancelled.  Every evaluation is a pure function of its candidate
+    and the loop consumes them in examination order, so the run is
+    bitwise the serial one.
+    """
+
+    def __init__(self, pool, order, window, max_eliminable):
+        self.pool = pool
+        self.order = order
+        self.window = window
+        self.max_eliminable = max_eliminable
+        self.positions = {name: i for i, name in enumerate(order)}
+        self.pending = {}  # candidate tuple -> Future
+        self.stats = {"submitted": 0, "consumed": 0, "discarded": 0}
+
+    def __call__(self, eliminated, i):
+        self.discard(eliminated, i)
+        head = eliminated + (self.order[i],)
+        for candidate in speculation_plan(eliminated, i, self.order,
+                                          self.window, self.max_eliminable):
+            # The head decision gates all progress; everything else
+            # only fills the window.
+            if candidate not in self.pending and (
+                    candidate == head or len(self.pending) < self.window):
+                self.pending[candidate] = self.pool.submit(
+                    _eval_candidate, candidate)
+                self.stats["submitted"] += 1
+        self.stats["consumed"] += 1
+        return self.pending.pop(head).result()
+
+    def discard(self, eliminated, i):
+        """Cancel what the loop can no longer ask for from state
+        ``(eliminated, i)``: candidates extend the realized eliminated
+        set by tests at strictly increasing, not yet examined positions.
+        """
+        k = len(eliminated)
+        for candidate in list(self.pending):
+            positions = [self.positions[name] for name in candidate[k:]]
+            if (candidate[:k] != eliminated or not positions
+                    or positions[0] < i
+                    or any(b <= a for a, b in zip(positions, positions[1:]))):
+                self.pending.pop(candidate).cancel()
+                self.stats["discarded"] += 1
+
+
+#: Per-process state for pool workers (set by the initializers below).
+_WORKER = {}
+
+
+def _init_candidate_worker(compactor, train, test):
+    """Pool initializer for speculative candidate evaluation."""
+    _WORKER.update(compactor=compactor, train=train, test=test,
+                   cache=compactor._gram_cache(train))
+
+
+def _eval_candidate(candidate):
+    """Evaluate one candidate elimination inside a pool worker."""
+    return _WORKER["compactor"].evaluate_subset(
+        _WORKER["train"], _WORKER["test"], candidate, _WORKER["cache"])
+
+
+def _init_pair_worker(compactor):
+    """Pool initializer for :meth:`TestCompactor.run_many` workers."""
+    compactor.n_jobs = 1  # this process's own copy runs pairs serially
+    _WORKER["compactor"] = compactor
+
+
+def _run_pair(pair):
+    """Compact one ``(train, test)`` pair inside a pool worker."""
+    return _WORKER["compactor"].run(*pair)

@@ -287,8 +287,9 @@ class GuardBandedClassifier:
         A fitted classifier otherwise pins the whole per-run
         :class:`~repro.runtime.kernel_cache.GramCache` (hundreds of
         MB at paper scale) through ``kernel_cache`` and the models'
-        Gram views.  The runtime engine calls this on every model it
-        hands back.
+        Gram views.  :meth:`TestCompactor.run
+        <repro.core.compaction.TestCompactor.run>` calls this on the
+        model it returns.
         """
         self.kernel_cache = None
         self._column_cache = None

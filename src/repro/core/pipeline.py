@@ -22,21 +22,14 @@ class CompactionPipeline:
     grid_resolution:
         When set, training data is grid-compacted at this resolution
         before every model fit (paper Section 4.3).
-    n_jobs:
-        When set (any non-``None`` value), the pipeline runs on the
-        :class:`repro.runtime.engine.CompactionEngine` -- Gram caching,
-        SMO warm starts and, for values other than 1, speculative
-        multi-process candidate evaluation.  ``None`` (the default)
-        keeps the plain serial compactor, byte-for-byte compatible
-        with earlier releases.
     """
 
     def __init__(self, tolerance=0.01, guard_band=0.05, order=None,
                  model_factory=None, grid_resolution=None,
-                 count_guard_as_error=False, min_kept=1, n_jobs=None):
+                 count_guard_as_error=False, min_kept=1, n_jobs=1):
         grid = (GridCompactor(grid_resolution)
                 if grid_resolution is not None else None)
-        common = dict(
+        self.compactor = TestCompactor(
             tolerance=tolerance,
             guard_band=guard_band,
             order=order,
@@ -44,13 +37,8 @@ class CompactionPipeline:
             grid_compactor=grid,
             count_guard_as_error=count_guard_as_error,
             min_kept=min_kept,
+            n_jobs=n_jobs,
         )
-        if n_jobs is None:
-            self.compactor = TestCompactor(**common)
-        else:
-            from repro.runtime import CompactionEngine
-
-            self.compactor = CompactionEngine(n_jobs=n_jobs, **common)
 
     def run(self, train, test):
         """Run the greedy compaction; returns a ``CompactionResult``.
@@ -123,15 +111,10 @@ class CompactionPipeline:
         return result, artifact
 
     def run_many(self, pairs):
-        """Batch-compact ``(train, test)`` pairs (requires ``n_jobs``).
+        """Batch-compact ``(train, test)`` pairs, in input order.
 
-        Delegates to :meth:`repro.runtime.engine.CompactionEngine.
-        run_many`; results come back in input order.
+        Delegates to :meth:`~repro.core.compaction.TestCompactor.run_many`.
         """
-        if not hasattr(self.compactor, "run_many"):
-            raise CompactionError(
-                "run_many needs the runtime engine; construct the "
-                "pipeline with n_jobs set (n_jobs=1 for serial)")
         return self.compactor.run_many(pairs)
 
     def evaluate_elimination(self, train, test, eliminated):
@@ -146,7 +129,7 @@ class CompactionPipeline:
 def compact_specification_tests(train, test, tolerance=0.01,
                                 guard_band=0.05, order=None,
                                 model_factory=None, grid_resolution=None,
-                                count_guard_as_error=False, n_jobs=None):
+                                count_guard_as_error=False, n_jobs=1):
     """Compact a specification test set with statistical learning.
 
     Parameters
@@ -169,9 +152,9 @@ def compact_specification_tests(train, test, tolerance=0.01,
     count_guard_as_error:
         Count guard-band devices toward the acceptance error.
     n_jobs:
-        Run on the parallel cache-aware runtime engine (see
-        :class:`CompactionPipeline`); ``None`` keeps the plain serial
-        compactor.
+        Worker processes for speculative candidate evaluation (see
+        :class:`~repro.core.compaction.TestCompactor`); the result is
+        the same at any value.
 
     Returns
     -------

@@ -1,19 +1,15 @@
-"""repro.runtime -- parallel, cache-aware execution of the compaction flow.
+"""repro.runtime -- the caches and process pools the flow runs on.
 
-The paper's greedy pruning loop retrains a guard-banded SVM pair for
-every candidate test elimination; this package is the production
-runtime around that hot path:
+The paper's greedy pruning loop
+(:class:`~repro.core.compaction.TestCompactor`) retrains a
+guard-banded SVM pair for every candidate test elimination, and its
+training data comes from Monte-Carlo simulation; this package holds
+the runtime pieces both lean on:
 
 ``repro.runtime.kernel_cache``
     Gram/squared-distance matrices cached and composed per feature
     subset (the RBF distance decomposes per column, so candidate fits
     share per-column building blocks).
-``repro.runtime.engine``
-    :class:`CompactionEngine` -- a drop-in ``TestCompactor`` with
-    kernel caching, SMO warm starts, speculative multi-process
-    candidate evaluation (bit-identical to serial), and the
-    :meth:`~repro.runtime.engine.CompactionEngine.run_many` batch
-    scheduler for whole dataset lots.
 ``repro.runtime.simulation``
     The deterministic parallel Monte-Carlo generation engine:
     per-instance ``SeedSequence`` streams fan device simulation out
@@ -27,7 +23,6 @@ runtime around that hot path:
     serial fallbacks) everything above shares.
 """
 
-from repro.runtime.engine import CompactionEngine, speculation_plan
 from repro.runtime.kernel_cache import GramCache, SubsetGramView
 from repro.runtime.parallel import cpu_count, parallel_map, resolve_n_jobs
 from repro.runtime.simulation import (
@@ -39,7 +34,6 @@ from repro.runtime.simulation import (
 )
 
 __all__ = [
-    "CompactionEngine",
     "GramCache",
     "SubsetGramView",
     "cpu_count",
@@ -50,5 +44,4 @@ __all__ = [
     "parallel_map",
     "resolve_n_jobs",
     "simulate_slots_batched",
-    "speculation_plan",
 ]

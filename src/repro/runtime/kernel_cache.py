@@ -22,7 +22,7 @@ full-set matrix, else evaluate the subset directly) and the
 column-accumulation order depend only on the subset itself -- never on
 what the cache happens to hold -- so the same subset yields the
 *bit-identical* matrix in every process.  That property lets
-:class:`repro.runtime.engine.CompactionEngine` guarantee serial and
+:class:`repro.core.compaction.TestCompactor` guarantee serial and
 parallel runs produce identical results.
 
 Memory is explicitly budgeted: per-column matrices, composed subset

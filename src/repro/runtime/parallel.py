@@ -1,11 +1,11 @@
-"""Process-pool plumbing shared by the runtime engine.
+"""Process-pool plumbing shared by compaction, generation and tuning.
 
-All fan-out in :mod:`repro.runtime` goes through this module so the
-serial fallback, worker-count resolution and pool construction are
-decided in exactly one place.  Everything shipped to a worker must be
-picklable; module-level task functions plus an ``initializer`` that
-parks large shared state (datasets, engine configuration) in a worker
-global keep the per-task payload small.
+All process fan-out goes through this module so the serial fallback,
+worker-count resolution and pool construction are decided in exactly
+one place.  Everything shipped to a worker must be picklable;
+module-level task functions plus an ``initializer`` that parks large
+shared state (datasets, compactor configuration) in a worker global
+keep the per-task payload small.
 """
 
 import os

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core.compaction import TestCompactor as Compactor
+from repro.core.compaction import TestCompactor as Compactor, \
+    speculation_plan
 from repro.core.grid import GridCompactor
 from repro.core.metrics import GUARD
 from repro.core.ordering import RandomOrder
 from repro.errors import CompactionError
 from repro.learn import SVC
+from repro.runtime.kernel_cache import GramCache
 
 from tests.synthetic import make_synthetic_dataset
 
@@ -22,6 +24,22 @@ def _compactor(**kw):
     kw.setdefault("tolerance", 0.02)
     kw.setdefault("guard_band", 0.05)
     return Compactor(**kw)
+
+
+@pytest.fixture(scope="module")
+def small_data():
+    train = make_synthetic_dataset(n=150, seed=1)
+    test = make_synthetic_dataset(n=80, seed=2)
+    return train, test
+
+
+def _same_steps(a, b):
+    assert len(a.steps) == len(b.steps)
+    for sa, sb in zip(a.steps, b.steps):
+        assert sa.test_name == sb.test_name
+        assert sa.eliminated == sb.eliminated
+        assert sa.report == sb.report
+        assert sa.eliminated_so_far == sb.eliminated_so_far
 
 
 class TestGreedyLoop:
@@ -148,3 +166,124 @@ class TestValidation:
     def test_min_kept_validated(self):
         with pytest.raises(CompactionError):
             Compactor(min_kept=0)
+
+
+class TestParallelEquivalence:
+    def test_parallel_identical_to_serial(self, small_data):
+        train, test = small_data
+        serial = _compactor(n_jobs=1).run(train, test)
+        parallel = _compactor(n_jobs=2).run(train, test)
+        assert parallel.kept == serial.kept
+        assert parallel.eliminated == serial.eliminated
+        assert parallel.order == serial.order
+        assert parallel.final_report == serial.final_report
+        _same_steps(serial, parallel)
+
+    def test_parallel_model_predicts_identically(self, small_data):
+        train, test = small_data
+        serial = _compactor(n_jobs=1).run(train, test)
+        parallel = _compactor(n_jobs=2).run(train, test)
+        assert np.array_equal(parallel.model.predict_dataset(test),
+                              serial.model.predict_dataset(test))
+
+    def test_speculation_stats_recorded(self, small_data):
+        train, test = small_data
+        result = _compactor(n_jobs=2).run(train, test)
+        spec = result.stats["speculation"]
+        assert spec["consumed"] == len(result.steps)
+        assert spec["submitted"] >= spec["consumed"]
+
+
+class TestRunMany:
+    def _pairs(self, k=3):
+        pairs = []
+        for lot in range(k):
+            pairs.append((
+                make_synthetic_dataset(n=120, seed=10 + 2 * lot,
+                                       noise=0.02 * lot),
+                make_synthetic_dataset(n=70, seed=11 + 2 * lot,
+                                       noise=0.02 * lot)))
+        return pairs
+
+    def test_batch_preserves_input_order(self):
+        pairs = self._pairs()
+        results = _compactor(n_jobs=1).run_many(pairs)
+        assert len(results) == len(pairs)
+        for result, (train, test) in zip(results, pairs):
+            # Each result must belong to its own pair: the final model
+            # was evaluated on exactly that pair's held-out set.
+            assert result.final_report.n_total == len(test)
+            assert set(result.kept) | set(result.eliminated) == \
+                set(train.names)
+
+    def test_parallel_batch_matches_serial_batch(self):
+        pairs = self._pairs()
+        serial = _compactor(n_jobs=1).run_many(pairs)
+        parallel = _compactor(n_jobs=2).run_many(pairs)
+        assert [r.eliminated for r in serial] == \
+            [r.eliminated for r in parallel]
+        assert [r.final_report for r in serial] == \
+            [r.final_report for r in parallel]
+        for a, b in zip(serial, parallel):
+            _same_steps(a, b)
+
+    def test_bad_pairs_rejected(self, small_data):
+        train, test = small_data
+        with pytest.raises(CompactionError):
+            _compactor().run_many([(train, test, test)])
+
+
+class TestSpeculationPlan:
+    ORDER = ("a", "b", "c", "d")
+
+    def test_head_comes_first(self):
+        plan = speculation_plan((), 0, self.ORDER, 6, 4)
+        assert plan[0] == ("a",)
+
+    def test_both_branches_covered(self):
+        plan = speculation_plan((), 0, self.ORDER, 3, 4)
+        # Reject branch: ("b",); accept branch: ("a", "b").
+        assert ("b",) in plan
+        assert ("a", "b") in plan
+
+    def test_respects_elimination_floor(self):
+        plan = speculation_plan(("a",), 1, self.ORDER, 10, 2)
+        # Only one more elimination allowed: no depth-2 candidates.
+        assert all(len(c) <= 2 for c in plan)
+
+    def test_exhausted_order_produces_nothing(self):
+        assert speculation_plan((), 4, self.ORDER, 5, 4) == []
+
+    def test_no_duplicates(self):
+        plan = speculation_plan((), 0, self.ORDER, 16, 4)
+        assert len(plan) == len(set(plan))
+
+
+class _FailingFactory:
+    """Fixed SVC factory whose ``fail_at``-th model raises in ``fit``."""
+
+    def __init__(self, fail_at):
+        self.fail_at = fail_at
+        self.models = 0
+
+    def __call__(self):
+        self.models += 1
+        model = _fixed_factory()
+        if self.models == self.fail_at:
+            def fail(*args, **kwargs):
+                raise RuntimeError("injected fit failure")
+            model.fit = fail
+        return model
+
+
+class TestGramCacheLifetime:
+    def test_failed_run_leaves_no_cache_on_the_compactor(self, small_data):
+        train, test = small_data
+        # The run's fits share a Gram cache ...
+        assert "kernel_cache" in _compactor().run(train, test).stats
+        compactor = _compactor(model_factory=_FailingFactory(fail_at=5))
+        with pytest.raises(RuntimeError, match="injected"):
+            compactor.run(train, test)
+        # ... which dies with a failed run instead of staying pinned.
+        assert not any(isinstance(value, GramCache)
+                       for value in vars(compactor).values())

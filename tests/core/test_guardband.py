@@ -100,6 +100,24 @@ class TestGuardBandedClassifier:
         pred = model.predict_dataset(train)
         assert frac == pytest.approx(np.mean(pred != GUARD))
 
+    def test_gram_cache_leaves_predictions_unchanged(self):
+        """A fit through a shared Gram cache (the greedy loop's path)
+        predicts like one without (grid compaction, table3, cost)."""
+        from repro.runtime.kernel_cache import GramCache
+
+        train = make_synthetic_dataset(n=200, seed=5)
+        test = make_synthetic_dataset(n=150, seed=6)
+        kept = train.names[:4]
+        cache = GramCache.from_dataset(train)
+        cached = GuardBandedClassifier(kept, delta=0.05,
+                                       model_factory=_fixed_factory,
+                                       kernel_cache=cache).fit(train)
+        plain = GuardBandedClassifier(kept, delta=0.05,
+                                      model_factory=_fixed_factory).fit(train)
+        assert cache.stats["gram_hits"] + cache.stats["gram_misses"] > 0
+        assert np.array_equal(cached.predict_dataset(test),
+                              plain.predict_dataset(test))
+
     def test_validation(self):
         ds = make_synthetic_dataset(n=50)
         with pytest.raises(CompactionError):

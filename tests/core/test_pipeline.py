@@ -1,5 +1,6 @@
 """High-level pipeline facade tests."""
 
+import numpy as np
 import pytest
 
 from repro.core.pipeline import CompactionPipeline, \
@@ -56,6 +57,29 @@ class TestCompactionPipeline:
                                           sim_jobs=2)
         assert serial.eliminated == parallel.eliminated
         assert serial.final_report == parallel.final_report
+
+    def test_default_is_the_serial_run_of_the_parallel_loop(self):
+        """``CompactionPipeline()`` without ``n_jobs`` runs the cached
+        loop, bitwise the ``n_jobs=2`` speculative run."""
+        train = make_synthetic_dataset(n=150, seed=1)
+        test = make_synthetic_dataset(n=80, seed=2)
+        serial = CompactionPipeline(
+            tolerance=0.02, model_factory=_fixed_factory).run(train, test)
+        parallel = CompactionPipeline(
+            tolerance=0.02, model_factory=_fixed_factory,
+            n_jobs=2).run(train, test)
+        assert serial.stats["kernel_cache"]["gram_hits"] > 0
+        assert [(s.test_name, s.eliminated, s.report, s.eliminated_so_far)
+                for s in serial.steps] == \
+            [(s.test_name, s.eliminated, s.report, s.eliminated_so_far)
+             for s in parallel.steps]
+        assert serial.final_report == parallel.final_report
+        assert serial.eliminated and serial.eliminated == parallel.eliminated
+        X = test.normalized_values(serial.kept)
+        for a, b in ((serial.model._strict, parallel.model._strict),
+                     (serial.model._loose, parallel.model._loose)):
+            assert np.array_equal(a.decision_function(X),
+                                  b.decision_function(X))
 
 
 class TestFunctionEntryPoint:

@@ -1,4 +1,8 @@
-"""Runtime engine tests: equivalence, speculation, batching, stats."""
+"""Compactor run statistics and result pickling; process-pool helpers.
+
+Serial/parallel/``run_many`` equivalence and the speculation plan are
+tested next to the loop, in ``tests/core/test_compaction.py``.
+"""
 
 import pickle
 
@@ -8,7 +12,6 @@ import pytest
 from repro.core.compaction import TestCompactor as Compactor
 from repro.errors import CompactionError
 from repro.learn.svm import SVC
-from repro.runtime import CompactionEngine, speculation_plan
 from repro.runtime.parallel import parallel_map, resolve_n_jobs
 
 from tests.synthetic import make_synthetic_dataset
@@ -18,11 +21,11 @@ def _fixed_factory():
     return SVC(C=50.0, gamma="scale")
 
 
-def _engine(**kw):
+def _compactor(**kw):
     kw.setdefault("tolerance", 0.02)
     kw.setdefault("guard_band", 0.05)
     kw.setdefault("model_factory", _fixed_factory)
-    return CompactionEngine(**kw)
+    return Compactor(**kw)
 
 
 @pytest.fixture(scope="module")
@@ -32,146 +35,28 @@ def small_data():
     return train, test
 
 
-def _same_steps(a, b):
-    assert len(a.steps) == len(b.steps)
-    for sa, sb in zip(a.steps, b.steps):
-        assert sa.test_name == sb.test_name
-        assert sa.eliminated == sb.eliminated
-        assert sa.report == sb.report
-        assert sa.eliminated_so_far == sb.eliminated_so_far
-
-
 class TestSerialEngine:
-    def test_matches_plain_compactor_decisions(self, small_data):
-        train, test = small_data
-        plain = Compactor(tolerance=0.02, guard_band=0.05,
-                          model_factory=_fixed_factory).run(train, test)
-        engine = _engine(n_jobs=1).run(train, test)
-        assert engine.kept == plain.kept
-        assert engine.eliminated == plain.eliminated
-        assert engine.final_report == plain.final_report
-        assert [s.eliminated for s in engine.steps] == \
-            [s.eliminated for s in plain.steps]
-
     def test_final_refit_reused(self, small_data):
         train, test = small_data
-        result = _engine(n_jobs=1).run(train, test)
+        result = _compactor(n_jobs=1).run(train, test)
         assert result.stats["final_refit_reused"] == \
             (len(result.eliminated) > 0)
 
     def test_kernel_cache_exercised(self, small_data):
         train, test = small_data
-        result = _engine(n_jobs=1).run(train, test)
+        result = _compactor(n_jobs=1).run(train, test)
         cache_stats = result.stats["kernel_cache"]
         # Strict and loose guard-band fits share one Gram per candidate.
         assert cache_stats["gram_hits"] >= len(result.steps)
 
-    def test_cache_can_be_disabled(self, small_data):
-        train, test = small_data
-        with_cache = _engine(n_jobs=1).run(train, test)
-        without = _engine(n_jobs=1, use_kernel_cache=False).run(train, test)
-        assert "kernel_cache" not in without.stats
-        assert without.eliminated == with_cache.eliminated
-
     def test_result_is_picklable(self, small_data):
-        """Engine results must cross process boundaries whole."""
+        """Compaction results must cross process boundaries whole."""
         train, test = small_data
-        result = _engine(n_jobs=1).run(train, test)
+        result = _compactor(n_jobs=1).run(train, test)
         clone = pickle.loads(pickle.dumps(result))
         assert clone.eliminated == result.eliminated
         pred = clone.model.predict_dataset(test)
         assert np.array_equal(pred, result.model.predict_dataset(test))
-
-
-class TestParallelEquivalence:
-    def test_parallel_identical_to_serial(self, small_data):
-        train, test = small_data
-        serial = _engine(n_jobs=1).run(train, test)
-        parallel = _engine(n_jobs=2).run(train, test)
-        assert parallel.kept == serial.kept
-        assert parallel.eliminated == serial.eliminated
-        assert parallel.order == serial.order
-        assert parallel.final_report == serial.final_report
-        _same_steps(serial, parallel)
-
-    def test_parallel_model_predicts_identically(self, small_data):
-        train, test = small_data
-        serial = _engine(n_jobs=1).run(train, test)
-        parallel = _engine(n_jobs=2).run(train, test)
-        assert np.array_equal(parallel.model.predict_dataset(test),
-                              serial.model.predict_dataset(test))
-
-    def test_speculation_stats_recorded(self, small_data):
-        train, test = small_data
-        result = _engine(n_jobs=2).run(train, test)
-        spec = result.stats["speculation"]
-        assert spec["consumed"] == len(result.steps)
-        assert spec["submitted"] >= spec["consumed"]
-
-
-class TestRunMany:
-    def _pairs(self, k=3):
-        pairs = []
-        for lot in range(k):
-            pairs.append((
-                make_synthetic_dataset(n=120, seed=10 + 2 * lot,
-                                       noise=0.02 * lot),
-                make_synthetic_dataset(n=70, seed=11 + 2 * lot,
-                                       noise=0.02 * lot)))
-        return pairs
-
-    def test_batch_preserves_input_order(self):
-        pairs = self._pairs()
-        results = _engine(n_jobs=1).run_many(pairs)
-        assert len(results) == len(pairs)
-        for result, (train, test) in zip(results, pairs):
-            # Each result must belong to its own pair: the final model
-            # was evaluated on exactly that pair's held-out set.
-            assert result.final_report.n_total == len(test)
-            assert set(result.kept) | set(result.eliminated) == \
-                set(train.names)
-
-    def test_parallel_batch_matches_serial_batch(self):
-        pairs = self._pairs()
-        serial = _engine(n_jobs=1).run_many(pairs)
-        parallel = _engine(n_jobs=2).run_many(pairs)
-        assert [r.eliminated for r in serial] == \
-            [r.eliminated for r in parallel]
-        assert [r.final_report for r in serial] == \
-            [r.final_report for r in parallel]
-        for a, b in zip(serial, parallel):
-            _same_steps(a, b)
-
-    def test_bad_pairs_rejected(self, small_data):
-        train, test = small_data
-        with pytest.raises(CompactionError):
-            _engine().run_many([(train, test, test)])
-
-
-class TestSpeculationPlan:
-    ORDER = ("a", "b", "c", "d")
-
-    def test_head_comes_first(self):
-        plan = speculation_plan((), 0, self.ORDER, 6, 4)
-        assert plan[0] == ("a",)
-
-    def test_both_branches_covered(self):
-        plan = speculation_plan((), 0, self.ORDER, 3, 4)
-        # Reject branch: ("b",); accept branch: ("a", "b").
-        assert ("b",) in plan
-        assert ("a", "b") in plan
-
-    def test_respects_elimination_floor(self):
-        plan = speculation_plan(("a",), 1, self.ORDER, 10, 2)
-        # Only one more elimination allowed: no depth-2 candidates.
-        assert all(len(c) <= 2 for c in plan)
-
-    def test_exhausted_order_produces_nothing(self):
-        assert speculation_plan((), 4, self.ORDER, 5, 4) == []
-
-    def test_no_duplicates(self):
-        plan = speculation_plan((), 0, self.ORDER, 16, 4)
-        assert len(plan) == len(set(plan))
 
 
 class TestParallelHelpers:
