@@ -16,7 +16,7 @@ repo is built on: a *pure function of a seed*.
 :class:`~repro.chaos.inject.FaultInjector`
     Context manager that installs the plan into the test-only hooks
     exported by the production modules
-    (``server.RESPONSE_FAULT_HOOK``, ``cluster.RESPONSE_FAULT_HOOK``,
+    (``server.RESPONSE_FAULT_HOOK``, which both serving tiers consult,
     ``durability.JOURNAL_FAULT_HOOK``, ``shard.SHARD_FAULT_HOOK``)
     and restores them on exit, recording every fired fault.
 

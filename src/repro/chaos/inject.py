@@ -10,8 +10,10 @@ site's draws (the same spawning discipline the data plane uses for
 per-instance simulation).  The sites:
 
 ``cluster.response`` / ``service.response``
-    Consulted by the cluster router / single-process service just
-    before a ``/disposition`` response is written: ``delay`` sleeps,
+    Consulted through ``repro.service.server.RESPONSE_FAULT_HOOK``,
+    which the shared HTTP app calls with its tier (cluster router /
+    single-process service) just before a ``/disposition`` response
+    is written: ``delay`` sleeps,
     ``drop`` closes the connection without a response, ``reset``
     aborts the transport (RST).  All three are *post-decision* faults:
     the disposition already ran, and because dispositions are pure
@@ -252,30 +254,25 @@ class FaultInjector:
     # -- install/restore ---------------------------------------------------
     def __enter__(self) -> "FaultInjector":
         from repro.data import shard as shard_module
-        from repro.service import cluster as cluster_module
         from repro.service import durability as durability_module
         from repro.service import server as server_module
 
         self._saved = {
             "server": server_module.RESPONSE_FAULT_HOOK,
-            "cluster": cluster_module.RESPONSE_FAULT_HOOK,
             "journal": durability_module.JOURNAL_FAULT_HOOK,
             "shard": shard_module.SHARD_FAULT_HOOK,
         }
         server_module.RESPONSE_FAULT_HOOK = self._response_hook
-        cluster_module.RESPONSE_FAULT_HOOK = self._response_hook
         durability_module.JOURNAL_FAULT_HOOK = self._journal_hook
         shard_module.SHARD_FAULT_HOOK = self._shard_hook
         return self
 
     def __exit__(self, *exc_info) -> None:
         from repro.data import shard as shard_module
-        from repro.service import cluster as cluster_module
         from repro.service import durability as durability_module
         from repro.service import server as server_module
 
         server_module.RESPONSE_FAULT_HOOK = self._saved["server"]
-        cluster_module.RESPONSE_FAULT_HOOK = self._saved["cluster"]
         durability_module.JOURNAL_FAULT_HOOK = self._saved["journal"]
         shard_module.SHARD_FAULT_HOOK = self._saved["shard"]
         self._saved = {}

@@ -18,9 +18,10 @@ backpressure.
     queue with 429-style rejection); decisions stay bit-identical to
     direct :class:`TestFloor` runs at any coalescing pattern.
 ``repro.service.server``
-    :class:`FloorService` -- stdlib-asyncio HTTP/JSON front end:
-    ``/disposition``, ``/artifacts`` (+ register/retire),
-    ``/health``, ``/metrics`` (throughput, queue depth, drift state).
+    :class:`HttpApp` -- the one stdlib-asyncio HTTP/JSON app of both
+    tiers (connection loop, route table, error map): ``/disposition``,
+    ``/artifacts`` (+ register/retire), ``/health``, ``/metrics``.
+    :class:`FloorService` is its local-batcher backend.
 ``repro.service.loadgen``
     :class:`TrafficPlan` / :func:`run_load` -- deterministic seed-tree
     load generator that replays mixed multi-device traffic and
@@ -29,8 +30,9 @@ backpressure.
     shard-respawn windows.
 ``repro.service.cluster``
     :class:`ClusterService` -- horizontal scale-out: N worker
-    processes each running a :class:`FloorService`, fronted by a
-    device-hash sharding router (:func:`shard_for`), with the control
+    processes each running a :class:`FloorService`, fronted by the
+    app's remote-shard backend, a device-hash sharding router
+    (:func:`shard_for`), with the control
     plane fanned out to every worker atomically and crashed workers
     respawned from the registry manifest.  Decisions are bit-identical
     at any worker count.
@@ -71,7 +73,7 @@ from repro.service.registry import (
     RegistryEntry,
     file_checksum,
 )
-from repro.service.server import FloorService
+from repro.service.server import FloorService, HttpApp
 
 __all__ = [
     "ArtifactRegistry",
@@ -81,6 +83,7 @@ __all__ = [
     "DEFAULT_MAX_LATENCY",
     "DEFAULT_MAX_PENDING",
     "FloorService",
+    "HttpApp",
     "HttpClient",
     "JournalWarning",
     "LoadReport",

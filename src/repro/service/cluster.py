@@ -10,9 +10,8 @@ invariant:
   ephemeral loopback port, primed from the cluster's **registry
   manifest** (the ordered list of ``(device, version, path)``
   registrations that is the cluster's source of truth);
-* a shared-nothing **router** (the supervisor's own HTTP front end)
-  shards data-plane traffic by device-key hash --
-  :func:`shard_for` is a pure, stable function of ``(device,
+* a shared-nothing **router** shards data-plane traffic by device-key
+  hash -- :func:`shard_for` is a pure, stable function of ``(device,
   n_workers)`` (SHA-256, no process-randomized ``hash()``), so the
   same device key always lands on the same worker across requests,
   connections and restarts, and no state is shared between workers;
@@ -26,6 +25,13 @@ invariant:
   manifest.  While a shard is down its requests are answered ``503``
   with ``Retry-After`` -- never misrouted to a different worker (that
   would silently change which floor's drift monitor sees the traffic).
+
+The router is the remote-shard backend of
+:class:`~repro.service.server.HttpApp` (tier ``"cluster"``): the same
+connection loop, route table and error map as a single
+:class:`FloorService`, with :meth:`ClusterService._dispose` proxying
+each ``/disposition`` to its shard over a per-connection keep-alive
+client, and register/retire/list/metrics fanned out to the workers.
 
 Because a disposition is a pure per-device function of the artifact
 and the measurements, sharding is invisible in the decisions: a
@@ -63,18 +69,8 @@ from repro.service.batcher import (
 from repro.service.durability import StateJournal
 from repro.service.loadgen import HttpClient, wait_healthy
 from repro.service.registry import DEFAULT_MAX_RESIDENT
-from repro.service.server import (
-    DEADLINE_HEADER,
-    _json_body,
-    _query_param,
-    _read_request,
-    _required,
-    _write_response,
-    apply_response_fault,
-    authorized_admin,
-    parse_deadline,
-)
-from repro.telemetry import Telemetry, get_telemetry, prometheus_text
+from repro.service.server import DEADLINE_HEADER, HttpApp, _required
+from repro.telemetry import Telemetry, prometheus_text
 from repro.tester.program import RETEST_FULL, check_retest_policy
 
 #: Seconds between health probes of each worker.
@@ -86,16 +82,15 @@ DEFAULT_SPAWN_TIMEOUT = 60.0
 PROBE_TIMEOUT = 5.0
 #: Seconds a proxied control-plane call may take (artifact loads).
 CONTROL_TIMEOUT = 60.0
+#: Control-plane op -> (worker path, expected status, noun in errors).
+_CONTROL_OPS = {
+    "register": ("/artifacts", 201, "registration"),
+    "retire": ("/artifacts/retire", 200, "retire"),
+}
 #: Spawn attempts per worker before the supervisor gives up (covers
 #: transient startup failures: an ephemeral-port bind race, a worker
 #: killed mid-handshake; each retry gets a fresh ephemeral port).
 SPAWN_ATTEMPTS = 3
-
-#: Test-only fault hook (installed by :mod:`repro.chaos.inject`;
-#: ``None`` in production).  Consulted just before the router writes a
-#: ``/disposition`` response -- see
-#: :data:`repro.service.server.RESPONSE_FAULT_HOOK` for semantics.
-RESPONSE_FAULT_HOOK = None
 
 
 def shard_for(device: str, n_workers: int) -> int:
@@ -199,8 +194,11 @@ class WorkerHandle:
         }
 
 
-class ClusterService:
+class ClusterService(HttpApp):
     """N worker processes behind a device-hash sharding router.
+
+    The remote-shard backend of :class:`~repro.service.server.HttpApp`
+    (tier ``"cluster"``).
 
     Parameters
     ----------
@@ -223,7 +221,8 @@ class ClusterService:
         Seconds between worker health probes.
     telemetry:
         Router-side registry (spans, per-worker gauges, request
-        histograms); defaults like :class:`FloorService`.
+        histograms); defaults as in
+        :class:`~repro.service.server.HttpApp`.
     state_dir:
         Directory for the control-plane write-ahead journal (``repro
         serve --state-dir``).  When set, the manifest is rebuilt from
@@ -235,6 +234,8 @@ class ClusterService:
         already knows are skipped: the journal, which saw every
         hot-swap, outranks the restart command line.
     """
+
+    tier = "cluster"
 
     def __init__(
         self,
@@ -254,6 +255,7 @@ class ClusterService:
         check_retest_policy(retest_policy)
         if n_workers < 1:
             raise ServiceError("n_workers must be at least 1")
+        super().__init__(admin_token, telemetry)
         #: Ordered registration manifest -- the cluster's source of
         #: truth.  Workers are primed from it at every (re)spawn, and
         #: control-plane operations commit to it only after every
@@ -288,7 +290,6 @@ class ClusterService:
                 "register", key[0], key[1], path=os.fspath(path)
             )
         self.n_workers = int(n_workers)
-        self.admin_token = admin_token or None
         self.health_interval = float(health_interval)
         self.spawn_timeout = float(spawn_timeout)
         self._worker_kwargs = {
@@ -301,20 +302,11 @@ class ClusterService:
         self._workers: list[WorkerHandle] = [
             WorkerHandle(index=i) for i in range(self.n_workers)
         ]
-        self._server: asyncio.Server | None = None
-        self._connections: set[asyncio.StreamWriter] = set()
-        self._handlers: set[asyncio.Task] = set()
         self._health_task: asyncio.Task | None = None
         #: Serializes control-plane fan-out with worker respawns, so a
         #: respawned worker is always primed from a settled manifest.
         self._control_lock = asyncio.Lock()
         self._ctx = multiprocessing.get_context("spawn")
-        self._started_unix = time.time()
-        self.n_http_requests = 0
-        if telemetry is None:
-            active = get_telemetry()
-            telemetry = active if active.enabled else Telemetry()
-        self.telemetry = telemetry
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> "ClusterService":
@@ -326,28 +318,9 @@ class ClusterService:
         except Exception:
             await self._shutdown_workers()
             raise
-        self._server = await asyncio.start_server(self._handle, host, port)
-        self._started_unix = time.time()
+        await super().start(host, port)
         self._health_task = asyncio.ensure_future(self._health_loop())
         return self
-
-    @property
-    def port(self) -> int:
-        """The router's bound TCP port (after :meth:`start`)."""
-        if self._server is None:
-            raise ServiceError("cluster is not started")
-        return self._server.sockets[0].getsockname()[1]
-
-    @property
-    def worker_ports(self) -> tuple[int, ...]:
-        """Each worker's loopback port, by shard index."""
-        return tuple(worker.port for worker in self._workers)
-
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            raise ServiceError("cluster is not started")
-        async with self._server:
-            await self._server.serve_forever()
 
     async def stop(self) -> None:
         """Stop the router, then terminate every worker process."""
@@ -358,14 +331,7 @@ class ClusterService:
             except asyncio.CancelledError:
                 pass
             self._health_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for writer in list(self._connections):
-            writer.close()
-        if self._handlers:
-            await asyncio.gather(*self._handlers, return_exceptions=True)
+        await super().stop()
         await self._shutdown_workers()
 
     async def _shutdown_workers(self) -> None:
@@ -493,16 +459,13 @@ class ClusterService:
             )
 
     async def _probe(self, worker: WorkerHandle) -> bool:
-        client = HttpClient("127.0.0.1", worker.port)
         try:
-            status, _ = await asyncio.wait_for(
-                client.request("GET", "/health"), timeout=PROBE_TIMEOUT
+            status, _ = await self._call_worker(
+                worker, "GET", "/health", timeout=PROBE_TIMEOUT
             )
-            return status == 200
         except (OSError, asyncio.TimeoutError):
             return False
-        finally:
-            await client.close()
+        return status == 200
 
     async def _health_loop(self) -> None:
         while True:
@@ -532,29 +495,99 @@ class ClusterService:
         """The shard handle a device key routes to."""
         return self._workers[shard_for(device, self.n_workers)]
 
+    def _backend(self, conn: dict, worker: WorkerHandle) -> HttpClient:
+        """The front connection's keep-alive client to a shard.
+
+        Held in the connection's state, so concurrent clients never
+        serialize on a shared backend socket, and keyed by the
+        worker's generation, so a respawned shard gets a fresh client.
+        A pre-respawn client stays in the state until the app closes
+        it with the connection; its worker is gone, so it holds at
+        most one dead socket.
+        """
+        key = (worker.index, worker.generation)
+        client = conn.get(key)
+        if client is None:
+            client = conn[key] = HttpClient("127.0.0.1", worker.port)
+        return client
+
+    async def _dispose(self, request, body, headers, deadline, conn):
+        """Proxy the body verbatim to the device's shard."""
+        device = _required(request, "device")
+        worker = self.worker_for(device)
+        if not worker.healthy:
+            raise ClusterDegradedError(
+                "shard {} for device {!r} is respawning; retry "
+                "shortly".format(worker.label, device)
+            )
+        proxy_headers = {"X-Request-Id": headers.get("x-request-id", "")}
+        if deadline is not None:
+            # Forward the *remaining* budget, so the worker and its
+            # batcher see the clock the caller sees.
+            remaining_ms = (deadline - time.monotonic()) * 1000.0
+            if remaining_ms <= 0:
+                raise DeadlineExceededError(
+                    "deadline budget expired at the router; re-issue "
+                    "with a fresh X-Repro-Deadline-Ms"
+                )
+            proxy_headers[DEADLINE_HEADER] = "{:.3f}".format(remaining_ms)
+        client = self._backend(conn, worker)
+        try:
+            status, reply = await client.request(
+                "POST", "/disposition", body, headers=proxy_headers
+            )
+        except (ConnectionError, asyncio.IncompleteReadError):
+            # The worker died between health probes: surface the
+            # respawn window, never reroute to another shard.
+            worker.healthy = False
+            raise ClusterDegradedError(
+                "shard {} for device {!r} went down mid-request; "
+                "retry shortly".format(worker.label, device)
+            ) from None
+        served_by = client.last_headers.get("x-repro-worker", worker.label)
+        return status, reply, (("X-Repro-Worker", served_by),)
+
     # -- control plane (atomic fan-out) ------------------------------------
-    async def _post_worker(
-        self, worker: WorkerHandle, path: str, payload: dict
+    async def _call_worker(
+        self,
+        worker: WorkerHandle,
+        method: str,
+        path: str,
+        payload: dict | None = None,
+        timeout: float = CONTROL_TIMEOUT,
     ) -> tuple[int, dict]:
-        """One control-plane POST to one worker (fresh connection)."""
+        """One round trip to one worker on a fresh connection."""
         client = HttpClient("127.0.0.1", worker.port)
         try:
             return await asyncio.wait_for(
-                client.request("POST", path, payload), timeout=CONTROL_TIMEOUT
+                client.request(method, path, payload), timeout=timeout
             )
         finally:
             await client.close()
 
-    async def _get_worker(
-        self, worker: WorkerHandle, path: str
+    async def _post_worker(
+        self, worker: WorkerHandle, path: str, payload: dict
     ) -> tuple[int, dict]:
-        client = HttpClient("127.0.0.1", worker.port)
+        return await self._call_worker(worker, "POST", path, payload)
+
+    async def _get_worker(self, worker: WorkerHandle, path: str) -> tuple[int, dict]:
+        return await self._call_worker(worker, "GET", path)
+
+    async def _scrape(self, worker: WorkerHandle, path: str) -> tuple[int, dict] | None:
+        """GET ``path`` from a healthy worker; ``None`` if it is down.
+
+        A worker that died since the last health probe fails the call:
+        it is marked unhealthy for the health loop to respawn, and the
+        fan-in serves what the other workers answered instead of
+        failing the whole request.
+        """
+        if not worker.healthy:
+            return None
         try:
-            return await asyncio.wait_for(
-                client.request("GET", path), timeout=CONTROL_TIMEOUT
-            )
-        finally:
-            await client.close()
+            return await self._get_worker(worker, path)
+        except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError):
+            worker.healthy = False
+            return None
 
     def _journal_append(
         self, op: str, device: str, version: str, path: str | None = None
@@ -594,21 +627,61 @@ class ClusterService:
         for entry in self._manifest:
             if entry["device"] != device:
                 continue
-            await self._post_worker(
-                worker,
-                "/artifacts",
-                {
-                    "device": entry["device"],
-                    "version": entry["version"],
-                    "path": entry["path"],
-                },
-            )
+            key = {"device": device, "version": entry["version"]}
+            await self._post_worker(worker, "/artifacts", dict(key, path=entry["path"]))
             if entry["retired"]:
-                await self._post_worker(
-                    worker,
-                    "/artifacts/retire",
-                    {"device": entry["device"], "version": entry["version"]},
-                )
+                await self._post_worker(worker, "/artifacts/retire", key)
+
+    def _manifest_entry(self, device: str, version: str) -> dict | None:
+        """The manifest's registration of one key, if any."""
+        for entry in self._manifest:
+            if entry["device"] == device and entry["version"] == version:
+                return entry
+        return None
+
+    async def _fan_out(self, op: str, payload: dict, rollback) -> dict:
+        """Apply one control-plane op on every worker, all-or-none.
+
+        The op is journaled once every worker accepted it.  On a
+        partial failure each already-updated worker is put back to the
+        manifest state by ``rollback(worker)``; a worker that cannot be
+        rolled back over HTTP (it died too) is marked unhealthy, so its
+        respawn re-primes it from the committed manifest.  Returns the
+        first worker's reply.
+        """
+        path, expect, noun = _CONTROL_OPS[op]
+        device, version = payload["device"], payload["version"]
+        done: list[WorkerHandle] = []
+        first_reply: dict = {}
+        try:
+            for worker in self._workers:
+                status, reply = await self._post_worker(worker, path, payload)
+                if status != expect:
+                    raise ServiceError(
+                        "worker {} refused the {} ({}): {}".format(
+                            worker.label, noun, status, reply.get("error", reply)
+                        )
+                    )
+                done.append(worker)
+                first_reply = first_reply or reply
+            self._journal_append(op, device, version, path=payload.get("path"))
+        except Exception as exc:
+            for worker in done:
+                try:
+                    await rollback(worker)
+                except (ReproError, OSError, asyncio.IncompleteReadError):
+                    worker.healthy = False
+            message = (
+                "{} {}@{} rolled back ({} of {} workers had applied it): "
+                "{}".format(op, device, version, len(done), self.n_workers, exc)
+            )
+            if isinstance(exc, JournalError):
+                # Every worker accepted, but the op is not durable:
+                # surface 507 so the caller knows a crash would forget
+                # it (the workers were rolled back above).
+                raise JournalError(message) from exc
+            raise ServiceError(message) from exc
+        return first_reply
 
     async def register_artifact(self, device: str, version: str, path: str) -> dict:
         """Register/hot-swap an artifact on every worker, atomically.
@@ -620,133 +693,54 @@ class ClusterService:
         swap is visible everywhere or nowhere.
         """
         device, version, path = str(device), str(version), os.fspath(path)
+        key = {"device": device, "version": version}
         async with self._control_lock:
             self._require_full_strength()
-            had_entry = any(
-                e["device"] == device and e["version"] == version
-                for e in self._manifest
-            )
-            payload = {"device": device, "version": version, "path": path}
-            done: list[WorkerHandle] = []
-            first_reply: dict = {}
-            try:
-                for worker in self._workers:
-                    status, reply = await self._post_worker(
-                        worker, "/artifacts", payload
-                    )
-                    if status != 201:
-                        raise ServiceError(
-                            "worker {} refused the registration ({}): "
-                            "{}".format(
-                                worker.label, status, reply.get("error", reply)
-                            )
-                        )
-                    done.append(worker)
-                    if not first_reply:
-                        first_reply = reply
-                self._journal_append("register", device, version, path=path)
-            except Exception as exc:
-                for worker in done:
-                    try:
-                        if not had_entry:
-                            await self._post_worker(
-                                worker,
-                                "/artifacts/retire",
-                                {"device": device, "version": version},
-                            )
-                        await self._restore_device(worker, device)
-                    except (ReproError, OSError, asyncio.IncompleteReadError):
-                        # The worker cannot be rolled back over HTTP
-                        # (it died too); force a respawn, which
-                        # re-primes it from the committed manifest.
-                        worker.healthy = False
-                message = (
-                    "register {}@{} rolled back ({} of {} workers had "
-                    "applied it): {}".format(
-                        device, version, len(done), self.n_workers, exc
-                    )
-                )
-                if isinstance(exc, JournalError):
-                    # Every worker accepted, but the op is not durable:
-                    # surface 507 so the caller knows a crash would
-                    # forget it (the workers were rolled back above).
-                    raise JournalError(message) from exc
-                raise ServiceError(message) from exc
-            self._manifest = [
-                e
-                for e in self._manifest
-                if not (e["device"] == device and e["version"] == version)
-            ]
-            self._manifest.append(
-                {
-                    "device": device,
-                    "version": version,
-                    "path": path,
-                    "retired": False,
-                }
-            )
-            return first_reply
+            old = self._manifest_entry(device, version)
+
+            async def rollback(worker: WorkerHandle) -> None:
+                if old is None:
+                    await self._post_worker(worker, "/artifacts/retire", key)
+                await self._restore_device(worker, device)
+
+            reply = await self._fan_out("register", dict(key, path=path), rollback)
+            if old is not None:
+                self._manifest.remove(old)
+            self._manifest.append(dict(key, path=path, retired=False))
+            return reply
 
     async def retire_artifact(self, device: str, version: str) -> dict:
         """Retire a version on every worker, atomically (with rollback)."""
         device, version = str(device), str(version)
         async with self._control_lock:
             self._require_full_strength()
-            entry = next(
-                (
-                    e
-                    for e in self._manifest
-                    if e["device"] == device and e["version"] == version
-                ),
-                None,
-            )
+            entry = self._manifest_entry(device, version)
             if entry is None:
+                known = ", ".join(
+                    "{}@{}".format(e["device"], e["version"]) for e in self._manifest
+                )
                 raise UnknownArtifactError(
                     "unknown artifact {}@{}; registered: {}".format(
-                        device,
-                        version,
-                        ", ".join(
-                            "{}@{}".format(e["device"], e["version"])
-                            for e in self._manifest
-                        )
-                        or "none",
+                        device, version, known or "none"
                     )
                 )
-            payload = {"device": device, "version": version}
-            done: list[WorkerHandle] = []
-            first_reply: dict = {}
-            try:
-                for worker in self._workers:
-                    status, reply = await self._post_worker(
-                        worker, "/artifacts/retire", payload
-                    )
-                    if status != 200:
-                        raise ServiceError(
-                            "worker {} refused the retire ({}): {}".format(
-                                worker.label, status, reply.get("error", reply)
-                            )
-                        )
-                    done.append(worker)
-                    if not first_reply:
-                        first_reply = reply
-                self._journal_append("retire", device, version)
-            except Exception as exc:
-                for worker in done:
-                    try:
-                        await self._restore_device(worker, device)
-                    except (ReproError, OSError, asyncio.IncompleteReadError):
-                        worker.healthy = False
-                message = (
-                    "retire {}@{} rolled back ({} of {} workers had "
-                    "applied it): {}".format(
-                        device, version, len(done), self.n_workers, exc
-                    )
-                )
-                if isinstance(exc, JournalError):
-                    raise JournalError(message) from exc
-                raise ServiceError(message) from exc
+            reply = await self._fan_out(
+                "retire",
+                {"device": device, "version": version},
+                lambda worker: self._restore_device(worker, device),
+            )
             entry["retired"] = True
-            return first_reply
+            return reply
+
+    async def _register(self, device, version, path):
+        reply = await self.register_artifact(device, version, path)
+        reply["n_workers"] = self.n_workers
+        return reply
+
+    async def _retire(self, device, version):
+        reply = await self.retire_artifact(device, version)
+        reply["n_workers"] = self.n_workers
+        return reply
 
     # -- observability -----------------------------------------------------
     def health(self) -> dict:
@@ -765,17 +759,20 @@ class ClusterService:
     async def artifacts(self) -> dict:
         """Fanned-out registry listing with a cross-worker consistency bit.
 
-        ``consistent`` is True when every healthy worker lists exactly
-        the same ``(device, version, retired)`` registrations -- the
-        observable form of the atomic-fan-out guarantee.
+        ``consistent`` is True when every worker that answered lists
+        exactly the same ``(device, version, retired)`` registrations --
+        the observable form of the atomic-fan-out guarantee.  A worker
+        that is down, or dies mid-listing, is left out of
+        ``per_worker``.
         """
         per_worker: dict[str, list] = {}
         listings: dict[str, set] = {}
         rows: list = []
         for worker in self._workers:
-            if not worker.healthy:
+            answer = await self._scrape(worker, "/artifacts")
+            if answer is None:
                 continue
-            status, reply = await self._get_worker(worker, "/artifacts")
+            status, reply = answer
             if status != 200:
                 raise ServiceError(
                     "worker {} refused the listing ({})".format(
@@ -819,39 +816,21 @@ class ClusterService:
                 1.0 if worker.healthy else 0.0,
                 worker=worker.label,
             )
-            if not worker.healthy:
+            # A down shard (status 0: no answer), one that dies
+            # mid-scrape, or one that answers an error is reported
+            # stale in a partial snapshot.
+            status, reply = await self._scrape(worker, "/metrics") or (0, {})
+            stale = status != 200
+            self.telemetry.gauge(
+                "repro_cluster_worker_stale", float(stale), worker=worker.label
+            )
+            if stale:
                 workers_out[worker.label] = {"healthy": False, "stale": True}
-                self.telemetry.gauge(
-                    "repro_cluster_worker_stale", 1.0, worker=worker.label
-                )
-                continue
-            try:
-                status, reply = await self._get_worker(worker, "/metrics")
-            except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError):
-                # The worker died between the health check above and
-                # the scrape (mid-scrape death): serve a partial
-                # snapshot with this shard marked stale instead of
-                # failing the whole scrape, and let the health loop
-                # respawn it.
-                worker.healthy = False
-                workers_out[worker.label] = {"healthy": False, "stale": True}
-                self.telemetry.gauge(
-                    "repro_cluster_worker_stale", 1.0, worker=worker.label
-                )
-                continue
-            if status != 200:
-                workers_out[worker.label] = {"healthy": False, "stale": True}
-                self.telemetry.gauge(
-                    "repro_cluster_worker_stale", 1.0, worker=worker.label
-                )
                 continue
             reply["healthy"] = True
             reply["stale"] = False
             reply["respawns"] = worker.respawns
             workers_out[worker.label] = reply
-            self.telemetry.gauge(
-                "repro_cluster_worker_stale", 0.0, worker=worker.label
-            )
             total_devices += reply.get("total_devices", 0)
             total_rejected += reply.get("total_rejected", 0)
             for label, entry in reply.get("artifacts", {}).items():
@@ -879,214 +858,6 @@ class ClusterService:
     async def metrics_prometheus(self) -> str:
         await self.metrics()  # refresh the per-worker gauges
         return prometheus_text(self.telemetry)
-
-    # -- HTTP router -------------------------------------------------------
-    async def _handle(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._handlers.add(task)
-        self._connections.add(writer)
-        #: shard index -> (worker generation, backend client).  Owned by
-        #: this front connection, so concurrent clients never serialize
-        #: on a shared backend socket.
-        backends: dict[int, tuple[int, HttpClient]] = {}
-        try:
-            while True:
-                try:
-                    request = await _read_request(reader)
-                except (ServiceError, ValueError) as exc:
-                    await _write_response(writer, 400, {"error": str(exc)}, False)
-                    break
-                if request is None:
-                    break
-                method, path, query, headers, body = request
-                self.n_http_requests += 1
-                request_id = headers.get("x-request-id") or "req-{}".format(
-                    self.n_http_requests
-                )
-                started = time.perf_counter()
-                with self.telemetry.span(
-                    "cluster.request",
-                    method=method,
-                    path=path,
-                    request_id=request_id,
-                ) as span:
-                    status, payload, extra = await self._route(
-                        method,
-                        path,
-                        headers,
-                        body,
-                        writer.get_extra_info("peername"),
-                        query,
-                        backends,
-                    )
-                    span.set(status=status)
-                keep_alive = headers.get("connection", "").lower() != "close"
-                hook = RESPONSE_FAULT_HOOK
-                fault = hook("cluster", path) if hook is not None else None
-                if fault is not None:
-                    ended = await apply_response_fault(writer, fault)
-                    if ended:
-                        break
-                await _write_response(
-                    writer,
-                    status,
-                    payload,
-                    keep_alive,
-                    extra_headers=(("X-Request-Id", request_id),) + tuple(extra),
-                )
-                self.telemetry.observe(
-                    "repro_cluster_request_seconds",
-                    time.perf_counter() - started,
-                    path=path,
-                )
-                self.telemetry.counter(
-                    "repro_cluster_requests_total",
-                    1,
-                    path=path,
-                    status=str(status),
-                )
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            for _, client in backends.values():
-                await client.close()
-            self._connections.discard(writer)
-            if task is not None:
-                self._handlers.discard(task)
-            writer.close()
-
-    def _backend(self, backends: dict, worker: WorkerHandle) -> HttpClient:
-        """This connection's keep-alive client to a shard (respawn-aware)."""
-        cached = backends.get(worker.index)
-        if cached is not None and cached[0] == worker.generation:
-            return cached[1]
-        client = HttpClient("127.0.0.1", worker.port)
-        backends[worker.index] = (worker.generation, client)
-        if cached is not None:
-            # Stale pre-respawn connection; close it in the background
-            # so the current request is not held up.
-            asyncio.ensure_future(cached[1].close())
-        return client
-
-    async def _route(
-        self, method, path, headers, body, peer, query, backends
-    ) -> tuple[int, object, tuple]:
-        try:
-            if (
-                path in ("/artifacts", "/artifacts/retire")
-                and method == "POST"
-                and not authorized_admin(self.admin_token, headers, peer)
-            ):
-                return (
-                    403,
-                    {
-                        "error": "control-plane calls from non-loopback "
-                        "peers require a valid X-Admin-Token header"
-                    },
-                    (),
-                )
-            if path == "/disposition" and method == "POST":
-                deadline = parse_deadline(headers)
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise DeadlineExceededError(
-                        "deadline budget expired at the router; re-issue "
-                        "with a fresh X-Repro-Deadline-Ms"
-                    )
-                request = _json_body(body)
-                device = _required(request, "device")
-                worker = self.worker_for(device)
-                if not worker.healthy:
-                    raise ClusterDegradedError(
-                        "shard {} for device {!r} is respawning; retry "
-                        "shortly".format(worker.label, device)
-                    )
-                proxy_headers = {
-                    "X-Request-Id": headers.get("x-request-id", "")
-                }
-                if deadline is not None:
-                    # Forward the *remaining* budget, so the worker and
-                    # its batcher see the clock the caller sees.
-                    remaining_ms = (deadline - time.monotonic()) * 1000.0
-                    if remaining_ms <= 0:
-                        raise DeadlineExceededError(
-                            "deadline budget expired at the router; "
-                            "re-issue with a fresh X-Repro-Deadline-Ms"
-                        )
-                    proxy_headers[DEADLINE_HEADER] = "{:.3f}".format(
-                        remaining_ms
-                    )
-                client = self._backend(backends, worker)
-                try:
-                    status, reply = await client.request(
-                        "POST",
-                        "/disposition",
-                        body,
-                        headers=proxy_headers,
-                    )
-                except (ConnectionError, asyncio.IncompleteReadError):
-                    # The worker died between health probes: surface the
-                    # respawn window, never reroute to another shard.
-                    worker.healthy = False
-                    raise ClusterDegradedError(
-                        "shard {} for device {!r} went down mid-request; "
-                        "retry shortly".format(worker.label, device)
-                    ) from None
-                served_by = client.last_headers.get("x-repro-worker", worker.label)
-                return status, reply, (("X-Repro-Worker", served_by),)
-            if path == "/artifacts" and method == "GET":
-                return 200, await self.artifacts(), ()
-            if path == "/artifacts" and method == "POST":
-                request = _json_body(body)
-                reply = await self.register_artifact(
-                    _required(request, "device"),
-                    _required(request, "version"),
-                    _required(request, "path"),
-                )
-                reply["n_workers"] = self.n_workers
-                return 201, reply, ()
-            if path == "/artifacts/retire" and method == "POST":
-                request = _json_body(body)
-                reply = await self.retire_artifact(
-                    _required(request, "device"), _required(request, "version")
-                )
-                reply["n_workers"] = self.n_workers
-                return 200, reply, ()
-            if path == "/health" and method == "GET":
-                return 200, self.health(), ()
-            if path == "/metrics" and method == "GET":
-                wire_format = _query_param(query, "format") or "json"
-                if wire_format == "prometheus":
-                    return 200, await self.metrics_prometheus(), ()
-                if wire_format != "json":
-                    raise ServiceError(
-                        "unknown metrics format {!r}; expected 'json' or "
-                        "'prometheus'".format(wire_format)
-                    )
-                return 200, await self.metrics(), ()
-            if path in (
-                "/disposition",
-                "/artifacts",
-                "/artifacts/retire",
-                "/health",
-                "/metrics",
-            ):
-                return 405, {"error": "method {} not allowed".format(method)}, ()
-            return 404, {"error": "unknown path {}".format(path)}, ()
-        except DeadlineExceededError as exc:
-            return 504, {"error": str(exc)}, ()
-        except JournalError as exc:
-            return 507, {"error": str(exc)}, ()
-        except ClusterDegradedError as exc:
-            return 503, {"error": str(exc)}, ()
-        except UnknownArtifactError as exc:
-            return 404, {"error": str(exc)}, ()
-        except (ReproError, ValueError) as exc:
-            return 400, {"error": str(exc)}, ()
-        except Exception as exc:  # pragma: no cover - defensive surface
-            return 500, {"error": "internal error: {}".format(exc)}, ()
 
     # -- fault injection (tests and benchmarks) ----------------------------
     def kill_worker(self, index: int) -> None:

@@ -1,17 +1,17 @@
-"""Asyncio HTTP/JSON front end for the multi-artifact test floor.
+"""Asyncio HTTP/JSON front end shared by both serving tiers.
 
-:class:`FloorService` binds an :class:`~repro.service.registry.
-ArtifactRegistry` full of deployed test programs to a socket and
-serves concurrent disposition traffic through per-artifact
-:class:`~repro.service.batcher.MicroBatcher` queues.  Pure stdlib: the
-HTTP layer is a minimal HTTP/1.1 implementation over
-``asyncio.start_server`` (keep-alive, ``Content-Length`` bodies), so
-the service runs anywhere the package does -- no web framework
-required (drop-in replacement with ``aiohttp`` is possible but not
-needed).
+:class:`HttpApp` is the one HTTP app of the package: listener,
+keep-alive connection loop, route table and error -> status map.  Its
+two data-plane backends are :class:`FloorService` (a local batcher:
+a registry of deployed test programs served through per-artifact
+:class:`~repro.service.batcher.MicroBatcher` queues) and
+:class:`~repro.service.cluster.ClusterService` (a remote shard: each
+request proxied to the worker process owning its device).  Pure
+stdlib: a minimal HTTP/1.1 over ``asyncio.start_server`` (keep-alive,
+``Content-Length`` bodies), no web framework required.
 
-Endpoints
----------
+Endpoints (both tiers)
+----------------------
 
 ``POST /disposition``
     ``{"device": ..., "version"?: ..., "measurements": [[...], ...]}``
@@ -34,7 +34,7 @@ Endpoints
 The two ``POST /artifacts*`` endpoints are the **control plane**: they
 make the server read files off its own disk and change which programs
 disposition production devices.  They are only honoured from loopback
-peers unless the service was constructed with an ``admin_token``, in
+peers unless the app was constructed with an ``admin_token``, in
 which case remote callers must present it in an ``X-Admin-Token``
 header (compared in constant time).  A non-loopback bind without a
 token keeps serving dispositions but refuses remote control-plane
@@ -46,13 +46,14 @@ calls with ``403``.
     bin histograms and the drift-monitor state (devices seen, active
     alarms).  ``?format=prometheus`` serves the same state as
     Prometheus text exposition v0.0.4 (drift gauges, request-latency
-    histograms) from the service's telemetry registry.  Snapshot
+    histograms) from the app's telemetry registry.  Snapshot
     assembly is cached and invalidated per flush / registry change, so
     a scrape never rebuilds per-artifact state inside the event loop.
 
 Every response carries an ``X-Request-Id`` header -- echoed from the
 request when the client sent one, generated otherwise -- and the same
-ID is attached to the request's telemetry span.
+ID is attached to the request's telemetry span and forwarded by the
+router to the worker, so the two tiers' spans join on it.
 
 Decisions served here are bit-identical to an offline
 :class:`~repro.floor.engine.TestFloor` pass over the same devices at
@@ -67,12 +68,14 @@ import ipaddress
 import json
 import os
 import time
+from abc import ABC, abstractmethod
 from collections import OrderedDict
 
 import numpy as np
 
 from repro import __version__
 from repro.errors import (
+    ClusterDegradedError,
     DeadlineExceededError,
     JournalError,
     ReproError,
@@ -104,16 +107,319 @@ MAX_HEADER_LINES = 100
 DEADLINE_HEADER = "x-repro-deadline-ms"
 
 #: Test-only fault hook (installed by :mod:`repro.chaos.inject`;
-#: ``None`` in production).  Consulted just before a ``/disposition``
-#: response is written: ``("delay", s)`` sleeps, ``("drop", _)``
-#: closes the connection unanswered, ``("reset", _)`` aborts the
-#: transport.  Post-decision only -- a retried request replays to a
+#: ``None`` in production).  Called as ``hook(tier, path)`` just before
+#: a response is written, at both tiers; for a ``/disposition``
+#: response it may answer ``("delay", s)`` (sleep), ``("drop", _)``
+#: (close the connection unanswered) or ``("reset", _)`` (abort the
+#: transport).  Post-decision only -- a retried request replays to a
 #: bit-identical decision because dispositions are pure.
 RESPONSE_FAULT_HOOK = None
 
+#: Every routed path; a known path with the wrong method is a 405.
+_PATHS = ("/disposition", "/artifacts", "/artifacts/retire", "/health", "/metrics")
+#: The control-plane paths (``POST`` only) behind the admin gate.
+_CONTROL_PATHS = ("/artifacts", "/artifacts/retire")
 
-class FloorService:
+
+class HttpApp(ABC):
+    """The HTTP front end of both serving tiers.
+
+    Owns the listener, the connection set, the keep-alive connection
+    loop and the route table with its error -> status map.  A backend
+    subclass sets :attr:`tier` and implements the hooks below: the
+    data plane (:meth:`_dispose`), the control plane
+    (:meth:`_register`, :meth:`_retire`) and the observability plane.
+
+    ``admin_token`` gates remote control-plane calls (see
+    :func:`authorized_admin`).  ``telemetry`` defaults to the process's
+    active registry when one is configured (``repro serve
+    --telemetry``), else a private always-on registry so the Prometheus
+    endpoint works out of the box.  ``labels`` are extra telemetry
+    labels on every request metric, ``headers`` extra ``(name, value)``
+    headers on every response.
+    """
+
+    #: ``"service"`` or ``"cluster"``: names the request span, the
+    #: request metrics and the fault-hook tier.
+    tier: str
+
+    def __init__(
+        self,
+        admin_token: str | None,
+        telemetry: Telemetry | None,
+        labels: dict | None = None,
+        headers: tuple = (),
+    ):
+        # An empty token (e.g. an unset shell variable reaching
+        # --admin-token) must fall back to loopback-only, never to
+        # token auth with an empty secret.
+        self.admin_token = admin_token or None
+        if telemetry is None:
+            active = get_telemetry()
+            telemetry = active if active.enabled else Telemetry()
+        self.telemetry = telemetry
+        self._labels = labels or {}
+        self._headers = headers
+        self._span_name = "{}.request".format(self.tier)
+        self._seconds_name = "repro_{}_request_seconds".format(self.tier)
+        self._total_name = "repro_{}_requests_total".format(self.tier)
+        self._server: asyncio.Server | None = None
+        self._connections: set[asyncio.StreamWriter] = set()
+        self._handlers: set[asyncio.Task] = set()
+        self._started_unix = time.time()
+        self.n_http_requests = 0
+
+    # -- lifecycle ---------------------------------------------------------
+    async def start(self, host: str = "127.0.0.1", port: int = 0) -> "HttpApp":
+        """Bind and start accepting connections (``port=0`` = ephemeral)."""
+        if self._server is not None:
+            raise ServiceError("{} is already started".format(self.tier))
+        self._server = await asyncio.start_server(self._handle, host, port)
+        self._started_unix = time.time()
+        return self
+
+    @property
+    def port(self) -> int:
+        """The bound TCP port (after :meth:`start`)."""
+        if self._server is None:
+            raise ServiceError("{} is not started".format(self.tier))
+        return self._server.sockets[0].getsockname()[1]
+
+    async def serve_forever(self) -> None:
+        if self._server is None:
+            raise ServiceError("{} is not started".format(self.tier))
+        async with self._server:
+            await self._server.serve_forever()
+
+    async def stop(self) -> None:
+        """Stop accepting and release the socket.
+
+        Open keep-alive connections are closed and their handler tasks
+        awaited, so no task is left to be cancelled at loop teardown.
+        """
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+            self._server = None
+        for writer in list(self._connections):
+            writer.close()
+        if self._handlers:
+            await asyncio.gather(*self._handlers, return_exceptions=True)
+
+    # -- backend hooks -----------------------------------------------------
+    @abstractmethod
+    async def _dispose(
+        self,
+        request: dict,
+        body: bytes,
+        headers: dict,
+        deadline: float | None,
+        conn: dict,
+    ) -> tuple[int, dict, tuple]:
+        """Serve one ``/disposition``: ``(status, reply, extra headers)``.
+
+        ``request`` is the decoded JSON body and ``body`` its raw
+        bytes.  ``conn`` is the connection's state: a dict whose values
+        have an async ``close()``, all awaited when the connection ends.
+        """
+
+    @abstractmethod
+    async def _register(self, device: str, version: str, path: str) -> dict:
+        """``POST /artifacts``: register or hot-swap; the 201 reply."""
+
+    @abstractmethod
+    async def _retire(self, device: str, version: str) -> dict:
+        """``POST /artifacts/retire``: the 200 reply."""
+
+    @abstractmethod
+    async def artifacts(self) -> dict:
+        """``GET /artifacts``: the registry listing."""
+
+    @abstractmethod
+    def health(self) -> dict:
+        """``GET /health``: liveness, uptime, request count."""
+
+    @abstractmethod
+    async def metrics(self) -> dict:
+        """``GET /metrics``: the JSON snapshot."""
+
+    @abstractmethod
+    async def metrics_prometheus(self) -> str:
+        """``GET /metrics?format=prometheus``: the text exposition."""
+
+    # -- HTTP plumbing -----------------------------------------------------
+    async def _handle(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        task = asyncio.current_task()
+        if task is not None:
+            self._handlers.add(task)
+        self._connections.add(writer)
+        conn: dict = {}
+        try:
+            while True:
+                try:
+                    request = await _read_request(reader)
+                except (ServiceError, ValueError) as exc:
+                    # ValueError covers stream-level refusals the
+                    # parser does not see itself, e.g. a header line
+                    # beyond the StreamReader limit.
+                    await _write_response(writer, 400, {"error": str(exc)}, False)
+                    break
+                if request is None:
+                    break
+                method, path, query, headers, body = request
+                self.n_http_requests += 1
+                request_id = headers.get("x-request-id") or "req-{}".format(
+                    self.n_http_requests
+                )
+                # Stored back, so a backend that forwards the request
+                # forwards the id echoed here.
+                headers["x-request-id"] = request_id
+                started = time.perf_counter()
+                with self.telemetry.span(
+                    self._span_name,
+                    method=method,
+                    path=path,
+                    request_id=request_id,
+                ) as span:
+                    status, payload, extra = await self._route(
+                        method,
+                        path,
+                        headers,
+                        body,
+                        writer.get_extra_info("peername"),
+                        query,
+                        conn,
+                    )
+                    span.set(status=status)
+                keep_alive = headers.get("connection", "").lower() != "close"
+                hook = RESPONSE_FAULT_HOOK
+                fault = hook(self.tier, path) if hook is not None else None
+                if fault is not None and await apply_response_fault(writer, fault):
+                    break
+                extra = (("X-Request-Id", request_id),) + self._headers + extra
+                await _write_response(
+                    writer, status, payload, keep_alive, extra_headers=extra
+                )
+                self.telemetry.observe(
+                    self._seconds_name,
+                    time.perf_counter() - started,
+                    path=path,
+                    **self._labels,
+                )
+                self.telemetry.counter(
+                    self._total_name,
+                    1,
+                    path=path,
+                    status=str(status),
+                    **self._labels,
+                )
+                if not keep_alive:
+                    break
+        except (ConnectionError, asyncio.IncompleteReadError):
+            pass
+        finally:
+            for resource in conn.values():
+                await resource.close()
+            self._connections.discard(writer)
+            if task is not None:
+                self._handlers.discard(task)
+            writer.close()
+
+    async def _route(
+        self,
+        method: str,
+        path: str,
+        headers: dict,
+        body: bytes,
+        peer=None,
+        query: str = "",
+        conn: dict | None = None,
+    ) -> tuple[int, object, tuple]:
+        """One request -> ``(status, payload, extra headers)``; never raises."""
+        try:
+            if (
+                path in _CONTROL_PATHS
+                and method == "POST"
+                and not authorized_admin(self.admin_token, headers, peer)
+            ):
+                return (
+                    403,
+                    {
+                        "error": "control-plane calls from non-loopback "
+                        "peers require a valid X-Admin-Token header"
+                    },
+                    (),
+                )
+            if path == "/disposition" and method == "POST":
+                deadline = parse_deadline(headers)
+                if deadline is not None and time.monotonic() >= deadline:
+                    raise DeadlineExceededError(
+                        "deadline budget expired at the {} router before "
+                        "floor work; re-issue with a fresh "
+                        "X-Repro-Deadline-Ms".format(self.tier)
+                    )
+                return await self._dispose(
+                    _json_body(body),
+                    body,
+                    headers,
+                    deadline,
+                    {} if conn is None else conn,
+                )
+            if path == "/artifacts" and method == "GET":
+                return 200, await self.artifacts(), ()
+            if path == "/artifacts" and method == "POST":
+                request = _json_body(body)
+                reply = await self._register(
+                    _required(request, "device"),
+                    _required(request, "version"),
+                    _required(request, "path"),
+                )
+                return 201, reply, ()
+            if path == "/artifacts/retire" and method == "POST":
+                request = _json_body(body)
+                reply = await self._retire(
+                    _required(request, "device"), _required(request, "version")
+                )
+                return 200, reply, ()
+            if path == "/health" and method == "GET":
+                return 200, self.health(), ()
+            if path == "/metrics" and method == "GET":
+                wire_format = _query_param(query, "format") or "json"
+                if wire_format == "prometheus":
+                    return 200, await self.metrics_prometheus(), ()
+                if wire_format != "json":
+                    raise ServiceError(
+                        "unknown metrics format {!r}; expected 'json' or "
+                        "'prometheus'".format(wire_format)
+                    )
+                return 200, await self.metrics(), ()
+            if path in _PATHS:
+                return 405, {"error": "method {} not allowed".format(method)}, ()
+            return 404, {"error": "unknown path {}".format(path)}, ()
+        except DeadlineExceededError as exc:
+            return 504, {"error": str(exc)}, ()
+        except JournalError as exc:
+            return 507, {"error": str(exc)}, ()
+        except ServiceOverloadError as exc:
+            return 429, {"error": str(exc)}, ()
+        except ClusterDegradedError as exc:
+            return 503, {"error": str(exc)}, ()
+        except UnknownArtifactError as exc:
+            return 404, {"error": str(exc)}, ()
+        except (ReproError, ValueError) as exc:
+            return 400, {"error": str(exc)}, ()
+        except OSError as exc:
+            return 400, {"error": "cannot load artifact: {}".format(exc)}, ()
+        except Exception as exc:  # pragma: no cover - defensive surface
+            return 500, {"error": "internal error: {}".format(exc)}, ()
+
+
+class FloorService(HttpApp):
     """Serve many test-program artifacts over HTTP/JSON.
+
+    The local-batcher backend of :class:`HttpApp` (tier ``"service"``).
 
     Parameters
     ----------
@@ -140,10 +446,8 @@ class FloorService:
         header, no extra label.
     telemetry:
         The :class:`~repro.telemetry.Telemetry` registry behind
-        ``/metrics?format=prometheus`` and the request spans.  Default:
-        the process's active registry when one is configured (``repro
-        serve --telemetry``), else a private always-on registry so the
-        Prometheus endpoint works out of the box.
+        ``/metrics?format=prometheus`` and the request spans (default
+        as in :class:`HttpApp`).
     state_dir:
         Directory for the control-plane write-ahead journal
         (``repro serve --state-dir``).  When set, register/retire
@@ -152,6 +456,8 @@ class FloorService:
         reconstructs the exact pre-crash registration state.  ``None``
         (the default) keeps the registry memory-only.
     """
+
+    tier = "service"
 
     def __init__(
         self,
@@ -168,16 +474,15 @@ class FloorService:
         check_retest_policy(retest_policy)
         self.registry = registry if registry is not None else ArtifactRegistry()
         self.retest_policy = retest_policy
-        # An empty token (e.g. an unset shell variable reaching
-        # --admin-token) must fall back to loopback-only, never to
-        # token auth with an empty secret.
-        self.admin_token = admin_token or None
         self.worker_label = worker_label or None
-        #: Extra telemetry labels on every service metric ({} when not
-        #: part of a cluster, so single-process series names are
-        #: unchanged).
-        self._worker_labels = (
-            {"worker": self.worker_label} if self.worker_label else {}
+        # Outside a cluster: no worker label and no header, so
+        # single-process series names are unchanged.
+        label = self.worker_label
+        super().__init__(
+            admin_token,
+            telemetry,
+            labels={"worker": label} if label else {},
+            headers=(("X-Repro-Worker", label),) if label else (),
         )
         self.max_batch_size = int(max_batch_size)
         self.max_latency = float(max_latency)
@@ -195,15 +500,6 @@ class FloorService:
         self._batchers: OrderedDict[tuple[str, str], tuple[int, MicroBatcher]] = (
             OrderedDict()
         )
-        self._server: asyncio.Server | None = None
-        self._connections: set[asyncio.StreamWriter] = set()
-        self._handlers: set[asyncio.Task] = set()
-        self._started_unix = time.time()
-        self.n_http_requests = 0
-        if telemetry is None:
-            active = get_telemetry()
-            telemetry = active if active.enabled else Telemetry()
-        self.telemetry = telemetry
         # Cached /metrics snapshot: (version it was built at, payload).
         # Flushes and registry changes bump _metrics_version; scrapes
         # rebuild only when the version moved, so snapshot assembly
@@ -236,44 +532,11 @@ class FloorService:
         if len(self.journal):
             self._invalidate_metrics()
 
-    # -- lifecycle ---------------------------------------------------------
-    async def start(self, host: str = "127.0.0.1", port: int = 0) -> "FloorService":
-        """Bind and start accepting connections (``port=0`` = ephemeral)."""
-        if self._server is not None:
-            raise ServiceError("service is already started")
-        self._server = await asyncio.start_server(self._handle, host, port)
-        self._started_unix = time.time()
-        return self
-
-    @property
-    def port(self) -> int:
-        """The bound TCP port (after :meth:`start`)."""
-        if self._server is None:
-            raise ServiceError("service is not started")
-        return self._server.sockets[0].getsockname()[1]
-
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            raise ServiceError("service is not started")
-        async with self._server:
-            await self._server.serve_forever()
-
     async def stop(self) -> None:
-        """Stop accepting, flush every queue, release the socket.
-
-        Open keep-alive connections are closed and their handler tasks
-        awaited, so no task is left to be cancelled at loop teardown.
-        """
+        """Flush every queue, then stop accepting and release the socket."""
         for _, batcher in self._batchers.values():
             batcher.close()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for writer in list(self._connections):
-            writer.close()
-        if self._handlers:
-            await asyncio.gather(*self._handlers, return_exceptions=True)
+        await super().stop()
 
     # -- the data plane ----------------------------------------------------
     def batcher(self, device: str, version: str | None = None) -> MicroBatcher:
@@ -343,6 +606,18 @@ class FloorService:
             reply["bin_counts"] = result["bin_counts"]
         return reply
 
+    async def _dispose(self, request, body, headers, deadline, conn):
+        measurements = request.get("measurements")
+        if measurements is None:
+            raise ServiceError("request must carry a 'measurements' array")
+        reply = await self.disposition(
+            _required(request, "device"),
+            np.asarray(measurements, dtype=float),
+            request.get("version"),
+            deadline=deadline,
+        )
+        return 200, reply, ()
+
     # -- control/observability planes --------------------------------------
     def register_artifact(self, device: str, version: str, path: str):
         """Register/hot-swap an artifact; journaled before it is acked.
@@ -394,6 +669,17 @@ class FloorService:
             cached[1].close()
         self._invalidate_metrics()
         return entry
+
+    async def _register(self, device, version, path):
+        entry = self.register_artifact(device, version, path)
+        return {"registered": entry.describe(resident=True)}
+
+    async def _retire(self, device, version):
+        entry = self.retire_artifact(device, version)
+        return {"retired": entry.describe(resident=False)}
+
+    async def artifacts(self) -> dict:
+        return {"artifacts": self.registry.describe()}
 
     def health(self) -> dict:
         return {
@@ -447,19 +733,19 @@ class FloorService:
                 "repro_service_queue_depth",
                 batcher.queue_depth,
                 artifact=label,
-                **self._worker_labels,
+                **self._labels,
             )
             self.telemetry.gauge(
                 "repro_service_devices_per_minute",
                 stats.devices_per_minute,
                 artifact=label,
-                **self._worker_labels,
+                **self._labels,
             )
             self.telemetry.gauge(
                 "repro_service_mean_batch_rows",
                 stats.mean_batch_rows,
                 artifact=label,
-                **self._worker_labels,
+                **self._labels,
             )
             artifacts[label] = entry
         snapshot = {
@@ -474,7 +760,7 @@ class FloorService:
         self._metrics_cache = (version, snapshot)
         return snapshot
 
-    def metrics(self) -> dict:
+    async def metrics(self) -> dict:
         """Per-artifact serving metrics plus drift-monitor state."""
         snapshot = self._metrics_snapshot()
         out = {
@@ -484,194 +770,17 @@ class FloorService:
         out.update(snapshot)
         return out
 
-    def metrics_prometheus(self) -> str:
+    async def metrics_prometheus(self) -> str:
         """The telemetry registry as Prometheus text exposition."""
         self._metrics_snapshot()  # refresh drift/serving gauges
         return prometheus_text(self.telemetry)
-
-    # -- HTTP plumbing -----------------------------------------------------
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._handlers.add(task)
-        self._connections.add(writer)
-        try:
-            while True:
-                try:
-                    request = await _read_request(reader)
-                except (ServiceError, ValueError) as exc:
-                    # ValueError covers stream-level refusals the
-                    # parser does not see itself, e.g. a header line
-                    # beyond the StreamReader limit.
-                    await _write_response(writer, 400, {"error": str(exc)}, False)
-                    break
-                if request is None:
-                    break
-                method, path, query, headers, body = request
-                self.n_http_requests += 1
-                request_id = headers.get("x-request-id") or "req-{}".format(
-                    self.n_http_requests
-                )
-                started = time.perf_counter()
-                with self.telemetry.span(
-                    "service.request",
-                    method=method,
-                    path=path,
-                    request_id=request_id,
-                ) as span:
-                    status, payload = await self._route(
-                        method,
-                        path,
-                        headers,
-                        body,
-                        writer.get_extra_info("peername"),
-                        query=query,
-                    )
-                    span.set(status=status)
-                keep_alive = headers.get("connection", "").lower() != "close"
-                hook = RESPONSE_FAULT_HOOK
-                fault = hook("service", path) if hook is not None else None
-                if fault is not None:
-                    done = await apply_response_fault(writer, fault)
-                    if done:
-                        break
-                extra = [("X-Request-Id", request_id)]
-                if self.worker_label is not None:
-                    extra.append(("X-Repro-Worker", self.worker_label))
-                await _write_response(
-                    writer,
-                    status,
-                    payload,
-                    keep_alive,
-                    extra_headers=tuple(extra),
-                )
-                self.telemetry.observe(
-                    "repro_service_request_seconds",
-                    time.perf_counter() - started,
-                    path=path,
-                    **self._worker_labels,
-                )
-                self.telemetry.counter(
-                    "repro_service_requests_total",
-                    1,
-                    path=path,
-                    status=str(status),
-                    **self._worker_labels,
-                )
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            self._connections.discard(writer)
-            if task is not None:
-                self._handlers.discard(task)
-            writer.close()
-
-    def _authorized_admin(self, headers: dict, peer) -> bool:
-        """Whether a request may touch the control plane."""
-        return authorized_admin(self.admin_token, headers, peer)
-
-    async def _route(
-        self,
-        method: str,
-        path: str,
-        headers: dict,
-        body: bytes,
-        peer=None,
-        query: str = "",
-    ):
-        try:
-            if (
-                path in ("/artifacts", "/artifacts/retire")
-                and method == "POST"
-                and not self._authorized_admin(headers, peer)
-            ):
-                return 403, {
-                    "error": "control-plane calls from non-loopback peers "
-                    "require a valid X-Admin-Token header"
-                }
-            if path == "/disposition" and method == "POST":
-                deadline = parse_deadline(headers)
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise DeadlineExceededError(
-                        "deadline budget expired before floor work; "
-                        "re-issue with a fresh X-Repro-Deadline-Ms"
-                    )
-                request = _json_body(body)
-                measurements = request.get("measurements")
-                if measurements is None:
-                    raise ServiceError("request must carry a 'measurements' array")
-                return 200, await self.disposition(
-                    _required(request, "device"),
-                    np.asarray(measurements, dtype=float),
-                    request.get("version"),
-                    deadline=deadline,
-                )
-            if path == "/artifacts" and method == "GET":
-                return 200, {"artifacts": self.registry.describe()}
-            if path == "/artifacts" and method == "POST":
-                request = _json_body(body)
-                entry = self.register_artifact(
-                    _required(request, "device"),
-                    _required(request, "version"),
-                    _required(request, "path"),
-                )
-                return 201, {"registered": entry.describe(resident=True)}
-            if path == "/artifacts/retire" and method == "POST":
-                request = _json_body(body)
-                entry = self.retire_artifact(
-                    _required(request, "device"),
-                    _required(request, "version"),
-                )
-                return 200, {"retired": entry.describe(resident=False)}
-            if path == "/health" and method == "GET":
-                return 200, self.health()
-            if path == "/metrics" and method == "GET":
-                wire_format = _query_param(query, "format") or "json"
-                if wire_format == "prometheus":
-                    return 200, self.metrics_prometheus()
-                if wire_format != "json":
-                    raise ServiceError(
-                        "unknown metrics format {!r}; expected 'json' "
-                        "or 'prometheus'".format(wire_format)
-                    )
-                return 200, self.metrics()
-            if path in (
-                "/disposition",
-                "/artifacts",
-                "/artifacts/retire",
-                "/health",
-                "/metrics",
-            ):
-                return 405, {"error": "method {} not allowed".format(method)}
-            return 404, {"error": "unknown path {}".format(path)}
-        except DeadlineExceededError as exc:
-            return 504, {"error": str(exc)}
-        except JournalError as exc:
-            return 507, {"error": str(exc)}
-        except ServiceOverloadError as exc:
-            return 429, {"error": str(exc)}
-        except UnknownArtifactError as exc:
-            return 404, {"error": str(exc)}
-        except (ReproError, ValueError) as exc:
-            return 400, {"error": str(exc)}
-        except OSError as exc:
-            return 400, {"error": "cannot load artifact: {}".format(exc)}
-        except Exception as exc:  # pragma: no cover - defensive surface
-            return 500, {"error": "internal error: {}".format(exc)}
 
 
 def authorized_admin(admin_token: str | None, headers: dict, peer) -> bool:
     """Whether a request may touch the control plane.
 
     With a configured token, any peer presenting it (constant-time
-    comparison) is in; without one, only loopback peers are.  Shared
-    by :class:`FloorService` and the cluster router -- the policy must
-    be identical at both tiers or a token would gate one door and not
-    the other.
+    comparison) is in; without one, only loopback peers are.
     """
     if admin_token is not None:
         presented = headers.get("x-admin-token", "")
@@ -729,8 +838,7 @@ async def apply_response_fault(writer: asyncio.StreamWriter, fault) -> bool:
 
     ``("delay", s)`` sleeps and lets the response proceed; ``("drop",
     _)`` closes the connection without answering; ``("reset", _)``
-    aborts the transport (RST on TCP).  Shared by the single-process
-    service and the cluster router so both tiers fail identically.
+    aborts the transport (RST on TCP).
     """
     kind, delay_s = fault
     if kind == "delay":

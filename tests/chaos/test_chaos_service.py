@@ -117,7 +117,7 @@ class TestJournalFaults:
                                         ("127.0.0.1", 1))
 
         with FaultInjector(plan, sites=("journal.append",)):
-            status, reply = asyncio.run(attempt())
+            status, reply, _ = asyncio.run(attempt())
         service.journal.close()
 
         # The un-durable register surfaced as a typed 507 and was

@@ -101,6 +101,10 @@ class TestFaultInjector:
         from repro.service import durability as durability_module
         from repro.service import server as server_module
 
+        # One response hook serves both tiers; the cluster module no
+        # longer carries its own.
+        assert not hasattr(cluster_module, "RESPONSE_FAULT_HOOK")
+
         sentinel = object()
         server_module.RESPONSE_FAULT_HOOK = sentinel
         try:
@@ -109,8 +113,6 @@ class TestFaultInjector:
                 # Bound methods compare equal (not identical) per
                 # attribute access.
                 assert (server_module.RESPONSE_FAULT_HOOK
-                        == injector._response_hook)
-                assert (cluster_module.RESPONSE_FAULT_HOOK
                         == injector._response_hook)
                 assert (durability_module.JOURNAL_FAULT_HOOK
                         == injector._journal_hook)
@@ -121,7 +123,6 @@ class TestFaultInjector:
             assert server_module.RESPONSE_FAULT_HOOK is sentinel
         finally:
             server_module.RESPONSE_FAULT_HOOK = None
-        assert cluster_module.RESPONSE_FAULT_HOOK is None
         assert durability_module.JOURNAL_FAULT_HOOK is None
         assert shard_module.SHARD_FAULT_HOOK is None
 

@@ -322,6 +322,132 @@ class TestMetricsStaleFanIn:
         assert snapshot["workers"]["w0"]["stale"] is False
 
 
+def _closed_port():
+    """A loopback port nothing listens on (connects are refused)."""
+    import socket
+
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+class TestArtifactsListingDeath:
+    """GET /artifacts must survive a worker dying between probes.
+
+    Regression: the listing fan-in propagated the dead worker's
+    connection error and answered 500.  Like /metrics, it now leaves
+    the worker out, judges consistency over the workers that answered
+    and flips the dead one unhealthy for the health loop to respawn.
+    """
+
+    def test_dead_worker_is_left_out_not_500(self):
+        from repro.service.server import _read_request, _write_response
+
+        listing = {"artifacts": [
+            {"device": "synthA", "version": "1", "retired": False}]}
+
+        async def live_worker(reader, writer):
+            try:
+                while await _read_request(reader) is not None:
+                    await _write_response(writer, 200, listing, True)
+            except (ConnectionError, asyncio.IncompleteReadError):
+                pass
+            finally:
+                writer.close()
+
+        async def main():
+            live = await asyncio.start_server(live_worker, "127.0.0.1", 0)
+            try:
+                cluster = _fake_cluster(2)
+                cluster._workers[0].port = live.sockets[0].getsockname()[1]
+                cluster._workers[1].port = _closed_port()
+                reply = await cluster._route(
+                    "GET", "/artifacts", {}, b"", ("127.0.0.1", 1), "", {})
+                return reply, cluster
+            finally:
+                live.close()
+                await live.wait_closed()
+
+        (status, reply, _), cluster = asyncio.run(
+            asyncio.wait_for(main(), 30))
+        assert status == 200, reply
+        assert reply["per_worker"] == {"w0": ["synthA@1"]}
+        assert reply["consistent"] is True
+        assert reply["artifacts"] == listing["artifacts"]
+        assert cluster._workers[1].healthy is False
+        assert cluster._workers[0].healthy is True
+
+
+class TestRequestIdForwarding:
+    """The router forwards the request id it echoes to the worker.
+
+    Regression: without a client ``X-Request-Id`` the router echoed
+    its generated ``req-N`` but forwarded an empty header, which the
+    backend client drops -- so the worker's ``service.request`` span
+    got an id of its own and the two tiers' traces could not be
+    joined.
+    """
+
+    def _through_router(self, headers):
+        """One /disposition through a router to a recording worker."""
+        from repro.service.server import _read_request, _write_response
+
+        seen = []
+
+        async def recording_worker(reader, writer):
+            try:
+                while True:
+                    request = await _read_request(reader)
+                    if request is None:
+                        return
+                    seen.append(request[3].get("x-request-id"))
+                    await _write_response(
+                        writer, 200, {"decisions": [1]}, True,
+                        extra_headers=(("X-Repro-Worker", "w0"),))
+            except (ConnectionError, asyncio.IncompleteReadError):
+                pass
+            finally:
+                writer.close()
+
+        async def main():
+            worker = await asyncio.start_server(
+                recording_worker, "127.0.0.1", 0)
+            cluster = ClusterService(n_workers=1, health_interval=3600.0)
+            port = worker.sockets[0].getsockname()[1]
+
+            async def adopt(handle):
+                handle.port, handle.healthy = port, True
+
+            cluster._spawn = adopt
+            await cluster.start("127.0.0.1", 0)
+            client = HttpClient("127.0.0.1", cluster.port)
+            try:
+                status, _ = await client.request(
+                    "POST", "/disposition",
+                    {"device": "synthA", "measurements": [[0.0] * 6]},
+                    headers=headers)
+                return status, client.last_headers.get("x-request-id")
+            finally:
+                await client.close()
+                await cluster.stop()
+                worker.close()
+                await worker.wait_closed()
+
+        status, echoed = asyncio.run(asyncio.wait_for(main(), 30))
+        assert status == 200
+        return echoed, seen
+
+    def test_generated_id_is_forwarded(self):
+        echoed, seen = self._through_router({})
+        assert echoed == "req-1"
+        assert seen == ["req-1"]
+
+    def test_client_id_is_forwarded(self):
+        echoed, seen = self._through_router({"X-Request-Id": "lot7-dev3"})
+        assert echoed == "lot7-dev3"
+        assert seen == ["lot7-dev3"]
+
+
 @pytest.mark.slow
 class TestSpawnRetryLive:
     """Worker startup faults are retried with a fresh spawn.

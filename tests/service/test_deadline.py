@@ -58,7 +58,8 @@ class TestServiceDeadline:
             return await service._route(
                 "POST", "/disposition", headers, body, ("127.0.0.1", 1))
 
-        return asyncio.run(main())
+        status, reply, _ = asyncio.run(main())
+        return status, reply
 
     def test_expired_deadline_is_504_before_floor_work(self, registry,
                                                        lookup_pair):
@@ -131,7 +132,7 @@ class TestClusterDeadline:
         cluster._workers = [WorkerHandle(index=i, port=1000 + i,
                                          healthy=True) for i in range(2)]
 
-        def fake_backend(backends, worker):  # pragma: no cover
+        def fake_backend(conn, worker):  # pragma: no cover
             raise AssertionError("an expired request must not be proxied")
 
         monkeypatch.setattr(cluster, "_backend", fake_backend)
@@ -160,7 +161,7 @@ class TestClusterDeadline:
                 return 200, {"decisions": [1]}
 
         monkeypatch.setattr(
-            cluster, "_backend", lambda backends, worker: FakeClient())
+            cluster, "_backend", lambda conn, worker: FakeClient())
         body = json.dumps({"device": "synthA",
                            "measurements": [[0.0] * 6]}).encode()
 

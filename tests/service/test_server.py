@@ -171,7 +171,8 @@ class TestControlPlaneAuth:
             body = b'{"device": "synthA", "version": "1"}'
             return await service._route("POST", path, headers, body, peer)
 
-        return asyncio.run(main())
+        status, reply, _ = asyncio.run(main())
+        return status, reply
 
     def test_remote_post_without_token_is_403(self, registry):
         status, reply = self._route(registry, {}, self._REMOTE)
@@ -234,7 +235,7 @@ class TestControlPlaneAuth:
             return await service._route(
                 "POST", "/disposition", {}, body, self._REMOTE)
 
-        status, _ = asyncio.run(main())
+        status, _, _ = asyncio.run(main())
         assert status == 200
 
 
