@@ -353,7 +353,7 @@ class DriftMonitor:
         }
         return state
 
-    def export_gauges(self, telemetry):
+    def export_gauges(self, telemetry, **labels):
         """Publish the chart state as gauges on ``telemetry``.
 
         Gauge names follow the ``repro_floor_drift_*`` family, so a
@@ -362,43 +362,46 @@ class DriftMonitor:
         export are counted into
         ``repro_floor_drift_raised_total`` /
         ``repro_floor_drift_cleared_total``; the per-chart alarm flags
-        themselves are 0/1 gauges.  Returns the exported chart state.
+        themselves are 0/1 gauges.  ``labels`` go on every series, so
+        one registry can hold several monitors (the service: one per
+        artifact).  Returns the exported chart state.
         """
         state = self.chart_state()
         telemetry.gauge("repro_floor_drift_window_devices",
-                        state["window_devices"])
+                        state["window_devices"], **labels)
         telemetry.gauge("repro_floor_drift_devices_seen",
-                        state["devices_seen"])
+                        state["devices_seen"], **labels)
         alarmed = {alarm.subject for alarm in state["alarms"]}
         for name, chart in state["specs"].items():
             telemetry.gauge("repro_floor_drift_spec_mean",
-                            chart["mean"], spec=name)
+                            chart["mean"], spec=name, **labels)
             telemetry.gauge("repro_floor_drift_spec_z",
-                            chart["z"], spec=name)
+                            chart["z"], spec=name, **labels)
             telemetry.gauge("repro_floor_drift_spec_alarm",
-                            1.0 if name in alarmed else 0.0, spec=name)
+                            1.0 if name in alarmed else 0.0, spec=name,
+                            **labels)
         if state["guard"] is not None:
             telemetry.gauge("repro_floor_drift_guard_rate",
-                            state["guard"]["rate"])
+                            state["guard"]["rate"], **labels)
             telemetry.gauge("repro_floor_drift_guard_z",
-                            state["guard"]["z"])
+                            state["guard"]["z"], **labels)
             telemetry.gauge(
                 "repro_floor_drift_guard_alarm",
-                1.0 if "guard-band rate" in alarmed else 0.0)
+                1.0 if "guard-band rate" in alarmed else 0.0, **labels)
         for name, rate in state["bins"].items():
             telemetry.gauge("repro_floor_drift_bin_rate", rate,
-                            bin=name)
+                            bin=name, **labels)
         telemetry.gauge("repro_floor_drift_alarms",
-                        len(state["alarms"]))
+                        len(state["alarms"]), **labels)
         previous = getattr(self, "_exported_alarms", set())
         raised = alarmed - previous
         cleared = previous - alarmed
         if raised:
             telemetry.counter("repro_floor_drift_raised_total",
-                              len(raised))
+                              len(raised), **labels)
         if cleared:
             telemetry.counter("repro_floor_drift_cleared_total",
-                              len(cleared))
+                              len(cleared), **labels)
         self._exported_alarms = alarmed
         return state
 

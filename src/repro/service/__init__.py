@@ -16,12 +16,16 @@ backpressure.
     :class:`MicroBatcher` -- coalesces concurrent small requests into
     vectorized floor batches (size + latency flush triggers, bounded
     queue with 429-style rejection); decisions stay bit-identical to
-    direct :class:`TestFloor` runs at any coalescing pattern.
+    direct :class:`TestFloor` runs at any coalescing pattern.  A pure
+    queue: it reports every queue event through its ``on_flush`` hook
+    and keeps no counters.
 ``repro.service.server``
     :class:`HttpApp` -- the one stdlib-asyncio HTTP/JSON app of both
     tiers (connection loop, route table, error map): ``/disposition``,
     ``/artifacts`` (+ register/retire), ``/health``, ``/metrics``.
-    :class:`FloorService` is its local-batcher backend.
+    :class:`FloorService` is its local-batcher backend; it records the
+    batchers' events in its telemetry registry, the one serving ledger
+    that both the JSON and the Prometheus ``/metrics`` read.
 ``repro.service.loadgen``
     :class:`TrafficPlan` / :func:`run_load` -- deterministic seed-tree
     load generator that replays mixed multi-device traffic and
@@ -49,7 +53,6 @@ crash-safe) and ``repro loadgen`` (drive + verify a running service).
 """
 
 from repro.service.batcher import (
-    BatcherStats,
     DEFAULT_MAX_BATCH_SIZE,
     DEFAULT_MAX_LATENCY,
     DEFAULT_MAX_PENDING,
@@ -77,7 +80,6 @@ from repro.service.server import FloorService, HttpApp
 
 __all__ = [
     "ArtifactRegistry",
-    "BatcherStats",
     "ClusterService",
     "DEFAULT_MAX_BATCH_SIZE",
     "DEFAULT_MAX_LATENCY",

@@ -25,6 +25,12 @@ rows; a request that would overflow it is rejected immediately with
 end) instead of growing an unbounded buffer.  The caller owns the
 retry policy.
 
+The batcher is a pure queue: it keeps no counters.  Every queue event
+-- a request queued, rejected or expired, a batch flushed -- is
+reported through the ``on_flush`` hook, and the service records those
+events into its telemetry registry, the one ledger that both the JSON
+and the Prometheus ``/metrics`` views read.
+
 Single-threaded by design: everything runs on the asyncio event loop,
 so queue state needs no locking and flush order is deterministic.
 """
@@ -48,7 +54,6 @@ from repro.floor.engine import (
     disposition_counts,
 )
 from repro.rules.binning import bin_histogram
-from repro.telemetry import get_telemetry
 
 #: Default rows per coalesced floor batch.
 DEFAULT_MAX_BATCH_SIZE = 512
@@ -56,48 +61,6 @@ DEFAULT_MAX_BATCH_SIZE = 512
 DEFAULT_MAX_LATENCY = 0.005
 #: Default bound on queued rows before requests are rejected.
 DEFAULT_MAX_PENDING = 65_536
-
-
-@dataclass
-class BatcherStats:
-    """Running counters for one batcher (the ``/metrics`` endpoint)."""
-
-    n_requests: int = 0
-    n_rejected: int = 0
-    n_deadline_expired: int = 0
-    n_devices: int = 0
-    n_batches: int = 0
-    n_size_flushes: int = 0
-    n_latency_flushes: int = 0
-    n_shipped: int = 0
-    n_scrapped: int = 0
-    n_guard: int = 0
-    n_retested: int = 0
-    n_bin_retested: int = 0
-    total_cost: float = 0.0
-    busy_seconds: float = 0.0
-    queue_wait_seconds: float = 0.0
-    bin_counts: dict = field(default_factory=dict)
-
-    @property
-    def devices_per_minute(self) -> float:
-        """Disposition throughput over floor busy time (not idle time)."""
-        if self.busy_seconds <= 0:
-            return 0.0
-        return self.n_devices * 60.0 / self.busy_seconds
-
-    @property
-    def mean_batch_rows(self) -> float:
-        """Realized coalescing (rows per flushed batch)."""
-        if self.n_batches == 0:
-            return 0.0
-        return self.n_devices / self.n_batches
-
-    def describe(self) -> dict:
-        out = {f: getattr(self, f) for f in self.__dataclass_fields__}
-        out["devices_per_minute"] = self.devices_per_minute
-        out["mean_batch_rows"] = self.mean_batch_rows
-        return out
 
 
 @dataclass
@@ -126,9 +89,17 @@ class MicroBatcher:
         Queued-row bound; beyond it requests are rejected with
         :class:`~repro.errors.ServiceOverloadError`.
     on_flush:
-        Optional zero-argument callback invoked after every completed
-        flush (the service uses it to invalidate its cached metrics
-        snapshot off the scrape path).
+        Optional callback told of every queue event, as
+        ``on_flush(event, outcome=None, floor_seconds=0.0,
+        queue_waits=())``.  For one request ``event`` is ``"queued"``,
+        ``"rejected"`` (queue full, HTTP 429) or ``"expired"`` (deadline
+        passed before or while queued).  For a flushed batch it is the
+        flush reason (``"size"``, ``"latency"`` or ``"explicit"``) with
+        the batch's :class:`~repro.floor.engine.BatchDisposition`, the
+        seconds :meth:`~repro.floor.engine.TestFloor.dispose` took and
+        each coalesced request's queue wait; ``outcome`` is ``None``
+        when ``dispose`` raised.  The service records these events as
+        its serving counts.
     """
 
     def __init__(
@@ -154,8 +125,7 @@ class MicroBatcher:
         self.max_batch_size = int(max_batch_size)
         self.max_latency = float(max_latency)
         self.max_pending = int(max_pending)
-        self.stats = BatcherStats()
-        self.on_flush = on_flush
+        self.on_flush = _ignore if on_flush is None else on_flush
         self._queue: list[_PendingRequest] = []
         self._pending_rows = 0
         self._flush_handle: asyncio.TimerHandle | None = None
@@ -173,9 +143,9 @@ class MicroBatcher:
 
         ``rows`` is one device row or a 2-D chunk.  The coroutine
         completes when the batch containing the request has been
-        dispositioned; the result dict carries the request's own
-        ``decisions`` plus its counts and the rows-per-batch it was
-        coalesced into.
+        dispositioned; the JSON-ready result dict carries the
+        request's own ``decisions`` and ``bins`` plus its counts and the
+        rows-per-batch it was coalesced into.
 
         ``deadline`` is an absolute ``time.monotonic()`` instant: a
         request whose deadline has already passed -- or passes while
@@ -186,7 +156,7 @@ class MicroBatcher:
         if self._closed:
             raise ServiceError("batcher is closed")
         if deadline is not None and time.monotonic() >= deadline:
-            self.stats.n_deadline_expired += 1
+            self.on_flush("expired")
             raise DeadlineExceededError(
                 "deadline budget expired before the request could be queued"
             )
@@ -217,23 +187,20 @@ class MicroBatcher:
                 "chunks".format(rows.shape[0], self.max_pending)
             )
         if self._pending_rows + rows.shape[0] > self.max_pending:
-            self.stats.n_rejected += 1
-            get_telemetry().counter("repro_service_rejected_total", 1)
-            if self.on_flush is not None:
-                self.on_flush()
+            self.on_flush("rejected")
             raise ServiceOverloadError(
                 "disposition queue is full ({} rows pending, bound {}); "
                 "retry after the queue drains".format(
                     self._pending_rows, self.max_pending
                 )
             )
-        self.stats.n_requests += 1
         loop = asyncio.get_running_loop()
         request = _PendingRequest(
             rows=rows, future=loop.create_future(), deadline=deadline
         )
         self._queue.append(request)
         self._pending_rows += rows.shape[0]
+        self.on_flush("queued")
         if self._pending_rows >= self.max_batch_size:
             self._flush("size")
         elif self._flush_handle is None:
@@ -268,7 +235,7 @@ class MicroBatcher:
         live: list[_PendingRequest] = []
         for request in batch_requests:
             if request.deadline is not None and now >= request.deadline:
-                self.stats.n_deadline_expired += 1
+                self.on_flush("expired")
                 if not request.future.cancelled():
                     request.future.set_exception(
                         DeadlineExceededError(
@@ -283,8 +250,6 @@ class MicroBatcher:
                 live.append(request)
         batch_requests = live
         if not batch_requests:
-            if self.on_flush is not None:
-                self.on_flush()
             return
         parts = [request.rows for request in batch_requests]
         started = time.perf_counter()
@@ -295,57 +260,20 @@ class MicroBatcher:
             for request in batch_requests:
                 if not request.future.cancelled():
                     request.future.set_exception(exc)
-            if self.on_flush is not None:
-                self.on_flush()
+            self.on_flush(reason)
             return
-        finished = time.perf_counter()
-        queue_wait = sum(started - request.enqueued
-                         for request in batch_requests)
-        self.stats.queue_wait_seconds += queue_wait
-        self.stats.busy_seconds += finished - started
-        self.stats.n_batches += 1
-        self.stats.n_devices += outcome.n_devices
-        if reason == "size":
-            self.stats.n_size_flushes += 1
-        elif reason == "latency":
-            self.stats.n_latency_flushes += 1
-        self.stats.n_retested += int(outcome.n_retested)
-        self.stats.n_bin_retested += outcome.n_bin_retested
-        self.stats.total_cost += outcome.cost
-        # The stats add up the replies' counts and bin histograms: both
-        # are per-device sums over the slices that partition the batch.
-        replies = []
+        self.on_flush(
+            reason,
+            outcome,
+            time.perf_counter() - started,
+            [started - request.enqueued for request in batch_requests],
+        )
         offset = 0
         for request in batch_requests:
             stop = offset + request.rows.shape[0]
-            reply = _slice_result(outcome, offset, stop, reason)
-            replies.append(reply)
-            counts = reply["counts"]
-            self.stats.n_shipped += counts["n_shipped"]
-            self.stats.n_scrapped += counts["n_scrapped"]
-            self.stats.n_guard += counts["n_guard"]
-            for name, value in reply.get("bin_counts", {}).items():
-                self.stats.bin_counts[name] = (
-                    self.stats.bin_counts.get(name, 0) + value
-                )
-            offset = stop
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.counter("repro_service_flushes_total", 1, reason=reason)
-            tel.counter("repro_service_coalesced_requests_total",
-                        len(batch_requests))
-            tel.observe("repro_service_floor_seconds",
-                        finished - started)
-            for request in batch_requests:
-                tel.observe("repro_service_queue_wait_seconds",
-                            started - request.enqueued)
-            tel.gauge("repro_service_batch_rows", outcome.n_devices)
-        if self.on_flush is not None:
-            self.on_flush()
-
-        for request, reply in zip(batch_requests, replies):
             if not request.future.cancelled():
-                request.future.set_result(reply)
+                request.future.set_result(_slice_result(outcome, offset, stop, reason))
+            offset = stop
 
     def __repr__(self) -> str:
         return (
@@ -359,13 +287,17 @@ class MicroBatcher:
         )
 
 
+def _ignore(event, outcome=None, floor_seconds=0.0, queue_waits=()):
+    """The default ``on_flush``: nobody is counting."""
+
+
 def _slice_result(
     outcome: BatchDisposition, start: int, stop: int, reason: str
 ) -> dict:
-    """One request's view of the combined batch outcome."""
+    """One request's JSON-ready view of the combined batch outcome."""
     decisions = outcome.decisions[start:stop]
     result = {
-        "decisions": decisions,
+        "decisions": [int(d) for d in decisions],
         "counts": disposition_counts(
             decisions,
             outcome.first_pass[start:stop],
@@ -374,11 +306,11 @@ def _slice_result(
         "batch_rows": int(outcome.n_devices),
         "flush_reason": reason,
     }
-    # Additive bin view -- the legacy keys above are the binary-parity
-    # surface and never change shape or meaning.
+    # Additive bin view (tolerance-profile disposition): per-device bin
+    # names plus the request's histogram.  The legacy keys above are
+    # the binary-parity surface and never change shape or meaning.
     if outcome.bins is not None:
         bins = outcome.bins[start:stop]
-        result["bins"] = bins
-        result["bin_names"] = outcome.bin_names
+        result["bins"] = [outcome.bin_names[b] for b in bins]
         result["bin_counts"] = bin_histogram(bins, outcome.bin_names)
     return result

@@ -114,8 +114,11 @@ def _worker_main(index, conn, manifest, host, service_kwargs):
     Builds a registry from the manifest snapshot, starts a
     :class:`FloorService` on an ephemeral loopback port, reports
     ``("ok", port)`` (or ``("error", message)``) through the pipe, then
-    serves until killed.  Priming happens *before* the port is
-    reported, so the router never routes to a half-primed worker.
+    serves until killed or until its supervisor exits.  Priming happens
+    *before* the port is reported, so the router never routes to a
+    half-primed worker.  The parent's sentinel becomes readable when
+    the supervisor dies by any signal, SIGKILL included, so a worker
+    never outlives it holding its port.
     """
     import asyncio
 
@@ -123,6 +126,15 @@ def _worker_main(index, conn, manifest, host, service_kwargs):
     from repro.service.server import FloorService
 
     async def main():
+        loop = asyncio.get_running_loop()
+        sentinel = multiprocessing.parent_process().sentinel
+        serving = asyncio.current_task()
+
+        def orphaned():
+            loop.remove_reader(sentinel)
+            serving.cancel()
+
+        loop.add_reader(sentinel, orphaned)
         try:
             # Deterministic startup faults (tests only; the env var is
             # never set in production).  Imported lazily so the chaos
@@ -834,18 +846,13 @@ class ClusterService(HttpApp):
             total_devices += reply.get("total_devices", 0)
             total_rejected += reply.get("total_rejected", 0)
             for label, entry in reply.get("artifacts", {}).items():
-                self.telemetry.gauge(
-                    "repro_service_devices_per_minute",
-                    entry.get("devices_per_minute", 0.0),
-                    artifact=label,
-                    worker=worker.label,
-                )
-                self.telemetry.gauge(
-                    "repro_service_queue_depth",
-                    entry.get("queue_depth", 0),
-                    artifact=label,
-                    worker=worker.label,
-                )
+                for name in ("devices_per_minute", "queue_depth"):
+                    self.telemetry.gauge(
+                        "repro_service_" + name,
+                        entry.get(name, 0),
+                        artifact=label,
+                        worker=worker.label,
+                    )
         return {
             "uptime_seconds": time.time() - self._started_unix,
             "n_http_requests": self.n_http_requests,

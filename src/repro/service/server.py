@@ -45,10 +45,13 @@ calls with ``403``.
     Per-artifact throughput, realized coalescing, queue depth, served
     bin histograms and the drift-monitor state (devices seen, active
     alarms).  ``?format=prometheus`` serves the same state as
-    Prometheus text exposition v0.0.4 (drift gauges, request-latency
-    histograms) from the app's telemetry registry.  Snapshot
-    assembly is cached and invalidated per flush / registry change, so
-    a scrape never rebuilds per-artifact state inside the event loop.
+    Prometheus text exposition v0.0.4.  Both views read one ledger,
+    the app's telemetry registry: every serving count is a
+    ``repro_service_*`` series labelled ``artifact=device@version``
+    (plus ``worker`` in a cluster), counted over the label's lifetime
+    in this process.  Snapshot assembly is cached and invalidated per
+    batcher event / registry change, so a scrape never rebuilds
+    per-artifact state inside the event loop.
 
 Every response carries an ``X-Request-Id`` header -- echoed from the
 request when the client sent one, generated otherwise -- and the same
@@ -63,6 +66,7 @@ any coalescing pattern (`repro loadgen` asserts it end to end).
 from __future__ import annotations
 
 import asyncio
+import functools
 import hmac
 import ipaddress
 import json
@@ -119,6 +123,23 @@ RESPONSE_FAULT_HOOK = None
 _PATHS = ("/disposition", "/artifacts", "/artifacts/retire", "/health", "/metrics")
 #: The control-plane paths (``POST`` only) behind the admin gate.
 _CONTROL_PATHS = ("/artifacts", "/artifacts/retire")
+
+#: Batcher request event -> (its JSON ``/metrics`` count, its counter).
+_EVENT_COUNTERS = {
+    "queued": ("n_requests", "repro_service_queued_requests_total"),
+    "rejected": ("n_rejected", "repro_service_rejected_total"),
+    "expired": ("n_deadline_expired", "repro_service_deadline_expired_total"),
+}
+#: JSON ``/metrics`` count of flushed batches -> its counter.
+_FLUSH_COUNTERS = {
+    "n_devices": "repro_service_devices_total",
+    "n_shipped": "repro_service_shipped_total",
+    "n_scrapped": "repro_service_scrapped_total",
+    "n_guard": "repro_service_guard_total",
+    "n_retested": "repro_service_retested_total",
+    "n_bin_retested": "repro_service_bin_retested_total",
+    "total_cost": "repro_service_cost_total",
+}
 
 
 class HttpApp(ABC):
@@ -445,9 +466,9 @@ class FloorService(HttpApp):
         ``None`` (the default) is the single-process deployment: no
         header, no extra label.
     telemetry:
-        The :class:`~repro.telemetry.Telemetry` registry behind
-        ``/metrics?format=prometheus`` and the request spans (default
-        as in :class:`HttpApp`).
+        The :class:`~repro.telemetry.Telemetry` registry holding the
+        serving counts behind both ``/metrics`` formats, and the
+        request spans (default as in :class:`HttpApp`).
     state_dir:
         Directory for the control-plane write-ahead journal
         (``repro serve --state-dir``).  When set, register/retire
@@ -491,12 +512,13 @@ class FloorService(HttpApp):
         #: Keyed off the registry *sequence*, not artifact object
         #: identity: the registry LRU may reload a file-backed
         #: artifact at any time without that being a hot-swap, and an
-        #: active batcher must keep its floor (stats, drift-monitor
-        #: window) across such reloads.  The batcher set itself is
+        #: active batcher must keep its floor (drift-monitor window)
+        #: across such reloads.  The batcher set itself is
         #: LRU-bounded by the registry's ``max_resident`` so the
         #: registry bound is a real memory bound: serving the
-        #: coldest key's floor is dropped (flushed first; its stats
-        #: and drift window restart if the key warms up again).
+        #: coldest key's floor is dropped (flushed first; its drift
+        #: window restarts if the key warms up again, its counts in
+        #: the telemetry registry do not).
         self._batchers: OrderedDict[tuple[str, str], tuple[int, MicroBatcher]] = (
             OrderedDict()
         )
@@ -564,7 +586,7 @@ class FloorService(HttpApp):
             max_batch_size=self.max_batch_size,
             max_latency=self.max_latency,
             max_pending=self.max_pending,
-            on_flush=self._invalidate_metrics,
+            on_flush=functools.partial(self._record, self._artifact_labels(key)),
         )
         self._batchers[key] = (sequence, batcher)
         while len(self._batchers) > self.registry.max_resident:
@@ -589,22 +611,7 @@ class FloorService(HttpApp):
         """
         key = self.registry.resolve(device, version)
         result = await self.batcher(*key).submit(measurements, deadline=deadline)
-        reply = {
-            "device": key[0],
-            "version": key[1],
-            "decisions": [int(d) for d in result["decisions"]],
-            "counts": result["counts"],
-            "batch_rows": result["batch_rows"],
-            "flush_reason": result["flush_reason"],
-        }
-        # Additive bin view (tolerance-profile disposition): per-device
-        # bin names plus the request's histogram.  The legacy keys
-        # above are the binary-parity surface and never change.
-        if result.get("bins") is not None:
-            names = result["bin_names"]
-            reply["bins"] = [names[b] for b in result["bins"]]
-            reply["bin_counts"] = result["bin_counts"]
-        return reply
+        return {"device": key[0], "version": key[1], **result}
 
     async def _dispose(self, request, body, headers, deadline, conn):
         measurements = request.get("measurements")
@@ -694,17 +701,71 @@ class FloorService(HttpApp):
         """Mark the cached metrics snapshot stale (cheap; no rebuild)."""
         self._metrics_version += 1
 
+    def _artifact_labels(self, key: tuple[str, str]) -> dict:
+        """Telemetry labels of one artifact's series."""
+        return dict(self._labels, artifact="{}@{}".format(*key))
+
+    def _record(self, labels, event, outcome=None, floor_seconds=0.0, queue_waits=()):
+        """Record one batcher event (its ``on_flush``) in the registry.
+
+        The registry is the only record of serving counts; a flush is
+        recorded once, from the whole batch's counts.
+        """
+        tel = self.telemetry
+        if event in _EVENT_COUNTERS:
+            tel.counter(_EVENT_COUNTERS[event][1], 1, **labels)
+        elif outcome is not None:
+            counts = outcome.counts()
+            counts["n_bin_retested"] = outcome.n_bin_retested
+            counts["total_cost"] = outcome.cost
+            for field, name in _FLUSH_COUNTERS.items():
+                tel.counter(name, counts[field], **labels)
+            tel.counter("repro_service_flushes_total", 1, reason=event, **labels)
+            tel.observe("repro_service_floor_seconds", floor_seconds, **labels)
+            for wait in queue_waits:
+                tel.observe("repro_service_queue_wait_seconds", wait, **labels)
+            for name, n in outcome.bin_counts().items():
+                tel.counter("repro_service_bin_devices_total", n, bin=name, **labels)
+        self._invalidate_metrics()
+
+    def _ledger(self, labels: dict) -> dict:
+        """One artifact's JSON ``/metrics`` counts, read from the registry."""
+        series = self.telemetry.series
+
+        def total(name, field=None, **extra):
+            return sum(
+                value if field is None else value[field]
+                for _, value in series(name, **labels, **extra)
+            )
+
+        entry = {field: total(name) for field, name in _EVENT_COUNTERS.values()}
+        entry.update((field, total(name)) for field, name in _FLUSH_COUNTERS.items())
+        floor, bins = "repro_service_floor_seconds", "repro_service_bin_devices_total"
+        n_devices = entry["n_devices"]
+        n_batches = entry["n_batches"] = total(floor, "count")
+        busy = entry["busy_seconds"] = float(total(floor, "sum"))
+        entry.update(
+            n_size_flushes=total("repro_service_flushes_total", reason="size"),
+            n_latency_flushes=total("repro_service_flushes_total", reason="latency"),
+            total_cost=float(entry["total_cost"]),
+            queue_wait_seconds=float(total("repro_service_queue_wait_seconds", "sum")),
+            bin_counts={key["bin"]: n for key, n in series(bins, **labels)},
+            devices_per_minute=n_devices * 60.0 / busy if busy > 0 else 0.0,
+            mean_batch_rows=n_devices / n_batches if n_batches else 0.0,
+        )
+        return entry
+
     def _metrics_snapshot(self) -> dict:
         """The per-artifact metrics state, rebuilt only when stale.
 
-        Assembly walks every batcher, evaluates the drift charts and
-        refreshes the telemetry gauges -- work that used to run on
-        every scrape inside the event loop.  It now runs at most once
-        per flush/registry change: a scrape at an unchanged version
-        returns the cached snapshot untouched.  Because flushes and
-        registry mutations are synchronous with respect to the loop,
-        the snapshot is always built from a settled batcher set --
-        a scrape can never observe a half-swapped registration.
+        Assembly reads every artifact's counts back from the registry,
+        evaluates the drift charts and refreshes the telemetry gauges
+        -- work that runs at most once per batcher event or registry
+        change: a scrape at an unchanged version returns the cached
+        snapshot untouched.  Because batcher events and registry
+        mutations are synchronous with respect to the loop, the
+        snapshot is always built from a settled batcher set -- a
+        scrape can never observe a half-swapped registration.
         """
         cache = self._metrics_cache
         if cache is not None and cache[0] == self._metrics_version:
@@ -712,15 +773,14 @@ class FloorService(HttpApp):
         version = self._metrics_version
         artifacts = {}
         for key, (_, batcher) in self._batchers.items():
-            monitor = batcher.floor.monitor
-            entry = batcher.stats.describe()
+            labels = self._artifact_labels(key)
+            entry = self._ledger(labels)
             entry["queue_depth"] = batcher.queue_depth
             entry["max_pending"] = batcher.max_pending
             entry["retired"] = self.registry.entry(*key).retired
-            label = "{}@{}".format(*key)
+            monitor = batcher.floor.monitor
             if monitor is not None:
-                state = monitor.export_gauges(self.telemetry)
-                alarms = state["alarms"]
+                alarms = monitor.export_gauges(self.telemetry, **labels)["alarms"]
                 entry["drift"] = {
                     "devices_seen": monitor.n_seen,
                     "n_alarms": len(alarms),
@@ -728,33 +788,12 @@ class FloorService(HttpApp):
                 }
             else:
                 entry["drift"] = None
-            stats = batcher.stats
-            self.telemetry.gauge(
-                "repro_service_queue_depth",
-                batcher.queue_depth,
-                artifact=label,
-                **self._labels,
-            )
-            self.telemetry.gauge(
-                "repro_service_devices_per_minute",
-                stats.devices_per_minute,
-                artifact=label,
-                **self._labels,
-            )
-            self.telemetry.gauge(
-                "repro_service_mean_batch_rows",
-                stats.mean_batch_rows,
-                artifact=label,
-                **self._labels,
-            )
-            artifacts[label] = entry
+            for name in ("queue_depth", "devices_per_minute", "mean_batch_rows"):
+                self.telemetry.gauge("repro_service_" + name, entry[name], **labels)
+            artifacts[labels["artifact"]] = entry
         snapshot = {
-            "total_devices": sum(
-                b.stats.n_devices for _, b in self._batchers.values()
-            ),
-            "total_rejected": sum(
-                b.stats.n_rejected for _, b in self._batchers.values()
-            ),
+            "total_devices": sum(e["n_devices"] for e in artifacts.values()),
+            "total_rejected": sum(e["n_rejected"] for e in artifacts.values()),
             "artifacts": artifacts,
         }
         self._metrics_cache = (version, snapshot)
@@ -762,13 +801,11 @@ class FloorService(HttpApp):
 
     async def metrics(self) -> dict:
         """Per-artifact serving metrics plus drift-monitor state."""
-        snapshot = self._metrics_snapshot()
-        out = {
+        return {
             "uptime_seconds": time.time() - self._started_unix,
             "n_http_requests": self.n_http_requests,
+            **self._metrics_snapshot(),
         }
-        out.update(snapshot)
-        return out
 
     async def metrics_prometheus(self) -> str:
         """The telemetry registry as Prometheus text exposition."""

@@ -291,6 +291,20 @@ class Telemetry:
                 "attrs": span.attrs,
             })
 
+    # -- reads ------------------------------------------------------------
+    def series(self, name, **labels):
+        """``(labels, value)`` of every ``name`` series carrying ``labels``.
+
+        Oldest series first; a histogram's value is its state dict
+        (``sum``, ``count``, ...).  The read side of a ledger kept in
+        the registry, such as the service's JSON ``/metrics``.
+        """
+        want = set(_label_key(labels))
+        return [(dict(key), value)
+                for store in (self._counters, self._gauges, self._histograms)
+                for (series_name, key), value in store.items()
+                if series_name == name and want.issubset(key)]
+
     # -- snapshots --------------------------------------------------------
     def snapshot(self):
         """All metric families in a JSON-friendly structure."""
@@ -351,6 +365,9 @@ class NullTelemetry:
 
     def current_span(self):
         return None
+
+    def series(self, name, **labels):
+        return []
 
     def snapshot(self):
         return {"run": None, "uptime_s": 0.0, "counters": [],

@@ -53,16 +53,32 @@ def _request(port, method, path, payload=None, headers=None):
     return asyncio.run(go())
 
 
+def _serve(cmd, log_path):
+    env = dict(os.environ)
+    src = os.path.join(REPO_ROOT, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    log = open(log_path, "ab")
+    return subprocess.Popen(cmd, env=env, stdout=log, stderr=log)
+
+
+def _running(pid):
+    """Whether ``pid`` still runs; a zombie awaiting its reaper does not."""
+    try:
+        with open("/proc/{}/stat".format(pid)) as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] not in "ZX"
+    except FileNotFoundError:
+        return False
+    except OSError:  # no procfs: ask the kernel directly
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+
 @pytest.mark.slow
 class TestKillNineRecovery:
-    def _serve(self, cmd, log_path):
-        env = dict(os.environ)
-        src = os.path.join(REPO_ROOT, "src")
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        log = open(log_path, "ab")
-        return subprocess.Popen(cmd, env=env, stdout=log, stderr=log)
-
     def test_supervisor_kill9_mid_traffic_replays_bit_identical(
             self, tmp_path, saved, lookup_pair):
         lookup_dut, lookup_artifact = lookup_pair
@@ -74,7 +90,7 @@ class TestKillNineRecovery:
                "--state-dir", str(state_dir),
                "--health-interval", "0.2"]
         log_path = tmp_path / "serve.log"
-        proc = self._serve(cmd, log_path)
+        proc = _serve(cmd, log_path)
         restarted = None
         try:
             asyncio.run(wait_healthy("127.0.0.1", port, timeout=120))
@@ -91,9 +107,9 @@ class TestKillNineRecovery:
                 assert status == 201
 
             # The supervisor's own pid plus the worker pids from
-            # /health: SIGKILLing the parent orphans daemonized
-            # children, so a faithful whole-stack crash kills them
-            # all.
+            # /health: the workers exit on their own once the parent
+            # dies, and killing them too makes the whole-stack crash
+            # immediate.
             health = _request(port, "GET", "/health")[1]
             pids = [w["pid"] for w in health["workers"].values()]
             assert all(isinstance(pid, int) for pid in pids)
@@ -133,7 +149,7 @@ class TestKillNineRecovery:
             # Restart from the journal.  The command line still names
             # synthA=1; the CLI must skip it in favour of the replayed
             # history rather than un-swap the artifact.
-            restarted = self._serve(cmd, log_path)
+            restarted = _serve(cmd, log_path)
             asyncio.run(wait_healthy("127.0.0.1", port, timeout=120))
 
             loader.join(timeout=240)
@@ -172,6 +188,45 @@ class TestKillNineRecovery:
                 except subprocess.TimeoutExpired:
                     p.kill()
                     p.wait(timeout=30)
+
+
+@pytest.mark.slow
+class TestSupervisorExit:
+    """Cluster workers never outlive their supervisor, however it dies."""
+
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGKILL],
+                             ids=["SIGTERM", "SIGKILL"])
+    def test_workers_exit_with_the_supervisor(self, tmp_path, saved,
+                                              signum):
+        port = _free_port()
+        proc = _serve([sys.executable, "-m", "repro.cli", "serve",
+                       "--artifact", "synthA=1={}".format(saved["lookup"]),
+                       "--workers", "2", "--port", str(port)],
+                      tmp_path / "serve.log")
+        pids = []
+        try:
+            asyncio.run(wait_healthy("127.0.0.1", port, timeout=120))
+            health = _request(port, "GET", "/health")[1]
+            pids = [w["pid"] for w in health["workers"].values()]
+            assert len(pids) == 2 and all(map(_running, pids))
+
+            os.kill(proc.pid, signum)
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 5.0
+            while any(map(_running, pids)):
+                assert time.monotonic() < deadline, (
+                    "workers outlived their supervisor: {}".format(
+                        [pid for pid in pids if _running(pid)]))
+                time.sleep(0.05)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
+            for pid in pids:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
 
 @pytest.mark.slow

@@ -1,6 +1,7 @@
 """Micro-batcher semantics: flush triggers, backpressure, equivalence."""
 
 import asyncio
+import functools
 
 import numpy as np
 import pytest
@@ -8,7 +9,15 @@ import pytest
 from repro.errors import ServiceError, ServiceOverloadError
 from repro.floor import TestFloor as Floor
 from repro.floor.engine import disposition_counts
-from repro.service import MicroBatcher
+from repro.service import FloorService, MicroBatcher
+
+
+class Events(list):
+    """An ``on_flush`` hook keeping every batcher event in order."""
+
+    def __call__(self, event, outcome=None, floor_seconds=0.0,
+                 queue_waits=()):
+        self.append(event)
 
 
 def _rows(dut, n, seed):
@@ -30,15 +39,15 @@ class TestFlushTriggers:
         async def scenario():
             # A latency that would time the test out if it were waited on.
             batcher = _batcher(lookup_pair, max_batch_size=8,
-                               max_latency=60.0)
+                               max_latency=60.0, on_flush=events)
             rows = _rows(dut, 8, seed=3)
-            results = await asyncio.gather(
+            return await asyncio.gather(
                 *(batcher.submit(rows[i]) for i in range(8)))
-            return batcher, results
 
-        batcher, results = asyncio.run(asyncio.wait_for(scenario(), 10))
-        assert batcher.stats.n_size_flushes == 1
-        assert batcher.stats.n_latency_flushes == 0
+        events = Events()
+        results = asyncio.run(asyncio.wait_for(scenario(), 10))
+        assert events.count("size") == 1
+        assert events.count("latency") == 0
         assert all(r["flush_reason"] == "size" for r in results)
         assert all(r["batch_rows"] == 8 for r in results)
 
@@ -47,13 +56,14 @@ class TestFlushTriggers:
 
         async def scenario():
             batcher = _batcher(lookup_pair, max_batch_size=1024,
-                               max_latency=0.01)
-            return batcher, await batcher.submit(_rows(dut, 3, seed=4))
+                               max_latency=0.01, on_flush=events)
+            return await batcher.submit(_rows(dut, 3, seed=4))
 
-        batcher, result = asyncio.run(asyncio.wait_for(scenario(), 10))
+        events = Events()
+        result = asyncio.run(asyncio.wait_for(scenario(), 10))
         assert result["flush_reason"] == "latency"
         assert result["batch_rows"] == 3
-        assert batcher.stats.n_latency_flushes == 1
+        assert events.count("latency") == 1
 
     def test_queue_drains_to_zero_after_flush(self, lookup_pair):
         dut, _ = lookup_pair
@@ -71,9 +81,12 @@ class TestBackpressure:
     def test_overflow_is_rejected_immediately(self, lookup_pair):
         dut, _ = lookup_pair
 
+        events = Events()
+
         async def scenario():
             batcher = _batcher(lookup_pair, max_batch_size=16,
-                               max_latency=60.0, max_pending=16)
+                               max_latency=60.0, max_pending=16,
+                               on_flush=events)
             # Park 10 rows below the flush threshold...
             first = asyncio.ensure_future(batcher.submit(_rows(dut, 10, 6)))
             await asyncio.sleep(0)
@@ -81,7 +94,7 @@ class TestBackpressure:
             # ...the next 10-row request would exceed max_pending=16.
             with pytest.raises(ServiceOverloadError):
                 await batcher.submit(_rows(dut, 10, 7))
-            assert batcher.stats.n_rejected == 1
+            assert events.count("rejected") == 1
             # The parked request is intact and completes on flush.
             batcher.flush()
             result = await first
@@ -95,12 +108,14 @@ class TestBackpressure:
         well-behaved client would retry forever."""
         dut, _ = lookup_pair
 
+        events = Events()
+
         async def scenario():
             batcher = _batcher(lookup_pair, max_batch_size=8,
-                               max_pending=8)
+                               max_pending=8, on_flush=events)
             with pytest.raises(ServiceError, match="split it"):
                 await batcher.submit(_rows(dut, 9, seed=8))
-            assert batcher.stats.n_rejected == 0
+            assert events.count("rejected") == 0
 
         asyncio.run(scenario())
 
@@ -200,20 +215,24 @@ class TestEquivalence:
             self, live_pair, max_batch_size):
         """Alone or coalesced, a reply carries exactly its slice's
         ``disposition_counts`` (same keys, same order, no
-        ``n_retested``) and bin histogram, and the stats add up to the
-        whole stream's counts."""
+        ``n_retested``) and bin histogram, and the service ledger fed
+        by the batcher's events adds up to the whole stream's counts."""
         dut, artifact = live_pair
         chunks = [_rows(dut, 16, seed=50 + i) for i in range(4)]
+        service = FloorService()
+        labels = {"artifact": "synthB@1"}
 
         async def scenario():
             batcher = MicroBatcher(Floor(artifact),
                                    max_batch_size=max_batch_size,
-                                   max_latency=60.0)
-            results = await asyncio.gather(
+                                   max_latency=60.0,
+                                   on_flush=functools.partial(
+                                       service._record, labels))
+            return await asyncio.gather(
                 *(batcher.submit(chunk) for chunk in chunks))
-            return batcher.stats, results
 
-        stats, results = asyncio.run(asyncio.wait_for(scenario(), 10))
+        results = asyncio.run(asyncio.wait_for(scenario(), 10))
+        stats = service._ledger(labels)
         direct = Floor(artifact, monitor=False)
         for chunk, result in zip(chunks, results):
             alone = direct.dispose(chunk)
@@ -227,8 +246,8 @@ class TestEquivalence:
         whole = direct.dispose(np.vstack(chunks))
         counts = whole.counts()
         for name in ("n_shipped", "n_scrapped", "n_guard", "n_retested"):
-            assert getattr(stats, name) == counts[name]
-        assert (list(stats.bin_counts.items())
+            assert stats[name] == counts[name]
+        assert (list(stats["bin_counts"].items())
                 == list(whole.bin_counts().items()))
 
 

@@ -20,6 +20,8 @@ from repro.service import FloorService, HttpClient, MicroBatcher
 from repro.service.cluster import ClusterService, WorkerHandle
 from repro.service.server import DEADLINE_HEADER, parse_deadline
 
+from tests.service.test_batcher import Events
+
 
 def _rows(dut, n, seed):
     rng = np.random.default_rng(seed)
@@ -92,11 +94,13 @@ class TestBatcherDeadline:
         dut = lookup_pair[0]
 
         async def scenario():
-            batcher = MicroBatcher(Floor(artifact, monitor=False))
+            events = Events()
+            batcher = MicroBatcher(Floor(artifact, monitor=False),
+                                   on_flush=events)
             with pytest.raises(DeadlineExceededError, match="before"):
                 await batcher.submit(_rows(dut, 2, seed=6),
                                      deadline=time.monotonic() - 0.01)
-            return batcher.stats.n_deadline_expired
+            return events.count("expired")
 
         assert asyncio.run(asyncio.wait_for(scenario(), 10)) == 1
 
@@ -107,8 +111,10 @@ class TestBatcherDeadline:
         dut, artifact = lookup_pair
 
         async def scenario():
+            events = Events()
             batcher = MicroBatcher(Floor(artifact, monitor=False),
-                                   max_batch_size=1024, max_latency=0.25)
+                                   max_batch_size=1024, max_latency=0.25,
+                                   on_flush=events)
             doomed = asyncio.ensure_future(batcher.submit(
                 _rows(dut, 2, seed=7),
                 deadline=time.monotonic() + 0.02))
@@ -116,7 +122,7 @@ class TestBatcherDeadline:
                 _rows(dut, 3, seed=8)))
             results = await asyncio.gather(doomed, alive,
                                            return_exceptions=True)
-            return results, batcher.stats.n_deadline_expired
+            return results, events.count("expired")
 
         (doomed_result, alive_result), n_expired = asyncio.run(
             asyncio.wait_for(scenario(), 10))

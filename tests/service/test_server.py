@@ -302,6 +302,31 @@ class TestServingMemoryBound:
         n_batchers = run_with_service(scenario, registry)
         assert n_batchers == 1
 
+    def test_counts_outlive_an_evicted_batcher(self, saved, lookup_pair,
+                                               live_pair):
+        """Serving counts are lifetime counts per ``device@version``:
+        an evicted and rebuilt batcher starts a fresh drift window but
+        keeps counting where the label left off."""
+        registry = ArtifactRegistry(max_resident=1)
+        registry.register("a", "1", saved["lookup"])
+        registry.register("b", "1", saved["live"])
+        duts = {"a": lookup_pair[0], "b": live_pair[0]}
+
+        async def scenario(service, client):
+            for name in ("a", "b", "a"):
+                rows = _rows(duts[name], 6, seed=1)
+                status, _ = await client.request(
+                    "POST", "/disposition",
+                    {"device": name, "measurements": rows.tolist()})
+                assert status == 200
+            return await client.request("GET", "/metrics")
+
+        _, reply = run_with_service(scenario, registry)
+        entry = reply["artifacts"]["a@1"]
+        assert (entry["n_requests"], entry["n_devices"]) == (2, 12)
+        assert entry["drift"]["devices_seen"] == 6
+        assert "b@1" not in reply["artifacts"]
+
 
 class TestHotSwap:
     def test_register_over_http_hot_swaps(self, registry, saved,

@@ -2,9 +2,11 @@
 snapshot caching, and loadgen latency capture."""
 
 import asyncio
+import time
 
 import pytest
 
+from repro.errors import DeadlineExceededError, ServiceOverloadError
 from repro.floor import TestFloor as Floor
 from repro.floor import TestProgramArtifact as Artifact
 from repro.service import (
@@ -82,7 +84,8 @@ class TestPrometheusScrape:
             self, registry, saved, live_pair):
         """Charts evaluated on scrape report what an offline floor fed
         the same batches reports: the per-spec/guard/bin gauges and
-        the raised/cleared transition counters, scrape for scrape."""
+        the raised/cleared transition counters, scrape for scrape
+        (the offline floor exports under the served artifact label)."""
         dut, _ = live_pair
         healthy = _rows(dut, 16 * 88, seed=21)
         phases = [healthy[:16 * 24],
@@ -114,12 +117,115 @@ class TestPrometheusScrape:
         for rows in phases:
             for start in range(0, rows.shape[0], 16):
                 floor.dispose(rows[start:start + 16])
-            floor.monitor.export_gauges(offline_tel)
+            floor.monitor.export_gauges(offline_tel, artifact="synthB@1")
             offline.append(drift_families(prometheus_text(offline_tel)))
         assert served == offline
         # The traffic really raised and then cleared alarms.
         assert "repro_floor_drift_raised_total" in served[1]
         assert "repro_floor_drift_cleared_total" in served[2]
+
+    def test_drift_gauges_are_per_artifact(self, registry, lookup_pair,
+                                           live_pair):
+        """Two served artifacts keep two drift charts on one scrape."""
+
+        async def scenario(service, client):
+            for device, (dut, _), n in (("synthA", lookup_pair, 5),
+                                        ("synthB", live_pair, 30)):
+                await client.request("POST", "/disposition", {
+                    "device": device,
+                    "measurements": _rows(dut, n, seed=3).tolist()})
+            return await client.request("GET", "/metrics?format=prometheus")
+
+        _, reply = run_with_service(scenario, registry)
+        samples = parse_prometheus(reply["text"])[
+            "repro_floor_drift_devices_seen"]["samples"]
+        assert sorted((labels["artifact"], value)
+                      for _, labels, value in samples) == [
+            ("synthA@1", 5.0), ("synthB@1", 30.0)]
+
+
+#: JSON ``/metrics`` artifact entry key -> (Prometheus sample, labels).
+LEDGER_SAMPLES = {
+    "n_requests": ("repro_service_queued_requests_total", {}),
+    "n_rejected": ("repro_service_rejected_total", {}),
+    "n_deadline_expired": ("repro_service_deadline_expired_total", {}),
+    "n_devices": ("repro_service_devices_total", {}),
+    "n_batches": ("repro_service_floor_seconds_count", {}),
+    "n_size_flushes": ("repro_service_flushes_total", {"reason": "size"}),
+    "n_latency_flushes": ("repro_service_flushes_total",
+                          {"reason": "latency"}),
+    "n_shipped": ("repro_service_shipped_total", {}),
+    "n_scrapped": ("repro_service_scrapped_total", {}),
+    "n_guard": ("repro_service_guard_total", {}),
+    "n_retested": ("repro_service_retested_total", {}),
+    "n_bin_retested": ("repro_service_bin_retested_total", {}),
+    "total_cost": ("repro_service_cost_total", {}),
+    "busy_seconds": ("repro_service_floor_seconds_sum", {}),
+    "queue_wait_seconds": ("repro_service_queue_wait_seconds_sum", {}),
+    "devices_per_minute": ("repro_service_devices_per_minute", {}),
+    "mean_batch_rows": ("repro_service_mean_batch_rows", {}),
+    "queue_depth": ("repro_service_queue_depth", {}),
+}
+
+
+class TestOneLedger:
+    @pytest.mark.parametrize("session", [False, True],
+                             ids=["telemetry-off", "session-registry"])
+    def test_json_counts_equal_prometheus_samples(self, registry,
+                                                  lookup_pair, session):
+        """Accepted, 429-rejected and queue-expired requests land in
+        one ledger: every JSON count is the labelled Prometheus
+        sample, with global telemetry off or a session registry on."""
+        if session:
+            set_telemetry(Telemetry(run_id="session"))
+        dut, _ = lookup_pair
+
+        async def scenario(service, client):
+            await service.disposition("synthA", _rows(dut, 8, seed=1))
+            doomed = asyncio.ensure_future(service.disposition(
+                "synthA", _rows(dut, 6, seed=2),
+                deadline=time.monotonic() + 0.01))
+            live = asyncio.ensure_future(service.disposition(
+                "synthA", _rows(dut, 1, seed=3)))
+            await asyncio.sleep(0)
+            with pytest.raises(ServiceOverloadError):
+                await service.disposition("synthA", _rows(dut, 4, seed=4))
+            with pytest.raises(DeadlineExceededError):
+                await doomed
+            assert (await live)["flush_reason"] == "latency"
+            _, record = await client.request("GET", "/metrics")
+            _, prom = await client.request(
+                "GET", "/metrics?format=prometheus")
+            return record, prom["text"]
+
+        record, text = run_with_service(
+            scenario, registry, max_batch_size=8, max_latency=0.05,
+            max_pending=8)
+        entry = record["artifacts"]["synthA@1"]
+        assert (entry["n_requests"], entry["n_rejected"],
+                entry["n_deadline_expired"], entry["n_devices"],
+                entry["n_size_flushes"], entry["n_latency_flushes"]) == (
+            3, 1, 1, 9, 1, 1)
+
+        samples = {
+            (name, tuple(sorted(labels.items()))): value
+            for family in parse_prometheus(text).values()
+            for name, labels, value in family["samples"]}
+
+        def sample(name, **labels):
+            labels["artifact"] = "synthA@1"
+            return samples[(name, tuple(sorted(labels.items())))]
+
+        counted = set(entry) - {"bin_counts", "drift", "max_pending",
+                                "retired"}
+        assert counted == set(LEDGER_SAMPLES)
+        for key, (name, labels) in LEDGER_SAMPLES.items():
+            assert entry[key] == sample(name, **labels), key
+        assert entry["bin_counts"] == {
+            name: sample("repro_service_bin_devices_total", bin=name)
+            for name in ("PASS", "FAIL")}
+        assert sum(entry["bin_counts"].values()) == 9
+        assert record["total_rejected"] == 1
 
 
 class TestRequestIds:
