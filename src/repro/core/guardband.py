@@ -93,8 +93,9 @@ class AutoTunedSVCFactory:
         return self
 
     def __call__(self):
-        params = self.best_params_ or {}
-        return SVC(kernel="rbf", **params)
+        # Tuned params (a grid may search "kernel" too) override the
+        # RBF default.
+        return SVC(**{"kernel": "rbf", **(self.best_params_ or {})})
 
 
 class _ConstantGood:

@@ -1,4 +1,11 @@
-"""Model selection utilities: splits, k-fold CV and grid search."""
+"""Model selection utilities: splits, k-fold CV and grid search.
+
+:func:`grid_search` works through its (configuration group, fold)
+chains one ``C`` level at a time: the level's fits are one lockstep SMO
+stack for :class:`~repro.learn.svm.SVC` estimators (see
+:func:`repro.learn.smo.solve_smo_stack`), and a fit that ``C`` never
+bound is reused, bitwise, for the rest of its chain.
+"""
 
 import itertools
 
@@ -81,37 +88,56 @@ def _grid_search_init(estimator_factory, X, y, n_splits, seed):
                          n_splits=n_splits, seed=seed)
 
 
-def _grid_search_task(group):
-    """Score configurations that differ only in ``C`` (ascending).
+def _grid_search_task(chains):
+    """Score ``(configs, fold)`` chains along ascending ``C``.
 
-    Per fold, a fit whose estimator reports ``c_bound_ is False`` is
-    bitwise the fit at every larger ``C`` (see
+    A chain is the configurations of one group (every parameter but
+    ``C`` shared, ascending ``C``) on one fold.  The chains still open
+    at a ``C`` level are fit together -- through the estimator's
+    ``fit_stack`` when it has one (:meth:`repro.learn.svm.SVC.fit_stack`
+    solves the level's QPs in lockstep), else one ``fit`` at a time --
+    and scored on their folds.  A fit whose estimator reports
+    ``c_bound_ is False`` is bitwise the fit at every larger ``C`` (see
     :attr:`repro.learn.smo.SMOResult.c_bound`), so its score is reused
-    for the rest of the group instead of refitting; any other fit is
-    followed by a cold fit at the next ``C``.  Estimators without the
-    flag are always refit.  Returns ``(mean scores, fits reused)``.
+    for the rest of its chain; any other fit is followed by a cold fit
+    at the next ``C``.  Estimators without the flag are always refit.
+    Returns ``(per-chain scores, fits reused)``.
     """
     ctx = _GRID_CONTEXT
     X = np.asarray(ctx["X"])
     y = np.asarray(ctx["y"])
-    estimators = [ctx["estimator_factory"](**params) for params in group]
-    fold_scores = [[] for _ in group]
+    folds = list(KFold(ctx["n_splits"], ctx["seed"]).split(X.shape[0]))
+    factory = ctx["estimator_factory"]
+    scores = [[] for _ in chains]
     reused = 0
-    for train_idx, test_idx in KFold(ctx["n_splits"], ctx["seed"]).split(
-            X.shape[0]):
-        unbound_score = None
-        for estimator, scores in zip(estimators, fold_scores):
-            if unbound_score is None:
-                model = estimator.clone()
-                model.fit(X[train_idx], y[train_idx])
-                score = model.score(X[test_idx], y[test_idx])
-                if getattr(model, "c_bound_", True) is False:
-                    unbound_score = score
-            else:
-                score = unbound_score
-                reused += 1
-            scores.append(score)
-    return [float(np.mean(np.asarray(s))) for s in fold_scores], reused
+    level = 0
+    open_chains = list(range(len(chains)))
+    while open_chains:
+        models = [factory(**chains[c][0][level]).clone()
+                  for c in open_chains]
+        train = [folds[chains[c][1]][0] for c in open_chains]
+        Xs = [X[idx] for idx in train]
+        ys = [y[idx] for idx in train]
+        fit_stack = getattr(models[0], "fit_stack", None)
+        if fit_stack is not None:
+            fit_stack(models, Xs, ys)
+        else:
+            for model, X_fold, y_fold in zip(models, Xs, ys):
+                model.fit(X_fold, y_fold)
+        still_open = []
+        for c, model in zip(open_chains, models):
+            test_idx = folds[chains[c][1]][1]
+            score = model.score(X[test_idx], y[test_idx])
+            left = len(chains[c][0]) - level - 1
+            scores[c].append(score)
+            if getattr(model, "c_bound_", True) is False:
+                scores[c].extend([score] * left)
+                reused += left
+            elif left:
+                still_open.append(c)
+        open_chains = still_open
+        level += 1
+    return scores, reused
 
 
 def grid_search(estimator_factory, param_grid, X, y, n_splits=3, seed=0,
@@ -132,13 +158,16 @@ def grid_search(estimator_factory, param_grid, X, y, n_splits=3, seed=0,
     n_splits, seed:
         Cross-validation configuration.
     n_jobs:
-        Score configurations across this many worker processes
-        (``-1`` = all CPUs).  The unit of work is a group of
-        configurations sharing every parameter but ``C``, scored along
-        ascending ``C`` so a fit that ``C`` never bound is reused
-        (bitwise) for the larger values; every group is deterministic,
-        so the parallel search returns exactly the serial result.  The
-        factory and data must be picklable for ``n_jobs > 1``.
+        Score across this many worker processes (``-1`` = all CPUs).
+        The unit of work is a chain: the configurations sharing every
+        parameter but ``C``, on one fold, scored along ascending ``C``
+        so a fit that ``C`` never bound is reused (bitwise) for the
+        larger values.  One ``C`` level of every open chain is fit at
+        once, as one lockstep SMO stack for :class:`SVC` estimators.
+        Each stacked fit is bitwise its fit alone, so splitting the
+        chains into ``n_jobs`` chunks returns exactly the serial
+        result.  The factory and data must be picklable for
+        ``n_jobs > 1``.
 
     Returns
     -------
@@ -163,19 +192,26 @@ def grid_search(estimator_factory, param_grid, X, y, n_splits=3, seed=0,
     units = [sorted(members, key=lambda k: float(configs[k]["C"]))
              if "C" in param_grid else members
              for members in groups.values()]
-    from repro.runtime.parallel import parallel_map
+    from repro.runtime.parallel import parallel_map, resolve_n_jobs
 
+    chains = [([configs[k] for k in unit], fold)
+              for unit in units for fold in range(n_splits)]
+    n_chunks = max(1, min(resolve_n_jobs(n_jobs), len(chains)))
+    bounds = [len(chains) * c // n_chunks for c in range(n_chunks + 1)]
     outcomes = parallel_map(
-        _grid_search_task, [[configs[k] for k in unit] for unit in units],
+        _grid_search_task,
+        [chains[lo:hi] for lo, hi in zip(bounds, bounds[1:])],
         n_jobs=n_jobs, initializer=_grid_search_init,
         initargs=(estimator_factory, X, y, n_splits, seed))
+    chain_scores = [s for chunk, _ in outcomes for s in chunk]
     scores = [None] * len(configs)
-    reused = 0
-    for unit, (unit_scores, unit_reused) in zip(units, outcomes):
-        for k, score in zip(unit, unit_scores):
-            scores[k] = score
-        reused += unit_reused
-    get_telemetry().counter("repro_learn_grid_fits_reused_total", reused)
+    for u, unit in enumerate(units):
+        for level, k in enumerate(unit):
+            scores[k] = float(np.mean(np.asarray(
+                [chain_scores[u * n_splits + fold][level]
+                 for fold in range(n_splits)])))
+    get_telemetry().counter("repro_learn_grid_fits_reused_total",
+                            sum(reused for _, reused in outcomes))
     results = list(zip(configs, scores))
     best_params, best_score = None, -np.inf
     for params, score in results:

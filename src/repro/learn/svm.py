@@ -17,7 +17,13 @@ from repro.learn.kernels import (
     resolve_gamma,
     row_norms_squared,
 )
-from repro.learn.smo import solve_smo
+from repro.learn import smo
+from repro.learn.smo import (
+    SMOProblem,
+    solve_smo,
+    solve_smo_stack,
+    split_stack,
+)
 from repro.telemetry import get_telemetry
 
 #: Support vectors are the training points with alpha above this.
@@ -104,30 +110,9 @@ class SVC:
         ``alpha_init`` optionally warm-starts the SMO solver from a
         previous dual solution (see :func:`repro.learn.smo.solve_smo`).
         """
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float).ravel()
-        self._sv_norms = None
-        if X.ndim != 2 or X.shape[0] != y.shape[0]:
-            raise LearningError(
-                "X must be (n, m) with matching y; got {} and {}".format(
-                    X.shape, y.shape))
-        if X.shape[0] == 0:
-            raise LearningError("cannot fit on an empty training set")
-        if not np.all(np.isin(y, (-1.0, 1.0))):
-            raise LearningError("labels must be -1/+1")
-
-        classes = np.unique(y)
-        if classes.size == 1:
-            # Degenerate single-class problem: constant prediction.
-            self._constant = float(classes[0])
-            self.c_bound_ = False
-            self._fitted = True
+        X, y = self._begin(X, y)
+        if self._constant is not None:
             return self
-        self._constant = None
-
-        self.gamma_ = resolve_gamma(self.gamma, X)
-        self._kernel = kernel_function(self.kernel, gamma=self.gamma_,
-                                       degree=self.degree, coef0=self.coef0)
         tel = get_telemetry()
         view = self._gram_view
         gram = None
@@ -147,6 +132,85 @@ class SVC:
                                columns=columns, alpha_init=alpha_init)
             span.set(iterations=result.iterations,
                      converged=result.converged)
+        return self._adopt(result, X, y)
+
+    @staticmethod
+    def fit_stack(models, Xs, ys):
+        """Fit each model on its ``(X, y)``, bitwise as its ``fit`` would.
+
+        The two-class fits of plain :class:`SVC` s on the dense route
+        (no Gram view or column source attached, at most
+        :data:`repro.learn.smo.PRECOMPUTE_LIMIT` rows) are solved in
+        lockstep (:func:`repro.learn.smo.solve_smo_stack`): one stack
+        per ``C``, cut within :data:`repro.learn.smo.STACK_BYTES` by
+        :func:`repro.learn.smo.split_stack`, each traced as one
+        ``train.svc_stack`` span.  Every other model -- single-class,
+        larger, or of a class with its own ``fit`` -- is fit alone by
+        its ``fit``.  Returns ``models``.
+        """
+        stacks = {}
+        for model, X, y in zip(models, Xs, ys):
+            if (getattr(type(model), "fit", None) is not SVC.fit
+                    or model._gram_view is not None
+                    or model._column_source is not None):
+                model.fit(X, y)
+                continue
+            X, y = model._begin(X, y)
+            if model._constant is not None:
+                continue
+            if X.shape[0] > smo.PRECOMPUTE_LIMIT:
+                model.fit(X, y)
+            else:
+                stacks.setdefault(model.C, []).append((model, X, y))
+        tel = get_telemetry()
+        for C, members in stacks.items():
+            for stack in split_stack([len(y) for _, _, y in members]):
+                group = [members[k] for k in stack]
+                with tel.span("train.svc_stack", problems=len(group),
+                              C=C) as span:
+                    results, steps = solve_smo_stack([
+                        SMOProblem(model._kernel, X, y, model.C,
+                                   tol=model.tol, max_iter=model.max_iter)
+                        for model, X, y in group])
+                    span.set(steps=steps, iterations=sum(
+                        r.iterations for r in results))
+                for (model, X, y), result in zip(group, results):
+                    model._adopt(result, X, y)
+        return models
+
+    def _begin(self, X, y):
+        """Validate ``(X, y)`` and resolve the kernel for a fit.
+
+        A single-class ``y`` makes the model a constant predictor (and
+        fitted); returns ``(X, y)`` as float arrays.
+        """
+        X = np.asarray(X, dtype=float)
+        y = np.asarray(y, dtype=float).ravel()
+        self._sv_norms = None
+        if X.ndim != 2 or X.shape[0] != y.shape[0]:
+            raise LearningError(
+                "X must be (n, m) with matching y; got {} and {}".format(
+                    X.shape, y.shape))
+        if X.shape[0] == 0:
+            raise LearningError("cannot fit on an empty training set")
+        if not np.all(np.isin(y, (-1.0, 1.0))):
+            raise LearningError("labels must be -1/+1")
+
+        classes = np.unique(y)
+        if classes.size == 1:
+            # Degenerate single-class problem: constant prediction.
+            self._constant = float(classes[0])
+            self.c_bound_ = False
+            self._fitted = True
+            return X, y
+        self._constant = None
+        self.gamma_ = resolve_gamma(self.gamma, X)
+        self._kernel = kernel_function(self.kernel, gamma=self.gamma_,
+                                       degree=self.degree, coef0=self.coef0)
+        return X, y
+
+    def _adopt(self, result, X, y):
+        """Take an :class:`repro.learn.smo.SMOResult` as the fit."""
         self.converged_ = result.converged
         self.n_iter_ = result.iterations
         #: Whether C influenced the solve (see SMOResult.c_bound); a

@@ -144,6 +144,20 @@ class TestAutoTunedFactory:
         model = factory()
         assert model.C == 10.0
 
+    def test_tuned_kernel_overrides_the_rbf_default(self):
+        """A grid over "kernel" builds the winner, not a TypeError."""
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(90, 2))
+        y = np.where(X[:, 0] + 0.3 * X[:, 1] > 0, 1.0, -1.0)
+        factory = AutoTunedSVCFactory(
+            param_grid={"C": [1.0, 10.0], "kernel": ["rbf", "linear"]})
+        factory.tune(X, y)
+        assert factory.best_params_["kernel"] in ("rbf", "linear")
+        model = factory().fit(X, y)
+        assert model.kernel == factory.best_params_["kernel"]
+        assert model.C == factory.best_params_["C"]
+        assert model.score(X, y) > 0.9
+
     def test_single_class_skips_tuning(self):
         factory = AutoTunedSVCFactory()
         factory.tune(np.zeros((30, 2)), np.ones(30))

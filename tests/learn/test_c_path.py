@@ -209,3 +209,100 @@ def test_estimators_without_the_flag_are_always_refit():
     got, reused = _reused(lambda: grid_search(Plain, grid, X, y))
     assert reused == 0
     assert got == _cold_reference(grid, X, y)
+
+
+class Wrapped:
+    """A duck-typed estimator: clone, fit and score only (no c_bound_,
+    no fit_stack), so the search fits it one at a time."""
+
+    def __init__(self, **params):
+        self.params = params
+
+    def clone(self):
+        return Wrapped(**self.params)
+
+    def fit(self, X, y):
+        self.model = SVC(**self.params).fit(X, y)
+        return self
+
+    def score(self, X, y):
+        return self.model.score(X, y)
+
+
+def _single_class_fold_problem():
+    """Blobs whose positives are exactly fold 0's test rows, so fold 0
+    trains on negatives only (SVC's constant path)."""
+    X, _ = _blobs(60, 1.0, 3)
+    test_idx = next(KFold(3, 0).split(len(X)))[1]
+    y = -np.ones(len(X))
+    y[test_idx] = 1.0
+    return X, y
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_single_class_fold_equals_cold_reference(n_jobs):
+    X, y = _single_class_fold_problem()
+    for train_idx, _ in KFold(3, 0).split(len(y)):
+        if np.unique(y[train_idx]).size == 1:
+            break
+    else:
+        raise AssertionError("no single-class training fold")
+    grid = {"C": [1.0, 10.0], "gamma": [0.5, 2.0]}
+    got = grid_search(SVC, grid, X, y, n_splits=3, n_jobs=n_jobs)
+    assert got == _cold_reference(grid, X, y)
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_duck_typed_estimator_equals_cold_reference(n_jobs):
+    blobs, grid = PROBLEMS["mixed"]
+    X, y = _blobs(*blobs)
+    got, reused = _reused(
+        lambda: grid_search(Wrapped, grid, X, y, n_splits=3, n_jobs=n_jobs))
+    assert reused == 0
+    assert got == _cold_reference(grid, X, y)
+
+
+def test_spy_reuse_is_the_same_at_any_n_jobs():
+    """CountingSVC keeps its own fit (the per-estimator protocol) in
+    worker processes too: results and reuse match the serial search."""
+    blobs, grid = PROBLEMS["mixed"]
+    X, y = _blobs(*blobs)
+    serial = _reused(lambda: grid_search(CountingSVC, grid, X, y))
+    assert _reused(lambda: grid_search(CountingSVC, grid, X, y,
+                                       n_jobs=2)) == serial
+    assert serial[0] == _cold_reference(grid, X, y)
+
+
+def _learn_counters(fn):
+    """Run ``fn`` under a fresh registry; (result, SMO counters)."""
+    tel = Telemetry(run_id="counts")
+    previous = set_telemetry(tel)
+    try:
+        out = fn()
+    finally:
+        set_telemetry(previous)
+    counts = {}
+    for c in tel.snapshot()["counters"]:
+        if c["name"].startswith("repro_learn_smo_"):
+            counts[c["name"]] = counts.get(c["name"], 0) + c["value"]
+    return out, counts
+
+
+def test_stacked_search_counts_each_problem():
+    """Solves and iterations count per problem, as the one-at-a-time
+    search counts them; only the lockstep steps fall.  Telemetry on or
+    off, the search returns the same result."""
+    blobs, grid = PROBLEMS["mixed"]
+    X, y = _blobs(*blobs)
+    search = lambda factory: grid_search(factory, grid, X, y)  # noqa: E731
+    stacked, counts = _learn_counters(lambda: search(SVC))
+    alone, alone_counts = _learn_counters(lambda: search(CountingSVC))
+    assert stacked == alone == search(SVC)
+    for name in ("repro_learn_smo_solves_total",
+                 "repro_learn_smo_iterations_total"):
+        assert counts[name] == alone_counts[name] > 0
+    # One at a time, every solve steps once per iteration.
+    assert (alone_counts["repro_learn_smo_lockstep_steps_total"]
+            == alone_counts["repro_learn_smo_iterations_total"])
+    assert (counts["repro_learn_smo_lockstep_steps_total"]
+            < counts["repro_learn_smo_iterations_total"])
