@@ -6,16 +6,18 @@ test one unit plus a per-temperature fixture cost dominated by the
 thermal soak; eliminating the hot and cold insertions then removes
 both soaks.
 
-The benchmark also runs the full tester program (with guard-band
-retest at the complete-test-set cost) so the saving includes the
-retest overhead, not just the idealized per-device figure.
+The benchmark also runs the program through the test floor (with
+guard-band retest at the complete-test-set cost) so the saving
+includes the retest overhead, not just the idealized per-device
+figure.
 """
 
 from benchmarks.harness import datasets, print_table, run_once
 from repro.core.compaction import TestCompactor as Compactor
 from repro.core.costmodel import TestCostModel as CostModel
+from repro.floor import TestFloor as Floor
+from repro.floor import TestProgramArtifact as Artifact
 from repro.mems import TEMPERATURES, tests_at_temperature
-from repro.tester import TestProgram as Program
 
 #: Per-test application cost (units).
 TEST_COST = 1.0
@@ -43,9 +45,9 @@ def bench_cost_reduction(benchmark):
     def flow():
         compactor = Compactor(guard_band=0.03)
         model, _ = compactor.evaluate_subset(train, test, eliminated)
-        program = Program(model, cost_model,
-                              retest_policy="full_retest")
-        return program.run(test)
+        artifact = Artifact(model, test.specifications,
+                            cost_model=cost_model)
+        return Floor(artifact, retest_policy="full_retest").run_dataset(test)
 
     outcome = run_once(benchmark, flow)
     kept = [n for n in train.names if n not in set(eliminated)]
@@ -60,9 +62,8 @@ def bench_cost_reduction(benchmark):
           outcome.cost_per_device),
          ("with retest: reduction %", 100 * outcome.cost_reduction),
          ("devices retested", outcome.n_retested),
-         ("final yield loss %", 100 * outcome.report.yield_loss_rate),
-         ("final defect escape %",
-          100 * outcome.report.defect_escape_rate)])
+         ("final yield loss %", 100 * outcome.yield_loss_rate),
+         ("final defect escape %", 100 * outcome.defect_escape_rate)])
 
     # The paper's claim, including the retest overhead.
     assert outcome.cost_reduction > 0.5

@@ -9,8 +9,9 @@ whole flow on the MEMS accelerometer:
    eliminated;
 2. build the grid lookup table and report its size and agreement with
    the live SVM pair;
-3. run a production lot through the tester program under the three
-   retest policies and compare shipped quality and cost.
+3. package the program as a deployable artifact and run a production
+   lot through the test floor under the three retest policies,
+   comparing shipped quality and cost.
 
 Run:
     python examples/tester_deployment.py
@@ -18,10 +19,11 @@ Run:
 
 from repro.core.compaction import TestCompactor
 from repro.core.costmodel import TestCostModel
+from repro.floor import TestFloor, TestProgramArtifact
 from repro.mems import (
     TEMPERATURES, AccelerometerBench, tests_at_temperature,
 )
-from repro.tester import LookupTable, TestProgram
+from repro.tester import LookupTable
 
 
 def build_cost_model():
@@ -55,17 +57,19 @@ def main():
     print("Agreement with the live SVM pair: {:.1%}".format(
         lut.agreement_with_model(lot)))
 
-    cost_model = build_cost_model()
+    artifact = TestProgramArtifact(model, lot.specifications,
+                                   cost_model=build_cost_model(),
+                                   lookup=lut)
     print("\n{:<14} {:>8} {:>8} {:>10} {:>12} {:>12}".format(
         "policy", "YL %", "DE %", "retested", "cost/device",
         "saved %"))
     for policy in ("full_retest", "accept", "reject"):
-        outcome = TestProgram(lut, cost_model,
-                              retest_policy=policy).run(lot)
+        outcome = TestFloor(artifact,
+                            retest_policy=policy).run_dataset(lot)
         print("{:<14} {:>8.2f} {:>8.2f} {:>10d} {:>12.2f} {:>12.1f}".format(
             policy,
-            100 * outcome.report.yield_loss_rate,
-            100 * outcome.report.defect_escape_rate,
+            100 * outcome.yield_loss_rate,
+            100 * outcome.defect_escape_rate,
             outcome.n_retested,
             outcome.cost_per_device,
             100 * outcome.cost_reduction))

@@ -27,8 +27,8 @@ contribution:
     SMO, and with ``n_jobs > 1`` evaluates candidates speculatively
     in worker processes -- bitwise the serial result.
 ``repro.tester``
-    Deployment of a compacted test set on a tester via grid lookup
-    tables, including the guard-band retest flow (paper Section 3.3).
+    The grid lookup table a tester consults in place of the live SVM
+    pair (paper Section 3.3).
 ``repro.runtime``
     The production runtime: deterministic multi-process Monte-Carlo
     generation (per-instance seed streams, bit-identical at any worker
@@ -38,7 +38,8 @@ contribution:
     The production test floor: deployable test-program artifacts
     (save a trained program to one versioned file, load it on any
     floor), the streaming :class:`~repro.floor.engine.TestFloor`
-    disposition engine with pluggable retest policies, online
+    disposition engine (the one kernel for offline populations and
+    streams alike) with pluggable retest policies (Section 4.2), online
     distribution-drift monitoring and per-lot yield/escape/cost/
     throughput reporting.
 

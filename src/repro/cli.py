@@ -224,8 +224,9 @@ def cmd_table3(args):
 def cmd_cost(args):
     """Accelerometer cost-reduction headline."""
     from repro.core.compaction import TestCompactor
+    from repro.floor import TestFloor, TestProgramArtifact
     from repro.mems import AccelerometerBench, tests_at_temperature
-    from repro.tester import LookupTable, TestProgram
+    from repro.tester import LookupTable
 
     bench = AccelerometerBench()
     train, test = _simulate_pair(bench, args)
@@ -233,9 +234,11 @@ def cmd_cost(args):
     model, _ = TestCompactor(guard_band=args.guard).evaluate_subset(
         train, test, eliminated)
 
-    cost_model = _default_cost_model("mems")
-    outcome = TestProgram(LookupTable(model), cost_model).run(test)
-    print(outcome.summary())
+    artifact = TestProgramArtifact(
+        model, test.specifications,
+        cost_model=_default_cost_model("mems"),
+        lookup=LookupTable(model))
+    print(TestFloor(artifact).run_dataset(test, lot="cost").summary())
     return 0
 
 

@@ -16,8 +16,9 @@ check and the model are instantiated twice, against ranges perturbed
 *inward* (strict) and *outward* (loose) by a preset fraction ``delta``
 of each range.  Devices on which the two instances agree are accepted
 or rejected with high confidence; disagreement places the device in
-the guard-band region, where it can be retested (see
-:mod:`repro.tester.program`) or binned by application quality needs.
+the guard-band region, where it can be retested (the retest policies
+of :class:`repro.floor.engine.TestFloor`) or binned by application
+quality needs.
 """
 
 import numpy as np

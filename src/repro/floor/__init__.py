@@ -12,8 +12,10 @@ the layer between training and production:
     lookup table), guard-band and cost parameters, drift baseline and
     a provenance header; save at train time, load on any floor.
 ``repro.floor.engine``
-    :class:`TestFloor` -- streams devices through the program in
-    vectorized batches with pluggable retest policies; simulated
+    :class:`TestFloor` -- the one disposition kernel (first pass,
+    retest policy, cost, bins): streams devices through the program in
+    vectorized batches with pluggable retest policies (``RETEST_*``),
+    and evaluates offline populations through the same path; simulated
     traffic rides the deterministic seed tree of
     :mod:`repro.runtime.simulation`, so results are identical at any
     batch size and worker count.
@@ -33,8 +35,12 @@ floor`` (load artifact, stream devices, report lots).
 from repro.floor.artifact import SCHEMA_VERSION, TestProgramArtifact
 from repro.floor.engine import (
     DEFAULT_BATCH_SIZE,
+    RETEST_ACCEPT,
+    RETEST_FULL,
+    RETEST_REJECT,
     BatchDisposition,
     TestFloor,
+    check_retest_policy,
 )
 from repro.floor.monitor import DriftAlarm, DriftBaseline, DriftMonitor
 from repro.floor.report import FloorReport, LotReport
@@ -47,7 +53,11 @@ __all__ = [
     "DriftMonitor",
     "FloorReport",
     "LotReport",
+    "RETEST_ACCEPT",
+    "RETEST_FULL",
+    "RETEST_REJECT",
     "SCHEMA_VERSION",
     "TestFloor",
     "TestProgramArtifact",
+    "check_retest_policy",
 ]

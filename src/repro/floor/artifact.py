@@ -43,7 +43,6 @@ from repro.errors import ArtifactError
 from repro.floor.monitor import DriftBaseline
 from repro.rules.engine import ToleranceProfile
 from repro.tester.lookup import LookupTable
-from repro.tester.program import RETEST_FULL, TestProgram
 
 #: File-format identifier stored in every artifact.
 MAGIC = "repro/test-program"
@@ -319,28 +318,6 @@ class TestProgramArtifact:
         return tuple(
             n for n in self.specifications.names
             if n not in set(self.model.feature_names))
-
-    def program(self, retest_policy=RETEST_FULL, use_lookup=None,
-                boundary_margin=0.0):
-        """A :class:`~repro.tester.program.TestProgram` over this artifact.
-
-        ``use_lookup=None`` uses the lookup table when one is attached;
-        pass ``False`` to force the live model or ``True`` to require
-        the table (raises when absent).  The artifact's tolerance
-        profile and grade bank (when present) ride along, so the
-        program bins as the floor would.
-        """
-        if use_lookup is None:
-            use_lookup = self.lookup is not None
-        if use_lookup and self.lookup is None:
-            raise ArtifactError(
-                "artifact has no lookup table; build one with "
-                "with_lookup() before deploying in lookup mode")
-        classifier = self.lookup if use_lookup else self.model
-        return TestProgram(classifier, cost_model=self.cost_model,
-                           retest_policy=retest_policy,
-                           profile=self.profile, bank=self.bank,
-                           boundary_margin=boundary_margin)
 
     def validate_specifications(self, specifications):
         """Check the artifact matches a target bench's specifications.

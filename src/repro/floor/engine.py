@@ -51,16 +51,26 @@ from repro.floor.report import FloorReport, LotReport
 from repro.rules.binning import assign_bins, bin_histogram
 from repro.rules.engine import ToleranceProfile
 from repro.telemetry import get_telemetry
-from repro.tester.program import (
-    RETEST_FULL,
-    apply_retest_policy,
-    check_retest_policy,
-    policy_cost,
-    unit_costs,
-)
 
 #: Default devices per vectorized disposition batch.
 DEFAULT_BATCH_SIZE = 8192
+
+#: Guard-band devices get the complete specification test set applied.
+RETEST_FULL = "full_retest"
+#: Guard-band devices are shipped without retest (cheapest, most escapes).
+RETEST_ACCEPT = "accept"
+#: Guard-band devices are scrapped without retest (no escapes from guard).
+RETEST_REJECT = "reject"
+
+_POLICIES = (RETEST_FULL, RETEST_ACCEPT, RETEST_REJECT)
+
+
+def check_retest_policy(policy):
+    """Validate a retest-policy name; returns it unchanged."""
+    if policy not in _POLICIES:
+        raise CompactionError(
+            "retest policy must be one of {}".format(_POLICIES))
+    return policy
 
 
 def disposition_counts(decisions, first_pass, truth):
@@ -154,8 +164,11 @@ class TestFloor:
         :meth:`~repro.floor.artifact.TestProgramArtifact.save`.
     retest_policy:
         ``"full_retest"`` (default), ``"accept"`` or ``"reject"`` --
-        the paper Section 4.2 guard-band handling, pluggable exactly
-        as in :class:`~repro.tester.program.TestProgram`.
+        the paper Section 4.2 guard-band handling.  ``full_retest``
+        applies the complete test set to guard-band devices, so their
+        disposition is the ground truth and each pays the full cost on
+        top of the compacted pass; ``accept``/``reject`` ship/scrap
+        them outright.
     batch_size:
         Devices per vectorized disposition batch (memory/throughput
         knob; never affects any decision).
@@ -216,8 +229,12 @@ class TestFloor:
         #: Bin names, in profile order (default bin last).
         self.bin_names = self._bound.bins
         self._kept_specs = self._specs.subset(self._kept)
-        # Per-device costs are constants of the program.
-        self._unit_costs = unit_costs(artifact.cost_model, self._kept)
+        # Per-device (compacted, full) costs are constants of the
+        # program; ``None`` without a cost model.
+        cost_model = artifact.cost_model
+        self._unit_costs = (
+            None if cost_model is None
+            else (cost_model.cost(self._kept), cost_model.full_cost()))
 
     @classmethod
     def from_file(cls, path, **kwargs):
@@ -234,10 +251,11 @@ class TestFloor:
     def dispose(self, batch):
         """Disposition one in-memory batch of full-specification rows.
 
-        This is the single-batch primitive everything else rides --
-        :meth:`run_stream` loops it over rebatched traffic, and the
+        This is the one disposition kernel everything else rides --
+        :meth:`run_stream` loops it over rebatched traffic, the
         service micro-batcher (:mod:`repro.service.batcher`) feeds it
-        coalesced client requests.  A disposition is a pure per-device
+        coalesced client requests, and offline evaluation passes it a
+        whole population for per-device arrays.  A disposition is a pure per-device
         function of the artifact and the device's measurements, so
         coalescing or splitting batches never changes a decision.
 
@@ -263,14 +281,35 @@ class TestFloor:
                 "stream rows have {} measurements; the program "
                 "was trained on {} specifications".format(
                     batch.shape[1], len(self._specs)))
+        # A NaN/inf row would poison the drift monitor's window sums
+        # (and blind its charts until the row rolls out), so it is
+        # refused before anything is recorded.
+        if not np.isfinite(batch).all():
+            raise CompactionError(
+                "stream rows must hold finite measurements")
         kept_values = batch[:, self._kept_idx]
         first = self._first_pass(kept_values)
         truth = self._specs.labels(batch)
-        decisions, n_retested = apply_retest_policy(
-            first, truth, self.retest_policy)
-        cost, full_cost = policy_cost(
-            self._unit_costs, batch.shape[0], n_retested,
-            self.retest_policy)
+        # The retest policy resolves the guard-band devices: the full
+        # test set (ground truth) or an outright ship/scrap.
+        guard = first == GUARD
+        decisions = first.copy()
+        n_retested = 0
+        if self.retest_policy == RETEST_FULL:
+            decisions[guard] = truth[guard]
+            n_retested = int(np.count_nonzero(guard))
+        else:
+            decisions[guard] = (GOOD if self.retest_policy == RETEST_ACCEPT
+                                else BAD)
+        # Every device pays the compacted set; each retested one also
+        # pays the complete set.  ``full_cost`` is the paper's
+        # full-specification baseline for the same batch.
+        cost = full_cost = 0.0
+        if self._unit_costs is not None:
+            per_device, full_per_device = self._unit_costs
+            cost = (per_device * batch.shape[0]
+                    + full_per_device * n_retested)
+            full_cost = full_per_device * batch.shape[0]
         truth_bins = self._bound.assign(batch)
         kept_norm = (self._kept_specs.normalize(kept_values)
                      if self._bank is not None else None)
@@ -297,15 +336,13 @@ class TestFloor:
     def _record_disposition(self, tel, outcome, seconds):
         """Fold one batch's outcome into the telemetry registry."""
         tel.observe("repro_floor_batch_seconds", seconds)
+        counts = outcome.counts()
         tel.counter("repro_floor_batches_total", 1)
-        tel.counter("repro_floor_devices_total", outcome.n_devices)
-        tel.counter("repro_floor_shipped_total",
-                    int(np.count_nonzero(outcome.decisions == GOOD)))
-        tel.counter("repro_floor_scrapped_total",
-                    int(np.count_nonzero(outcome.decisions == BAD)))
-        tel.counter("repro_floor_guard_total",
-                    int(np.count_nonzero(outcome.first_pass == GUARD)))
-        tel.counter("repro_floor_retests_total", outcome.n_retested)
+        tel.counter("repro_floor_devices_total", counts["n_devices"])
+        tel.counter("repro_floor_shipped_total", counts["n_shipped"])
+        tel.counter("repro_floor_scrapped_total", counts["n_scrapped"])
+        tel.counter("repro_floor_guard_total", counts["n_guard"])
+        tel.counter("repro_floor_retests_total", counts["n_retested"])
         tel.counter("repro_floor_bin_retests_total",
                     outcome.n_bin_retested)
         bin_counts = outcome.bin_counts()

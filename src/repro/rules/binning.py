@@ -3,10 +3,10 @@
 The bridge between the binary disposition path (ship/scrap, which this
 module never alters) and the declarative bin profiles of
 :mod:`repro.rules.engine`.  One vectorized function,
-:func:`assign_bins`, is shared by the offline tester simulation
-(:class:`repro.tester.program.TestProgram`) and the streaming floor
-(:class:`repro.floor.engine.TestFloor`), so the two can never disagree
-on what a bin means.
+:func:`assign_bins`, runs inside the one disposition kernel,
+:meth:`repro.floor.engine.TestFloor.dispose`, which serves offline
+populations, streams and the HTTP service alike -- so none of them
+can disagree on what a bin means.
 
 Semantics
 ---------

@@ -178,6 +178,10 @@ class MicroBatcher:
                     rows.shape[1], self.n_specs
                 )
             )
+        # JSON admits NaN and Infinity; refused here for the same
+        # reason, before the floor's drift monitor could record them.
+        if not np.isfinite(rows).all():
+            raise ServiceError("rows must hold finite measurements")
         # Larger than the queue itself can never be served no matter
         # how long the client retries -- a permanent 400, not a 429.
         if rows.shape[0] > self.max_pending:

@@ -61,6 +61,7 @@ from repro.errors import (
     ServiceError,
     UnknownArtifactError,
 )
+from repro.floor.engine import RETEST_FULL, check_retest_policy
 from repro.service.batcher import (
     DEFAULT_MAX_BATCH_SIZE,
     DEFAULT_MAX_LATENCY,
@@ -71,7 +72,6 @@ from repro.service.loadgen import HttpClient, wait_healthy
 from repro.service.registry import DEFAULT_MAX_RESIDENT
 from repro.service.server import DEADLINE_HEADER, HttpApp, _required
 from repro.telemetry import Telemetry, prometheus_text
-from repro.tester.program import RETEST_FULL, check_retest_policy
 
 #: Seconds between health probes of each worker.
 DEFAULT_HEALTH_INTERVAL = 0.5

@@ -43,10 +43,9 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from repro.errors import ServiceError
-from repro.floor.engine import TestFloor
+from repro.floor.engine import RETEST_FULL, TestFloor
 from repro.runtime.simulation import generate_instance_batches
 from repro.telemetry import get_telemetry
-from repro.tester.program import RETEST_FULL
 
 #: Default concurrent client connections.
 DEFAULT_CLIENTS = 4

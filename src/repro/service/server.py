@@ -87,7 +87,7 @@ from repro.errors import (
     ServiceOverloadError,
     UnknownArtifactError,
 )
-from repro.floor.engine import TestFloor
+from repro.floor.engine import RETEST_FULL, TestFloor, check_retest_policy
 from repro.service.batcher import (
     DEFAULT_MAX_BATCH_SIZE,
     DEFAULT_MAX_LATENCY,
@@ -97,7 +97,6 @@ from repro.service.batcher import (
 from repro.service.durability import StateJournal
 from repro.service.registry import ArtifactRegistry
 from repro.telemetry import Telemetry, get_telemetry, prometheus_text
-from repro.tester.program import RETEST_FULL, check_retest_policy
 
 #: Largest accepted request body (64 MiB of JSON measurements).
 MAX_BODY_BYTES = 64 << 20

@@ -4,12 +4,13 @@
 and costs a pre-binning revision produced for a deterministic traffic
 pattern.  Every test here replays that traffic through today's code --
 the floor at every (batch_size, n_jobs) combination on the default
-(batched) slot path plus once through the per-slot scalar path, the bare
-``TestProgram.run`` path, the per-request dispose-slice view and the
-live HTTP service -- and asserts bit-identical output.  On top of the
-legacy surface, the degenerate 2-bin structure the fixtures' v1
-artifact must induce is checked explicitly: ``PASS`` count equals
-shipped, ``FAIL`` equals scrapped, zero grade retests.
+(batched) slot path plus once through the per-slot scalar path, one
+whole-population ``dispose`` (the offline evaluation path), the
+per-request dispose-slice view and the live HTTP service -- and asserts
+bit-identical output.  On top of the legacy surface, the degenerate
+2-bin structure the fixtures' v1 artifact must induce is checked
+explicitly: ``PASS`` count equals shipped, ``FAIL`` equals scrapped,
+zero grade retests.
 
 These tests are the refactor-safety contract named in the ISSUE: any
 change that shifts a single binary decision fails loudly here.
@@ -25,7 +26,6 @@ import pytest
 from repro.floor import TestFloor as Floor
 from repro.floor import TestProgramArtifact as Artifact
 from repro.floor.engine import disposition_counts
-from repro.process.dataset import SpecDataset
 from repro.runtime.simulation import generate_instance_batches
 from repro.service import (
     ArtifactRegistry,
@@ -115,41 +115,25 @@ class TestFloorParity:
 
 
 class TestProgramParity:
-    """The bare tester path agrees with the pinned floor decisions."""
+    """The whole population in one dispose -- the offline evaluation
+    path -- agrees with the pinned floor decisions."""
 
     def test_program_run_matches_fixture(self, fixture_data,
                                          legacy_artifact):
         expected = fixture_data["runs"]["scalar|b32|j1"]
-        dut = SyntheticDut()
         rows = np.vstack(list(generate_instance_batches(
-            dut, STREAM_N, STREAM_SEED, batch_size=32)))
-        dataset = SpecDataset(dut.specifications, rows)
+            SyntheticDut(), STREAM_N, STREAM_SEED, batch_size=32)))
 
-        outcome = legacy_artifact.program().run(dataset)
+        outcome = Floor(legacy_artifact).dispose(rows)
 
         assert [int(d) for d in outcome.decisions] == expected["decisions"]
-        assert outcome.total_cost == expected["total_cost"]
+        assert outcome.cost == expected["total_cost"]
         assert outcome.full_cost == expected["full_cost"]
         assert outcome.n_retested == expected["counts"]["n_retested"]
-        # A v1 artifact carries no profile, and the bare tester -- unlike
-        # the floor -- only bins when one is attached.
-        assert outcome.bins is None
+        # The v1 artifact's degenerate profile relabels the binary
+        # decision without moving a single decision, cost or count.
         assert outcome.n_bin_retested == 0
-
-        # Attaching the degenerate profile relabels without moving
-        # a single decision, cost or count.
-        from repro.rules import ToleranceProfile
-        from repro.tester.program import TestProgram
-
-        program = legacy_artifact.program()
-        binned = TestProgram(
-            program.classifier, cost_model=program.cost_model,
-            profile=ToleranceProfile.binary_default(
-                dataset.specifications)).run(dataset)
-        assert (binned.decisions == outcome.decisions).all()
-        assert binned.total_cost == outcome.total_cost
-        assert binned.n_bin_retested == 0
-        assert binned.bin_counts() == {
+        assert outcome.bin_counts() == {
             "PASS": expected["counts"]["n_shipped"],
             "FAIL": expected["counts"]["n_scrapped"],
         }

@@ -15,9 +15,8 @@ import pytest
 
 from repro.errors import ArtifactError, CompactionError
 from repro.floor import TestFloor as Floor
+from repro.floor import RETEST_ACCEPT, RETEST_FULL, RETEST_REJECT
 from repro.floor import TestProgramArtifact as Artifact
-from repro.tester import RETEST_ACCEPT, RETEST_FULL, RETEST_REJECT
-from repro.tester import TestProgram as Program
 
 from tests.synthetic import SyntheticDut
 
@@ -25,28 +24,27 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestAgainstTestProgram:
-    """The floor must disposition exactly like the batch TestProgram."""
+    """A streamed lot dispositions exactly like the whole test program
+    applied to the population in one batch."""
 
     @pytest.mark.parametrize(
         "policy", [RETEST_FULL, RETEST_ACCEPT, RETEST_REJECT])
     def test_decisions_and_cost_match(self, artifact, populations,
                                       policy):
         _, test = populations
-        program = Program(artifact.model,
-                              cost_model=artifact.cost_model,
-                              retest_policy=policy)
-        outcome = program.run(test)
         floor = Floor(artifact, retest_policy=policy)
-        report = floor.run_dataset(test, keep_decisions=True)
+        outcome = floor.dispose(test.values)
+        report = floor.run_dataset(test, batch_size=7,
+                                   keep_decisions=True)
 
         assert np.array_equal(report.decisions, outcome.decisions)
         assert report.n_retested == outcome.n_retested
-        assert report.total_cost == pytest.approx(outcome.total_cost)
+        assert report.total_cost == pytest.approx(outcome.cost)
         assert report.full_cost == pytest.approx(outcome.full_cost)
-        assert report.n_yield_loss == outcome.report.n_yield_loss
-        assert report.n_defect_escape == outcome.report.n_defect_escape
-        # LotReport.n_guard counts *first-pass* guard devices; the
-        # TestOutcome report evaluates decisions after retest.
+        counts = outcome.counts()
+        assert report.n_yield_loss == counts["n_yield_loss"]
+        assert report.n_defect_escape == counts["n_defect_escape"]
+        # n_guard counts *first-pass* guard devices, before retest.
         assert report.n_guard == int(np.sum(outcome.first_pass == 0))
 
     def test_report_counts_are_consistent(self, artifact, populations):
@@ -94,10 +92,10 @@ class TestBatchInvariance:
             cost_model=artifact.cost_model,
             provenance=artifact.provenance).with_lookup(resolution=21)
         floor = Floor(art)           # lookup auto-selected
-        program = Program(art.lookup, cost_model=art.cost_model)
-        report = floor.run_dataset(test, keep_decisions=True)
-        outcome = program.run(test)
-        assert np.array_equal(report.decisions, outcome.decisions)
+        outcome = floor.dispose(test.values)
+        kept = test.project(art.kept).values
+        assert np.array_equal(outcome.first_pass,
+                              art.lookup.classify(kept))
 
     def test_empty_stream_yields_empty_report(self, artifact):
         report = Floor(artifact).run_stream([], keep_decisions=True)
@@ -204,6 +202,35 @@ class TestLotEndAlarms:
         assert report.alarms == ()
 
 
+class TestNonFiniteRows:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_cannot_blind_the_drift_monitor(
+            self, artifact, populations, bad):
+        """Regression: a NaN row used to enter the monitor window,
+        turning every windowed mean NaN -- so drifted traffic raised
+        no alarm until that row rolled out of the window."""
+        from repro.floor import DriftMonitor
+
+        _, test = populations
+        kept_idx = [test.specifications.index(n)
+                    for n in artifact.kept]
+        monitor = DriftMonitor(artifact.baseline, window_batches=8,
+                               min_devices=50)
+        floor = Floor(artifact, monitor=monitor)
+
+        poisoned = test.values[:16].copy()
+        poisoned[3, kept_idx[0]] = bad
+        with pytest.raises(CompactionError, match="finite"):
+            floor.dispose(poisoned)
+        assert monitor.n_seen == 0
+        assert monitor.chart_state()["window_devices"] == 0
+
+        drifted = test.values.copy()
+        drifted[:, kept_idx[0]] += 5.0
+        floor.dispose(drifted)
+        assert any(a.kind == "spec-mean" for a in monitor.alarms())
+
+
 class TestConfiguration:
     def test_unknown_policy_rejected(self, artifact):
         with pytest.raises(CompactionError, match="policy"):
@@ -228,6 +255,14 @@ class TestConfiguration:
         floor = Floor(artifact)
         with pytest.raises(ArtifactError):
             floor.run_simulated(dut, 10, seed=0)
+
+    def test_incompatible_dataset_rejected(self, artifact):
+        """An offline population must carry the program's spec set."""
+        from tests.synthetic import make_synthetic_dataset
+
+        narrow = make_synthetic_dataset(n=20, n_specs=4, seed=3)
+        with pytest.raises(ArtifactError):
+            Floor(artifact).run_dataset(narrow)
 
     def test_repr_mentions_mode(self, artifact):
         text = repr(Floor(artifact))

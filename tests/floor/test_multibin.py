@@ -20,7 +20,6 @@ from repro.core.specs import GOOD
 from repro.floor import TestFloor as Floor
 from repro.floor import TestProgramArtifact as Artifact
 from repro.floor.monitor import DriftMonitor
-from repro.process.dataset import SpecDataset
 from repro.rules import ToleranceProfile, ToleranceRule
 from repro.runtime.simulation import generate_instance_batches
 
@@ -113,13 +112,14 @@ class TestGradedFloor:
 
     def test_floor_and_program_agree_on_bins(self, banked_artifact,
                                              stream_rows):
-        floor_report = Floor(banked_artifact).run_stream(
-            [stream_rows], keep_decisions=True)
-        dataset = SpecDataset(banked_artifact.specifications, stream_rows)
-        program_outcome = banked_artifact.program().run(dataset)
-        assert (floor_report.decisions
-                == program_outcome.decisions).all()
-        assert (floor_report.bins == program_outcome.bins).all()
+        """A streamed run bins exactly like one whole-population
+        dispose (the offline evaluation path)."""
+        floor = Floor(banked_artifact)
+        floor_report = floor.run_stream(
+            [stream_rows], batch_size=16, keep_decisions=True)
+        whole = floor.dispose(stream_rows)
+        assert (floor_report.decisions == whole.decisions).all()
+        assert (floor_report.bins == whole.bins).all()
 
     def test_run_lots_aggregates_bin_counts(self, profile_only_artifact):
         floor = Floor(profile_only_artifact)

@@ -11,6 +11,7 @@ from repro.service import (
     ArtifactRegistry,
     FloorService,
     HttpClient,
+    offline_reference,
 )
 
 
@@ -118,6 +119,40 @@ class TestErrors:
         got, reply = run_with_service(scenario, registry)
         assert got == status
         assert "error" in reply
+
+    def test_non_finite_request_is_400_and_spares_its_batch(
+            self, registry, lookup_pair):
+        """JSON admits NaN: such a request is refused before it is
+        queued, so a valid request in the same coalescing window is
+        still served -- and the drift monitor never records the NaN."""
+        dut, artifact = lookup_pair
+        rows = _rows(dut, 12, seed=8)
+        poisoned = rows.tolist()
+        poisoned[2][0] = float("nan")
+
+        async def scenario(service, client):
+            other = HttpClient("127.0.0.1", service.port)
+            try:
+                bad, good = await asyncio.gather(
+                    other.request("POST", "/disposition", {
+                        "device": "synthA", "measurements": poisoned}),
+                    client.request("POST", "/disposition", {
+                        "device": "synthA",
+                        "measurements": rows.tolist()}))
+            finally:
+                await other.close()
+            metrics = await client.request("GET", "/metrics")
+            return bad, good, metrics
+
+        (s_bad, r_bad), (s_good, r_good), (_, metrics) = run_with_service(
+            scenario, registry, max_batch_size=256, max_latency=0.05)
+        assert s_bad == 400 and "finite" in r_bad["error"]
+        assert s_good == 200
+        reference = offline_reference(artifact).dispose(rows)
+        assert r_good["decisions"] == [
+            int(d) for d in reference.decisions]
+        drift = metrics["artifacts"]["synthA@1"]["drift"]
+        assert drift["devices_seen"] == 12
 
     def test_unknown_path_and_wrong_method(self, registry):
         async def scenario(service, client):

@@ -13,13 +13,15 @@ from repro import compact_specification_tests
 from repro.core.compaction import TestCompactor as Compactor
 from repro.core.costmodel import TestCostModel as CostModel
 from repro.core.metrics import GUARD
+from repro.floor import TestFloor as Floor
+from repro.floor import TestProgramArtifact as Artifact
 from repro.learn import SVC
 # Aliased so pytest does not collect the imported helper (its name
 # matches the default "test*" function pattern).
 from repro.mems import AccelerometerBench, TEMPERATURES
 from repro.mems import tests_at_temperature as _tests_at_temperature
 from repro.opamp import OpAmpBench
-from repro.tester import LookupTable, TestProgram as Program
+from repro.tester import LookupTable
 
 # The module simulates real Monte-Carlo populations end to end -- the
 # slowest generation work in the suite.  `pytest -m "not slow"` skips
@@ -80,10 +82,12 @@ class TestMemsEndToEnd:
         cost_model = CostModel(costs, groups,
                                {"-40C": 25.0, "27C": 2.0, "80C": 25.0})
 
-        lut = LookupTable(model, max_cells=100_000)
-        outcome = Program(lut, cost_model).run(test)
+        artifact = Artifact(model, test.specifications,
+                            cost_model=cost_model,
+                            lookup=LookupTable(model, max_cells=100_000))
+        outcome = Floor(artifact).run_dataset(test)
         assert outcome.cost_reduction > 0.5
-        assert outcome.report.error_rate < 0.1
+        assert outcome.yield_loss_rate + outcome.defect_escape_rate < 0.1
 
     def test_greedy_loop_on_mems(self, mems_data):
         train, test = mems_data
