@@ -46,7 +46,6 @@ from benchmarks.harness import print_table, run_once, wall_time
 from repro.learn.ovr import OneVsRestSVCBank
 from repro.learn.svm import SVC
 from repro.runtime import cpu_count
-from repro.runtime.kernel_cache import GramCache
 
 #: Acceptance bar: bank fit vs K cold fits, single core.
 SPEEDUP_FLOOR = 1.3
@@ -99,10 +98,7 @@ def cold_fits(X, y, query):
 
 def bank_fit(X, y, query):
     """The bank: one shared Gram, warm-started SMO chain."""
-    names = tuple("f{}".format(i) for i in range(X.shape[1]))
-    cache = GramCache(X, names)
-    bank = OneVsRestSVCBank(GRADES, model_factory=_factory,
-                            gram_view=cache.view(names))
+    bank = OneVsRestSVCBank(GRADES, model_factory=_factory)
     bank.fit(X, y)
     return bank.predict_index(query)
 

@@ -4,7 +4,7 @@ Runs the same greedy compaction (paper Fig. 2) three ways and compares
 wall-clock time and results:
 
 1. :class:`~repro.core.compaction.TestCompactor` serial (``n_jobs=1``)
-   -- Gram cache + warm starts + final-refit reuse, the baseline
+   -- shared pair Grams + warm starts + final-refit reuse, the baseline
    everything must stay bitwise equal to;
 2. the compactor with ``n_jobs`` workers -- speculative candidate
    fan-out;
@@ -93,8 +93,6 @@ def run_experiment():
     print("\nkept: {}  eliminated: {}".format(
         ", ".join(serial.kept), ", ".join(serial.eliminated)))
     print("speculation: {}".format(parallel.stats.get("speculation")))
-    print("kernel cache (serial run): {}".format(
-        serial.stats.get("kernel_cache")))
 
     # Equivalence is non-negotiable in every environment.
     assert _same_outcome(serial, parallel)

@@ -15,12 +15,11 @@ turn:
 The output is the compacted test set plus the statistical model that
 replaces the eliminated tests during production test.
 
-Every candidate trains on a column subset of the same training
-matrix, so one run shares a
-:class:`~repro.runtime.kernel_cache.GramCache` across its fits (the
-strict/loose pair of a candidate shares one Gram matrix), seeds each
-loose fit from its strict sibling's dual solution, and reuses the last
-accepted candidate's model as the final one.  With ``n_jobs > 1``
+Each candidate's strict/loose guard-band pair shares one Gram matrix
+for the length of its fit (see
+:class:`~repro.core.guardband.GuardBandedClassifier`); the loop seeds
+each loose fit from its strict sibling's dual solution and reuses the
+last accepted candidate's model as the final one.  With ``n_jobs > 1``
 upcoming candidates are evaluated speculatively in worker processes,
 along both branches of each pending decision; the loop still consumes
 the decisions in examination order, so the result is bitwise the
@@ -77,8 +76,7 @@ class CompactionResult:
     #: Tolerance e_T the run was configured with.
     tolerance: float = 0.0
     #: Run counters: worker count, candidates examined, final-refit
-    #: reuse, the Gram cache's hits and misses (serial runs) and the
-    #: speculation counts (``n_jobs > 1``).
+    #: reuse and the speculation counts (``n_jobs > 1``).
     stats: dict = field(default_factory=dict)
 
     @property
@@ -179,8 +177,8 @@ class TestCompactor:
     grid_compactor:
         Optional :class:`~repro.core.grid.GridCompactor` applied to the
         training features before each model fit (paper Section 4.3).
-        Grid compaction rewrites the training rows, so such runs fit
-        without the Gram cache.
+        Grid compaction rewrites the training rows, so such fits do
+        not share a Gram.
     count_guard_as_error:
         When True, guard-band devices count toward ``e_p`` (a stricter
         acceptance criterion than the paper's, which retests them).
@@ -225,20 +223,11 @@ class TestCompactor:
             return self.order.order(dataset)
         return FunctionalOrder(self.order).order(dataset)
 
-    def _gram_cache(self, train):
-        """A fresh Gram cache over ``train`` for one run's fits."""
-        if self.grid_compactor is not None:
-            return None
-        from repro.runtime.kernel_cache import GramCache
-
-        return GramCache.from_dataset(train)
-
-    def _fit_model(self, train, feature_names, kernel_cache):
+    def _fit_model(self, train, feature_names):
         base = self.model_factory or AutoTunedSVCFactory()
         model = GuardBandedClassifier(
             feature_names, delta=self.guard_band,
-            model_factory=self._wrapped_factory(base),
-            kernel_cache=kernel_cache, warm_start=True)
+            model_factory=self._wrapped_factory(base), warm_start=True)
         model.fit(train)
         return model
 
@@ -254,14 +243,12 @@ class TestCompactor:
             error += report.guard_rate
         return error
 
-    def evaluate_subset(self, train, test, eliminated, kernel_cache=None):
+    def evaluate_subset(self, train, test, eliminated):
         """Fit and evaluate a model for one fixed eliminated set.
 
         Returns ``(model, report)``.  This is the building block used
         both by the greedy loop and by block eliminations such as the
-        MEMS temperature experiment (paper Table 3).  ``kernel_cache``
-        is a :class:`~repro.runtime.kernel_cache.GramCache` over
-        ``train`` shared with other fits; ``None`` fits without one.
+        MEMS temperature experiment (paper Table 3).
         """
         eliminated = tuple(eliminated)
         kept = [n for n in train.names if n not in set(eliminated)]
@@ -269,7 +256,7 @@ class TestCompactor:
             raise CompactionError(
                 "elimination of {} would leave fewer than {} tests".format(
                     eliminated, self.min_kept))
-        model = self._fit_model(train, kept, kernel_cache)
+        model = self._fit_model(train, kept)
         predictions = model.predict_dataset(test)
         report = evaluate_predictions(test.labels, predictions)
         return model, report
@@ -327,9 +314,6 @@ class TestCompactor:
         if self.n_jobs > 1:
             from repro.runtime.parallel import make_pool
 
-            # Candidates are fitted in the workers, each against its
-            # own Gram cache (see _init_candidate_worker).
-            cache = None
             with make_pool(self.n_jobs, initializer=_init_candidate_worker,
                            initargs=(self, train, test)) as pool:
                 speculator = _Speculator(pool, order, 2 * self.n_jobs,
@@ -339,13 +323,10 @@ class TestCompactor:
                 speculator.discard(eliminated, len(order))
             stats["speculation"] = speculator.stats
         else:
-            cache = self._gram_cache(train)
             eliminated, steps, last_fit = self._greedy_loop(
                 order, max_eliminable,
                 lambda elim, i: self.evaluate_subset(
-                    train, test, elim + (order[i],), cache))
-            if cache is not None:
-                stats["kernel_cache"] = dict(cache.stats)
+                    train, test, elim + (order[i],)))
         stats["candidates_examined"] = len(steps)
         # The last accepted candidate was fitted on exactly the final
         # eliminated set; reuse it.  Without one nothing was eliminated,
@@ -353,9 +334,8 @@ class TestCompactor:
         # nothing.
         stats["final_refit_reused"] = last_fit is not None
         if last_fit is None:
-            last_fit = self.evaluate_subset(train, test, eliminated, cache)
+            last_fit = self.evaluate_subset(train, test, eliminated)
         model, final_report = last_fit
-        model.release_kernel_cache()
         return CompactionResult(
             kept=tuple(n for n in train.names if n not in set(eliminated)),
             eliminated=eliminated,
@@ -372,10 +352,9 @@ class TestCompactor:
         """Compact many independent ``(train, test)`` pairs.
 
         With ``n_jobs > 1`` the pairs fan out across one process pool
-        whose workers compact serially, each with its own Gram cache;
-        results are bitwise a serial loop's and come back in input
-        order.  This is the bulk entry point for Monte-Carlo lots and
-        tolerance sweeps.
+        whose workers compact serially; results are bitwise a serial
+        loop's and come back in input order.  This is the bulk entry
+        point for Monte-Carlo lots and tolerance sweeps.
         """
         pairs = list(pairs)
         if any(len(pair) != 2 for pair in pairs):
@@ -477,14 +456,13 @@ _WORKER = {}
 
 def _init_candidate_worker(compactor, train, test):
     """Pool initializer for speculative candidate evaluation."""
-    _WORKER.update(compactor=compactor, train=train, test=test,
-                   cache=compactor._gram_cache(train))
+    _WORKER.update(compactor=compactor, train=train, test=test)
 
 
 def _eval_candidate(candidate):
     """Evaluate one candidate elimination inside a pool worker."""
     return _WORKER["compactor"].evaluate_subset(
-        _WORKER["train"], _WORKER["test"], candidate, _WORKER["cache"])
+        _WORKER["train"], _WORKER["test"], candidate)
 
 
 def _init_pair_worker(compactor):

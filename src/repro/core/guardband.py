@@ -26,7 +26,8 @@ import numpy as np
 from repro.core.metrics import GUARD
 from repro.core.specs import BAD, GOOD
 from repro.errors import CompactionError
-from repro.learn.svm import SVC
+from repro.learn.columns import KernelColumnCache
+from repro.learn.svm import SVC, shared_train_kernel, warm_startable
 
 
 def default_model_factory():
@@ -125,12 +126,6 @@ class GuardBandedClassifier:
     model_factory:
         Zero-argument callable producing an unfitted classifier with
         ``fit``/``predict`` (defaults to :func:`default_model_factory`).
-    kernel_cache:
-        Optional :class:`repro.runtime.kernel_cache.GramCache` built
-        from the *same* training dataset; the strict/loose model pair
-        then shares one precomputed Gram matrix per fit instead of
-        evaluating the kernel twice.  Models that do not understand
-        Gram views (no ``set_train_gram_view``) are unaffected.
     warm_start:
         When True, the loose model's SMO run is seeded from the strict
         model's dual solution.  The two label vectors differ only on
@@ -145,6 +140,12 @@ class GuardBandedClassifier:
         the SMO precompute limit.  Fits are bit-identical with or
         without a budget; only the working set changes.
 
+    Below the SMO precompute limit the strict/loose pair shares one
+    :class:`~repro.learn.kernels.SharedGram` over the training features:
+    one Gram build serves both fits.  The Gram and the column cache
+    live for one :meth:`fit` only; nothing of them stays on the fitted
+    classifier or its models.
+
     The classifier is trained from a *full*
     :class:`~repro.process.dataset.SpecDataset` (all specifications
     measured) because the model's training labels are the pass/fail of
@@ -157,8 +158,7 @@ class GuardBandedClassifier:
     """
 
     def __init__(self, feature_names, delta=0.05, model_factory=None,
-                 kernel_cache=None, warm_start=False,
-                 column_budget=None):
+                 warm_start=False, column_budget=None):
         self.feature_names = tuple(feature_names)
         if not self.feature_names:
             raise CompactionError(
@@ -175,11 +175,9 @@ class GuardBandedClassifier:
             self.delta = float(delta)
         # Default: cross-validated hyperparameter selection per fit.
         self.model_factory = model_factory or AutoTunedSVCFactory()
-        self.kernel_cache = kernel_cache
         self.warm_start = bool(warm_start)
         self.column_budget = (None if column_budget is None
                               else int(column_budget))
-        self._column_cache = None
 
     def _delta_for(self, names):
         """Per-spec delta array for the given specification names."""
@@ -213,11 +211,6 @@ class GuardBandedClassifier:
             self._loose = self._strict
             return self
 
-        if self.column_budget is not None:
-            from repro.learn.columns import KernelColumnCache
-
-            self._column_cache = KernelColumnCache(
-                X, max_bytes=self.column_budget)
         elim_specs = specs.subset(self.eliminated_names)
         elim_deltas = self._delta_for(self.eliminated_names)
         # Sharded datasets compute shifted labels shard by shard (the
@@ -238,79 +231,39 @@ class GuardBandedClassifier:
             return elim_specs.shifted(deltas).labels(elim_values)
 
         self._no_guard = self._no_guard and not np.any(elim_deltas)
-        if self._no_guard:
-            y = shifted(None)
-            if hasattr(self.model_factory, "tune"):
-                self.model_factory.tune(X, y)
-            self._strict = self._new_model().fit(X, y)
-            self._loose = self._strict
-        else:
-            # Strict model: eliminated ranges shrunk inward, so
-            # boundary devices are labeled bad.
-            y_strict = shifted(elim_deltas)
-            # Loose model: eliminated ranges widened outward.
-            y_loose = shifted(-elim_deltas)
-            if hasattr(self.model_factory, "tune"):
-                self.model_factory.tune(X, y_strict)
-            self._strict = self._new_model().fit(X, y_strict)
-            self._loose = self._fit_loose(X, y_loose)
+        columns = None
+        if self.column_budget is not None:
+            columns = KernelColumnCache(X, max_bytes=self.column_budget)
+        with shared_train_kernel(X, columns) as attach:
+            if self._no_guard:
+                y = shifted(None)
+                if hasattr(self.model_factory, "tune"):
+                    self.model_factory.tune(X, y)
+                self._strict = attach(self.model_factory()).fit(X, y)
+                self._loose = self._strict
+            else:
+                # Strict model: eliminated ranges shrunk inward, so
+                # boundary devices are labeled bad.
+                y_strict = shifted(elim_deltas)
+                # Loose model: eliminated ranges widened outward.
+                y_loose = shifted(-elim_deltas)
+                if hasattr(self.model_factory, "tune"):
+                    self.model_factory.tune(X, y_strict)
+                self._strict = attach(self.model_factory()).fit(X, y_strict)
+                self._loose = self._fit_loose(
+                    attach(self.model_factory()), X, y_loose)
         return self
 
-    def _new_model(self):
-        """Build one model, attached to the shared Gram view if possible."""
-        model = self.model_factory()
-        if (self.kernel_cache is not None
-                and hasattr(model, "set_train_gram_view")):
-            model.set_train_gram_view(
-                self.kernel_cache.view(self.feature_names))
-        cache = getattr(self, "_column_cache", None)
-        if cache is not None and hasattr(model, "set_train_columns"):
-            model.set_train_columns(cache)
-        return model
-
-    def _fit_loose(self, X, y_loose):
+    def _fit_loose(self, model, X, y_loose):
         """Fit the loose model, warm-started from the strict solution."""
-        model = self._new_model()
         alpha0 = getattr(self._strict, "alpha_", None)
-        if self.warm_start and alpha0 is not None:
-            try:
-                return model.fit(X, y_loose, alpha_init=alpha0)
-            except TypeError:
-                pass  # model's fit() has no warm-start support
+        if self.warm_start and alpha0 is not None and warm_startable(model):
+            return model.fit(X, y_loose, alpha_init=alpha0)
         return model.fit(X, y_loose)
 
     def _check_fitted(self):
         if not hasattr(self, "_strict"):
             raise CompactionError("GuardBandedClassifier is not fitted")
-
-    def release_kernel_cache(self):
-        """Drop cache references (prediction never needs them).
-
-        A fitted classifier otherwise pins the whole per-run
-        :class:`~repro.runtime.kernel_cache.GramCache` (hundreds of
-        MB at paper scale) through ``kernel_cache`` and the models'
-        Gram views.  :meth:`TestCompactor.run
-        <repro.core.compaction.TestCompactor.run>` calls this on the
-        model it returns.
-        """
-        self.kernel_cache = None
-        self._column_cache = None
-        for model in (getattr(self, "_strict", None),
-                      getattr(self, "_loose", None)):
-            if model is not None and hasattr(model, "set_train_gram_view"):
-                model.set_train_gram_view(None)
-            if model is not None and hasattr(model, "set_train_columns"):
-                model.set_train_columns(None)
-        return self
-
-    # The cache must never ride along on pickles either -- a model
-    # crossing a process boundary would otherwise serialize every
-    # cached (n, n) matrix of its worker.
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["kernel_cache"] = None
-        state["_column_cache"] = None
-        return state
 
     # -- prediction ---------------------------------------------------------
     def _box_pass(self, X_normalized, deltas):

@@ -50,7 +50,8 @@ def fit_ovr_bank(X, y, classes=None, model_factory=None,
     class labels.  ``classes`` defaults to the sorted distinct labels.
     All member fits above the SMO precompute limit draw kernel columns
     from one shared :class:`~repro.learn.columns.KernelColumnCache`
-    sized by ``column_budget`` bytes.
+    sized by ``column_budget`` bytes; the cache is dropped once the
+    bank is fitted.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -65,4 +66,4 @@ def fit_ovr_bank(X, y, classes=None, model_factory=None,
     if column_budget is not None:
         bank.set_train_columns(
             KernelColumnCache(X, max_bytes=column_budget))
-    return bank.fit(X, y)
+    return bank.fit(X, y).set_train_columns(None)

@@ -101,8 +101,8 @@ def _sanitized_model(model):
 
     A deployed program never refits, so the training-time model
     factory -- which may be an unpicklable closure -- is dropped.
-    (Runtime Gram caches never reach the file: the classifier's and
-    SVC's ``__getstate__`` already exclude them.)
+    (Training Grams and column caches never reach the file: they live
+    for one fit, and SVC's ``__getstate__`` excludes them besides.)
     """
     model = copy.copy(model)
     model.model_factory = None
@@ -292,18 +292,12 @@ class TestProgramArtifact:
         passing = truth_bins != default
         if train_bank and len(grades) >= 2 and int(passing.sum()) >= 2:
             from repro.learn.ovr import OneVsRestSVCBank
-            from repro.runtime.kernel_cache import GramCache
 
             X = train.normalized_values(self.kept)[passing]
             y = np.asarray(bound.bins, dtype=object)[truth_bins[passing]]
-            cache = GramCache(X, self.kept)
-            bank = OneVsRestSVCBank(
+            self.bank = OneVsRestSVCBank(
                 tuple(bound.bins[g] for g in grades),
-                model_factory=model_factory,
-                gram_view=cache.view(self.kept))
-            bank.fit(X, y)
-            bank.set_train_gram_view(None)
-            self.bank = bank
+                model_factory=model_factory).fit(X, y)
         return self
 
     # -- views -------------------------------------------------------------

@@ -57,6 +57,39 @@ def squared_distances(A, B, bb=None):
     return d2
 
 
+class SharedGram:
+    """The RBF Gram matrices of one training matrix, for one fit.
+
+    A fit that trains several models on the same rows -- the strict and
+    loose guard-band pair, the members of a one-vs-rest bank -- builds
+    one over its ``X`` and attaches it to each model with
+    :meth:`repro.learn.svm.SVC.set_train_gram_view` for the length of
+    that fit.  The squared distances are built once, on first use, and
+    each width's ``exp(-gamma * d2)`` once; every Gram is bitwise
+    ``kernel_function("rbf", gamma)(X, X)``.
+    """
+
+    def __init__(self, X):
+        self._X = np.asarray(X, dtype=float)
+        self._d2 = None
+        self._grams = {}
+
+    def matches(self, X):
+        """Whether ``X`` is exactly the matrix the Grams cover."""
+        return bool(np.array_equal(X, self._X))
+
+    def gram(self, gamma):
+        """The RBF Gram matrix of ``X`` at width ``gamma``."""
+        gamma = float(gamma)
+        if gamma <= 0:
+            raise LearningError("gamma must be positive, got {}".format(gamma))
+        if gamma not in self._grams:
+            if self._d2 is None:
+                self._d2 = squared_distances(self._X, self._X)
+            self._grams[gamma] = np.exp(-gamma * self._d2)
+        return self._grams[gamma]
+
+
 def kernel_function(name, gamma=1.0, degree=3, coef0=0.0):
     """Return ``k(A, B) -> Gram`` for the named kernel.
 

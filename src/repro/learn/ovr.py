@@ -9,8 +9,9 @@ two dominant costs K times:
   bin, because only the labels change;
 * the SMO solve from a cold (all-zero) dual start.
 
-:class:`OneVsRestSVCBank` shares both.  Every member SVC is attached
-to one :class:`~repro.runtime.kernel_cache.SubsetGramView`, so the
+:class:`OneVsRestSVCBank` shares both.  For the length of one
+:meth:`~OneVsRestSVCBank.fit` every member SVC is attached to one
+:class:`~repro.learn.kernels.SharedGram` over the training rows, so the
 (n, n) kernel matrix is computed once and reused K times, and each fit
 after the first is warm-started from the previous bin's dual vector:
 :func:`repro.learn.smo.solve_smo` repairs an ``alpha_init`` against
@@ -26,7 +27,7 @@ K cold fits.
 import numpy as np
 
 from repro.errors import LearningError
-from repro.learn.svm import SVC
+from repro.learn.svm import SVC, shared_train_kernel, warm_startable
 from repro.telemetry import get_telemetry
 
 
@@ -41,16 +42,17 @@ class OneVsRestSVCBank:
     model_factory:
         Zero-argument callable producing an unfitted binary ``SVC``
         for each class (defaults to ``SVC(C=50.0, gamma="scale")``).
-    gram_view:
-        Optional :class:`~repro.runtime.kernel_cache.SubsetGramView`
-        covering the training rows; shared by every member fit.
     warm_start:
         Seed each member's SMO run from the previous member's dual
         solution (default True).
+    column_source:
+        Optional bounded kernel-column source shared by every member
+        fit above the SMO precompute limit (see
+        :meth:`set_train_columns`).
     """
 
-    def __init__(self, classes, model_factory=None, gram_view=None,
-                 warm_start=True, column_source=None):
+    def __init__(self, classes, model_factory=None, warm_start=True,
+                 column_source=None):
         self.classes = tuple(classes)
         if len(self.classes) < 2:
             raise LearningError(
@@ -60,7 +62,6 @@ class OneVsRestSVCBank:
             raise LearningError("bank classes must be unique")
         self.model_factory = model_factory or (
             lambda: SVC(C=50.0, gamma="scale"))
-        self._gram_view = gram_view
         self._column_source = column_source
         self.warm_start = bool(warm_start)
         self._fitted = False
@@ -69,27 +70,17 @@ class OneVsRestSVCBank:
     def n_classes(self):
         return len(self.classes)
 
-    def set_train_gram_view(self, view):
-        """Attach/detach the shared training-Gram provider."""
-        self._gram_view = view
-        for model in getattr(self, "models_", ()):
-            if hasattr(model, "set_train_gram_view"):
-                model.set_train_gram_view(view)
-        return self
-
     def set_train_columns(self, source):
         """Attach/detach a shared bounded kernel-column source.
 
-        The out-of-core sibling of :meth:`set_train_gram_view`: every
-        member fit above the precompute limit draws kernel columns
-        from one :class:`~repro.learn.columns.KernelColumnCache`
-        instead of K per-member caches -- the bank-level analogue of
-        sharing the Gram matrix, at a bounded working set.
+        The out-of-core sibling of the shared Gram: every member fit
+        above the precompute limit draws kernel columns from one
+        :class:`~repro.learn.columns.KernelColumnCache` instead of K
+        per-member caches -- the bank-level analogue of sharing the
+        Gram matrix, at a bounded working set.  Members hold it only
+        while :meth:`fit` runs.
         """
         self._column_source = source
-        for model in getattr(self, "models_", ()):
-            if hasattr(model, "set_train_columns"):
-                model.set_train_columns(source)
         return self
 
     # -- training ---------------------------------------------------------
@@ -119,23 +110,15 @@ class OneVsRestSVCBank:
         self.models_ = []
         alpha_prev = None
         with tel.span("train.ovr", rows=X.shape[0],
-                      classes=self.n_classes):
+                      classes=self.n_classes), \
+                shared_train_kernel(X, self._column_source) as attach:
             for cls in self.classes:
                 target = np.where(y == cls, 1.0, -1.0)
-                model = self.model_factory()
-                if (self._gram_view is not None
-                        and hasattr(model, "set_train_gram_view")):
-                    model.set_train_gram_view(self._gram_view)
-                if (self._column_source is not None
-                        and hasattr(model, "set_train_columns")):
-                    model.set_train_columns(self._column_source)
-                if self.warm_start and alpha_prev is not None:
-                    try:
-                        model.fit(X, target, alpha_init=alpha_prev)
-                    except TypeError:
-                        model.fit(X, target)
-                    else:
-                        tel.counter("repro_learn_warm_start_reuse_total", 1)
+                model = attach(self.model_factory())
+                if (self.warm_start and alpha_prev is not None
+                        and warm_startable(model)):
+                    model.fit(X, target, alpha_init=alpha_prev)
+                    tel.counter("repro_learn_warm_start_reuse_total", 1)
                 else:
                     model.fit(X, target)
                 alpha_prev = getattr(model, "alpha_", alpha_prev)
@@ -199,18 +182,15 @@ class OneVsRestSVCBank:
         return float(np.mean(self.predict(X) == y))
 
     # -- pickling ---------------------------------------------------------
-    # Gram views are process-local caches; members already drop them,
-    # and the bank must too.
+    # A column source is a process-local cache; it never travels.
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["_gram_view"] = None
         state["_column_source"] = None
         state.pop("model_factory", None)
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self.__dict__.setdefault("_gram_view", None)
         self.__dict__.setdefault("_column_source", None)
         # The factory is only needed for (re)fitting; a deserialized
         # bank is for prediction, so a default factory suffices.

@@ -19,9 +19,10 @@ the column fetches carry, so every route selects the same pairs.
 The Gram matrix is precomputed when the problem is small enough
 (quadratic memory); otherwise kernel columns are computed on demand
 and kept in a bounded :class:`repro.learn.columns.KernelColumnCache`.
-A caller that already holds the Gram matrix (e.g. the subset kernel
-cache of :mod:`repro.runtime`) can pass it in directly via ``gram=``
-and skip the kernel evaluation entirely.
+A caller that already holds the Gram matrix (e.g. the
+:class:`~repro.learn.kernels.SharedGram` of a guard-band pair's fit)
+can pass it in directly via ``gram=`` and skip the kernel evaluation
+entirely.
 
 The solver also supports **warm starts**: ``alpha_init`` seeds the
 dual variables from a previous (related) solution.  An infeasible
@@ -612,7 +613,8 @@ def solve_smo(kernel, X, y, C, tol=DEFAULT_TOL, max_iter=None,
         Kernel-column cache size for large problems.
     gram:
         Optional precomputed ``(n, n)`` Gram matrix; skips all kernel
-        evaluations (used by the :mod:`repro.runtime` kernel cache).
+        evaluations (used by :class:`repro.learn.svm.SVC` when a
+        :class:`~repro.learn.kernels.SharedGram` serves its fit).
     columns:
         Optional external column source with a ``column(i)`` method
         returning kernel column ``i`` and a ``diagonal()`` method whose

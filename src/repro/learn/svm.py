@@ -9,10 +9,14 @@ penalty ``C`` that prices the unbounded slack errors the paper calls
 ``zeta``.
 """
 
+import inspect
+from contextlib import contextmanager
+
 import numpy as np
 
 from repro.errors import LearningError
 from repro.learn.kernels import (
+    SharedGram,
     kernel_function,
     resolve_gamma,
     row_norms_squared,
@@ -94,8 +98,9 @@ class SVC:
         ``view`` must expose ``matches(X)`` (is this exactly the data
         the view's Gram covers?) and ``gram(gamma)`` returning the RBF
         Gram matrix of the rows passed to :meth:`fit` -- see
-        :class:`repro.runtime.kernel_cache.SubsetGramView`.  The view
-        is consulted only for the RBF kernel and only when
+        :class:`repro.learn.kernels.SharedGram`, which
+        :func:`shared_train_kernel` attaches for the length of one fit.
+        The view is consulted only for the RBF kernel and only when
         ``matches(X)`` confirms the training matrix, so a stale view
         degrades to the direct computation rather than corrupting the
         fit.
@@ -330,3 +335,54 @@ class SVC:
     def __repr__(self):
         return "SVC(C={:g}, kernel={!r}, gamma={!r})".format(
             self.C, self.kernel, self.gamma)
+
+
+def warm_startable(model):
+    """Whether ``model.fit`` takes an ``alpha_init`` warm start.
+
+    Read from the signature instead of tried: a ``TypeError`` raised
+    inside a fit must reach the caller, not turn into a second, cold
+    fit.
+    """
+    try:
+        params = inspect.signature(model.fit).parameters.values()
+    except (TypeError, ValueError):
+        return False
+    return any(p.name == "alpha_init" or p.kind is p.VAR_KEYWORD
+               for p in params)
+
+
+def _set_train_kernel(model, gram, columns):
+    """Attach ``gram`` and ``columns`` to ``model`` where it takes them."""
+    if hasattr(model, "set_train_gram_view"):
+        model.set_train_gram_view(gram)
+    if hasattr(model, "set_train_columns"):
+        model.set_train_columns(columns)
+
+
+@contextmanager
+def shared_train_kernel(X, columns=None):
+    """Share one training kernel among the models of one fit.
+
+    Yields ``attach(model)``, which points a new model's training
+    kernel at one :class:`~repro.learn.kernels.SharedGram` over ``X``
+    (when ``X`` is small enough for SMO to precompute a Gram at all,
+    :data:`repro.learn.smo.PRECOMPUTE_LIMIT`) and at ``columns``, a
+    bounded column source such as
+    :class:`~repro.learn.columns.KernelColumnCache` (or None), and
+    returns the model.  On exit every attached model is detached, so
+    nothing outlives the fit.
+    """
+    gram = SharedGram(X) if len(X) <= smo.PRECOMPUTE_LIMIT else None
+    attached = []
+
+    def attach(model):
+        _set_train_kernel(model, gram, columns)
+        attached.append(model)
+        return model
+
+    try:
+        yield attach
+    finally:
+        for model in attached:
+            _set_train_kernel(model, None, None)

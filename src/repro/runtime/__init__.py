@@ -1,4 +1,4 @@
-"""repro.runtime -- the caches and process pools the flow runs on.
+"""repro.runtime -- the Monte-Carlo engine and process pools.
 
 The paper's greedy pruning loop
 (:class:`~repro.core.compaction.TestCompactor`) retrains a
@@ -6,10 +6,6 @@ guard-banded SVM pair for every candidate test elimination, and its
 training data comes from Monte-Carlo simulation; this package holds
 the runtime pieces both lean on:
 
-``repro.runtime.kernel_cache``
-    Gram/squared-distance matrices cached and composed per feature
-    subset (the RBF distance decomposes per column, so candidate fits
-    share per-column building blocks).
 ``repro.runtime.simulation``
     The deterministic parallel Monte-Carlo generation engine:
     per-instance ``SeedSequence`` streams fan device simulation out
@@ -23,7 +19,6 @@ the runtime pieces both lean on:
     serial fallbacks) everything above shares.
 """
 
-from repro.runtime.kernel_cache import GramCache, SubsetGramView
 from repro.runtime.parallel import cpu_count, parallel_map, resolve_n_jobs
 from repro.runtime.simulation import (
     generate_instance_batches,
@@ -34,8 +29,6 @@ from repro.runtime.simulation import (
 )
 
 __all__ = [
-    "GramCache",
-    "SubsetGramView",
     "cpu_count",
     "generate_instance_batches",
     "generate_instances",

@@ -10,7 +10,7 @@ from repro.core.metrics import GUARD
 from repro.core.ordering import RandomOrder
 from repro.errors import CompactionError
 from repro.learn import SVC
-from repro.runtime.kernel_cache import GramCache
+from repro.learn.kernels import SharedGram
 
 from tests.synthetic import make_synthetic_dataset
 
@@ -262,28 +262,40 @@ class TestSpeculationPlan:
 class _FailingFactory:
     """Fixed SVC factory whose ``fail_at``-th model raises in ``fit``."""
 
-    def __init__(self, fail_at):
+    def __init__(self, fail_at=None):
         self.fail_at = fail_at
-        self.models = 0
+        self.made = []
 
     def __call__(self):
-        self.models += 1
         model = _fixed_factory()
-        if self.models == self.fail_at:
+        self.made.append(model)
+        if len(self.made) == self.fail_at:
             def fail(*args, **kwargs):
                 raise RuntimeError("injected fit failure")
             model.fit = fail
         return model
 
 
+def _attached(model):
+    return (model._gram_view is not None
+            or model._column_source is not None)
+
+
 class TestGramCacheLifetime:
     def test_failed_run_leaves_no_cache_on_the_compactor(self, small_data):
         train, test = small_data
-        # The run's fits share a Gram cache ...
-        assert "kernel_cache" in _compactor().run(train, test).stats
-        compactor = _compactor(model_factory=_FailingFactory(fail_at=5))
+        # Each guard-band pair shares one Gram for its own fit ...
+        factory = _FailingFactory()
+        result = _compactor(model_factory=factory).run(train, test)
+        assert result.eliminated and len(factory.made) >= 2
+        # ... and no fitted model keeps it, kept candidates included.
+        assert not any(_attached(model) for model in factory.made)
+        factory = _FailingFactory(fail_at=5)
+        compactor = _compactor(model_factory=factory)
         with pytest.raises(RuntimeError, match="injected"):
             compactor.run(train, test)
-        # ... which dies with a failed run instead of staying pinned.
-        assert not any(isinstance(value, GramCache)
+        # A failed fit drops it too, and the compactor never holds one.
+        assert len(factory.made) == 5
+        assert not any(_attached(model) for model in factory.made)
+        assert not any(isinstance(value, SharedGram)
                        for value in vars(compactor).values())

@@ -8,8 +8,27 @@ from repro.core.metrics import GUARD
 from repro.core.specs import BAD, GOOD
 from repro.errors import CompactionError
 from repro.learn import SVC
+from repro.telemetry import Telemetry, set_telemetry
 
 from tests.synthetic import make_synthetic_dataset
+
+
+def _fixed_labels(classifier, train, sign):
+    """The strict (``sign=1``) or loose (-1) labels of ``classifier``."""
+    specs = train.specifications.subset(classifier.eliminated_names)
+    values = train.project(classifier.eliminated_names).values
+    deltas = sign * np.full(len(classifier.eliminated_names), 0.05)
+    return specs.shifted(deltas).labels(values)
+
+
+class _WarmFitBreaks:
+    """A model whose warm-started ``fit`` raises ``TypeError`` inside."""
+
+    def fit(self, X, y, alpha_init=None):
+        if alpha_init is not None:
+            raise TypeError("bug inside the warm fit")
+        self.alpha_ = np.zeros(len(y))
+        return self
 
 
 def _fixed_factory():
@@ -101,22 +120,47 @@ class TestGuardBandedClassifier:
         assert frac == pytest.approx(np.mean(pred != GUARD))
 
     def test_gram_cache_leaves_predictions_unchanged(self):
-        """A fit through a shared Gram cache (the greedy loop's path)
-        predicts like one without (grid compaction, table3, cost)."""
-        from repro.runtime.kernel_cache import GramCache
-
+        """The pair's shared Gram serves both fits, and each fit is
+        bitwise the SVC that builds its own kernel."""
         train = make_synthetic_dataset(n=200, seed=5)
-        test = make_synthetic_dataset(n=150, seed=6)
         kept = train.names[:4]
-        cache = GramCache.from_dataset(train)
-        cached = GuardBandedClassifier(kept, delta=0.05,
-                                       model_factory=_fixed_factory,
-                                       kernel_cache=cache).fit(train)
-        plain = GuardBandedClassifier(kept, delta=0.05,
-                                      model_factory=_fixed_factory).fit(train)
-        assert cache.stats["gram_hits"] + cache.stats["gram_misses"] > 0
-        assert np.array_equal(cached.predict_dataset(test),
-                              plain.predict_dataset(test))
+        tel = Telemetry(run_id="pair")
+        previous = set_telemetry(tel)
+        try:
+            shared = GuardBandedClassifier(
+                kept, delta=0.05, model_factory=_fixed_factory,
+                warm_start=True).fit(train)
+        finally:
+            set_telemetry(previous)
+        counters = {c["name"]: c["value"]
+                    for c in tel.snapshot()["counters"]}
+        assert counters["repro_learn_gram_view_hits_total"] == 2
+        X = train.normalized_values(kept)
+        alone = _fixed_factory().fit(X, _fixed_labels(shared, train, 1))
+        assert shared._strict.alpha_.tobytes() == alone.alpha_.tobytes()
+        loose = _fixed_factory().fit(X, _fixed_labels(shared, train, -1),
+                                     alpha_init=alone.alpha_)
+        assert shared._loose.alpha_.tobytes() == loose.alpha_.tobytes()
+        for model in (shared._strict, shared._loose):
+            assert model._gram_view is None and model._column_source is None
+
+    def test_type_error_inside_warm_fit_propagates(self):
+        """A TypeError raised inside the loose warm fit reaches the
+        caller; it is not mistaken for missing warm-start support."""
+        train = make_synthetic_dataset(n=120, seed=5)
+        made = []
+
+        def factory():
+            made.append(_WarmFitBreaks())
+            return made[-1]
+
+        model = GuardBandedClassifier(train.names[:4], delta=0.05,
+                                      model_factory=factory,
+                                      warm_start=True)
+        with pytest.raises(TypeError, match="inside the warm fit"):
+            model.fit(train)
+        # The loose model was tried warm once and never refit cold.
+        assert len(made) == 2 and not hasattr(made[1], "alpha_")
 
     def test_validation(self):
         ds = make_synthetic_dataset(n=50)

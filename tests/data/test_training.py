@@ -119,6 +119,8 @@ class TestOvrBankOutOfCore:
             assert model.alpha_.tobytes() == other.alpha_.tobytes()
             assert model.intercept_ == other.intercept_
         assert np.array_equal(plain.predict(X), banked.predict(X))
+        # The column cache lives for the fit only.
+        assert banked._column_source is None
 
     def test_bank_requires_two_classes(self, dataset):
         X = dataset.normalized_values(["s0"])

@@ -6,9 +6,12 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.errors import LearningError
+from repro.learn import kernels
 from repro.learn.kernels import (
-    kernel_function, resolve_gamma, squared_distances,
+    SharedGram, kernel_function, resolve_gamma, squared_distances,
 )
+
+from tests.synthetic import make_synthetic_dataset
 
 
 def _matrix(rows, cols=3):
@@ -96,3 +99,88 @@ class TestResolveGamma:
         assert resolve_gamma(1.5, X) == 1.5
         with pytest.raises(LearningError, match="positive"):
             resolve_gamma(-1.0, X)
+
+
+class TestSharedGram:
+    """The fit-scoped Gram provider a guard-band pair or bank shares."""
+
+    @pytest.fixture
+    def X(self):
+        return make_synthetic_dataset(n=60, seed=5).normalized_values(
+            ("s1", "s3", "s4"))
+
+    def test_gram_matches_rbf_kernel(self, X):
+        shared = SharedGram(X)
+        for gamma in (0.5, 4.0):
+            rbf = kernel_function("rbf", gamma=gamma)
+            assert shared.gram(gamma).tobytes() == rbf(X, X).tobytes()
+
+    def test_single_column(self, X):
+        column = X[:, :1]
+        rbf = kernel_function("rbf", gamma=2.0)
+        assert (SharedGram(column).gram(2.0).tobytes()
+                == rbf(column, column).tobytes())
+
+    def test_deterministic_across_instances(self, X):
+        """Two providers (any call history) give bit-identical Grams."""
+        a, b = SharedGram(X), SharedGram(X.copy())
+        a.gram(8.0)  # a different warm-up path
+        assert a.gram(2.0).tobytes() == b.gram(2.0).tobytes()
+
+    def test_two_widths_cost_one_distance_build(self, X, monkeypatch):
+        builds = []
+
+        def counted(A, B, bb=None):
+            builds.append(A.shape)
+            return squared_distances(A, B, bb)
+
+        monkeypatch.setattr(kernels, "squared_distances", counted)
+        shared = SharedGram(X)
+        shared.gram(2.0)
+        shared.gram(8.0)
+        assert builds == [X.shape]
+
+    def test_gram_cached_per_gamma(self, X):
+        shared = SharedGram(X)
+        first = shared.gram(2.0)
+        assert shared.gram(2.0) is first
+        assert shared.gram(8.0) is not first
+
+    def test_stale_x_does_not_match(self, X):
+        shared = SharedGram(X)
+        assert shared.matches(X.copy())
+        stale = X.copy()
+        stale[7, 1] += 1e-12   # same shape, different data
+        assert not shared.matches(stale)
+        assert not shared.matches(X[:-1])
+        assert not shared.matches(X[:, :2])
+
+    def test_repeated_fit_hits(self, X, monkeypatch):
+        """Two fits through one provider share one Gram build."""
+        from repro.learn.svm import SVC
+
+        y = np.where(X[:, 0] > np.median(X[:, 0]), 1.0, -1.0)
+        shared = SharedGram(X)
+        first = SVC(C=10.0, gamma=2.0).set_train_gram_view(shared)
+        second = SVC(C=50.0, gamma=2.0).set_train_gram_view(shared)
+        first.fit(X, y)
+        monkeypatch.setattr(kernels, "squared_distances", None)
+        second.fit(X, -y)   # would raise if it built any kernel
+        assert list(shared._grams) == [2.0]
+
+    def test_stale_view_falls_back_to_direct_kernel(self, X):
+        """A fit on other rows ignores the provider, bit for bit."""
+        from repro.learn.svm import SVC
+
+        other = X[::-1].copy()
+        y = np.where(other[:, 0] > np.median(other[:, 0]), 1.0, -1.0)
+        shared = SharedGram(X)
+        viewed = SVC(C=10.0, gamma=2.0).set_train_gram_view(shared)
+        viewed.fit(other, y)
+        plain = SVC(C=10.0, gamma=2.0).fit(other, y)
+        assert not shared._grams
+        assert viewed.alpha_.tobytes() == plain.alpha_.tobytes()
+
+    def test_bad_gamma_rejected(self, X):
+        with pytest.raises(LearningError):
+            SharedGram(X).gram(0.0)

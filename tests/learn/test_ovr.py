@@ -13,9 +13,12 @@ import numpy as np
 import pytest
 
 from repro.errors import LearningError
+from repro.learn import kernels
+from repro.learn.columns import KernelColumnCache
+from repro.learn.kernels import squared_distances
 from repro.learn.ovr import OneVsRestSVCBank
 from repro.learn.svm import SVC
-from repro.runtime.kernel_cache import GramCache
+from repro.telemetry import Telemetry, set_telemetry
 
 CLASSES = ("FAST", "TYP", "SLOW")
 
@@ -70,18 +73,36 @@ class TestEquivalenceToColdFits:
                 == cold_prediction(X, y, query)).all()
 
     def test_shared_gram_view_changes_nothing_and_hits_cache(
-            self, blobs, query):
+            self, blobs, monkeypatch):
         X, y = blobs
-        names = ("a", "b", "c")
-        cache = GramCache(X, names)
-        shared = OneVsRestSVCBank(CLASSES, model_factory=factory,
-                                  gram_view=cache.view(names)).fit(X, y)
-        plain = OneVsRestSVCBank(CLASSES, model_factory=factory).fit(X, y)
-        assert (shared.predict_index(query)
-                == plain.predict_index(query)).all()
-        # One Gram build, K-1 reuses: the whole point of the bank.
-        assert cache.stats["gram_misses"] == 1
-        assert cache.stats["gram_hits"] == len(CLASSES) - 1
+        cold = [factory().fit(X, np.where(y == cls, 1.0, -1.0))
+                for cls in CLASSES]
+        builds = []
+
+        def counted(A, B, bb=None):
+            builds.append(A.shape)
+            return squared_distances(A, B, bb)
+
+        monkeypatch.setattr(kernels, "squared_distances", counted)
+        tel = Telemetry(run_id="bank")
+        previous = set_telemetry(tel)
+        try:
+            bank = OneVsRestSVCBank(CLASSES, model_factory=factory,
+                                    warm_start=False).fit(X, y)
+        finally:
+            set_telemetry(previous)
+        # One Gram build serves all K member fits ...
+        assert builds == [X.shape]
+        counters = {c["name"]: c["value"]
+                    for c in tel.snapshot()["counters"]}
+        assert counters["repro_learn_gram_view_hits_total"] == len(CLASSES)
+        # ... bitwise the fits that build their own ...
+        for model, alone in zip(bank.models_, cold):
+            assert model.alpha_.tobytes() == alone.alpha_.tobytes()
+            assert model.intercept_ == alone.intercept_
+        # ... and the Gram does not outlive the fit.
+        for model in bank.models_:
+            assert model._gram_view is None and model._column_source is None
 
 
 class TestPredictionSurface:
@@ -147,6 +168,41 @@ class TestDegenerateClasses:
         assert np.isinf(scores).all()
 
 
+class _WarmFitBreaks(SVC):
+    """An SVC whose warm-started ``fit`` raises ``TypeError`` inside."""
+
+    def fit(self, X, y, alpha_init=None):
+        if alpha_init is not None:
+            raise TypeError("bug inside the warm fit")
+        return super().fit(X, y)
+
+
+class TestWarmStartDecision:
+    def test_type_error_inside_warm_fit_propagates(self, blobs):
+        X, y = blobs
+        bank = OneVsRestSVCBank(CLASSES,
+                                model_factory=lambda: _WarmFitBreaks(
+                                    C=50.0, gamma="scale"))
+        with pytest.raises(TypeError, match="inside the warm fit"):
+            bank.fit(X, y)
+
+    def test_fit_without_alpha_init_runs_cold_once(self, blobs, query):
+        class ColdOnly(SVC):
+            calls = 0
+
+            def fit(self, X, y):
+                ColdOnly.calls += 1
+                return super().fit(X, y)
+
+        X, y = blobs
+        bank = OneVsRestSVCBank(
+            CLASSES, model_factory=lambda: ColdOnly(C=50.0, gamma="scale"))
+        bank.fit(X, y)
+        assert ColdOnly.calls == len(CLASSES)
+        assert (bank.predict_index(query)
+                == cold_prediction(X, y, query)).all()
+
+
 class TestValidation:
     def test_fewer_than_two_classes_rejected(self):
         with pytest.raises(LearningError, match="at least 2"):
@@ -182,16 +238,17 @@ class TestValidation:
 class TestPickling:
     def test_round_trip_predicts_identically(self, blobs, query):
         X, y = blobs
-        names = ("a", "b", "c")
-        cache = GramCache(X, names)
         bank = OneVsRestSVCBank(CLASSES, model_factory=factory,
-                                gram_view=cache.view(names)).fit(X, y)
+                                column_source=KernelColumnCache(X))
+        bank.fit(X, y)
         clone = pickle.loads(pickle.dumps(bank))
         assert clone.classes == bank.classes
         assert (clone.predict_index(query)
                 == bank.predict_index(query)).all()
         # Process-local caches never travel.
-        assert clone._gram_view is None
+        assert clone._column_source is None
+        for model in clone.models_:
+            assert model._gram_view is None and model._column_source is None
 
     def test_unpickled_bank_can_refit(self, blobs):
         """The default factory restored on load keeps fit() working."""

@@ -122,23 +122,23 @@ class TestSVCPickling:
                               model.decision_function(Xq))
 
     def test_gram_cache_fit_bit_identical_after_pickle(self):
-        """A model fitted through a shared-Gram view must round-trip
-        to the identical decision function (the view itself is
-        process-local and dropped on serialization)."""
-        from repro.runtime.kernel_cache import GramCache
+        """A model fitted through a shared Gram must round-trip to the
+        identical decision function (the Gram itself is process-local
+        and dropped on serialization)."""
+        from repro.learn.kernels import SharedGram
 
         from tests.synthetic import make_synthetic_dataset
 
         train = make_synthetic_dataset(n=150, seed=3)
         names = train.names[:4]
-        cache = GramCache.from_dataset(train)
         X = train.normalized_values(names)
         y = train.labels.astype(float)
+        shared = SharedGram(X)
         model = SVC(C=50.0, gamma="scale")
-        model.set_train_gram_view(cache.view(names))
+        model.set_train_gram_view(shared)
         model.fit(X, y)
         # The shared Gram really served this fit (no silent fallback).
-        assert cache.stats["gram_misses"] + cache.stats["gram_hits"] > 0
+        assert shared._grams
 
         clone = pickle.loads(pickle.dumps(model))
         assert clone._gram_view is None

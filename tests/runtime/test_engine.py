@@ -11,8 +11,11 @@ import pytest
 
 from repro.core.compaction import TestCompactor as Compactor
 from repro.errors import CompactionError
+from repro.learn import kernels
+from repro.learn.kernels import squared_distances
 from repro.learn.svm import SVC
 from repro.runtime.parallel import parallel_map, resolve_n_jobs
+from repro.telemetry import Telemetry, set_telemetry
 
 from tests.synthetic import make_synthetic_dataset
 
@@ -42,12 +45,28 @@ class TestSerialEngine:
         assert result.stats["final_refit_reused"] == \
             (len(result.eliminated) > 0)
 
-    def test_kernel_cache_exercised(self, small_data):
+    def test_kernel_cache_exercised(self, small_data, monkeypatch):
+        """The loose fit of every candidate reuses its strict fit's
+        Gram: one distance build per guard-band pair, two view hits."""
         train, test = small_data
-        result = _compactor(n_jobs=1).run(train, test)
-        cache_stats = result.stats["kernel_cache"]
-        # Strict and loose guard-band fits share one Gram per candidate.
-        assert cache_stats["gram_hits"] >= len(result.steps)
+        builds = []
+
+        def counted(A, B, bb=None):
+            builds.append(A.shape)
+            return squared_distances(A, B, bb)
+
+        monkeypatch.setattr(kernels, "squared_distances", counted)
+        tel = Telemetry(run_id="engine")
+        previous = set_telemetry(tel)
+        try:
+            result = _compactor(n_jobs=1).run(train, test)
+        finally:
+            set_telemetry(previous)
+        counters = {c["name"]: c["value"]
+                    for c in tel.snapshot()["counters"]}
+        pairs = len(result.steps)
+        assert counters["repro_learn_gram_view_hits_total"] == 2 * pairs
+        assert [rows for rows, _ in builds].count(len(train)) == pairs
 
     def test_result_is_picklable(self, small_data):
         """Compaction results must cross process boundaries whole."""
