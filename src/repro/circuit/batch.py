@@ -36,11 +36,16 @@ runs over the static and linearized entries interleaved in device
 order; appending every linearized entry after the static ones would
 change the rounding.
 
+**Newton tick.**  DC and transient Newton share one stacked step,
+:meth:`CircuitBatch._newton_tick`: stamp the nonlinear plan, solve the
+stack, clip the node update, test convergence per row.  Each tick is
+one nonlinear-plan pass and one stacked solve, and each row performs
+exactly one scalar Newton iteration in it.
+
 **Masked Newton (DC).**  All instances iterate together; an instance
 leaves the active set the moment its own node voltages converge, so its
 solution is frozen exactly where the scalar iteration would have
-stopped.  Each iteration is one nonlinear-plan pass and one stacked
-solve.  Instances whose matrix turns singular mid-iteration, or that
+stopped.  Instances whose matrix turns singular mid-iteration, or that
 fail to converge within the iteration limit, are *demoted*: they re-run
 through the scalar :func:`~repro.circuit.dc.solve_dc` (with its full
 gmin/source-stepping homotopy arsenal) individually, so one hard
@@ -52,10 +57,19 @@ once; the reactive stamps are hoisted to an omega-linear entry list
 instance x frequency systems are stacked into memory-bounded chunks,
 each solved with a single stacked LAPACK call.
 
-**Batched transient.**  Fixed-step integration with the companion
-conductance stack assembled once per (step size, method) and a masked
-batched Newton per time step, warm-started from the previous step.
-An instance that fails a step is demoted to the scalar
+**Batched transient: one step clock per instance.**  Fixed-step
+integration with the companion conductance stacks (backward Euler for
+step 1, the requested method after) assembled once per solve, and
+every source evaluated over the whole time grid once, into a
+``(n_steps + 1, B)`` bank (:meth:`~repro.circuit.devices.Waveform.at_grid`,
+bitwise ``Waveform.at``).  Each instance keeps its own step index and
+Newton count.  Every tick stacks every live instance, each at its own
+step; an instance that converges records its step, advances its
+companion history and starts its next step on the next tick,
+warm-started from the solution just found.  No instance waits for the
+slowest one of a step, so a solve takes about as many ticks as its
+slowest instance takes Newton iterations in all.  An instance that
+fails a step is demoted to the scalar
 :func:`~repro.circuit.transient.solve_transient` (with its local
 step-halving retries) for the whole run.
 
@@ -80,6 +94,8 @@ scalar path.  Per-instance failures come back in the result's
 instances.
 """
 
+import time
+
 import numpy as np
 
 from repro.circuit import devices as dev
@@ -95,6 +111,32 @@ AC_CHUNK_ENTRIES = 1 << 21
 #: Node-voltage clamp per transient Newton iteration (V), matching the
 #: scalar ``transient._newton_step``.
 TRAN_MAX_STEP = 0.5
+
+
+def _record(started, analysis, demotions, ticks=None, iterations=0):
+    """Report one analysis call to telemetry; returns the registry.
+
+    ``started`` is the call's ``time.perf_counter()`` start.  A Newton
+    analysis passes ``ticks``, its count of stacked solves, and
+    ``iterations``, the per-row Newton iterations they carried (a
+    count, or an array of per-row counts).
+    """
+    seconds = time.perf_counter() - started
+    tel = get_telemetry()
+    if tel.enabled:
+        tel.counter("repro_circuit_batch_solves_total", 1,
+                    analysis=analysis)
+        tel.counter("repro_circuit_batch_seconds_total", seconds,
+                    analysis=analysis)
+        if ticks is not None:
+            tel.counter("repro_circuit_newton_ticks_total", ticks,
+                        analysis=analysis)
+            tel.counter("repro_circuit_newton_iterations_total",
+                        int(np.sum(iterations)), analysis=analysis)
+        if demotions:
+            tel.counter("repro_circuit_demotions_total", demotions,
+                        analysis=analysis)
+    return tel
 
 
 def _vcol(x, i):
@@ -152,6 +194,8 @@ class _BatchDevice:
     """
 
     reactive = False
+    #: True when the device adds to the transient right-hand side.
+    transient_rhs = False
 
     def __init__(self, column):
         self.column = column
@@ -186,20 +230,30 @@ class _BatchDevice:
         """``[(row, values)]`` mirroring the non-reactive ``stamp_ac``."""
         return ()
 
-    def tran_b_rows(self, t, state, idx):
-        """``[(row, values)]`` mirroring ``stamp_tran_b``."""
+    def tran_b_rows(self, state, steps, idx):
+        """``[(row, values)]`` mirroring ``stamp_tran_b``.
+
+        ``idx`` are batch positions and ``steps`` each row's own time
+        step (an index into the solve's time grid).
+        """
         return ()
 
-    # -- reactive integration state ------------------------------------
-    def init_state(self, x, idx):
-        """Vectorized ``init_state`` over the (already sliced) batch."""
+    # -- transient state -----------------------------------------------
+    # State arrays span the whole batch and are indexed by batch
+    # position; every hook touches only the rows ``idx`` it is given.
+    def init_state(self, x, idx, t_grid):
+        """Per-solve state from the ``(B, n)`` operating points ``x``.
+
+        Reactive devices keep their integration history (vectorized
+        ``init_state``); sources keep their source bank.
+        """
         return None
 
     def prepare_step(self, state, dt, trap, idx):
         """Vectorized ``prepare_step`` (companion history values)."""
 
     def update_state(self, state, x, dt, trap, idx):
-        """Vectorized ``update_state`` after a converged step."""
+        """Vectorized ``update_state`` with the rows' converged ``x``."""
 
 
 class _BatchResistor(_BatchDevice):
@@ -214,6 +268,7 @@ class _BatchResistor(_BatchDevice):
 
 class _BatchCapacitor(_BatchDevice):
     reactive = True
+    transient_rhs = True
 
     def __init__(self, column):
         super().__init__(column)
@@ -235,7 +290,7 @@ class _BatchCapacitor(_BatchDevice):
         i, j = self.nodes
         return _vcol(x, i) - _vcol(x, j)
 
-    def init_state(self, x, idx):
+    def init_state(self, x, idx, t_grid):
         m = x.shape[0]
         return {"v": self._voltage(x), "i": np.zeros(m),
                 "ieq": np.zeros(m)}
@@ -243,28 +298,30 @@ class _BatchCapacitor(_BatchDevice):
     def prepare_step(self, state, dt, trap, idx):
         g = self._geq(dt, trap)[idx]
         if trap:
-            state["ieq"] = g * state["v"] + state["i"]
+            state["ieq"][idx] = g * state["v"][idx] + state["i"][idx]
         else:
-            state["ieq"] = g * state["v"]
+            state["ieq"][idx] = g * state["v"][idx]
 
-    def tran_b_rows(self, t, state, idx):
+    def tran_b_rows(self, state, steps, idx):
         i, j = self.nodes
+        ieq = state["ieq"][idx]
         rows = []
         if i >= 0:
-            rows.append((i, state["ieq"]))
+            rows.append((i, ieq))
         if j >= 0:
-            rows.append((j, -state["ieq"]))
+            rows.append((j, -ieq))
         return rows
 
     def update_state(self, state, x, dt, trap, idx):
         v_new = self._voltage(x)
         g = self._geq(dt, trap)[idx]
-        state["i"] = g * v_new - state["ieq"]
-        state["v"] = v_new
+        state["i"][idx] = g * v_new - state["ieq"][idx]
+        state["v"][idx] = v_new
 
 
 class _BatchInductor(_BatchDevice):
     reactive = True
+    transient_rhs = True
 
     def __init__(self, column):
         super().__init__(column)
@@ -288,7 +345,7 @@ class _BatchInductor(_BatchDevice):
         i, j = self.nodes
         return _vcol(x, i) - _vcol(x, j)
 
-    def init_state(self, x, idx):
+    def init_state(self, x, idx, t_grid):
         m = x.shape[0]
         return {"i": x[:, self.aux].copy(), "v": self._voltage(x),
                 "veq": np.zeros(m)}
@@ -296,19 +353,39 @@ class _BatchInductor(_BatchDevice):
     def prepare_step(self, state, dt, trap, idx):
         req = self._req(dt, trap)[idx]
         if trap:
-            state["veq"] = req * state["i"] + state["v"]
+            state["veq"][idx] = req * state["i"][idx] + state["v"][idx]
         else:
-            state["veq"] = req * state["i"]
+            state["veq"][idx] = req * state["i"][idx]
 
-    def tran_b_rows(self, t, state, idx):
-        return [(self.aux, -state["veq"])]
+    def tran_b_rows(self, state, steps, idx):
+        return [(self.aux, -state["veq"][idx])]
 
     def update_state(self, state, x, dt, trap, idx):
-        state["i"] = x[:, self.aux].copy()
-        state["v"] = self._voltage(x)
+        state["i"][idx] = x[:, self.aux]
+        state["v"][idx] = self._voltage(x)
+
+
+def _source_bank(column, idx, t_grid):
+    """``(n_steps + 1, B)`` source values of the rows ``idx``.
+
+    Column ``k`` is ``column[k].wave.at_grid(t_grid)``, bitwise the
+    scalar per-step ``wave.at(t)``; columns outside ``idx`` stay zero.
+    Instances that share one waveform object share its evaluation.
+    """
+    bank = np.zeros((t_grid.size, len(column)))
+    grids: dict = {}
+    for k in idx:
+        wave = column[k].wave
+        values = grids.get(id(wave))
+        if values is None:
+            values = grids[id(wave)] = wave.at_grid(t_grid)
+        bank[:, k] = values
+    return bank
 
 
 class _BatchVoltageSource(_BatchDevice):
+    transient_rhs = True
+
     def static_entries(self):
         i, j = self.nodes
         return _aux_incidence(i, j, self.aux)
@@ -321,12 +398,16 @@ class _BatchVoltageSource(_BatchDevice):
         vals = np.array([self.column[k].ac for k in idx])
         return [(self.aux, vals)]
 
-    def tran_b_rows(self, t, state, idx):
-        vals = np.array([self.column[k].wave.at(t) for k in idx])
-        return [(self.aux, vals)]
+    def init_state(self, x, idx, t_grid):
+        return _source_bank(self.column, idx, t_grid)
+
+    def tran_b_rows(self, state, steps, idx):
+        return [(self.aux, state[steps, idx])]
 
 
 class _BatchCurrentSource(_BatchDevice):
+    transient_rhs = True
+
     def _value_rows(self, vals):
         i, j = self.nodes
         rows = []
@@ -346,9 +427,11 @@ class _BatchCurrentSource(_BatchDevice):
         return self._value_rows(
             np.array([self.column[k].ac for k in idx]))
 
-    def tran_b_rows(self, t, state, idx):
-        return self._value_rows(
-            np.array([self.column[k].wave.at(t) for k in idx]))
+    def init_state(self, x, idx, t_grid):
+        return _source_bank(self.column, idx, t_grid)
+
+    def tran_b_rows(self, state, steps, idx):
+        return self._value_rows(state[steps, idx])
 
 
 class _BatchVcvs(_BatchDevice):
@@ -769,6 +852,7 @@ class CircuitBatch:
                         type(column[0]).__name__, column[0].name))
             self._handlers.append(handler_type(column))
         self._reactive = [h for h in self._handlers if h.reactive]
+        self._tran_rhs = [h for h in self._handlers if h.transient_rhs]
         self._nonlinear = _NonlinearPlan(self._handlers, self.n_unknowns)
         # Static G entries as one (B, S) value bank.  The static plan
         # replays stamp_static; the AC plan interleaves each device's
@@ -885,75 +969,87 @@ class CircuitBatch:
                 G[:, i, j] += vals[idx]
         return G
 
-    def _assemble_tran_b(self, t, states, idx):
-        """Stacked per-step RHS, replaying ``transient._build_b``."""
-        m = idx.size
-        b = np.zeros((m, self.n_unknowns))
-        reactive_pos = 0
-        for handler in self._handlers:
-            state = None
-            if handler.reactive:
-                state = states[reactive_pos]
-                reactive_pos += 1
-            for (i, vals) in handler.tran_b_rows(t, state, idx):
+    def _assemble_tran_b(self, states, steps, idx):
+        """Stacked RHS of the rows ``idx``, each at its own step.
+
+        Replays ``transient._build_b``: every row's source values from
+        the banks at its step ``steps``, then its companion history,
+        in handler order.
+        """
+        b = np.zeros((idx.size, self.n_unknowns))
+        for handler, state in zip(self._tran_rhs, states):
+            for (i, vals) in handler.tran_b_rows(state, steps, idx):
                 b[:, i] += vals
         return b
 
-    # -- masked batched Newton ---------------------------------------------
+    # -- stacked Newton ----------------------------------------------------
+    def _newton_tick(self, G, b, x, idx, max_step, vtol):
+        """One Newton iteration of every row: stamp, solve, clip, test.
+
+        ``G`` / ``b`` are fresh ``(m, n, n)`` / ``(m, n)`` stacks that
+        the nonlinear stamps write into, ``x`` the rows' iterates and
+        ``idx`` their batch positions (for the per-instance parameter
+        slices).  Each row performs exactly one scalar Newton
+        iteration.  Returns ``(x_next, converged, ok)``: ``ok`` is None
+        when every matrix factored, else False where a row's matrix is
+        singular (its ``x_next`` row is then its ``x`` row, and it does
+        not count as converged).
+        """
+        self._nonlinear.stamp(G, b, x, idx)
+        ok = None
+        try:
+            x_sol = np.linalg.solve(G, b[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            # Identify the singular rows individually; the per-matrix
+            # gesv results are bit-identical to the stacked call for
+            # the healthy ones.
+            x_sol = x.copy()
+            ok = np.ones(x.shape[0], dtype=bool)
+            for pos in range(x.shape[0]):
+                try:
+                    x_sol[pos] = np.linalg.solve(
+                        G[pos], b[pos, :, None])[:, 0]
+                except np.linalg.LinAlgError:
+                    ok[pos] = False
+        delta = x_sol - x
+        dv = delta[:, :self.n_nodes]
+        np.clip(dv, -max_step, max_step, out=dv)
+        converged = np.max(np.abs(dv), axis=1, initial=0.0) < vtol
+        if ok is not None:
+            converged &= ok
+        return x + delta, converged, ok
+
     def _newton_masked(self, G0, b0, x0, idx, max_step, vtol, max_iter):
         """Newton-Raphson over a stack with per-instance convergence.
 
-        ``idx`` maps local stack positions to batch positions (for the
-        per-instance parameter slices of the nonlinear stamps).
-        Returns ``(x, iterations, failed)`` where ``failed`` lists the
+        ``idx`` maps local stack positions to batch positions.  Returns
+        ``(x, iterations, failed, ticks)`` where ``failed`` lists the
         *local* positions that went singular or hit the iteration limit
-        -- the caller demotes those to the scalar path.
+        -- the caller demotes those to the scalar path -- and ``ticks``
+        counts the stacked solves.
         """
-        m = x0.shape[0]
-        n_nodes = self.n_nodes
         x = x0.copy()
-        iterations = np.zeros(m, dtype=int)
-        active = np.arange(m)
+        iterations = np.zeros(x0.shape[0], dtype=int)
+        active = np.arange(x0.shape[0])
         singular: list = []
+        ticks = 0
         for iteration in range(1, max_iter + 1):
             if active.size == 0:
                 break
-            # Advanced indexing already yields fresh arrays, so the
-            # nonlinear stamps below can write into them directly.
-            G = G0[active]
-            b = b0[active]
-            self._nonlinear.stamp(G, b, x[active], idx[active])
-            try:
-                x_new = np.linalg.solve(G, b[..., None])[..., 0]
-            except np.linalg.LinAlgError:
-                # Identify the singular instances individually; the
-                # per-matrix gesv results are bit-identical to the
-                # stacked call for the healthy ones.
-                x_new = np.empty_like(x[active])
-                bad = []
-                for pos in range(active.size):
-                    try:
-                        x_new[pos] = np.linalg.solve(
-                            G[pos], b[pos, :, None])[:, 0]
-                    except np.linalg.LinAlgError:
-                        bad.append(pos)
-                if bad:
-                    singular.extend(int(p) for p in active[bad])
-                    keep = np.ones(active.size, dtype=bool)
-                    keep[bad] = False
-                    active = active[keep]
-                    x_new = x_new[keep]
-                    if active.size == 0:
-                        break
-            delta = x_new - x[active]
-            dv = delta[:, :n_nodes]
-            np.clip(dv, -max_step, max_step, out=dv)
-            x[active] = x[active] + delta
+            ticks += 1
+            # Advanced indexing yields fresh arrays for the stamps.
+            x_next, converged, ok = self._newton_tick(
+                G0[active], b0[active], x[active], idx[active],
+                max_step, vtol)
+            if ok is not None:
+                singular.extend(int(p) for p in active[~ok])
+                active, x_next, converged = (
+                    active[ok], x_next[ok], converged[ok])
+            x[active] = x_next
             iterations[active] = iteration
-            converged = np.max(np.abs(dv), axis=1, initial=0.0) < vtol
             active = active[~converged]
         failed = sorted(set(int(a) for a in active) | set(singular))
-        return x, iterations, failed
+        return x, iterations, failed, ticks
 
     # -- analyses ----------------------------------------------------------
     def solve_dc(self, active=None, max_iter=_dc.MAX_ITER, vtol=_dc.VTOL,
@@ -966,11 +1062,12 @@ class CircuitBatch:
         scalar solver's homotopy fallbacks; instances that still fail
         land in ``errors`` instead of raising.
         """
+        started = time.perf_counter()
         idx = self._resolve_active(active)
         n = self.n_unknowns
         G0, b0 = self._assemble_static(idx)
         x0 = np.zeros((idx.size, n))
-        x, iters, failed = self._newton_masked(
+        x, iters, failed, ticks = self._newton_masked(
             G0, b0, x0, idx, _dc.MAX_STEP, vtol, max_iter)
 
         X = np.full((self.size, n), np.nan)
@@ -993,15 +1090,7 @@ class CircuitBatch:
             X[k] = res.x
             iterations[k] = res.iterations
             solved[k] = True
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.counter("repro_circuit_batch_solves_total", 1,
-                        analysis="dc")
-            tel.counter("repro_circuit_newton_iterations_total",
-                        int(np.sum(iters)), analysis="dc")
-            if failed:
-                tel.counter("repro_circuit_demotions_total",
-                            len(failed), analysis="dc")
+        _record(started, "dc", len(failed), ticks, iters)
         return BatchDCResult(self, X, iterations, errors, solved)
 
     def solve_ac(self, freqs, x_op, active=None):
@@ -1021,6 +1110,7 @@ class CircuitBatch:
             raise AnalysisError("AC analysis needs at least one frequency")
         if np.any(freqs <= 0):
             raise AnalysisError("AC analysis frequencies must be positive")
+        started = time.perf_counter()
         idx = self._resolve_active(active)
         n = self.n_unknowns
         n_freqs = freqs.size
@@ -1090,87 +1180,124 @@ class CircuitBatch:
                              for (i, j, coef) in coefs]
             start += block
         solved[work] = True
-        tel = get_telemetry()
+        tel = _record(started, "ac", n_singular)
         if tel.enabled:
-            tel.counter("repro_circuit_batch_solves_total", 1,
-                        analysis="ac")
             tel.counter("repro_circuit_ac_chunks_total", n_chunks)
             tel.gauge("repro_circuit_ac_chunk_freqs", block)
-            if n_singular:
-                tel.counter("repro_circuit_demotions_total",
-                            n_singular, analysis="ac")
         return BatchACResult(self, freqs, X, errors, solved)
 
     def solve_transient(self, t_stop, dt, active=None, method="trap"):
-        """Stacked fixed-step transient integration.
+        """Stacked fixed-step transient integration, one clock per row.
 
         Starts from the stacked DC operating point (like the scalar
         :func:`~repro.circuit.transient.solve_transient` with
-        ``x0=None``), assembles the companion conductance stack once
-        per (step size, integration method), and runs a masked batched
-        Newton per step, warm-started from the previous step.  An
-        instance that fails a step is demoted: its whole run is redone
-        through the scalar path (including the local step-halving
-        retries the scalar integrator applies).
+        ``x0=None``) and reads every source from a bank built once per
+        solve.  Each instance keeps its own step index and Newton
+        count: every tick runs one Newton iteration of every live
+        instance, each at its own time step (backward Euler at step 1,
+        ``method`` after), so no instance waits for a slower one.  A
+        converged instance records its step, advances its history and
+        starts its next step on the following tick, warm-started from
+        the solution just found.  An instance that goes singular or
+        runs out of iterations on a step is demoted: its whole run is
+        redone through the scalar path (including the local
+        step-halving retries the scalar integrator applies).
         """
         if method not in ("trap", "be"):
             raise ConvergenceError(
                 "unknown integration method {!r}".format(method))
         idx = self._resolve_active(active)
-        n = self.n_unknowns
+        B, n = self.size, self.n_unknowns
         n_steps = int(round(t_stop / dt))
         t_grid = np.linspace(0.0, n_steps * dt, n_steps + 1)
 
-        X = np.full((self.size, n_steps + 1, n), np.nan)
-        solved = np.zeros(self.size, dtype=bool)
+        X = np.full((B, n_steps + 1, n), np.nan)
+        solved = np.zeros(B, dtype=bool)
 
         dc = self.solve_dc(active=idx)
+        started = time.perf_counter()
         errors: list = list(dc.errors)
-        work = np.array([k for k in idx if dc.errors[k] is None],
-                        dtype=int)
-        demoted = []
+        live = np.array([k for k in idx if dc.errors[k] is None],
+                        dtype=np.intp)
+        x = dc.x.copy()
+        X[live, 0] = x[live]
+        states = [h.init_state(x, live, t_grid) for h in self._tran_rhs]
+        reactive = [(h, state) for h, state in zip(self._tran_rhs, states)
+                    if h.reactive]
+        trap = method == "trap"
+        # Row k of the matrix table is instance k's backward-Euler
+        # matrix (step 1); row B + k its trapezoidal one (later steps).
+        every = np.arange(B)
+        G_table = self._assemble_tran_G(dt, False, every)
+        if trap:
+            G_table = np.concatenate(
+                [G_table, self._assemble_tran_G(dt, True, every)])
 
-        x = dc.x[work]
-        X[work, 0] = x
-        states = [h.init_state(x, work) for h in self._reactive]
-        G_be = self._assemble_tran_G(dt, False, work)
-        G_main = (self._assemble_tran_G(dt, True, work)
-                  if method != "be" else G_be)
+        step = np.ones(B, dtype=np.intp)
+        iters = np.zeros(B, dtype=np.intp)
+        b = np.zeros((B, n))
+        alive = np.zeros(B, dtype=bool)
+        alive[live] = True
 
-        newton_iters = 0
-        for k in range(1, n_steps + 1):
-            if work.size == 0:
+        def begin(rows, steps, trap_step):
+            """Start each row's step ``steps``; rows past the grid finish."""
+            over = steps > n_steps
+            if over.any():
+                solved[rows[over]] = True
+                alive[rows[over]] = False
+                rows, steps = rows[~over], steps[~over]
+            if rows.size:
+                for handler, state in reactive:
+                    handler.prepare_step(state, dt, trap_step, rows)
+                b[rows] = self._assemble_tran_b(states, steps, rows)
+
+        begin(live, step[live], False)
+        demoted: list = []
+        ticks = newton_iters = 0
+        while True:
+            live = np.flatnonzero(alive)
+            if live.size == 0:
                 break
-            t_new = t_grid[k]
-            trap_step = (k != 1 and method == "trap")
-            G_static = G_main if trap_step else G_be
-            for handler, state in zip(self._reactive, states):
-                handler.prepare_step(state, dt, trap_step, work)
-            b_step = self._assemble_tran_b(t_new, states, work)
-            x_new, step_iters, failed = self._newton_masked(
-                G_static, b_step, x, work, TRAN_MAX_STEP,
-                _tran.VTOL, _tran.MAX_ITER)
-            newton_iters += int(np.sum(step_iters))
-            if failed:
-                demoted.extend(int(work[p]) for p in failed)
-                keep = np.ones(work.size, dtype=bool)
-                keep[failed] = False
-                work = work[keep]
-                x_new = x_new[keep]
-                same = G_main is G_be
-                G_be = G_be[keep]
-                G_main = G_be if same else G_main[keep]
-                states = [{key: val[keep] for key, val in state.items()}
-                          for state in states]
-                if work.size == 0:
-                    break
-            x = x_new
-            for handler, state in zip(self._reactive, states):
-                handler.update_state(state, x, dt, trap_step, work)
-            X[work, k] = x
-        solved[work] = True
+            ticks += 1
+            rows = live + B * (step[live] > 1) if trap else live
+            x_next, converged, ok = self._newton_tick(
+                G_table[rows], b[live], x[live], live, TRAN_MAX_STEP,
+                _tran.VTOL)
+            if ok is not None:
+                demoted.extend(int(k) for k in live[~ok])
+                alive[live[~ok]] = False
+                live, x_next, converged = (
+                    live[ok], x_next[ok], converged[ok])
+            x[live] = x_next
+            newton_iters += live.size
+            count = iters[live] + 1
+            iters[live] = count
+            if count.max(initial=0) >= _tran.MAX_ITER:
+                stuck = live[~converged & (count >= _tran.MAX_ITER)]
+                demoted.extend(int(k) for k in stuck)
+                alive[stuck] = False
+            if not converged.any():
+                continue
+            done, x_done = live[converged], x_next[converged]
+            steps = step[done]
+            X[done, steps] = x_done
+            # Rows leaving step 1 advance their history as backward
+            # Euler did; every later step uses ``method``.
+            first = steps == 1
+            groups = ((done, x_done, trap),)
+            if first.any():
+                groups = ((done[first], x_done[first], False),
+                          (done[~first], x_done[~first], trap))
+            for rows, x_rows, trap_step in groups:
+                for handler, state in reactive:
+                    handler.update_state(state, x_rows, dt, trap_step,
+                                         rows)
+            steps += 1
+            step[done] = steps
+            iters[done] = 0
+            begin(done, steps, trap)
 
-        for k in demoted:
+        for k in sorted(demoted):
             try:
                 res = _tran.solve_transient(
                     self._circuits[k], t_stop, dt, method=method)
@@ -1180,15 +1307,7 @@ class CircuitBatch:
                 continue
             X[k] = res._X
             solved[k] = True
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.counter("repro_circuit_batch_solves_total", 1,
-                        analysis="tran")
-            tel.counter("repro_circuit_newton_iterations_total",
-                        newton_iters, analysis="tran")
-            if demoted:
-                tel.counter("repro_circuit_demotions_total",
-                            len(demoted), analysis="tran")
+        _record(started, "tran", len(demoted), ticks, newton_iters)
         return BatchTransientResult(self, t_grid, X, errors, solved)
 
     def __repr__(self):

@@ -67,7 +67,9 @@ class Waveform:
     """Base class for time-dependent source values.
 
     Subclasses provide :attr:`dc` (the operating-point value) and
-    :meth:`at` (the instantaneous transient value).
+    :meth:`at` (the instantaneous transient value).  :meth:`at_grid`
+    evaluates a whole time grid at once; a subclass that vectorizes it
+    must return, element for element, exactly what :meth:`at` returns.
     """
 
     dc = 0.0
@@ -75,6 +77,10 @@ class Waveform:
     def at(self, t):
         """Return the source value at time ``t`` (seconds)."""
         raise NotImplementedError
+
+    def at_grid(self, t):
+        """Values at every time of the 1-D grid ``t``, bitwise :meth:`at`."""
+        return np.array([self.at(ti) for ti in t], dtype=float)
 
 
 class Dc(Waveform):
@@ -85,6 +91,9 @@ class Dc(Waveform):
 
     def at(self, t):
         return self.dc
+
+    def at_grid(self, t):
+        return np.full(len(t), self.dc)
 
     def __repr__(self):
         return "Dc({:g})".format(self.dc)
@@ -103,15 +112,19 @@ class Pulse(Waveform):
         Edge durations (must be positive to keep transient solves
         well-conditioned).
     width:
-        Duration at ``v2`` between the edges.
+        Duration at ``v2`` between the edges (non-negative).
     period:
-        Repetition period; ``None`` means a single pulse.
+        Repetition period (positive); ``None`` means a single pulse.
     """
 
     def __init__(self, v1, v2, delay=0.0, rise=1e-9, fall=1e-9,
                  width=1.0, period=None):
         if rise <= 0 or fall <= 0:
             raise CircuitError("pulse rise/fall times must be positive")
+        if width < 0:
+            raise CircuitError("pulse width must be non-negative")
+        if period is not None and period <= 0:
+            raise CircuitError("pulse period must be positive")
         self.v1 = float(v1)
         self.v2 = float(v2)
         self.delay = float(delay)
@@ -136,6 +149,21 @@ class Pulse(Waveform):
         if t < self.fall:
             return self.v2 + (self.v1 - self.v2) * t / self.fall
         return self.v1
+
+    def at_grid(self, t):
+        # :meth:`at`'s expressions in its order; np.remainder rounds as
+        # Python's float % does for a positive period.
+        t = np.asarray(t, dtype=float) - self.delay
+        if self.period is not None:
+            t = np.where(t > 0, np.remainder(t, self.period), t)
+        rising = self.v1 + (self.v2 - self.v1) * t / self.rise
+        t_high = t - self.rise
+        t_fall = t_high - self.width
+        falling = self.v2 + (self.v1 - self.v2) * t_fall / self.fall
+        return np.select(
+            [t <= 0, t < self.rise, t_high < self.width,
+             t_fall < self.fall],
+            [self.v1, rising, self.v2, falling], self.v1)
 
 
 class Sine(Waveform):

@@ -229,11 +229,11 @@ def measure_opamp_batch(params_list):
     Runs the same five analyses as :func:`measure_opamp` -- AC bench DC
     + three AC sweeps, small- and large-step transients, short-circuit
     DC -- but stacked across the whole population via
-    :class:`repro.circuit.batch.CircuitBatch`, so each Newton
-    iteration, frequency point and time step is one LAPACK call instead
-    of ``len(params_list)`` Python loops.  Values are bit-identical to
-    the scalar path per instance (the MOSFET-only netlists meet the
-    kernel's exact-parity contract).
+    :class:`repro.circuit.batch.CircuitBatch`, so each Newton tick and
+    frequency point is one LAPACK call instead of ``len(params_list)``
+    Python loops; both transients run on one unity-gain batch.  Values
+    are bit-identical to the scalar path per instance (the MOSFET-only
+    netlists meet the kernel's exact-parity contract).
 
     Returns
     -------
@@ -286,30 +286,37 @@ def measure_opamp_batch(params_list):
         for k in alive:
             pop.values[k]["psrr_gain"] = float(ps_out[position[k], 0])
 
-    # ---- small-step transient: rise time, overshoot, settling ----------
+    # ---- both transients on one unity-gain batch -----------------------
+    # The slew run swaps each live circuit's Vinp waveform, as ac_pass
+    # swaps AC magnitudes; every waveform is read at solve time.
+    small_wave = _small_step_wave()
     keys, circuits = pop.build(
-        lambda p: _unity_bench(p, _small_step_wave()), params_list)
+        lambda p: _unity_bench(p, small_wave), params_list)
     if keys:
-        tr = CircuitBatch(circuits).solve_transient(STEP_T, STEP_DT)
+        batch = CircuitBatch(circuits)
+        position = {k: pos for pos, k in enumerate(keys)}
+
+        # ---- small-step transient: rise time, overshoot, settling ------
+        tr = batch.solve_transient(STEP_T, STEP_DT)
         alive = pop.absorb(keys, tr.errors)
         y_all = tr.v("out")
-        for pos, k in enumerate(keys):
-            if k in alive:
-                pop.extract(k, _small_step_values, tr.t, y_all[pos])
+        for k in alive:
+            pop.extract(k, _small_step_values, tr.t, y_all[position[k]])
+        alive = [k for k in alive if pop.errors[k] is None]
 
-    # ---- large-step transient: slew rate --------------------------------
-    keys, circuits = pop.build(
-        lambda p: _unity_bench(p, _slew_wave()), params_list)
-    if keys:
-        tr2 = CircuitBatch(circuits).solve_transient(SLEW_T, SLEW_DT)
-        alive = pop.absorb(keys, tr2.errors)
+        # ---- large-step transient: slew rate ----------------------------
+        slew_wave = _slew_wave()
+        for k in alive:
+            circuits[position[k]].device("Vinp").wave = slew_wave
+        tr2 = batch.solve_transient(
+            SLEW_T, SLEW_DT, active=[position[k] for k in alive])
+        alive = pop.absorb(alive, [tr2.errors[position[k]]
+                                   for k in alive])
         y_all = tr2.v("out")
-        for pos, k in enumerate(keys):
-            if k in alive:
-                pop.extract(
-                    k, lambda t, y: {
-                        "slew_rate": ana.slew_rate(t, y) / 1e6},
-                    tr2.t, y_all[pos])
+        for k in alive:
+            pop.extract(
+                k, lambda t, y: {"slew_rate": ana.slew_rate(t, y) / 1e6},
+                tr2.t, y_all[position[k]])
 
     # ---- short-circuit current ------------------------------------------
     keys, circuits = pop.build(_short_bench, params_list)

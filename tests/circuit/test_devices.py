@@ -43,6 +43,19 @@ class TestWaveforms:
         with pytest.raises(CircuitError, match="positive"):
             Pulse(0, 1, rise=0.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(period=0.0), dict(period=-1e-6), dict(width=-1e-9)])
+    def test_pulse_rejects_bad_period_and_width(self, kwargs):
+        # period=0 used to raise ZeroDivisionError at the first
+        # at(t > delay), mid-transient; a negative period silently
+        # held v1.  Both are now refused when the pulse is built.
+        with pytest.raises(CircuitError, match="period|width"):
+            Pulse(0, 1, **kwargs)
+
+    def test_pulse_accepts_zero_width(self):
+        p = Pulse(0.0, 1.0, delay=0.0, rise=0.5, fall=0.5, width=0.0)
+        assert p.at(0.5) == 1.0 and p.at(1.0) == 0.0
+
     def test_sine_value_and_delay(self):
         s = Sine(1.0, 0.5, 1e3, delay=1e-3)
         assert s.at(0.5e-3) == 1.0  # before delay: offset
