@@ -19,24 +19,17 @@ Exercises the two promises of :mod:`repro.data` on the op-amp bench
    Alphas, intercepts and per-device decisions must match **bitwise**
    -- asserted unconditionally in every environment.
 
-Speed bars (extension beating cold regeneration wall-clock) are
-measured only on hosts with >= 4 CPUs and skipped entirely under
-``REPRO_BENCH_NO_SPEEDUP=1`` (the CI smoke, which also shrinks the
-populations); the equivalence assertions above run everywhere.
-
-The record is printed and, when ``REPRO_BENCH_JSON`` names a path (or
-when run as a script), written as JSON -- the seed of the repo's
-data-plane perf trajectory (CI uploads it as ``BENCH_dataset.json``).
+The speed bar (extension beating cold regeneration wall-clock) is
+measured only on hosts with >= 4 CPUs; the equivalence assertions
+above run everywhere.
 
 Runnable directly (``python benchmarks/bench_dataset.py``) or through
 pytest-benchmark like every other experiment here.
 """
 
-import json
 import os
 import shutil
 import tempfile
-import time
 
 if __name__ == "__main__":
     # Allow `python benchmarks/bench_dataset.py` without an installed
@@ -61,11 +54,8 @@ from repro.runtime import cpu_count
 #: least the fraction of rows it never re-simulates (with slack).
 EXTEND_SPEEDUP_FLOOR = 1.5
 
-#: Full-mode sizes: cold store, prefix store, shard width.
-N_FULL, N_PREFIX_FULL, SHARD_ROWS_FULL = 600, 300, 128
-
-#: Equivalence-only (CI smoke) sizes.
-N_SMOKE, N_PREFIX_SMOKE, SHARD_ROWS_SMOKE = 48, 20, 16
+#: Sizes: cold store, prefix store, shard width.
+N, N_PREFIX, SHARD_ROWS = 600, 300, 128
 
 #: Kernel-column budget for the out-of-core fit: a few 64-column
 #: blocks, far below the full Gram -- eviction pressure is the point.
@@ -149,22 +139,11 @@ def _training(store):
 
 
 def run_experiment():
-    """Execute both measurements; returns the JSON record."""
-    smoke = bool(os.environ.get("REPRO_BENCH_NO_SPEEDUP"))
-    if smoke:
-        n, n_prefix, shard_rows = N_SMOKE, N_PREFIX_SMOKE, SHARD_ROWS_SMOKE
-    else:
-        n, n_prefix, shard_rows = N_FULL, N_PREFIX_FULL, SHARD_ROWS_FULL
-
-    record = {
-        "experiment": "bench_dataset",
-        "unix_time": time.time(),
-        "cpus": cpu_count(),
-        "equivalence_only": smoke,
-    }
+    """Execute both measurements; returns the structured results."""
+    record = {"cpus": cpu_count()}
     root = tempfile.mkdtemp(prefix="repro-bench-dataset-")
     try:
-        generation = _generation(root, n, n_prefix, shard_rows, seed=42)
+        generation = _generation(root, N, N_PREFIX, SHARD_ROWS, seed=42)
         record["generation"] = generation
         record["training"] = _training(
             ShardedSpecDataset(os.path.join(root, "cold")))
@@ -174,31 +153,24 @@ def run_experiment():
     print_table(
         "R7: sharded data plane ({} CPUs available)".format(cpu_count()),
         ["stage", "rows", "seconds", "inst/min", "equivalent"],
-        [("cold generate", n, generation["cold_seconds"],
+        [("cold generate", N, generation["cold_seconds"],
           generation["cold_instances_per_minute"], "hash"),
-         ("extend {}->{}".format(n_prefix, n), n - n_prefix,
+         ("extend {}->{}".format(N_PREFIX, N), N - N_PREFIX,
           generation["extend_seconds"],
           generation["extend_instances_per_minute"], "hash"),
-         ("fit in-RAM", n, record["training"]["in_ram_seconds"], "-",
+         ("fit in-RAM", N, record["training"]["in_ram_seconds"], "-",
           "bitwise"),
-         ("fit out-of-core", n, record["training"]["out_of_core_seconds"],
+         ("fit out-of-core", N, record["training"]["out_of_core_seconds"],
           "-", "bitwise")])
 
-    out = os.environ.get("REPRO_BENCH_JSON")
-    if out:
-        with open(out, "w") as handle:
-            json.dump(record, handle, indent=2, sort_keys=True)
-        print("wrote {}".format(out))
-
     # Speed bar: resuming from the prefix must beat cold regeneration.
-    # Timing-sensitive, so gated to real multi-core hosts and skipped
-    # in the CI equivalence smoke.
-    if not smoke and cpu_count() >= 4:
+    # Timing-sensitive, so gated to real multi-core hosts.
+    if cpu_count() >= 4:
         speedup = record["generation"]["extend_speedup"]
         assert speedup >= EXTEND_SPEEDUP_FLOOR, (
             "expected extending {} -> {} rows to run >= {:g}x faster "
             "than cold generation; got {:.2f}x".format(
-                n_prefix, n, EXTEND_SPEEDUP_FLOOR, speedup))
+                N_PREFIX, N, EXTEND_SPEEDUP_FLOOR, speedup))
     return record
 
 
@@ -208,8 +180,4 @@ def bench_dataset(benchmark):
 
 
 if __name__ == "__main__":
-    os.environ.setdefault(
-        "REPRO_BENCH_JSON",
-        os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                     "BENCH_dataset.json"))
     run_experiment()

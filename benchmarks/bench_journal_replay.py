@@ -10,15 +10,10 @@ increasing journal lengths, plus the torn-tail recovery scan a
 ``manifest_from_ops`` over the recovered records reproduces the
 newest-active history the appends built, element for element.
 
-The record is merged into ``BENCH_service.json`` under a ``"journal"``
-key (read-modify-write), alongside the service and cluster
-trajectories.
-
 Runnable directly (``python benchmarks/bench_journal_replay.py``) or
 through pytest-benchmark like every other experiment here.
 """
 
-import json
 import os
 import tempfile
 import time
@@ -128,32 +123,6 @@ def run_experiment():
         .format(cpu_count()),
         ["ops", "appends/s", "append ms", "replay ms", "torn ms"],
         rows)
-
-    out = os.environ.get("REPRO_BENCH_JSON")
-    if out:
-        _merge_record(out, record)
-        print("merged journal record into {}".format(out))
-    return record
-
-
-def _merge_record(path, journal_record):
-    """Read-modify-write: fold the journal record into the service
-    bench's JSON file (or start a fresh record when absent)."""
-    record = {}
-    if os.path.isfile(path):
-        try:
-            with open(path) as handle:
-                existing = json.load(handle)
-            if isinstance(existing, dict):
-                record = existing
-        except (OSError, json.JSONDecodeError):
-            record = {}
-    record.setdefault("experiment", "bench_service_throughput")
-    record.setdefault("unix_time", time.time())
-    record.setdefault("cpus", cpu_count())
-    record["journal"] = journal_record
-    with open(path, "w") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
     return record
 
 
@@ -163,8 +132,4 @@ def bench_journal_replay(benchmark):
 
 
 if __name__ == "__main__":
-    os.environ.setdefault(
-        "REPRO_BENCH_JSON",
-        os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                     "BENCH_service.json"))
     run_experiment()

@@ -19,8 +19,6 @@ Runnable directly (``python benchmarks/bench_parallel_compaction.py``)
 or through pytest-benchmark like every other experiment here.
 """
 
-import os
-
 if __name__ == "__main__":
     # Allow `python benchmarks/bench_parallel_compaction.py` without an
     # installed package or PYTHONPATH (pytest gets these from
@@ -32,7 +30,7 @@ if __name__ == "__main__":
     sys.path[:0] = [str(_root), str(_root / "src")]
 
 from benchmarks.harness import datasets, print_table, run_once, wall_time
-from repro.core.compaction import TestCompactor
+from repro.core.compaction import TestCompactor as Compactor
 from repro.learn.svm import SVC
 from repro.runtime import cpu_count
 
@@ -56,8 +54,8 @@ def _model_factory():
 
 
 def _make_compactor(n_jobs):
-    return TestCompactor(tolerance=TOLERANCE, guard_band=GUARD,
-                         model_factory=_model_factory, n_jobs=n_jobs)
+    return Compactor(tolerance=TOLERANCE, guard_band=GUARD,
+                     model_factory=_model_factory, n_jobs=n_jobs)
 
 
 def _same_outcome(a, b):
@@ -102,7 +100,7 @@ def run_experiment():
         assert a.report == b.report and a.eliminated == b.eliminated
 
     # Speedup needs real cores; the bar is set for a 4-core machine.
-    if cpu_count() >= 4 and not os.environ.get("REPRO_BENCH_NO_SPEEDUP"):
+    if cpu_count() >= 4:
         assert t_serial / t_par >= 2.0 or \
             t_lots_serial / t_lots_par >= 2.0, (
                 "expected >=2x from parallel execution; got "

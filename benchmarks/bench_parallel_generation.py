@@ -20,8 +20,6 @@ Runnable directly (``python benchmarks/bench_parallel_generation.py``)
 or through pytest-benchmark like every other experiment here.
 """
 
-import os
-
 if __name__ == "__main__":
     # Allow `python benchmarks/bench_parallel_generation.py` without an
     # installed package or PYTHONPATH (pytest gets these from
@@ -87,7 +85,7 @@ def run_experiment():
         assert np.array_equal(a.values, b.values)
 
     # Speedup needs real cores; the acceptance bar is a 4-core run.
-    if cpu_count() >= 4 and not os.environ.get("REPRO_BENCH_NO_SPEEDUP"):
+    if cpu_count() >= 4:
         assert t_serial / t_par >= 2.0 or \
             t_lots_serial / t_lots_par >= 2.0, (
                 "expected >=2x from parallel generation; got "

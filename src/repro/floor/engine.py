@@ -23,17 +23,17 @@ batch-size invariance is exact by construction (integer cell
 indexing); in live-model mode the SVM *scores* can differ in the last
 ulp across batch shapes (BLAS accumulation order), so a device lying
 exactly on a decision surface could in principle flip -- the
-equivalence tests and the throughput benchmark assert decision
-equality empirically in both modes.
+batch-size equivalence test (``tests/floor/test_engine.py``) asserts
+decision equality empirically in both modes.
 
 Throughput
 ----------
 
 The hot path is one batched
 :meth:`~repro.learn.svm.SVC.decision_function` (or one vectorized
-table lookup) per batch; on synthetic streams the floor sustains well
-over 100k devices/min on a single core
-(``benchmarks/bench_floor_throughput.py`` measures it).
+table lookup) per batch.  perfbench's ``lot-mems`` workload times
+the floor end to end (``devices_per_s``), and its ``floor.dispose_us``
+layer times one batch's disposition.
 """
 
 import os

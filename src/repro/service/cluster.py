@@ -37,8 +37,8 @@ Because a disposition is a pure per-device function of the artifact
 and the measurements, sharding is invisible in the decisions: a
 cluster at any worker count serves bit-identical decisions to a single
 worker and to an offline :class:`~repro.floor.engine.TestFloor` pass
-(`benchmarks/bench_cluster_throughput.py` asserts exactly this at
-every configuration it measures).
+(`tests/service/test_cluster.py` asserts this through the router at 2
+workers, and the CI cluster round trip at 2 and 4).
 
 Entry point: ``repro serve --workers N``.
 """

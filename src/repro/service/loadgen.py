@@ -234,8 +234,7 @@ class LoadReport:
     def latency_summary(self) -> dict:
         """p50/p95/p99/max/mean request latency (ms) + sustained RPS.
 
-        The shape written into ``BENCH_service.json``; empty when no
-        latencies were captured (zero requests).
+        Empty when no latencies were captured (zero requests).
         """
         if self.latencies_s is None or len(self.latencies_s) == 0:
             return {}

@@ -23,6 +23,16 @@ from tests.synthetic import SyntheticDut
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
+@pytest.fixture(scope="module")
+def lookup_artifact(artifact):
+    """A copy of the package artifact with a 21-point lookup table
+    (``with_lookup`` attaches in place, and ``artifact`` is shared)."""
+    return Artifact(
+        artifact.model, artifact.specifications,
+        cost_model=artifact.cost_model,
+        provenance=artifact.provenance).with_lookup(resolution=21)
+
+
 class TestAgainstTestProgram:
     """A streamed lot dispositions exactly like the whole test program
     applied to the population in one batch."""
@@ -57,10 +67,16 @@ class TestAgainstTestProgram:
 
 
 class TestBatchInvariance:
-    def test_decisions_identical_at_any_batch_size(self, artifact,
-                                                   populations):
+    @pytest.mark.parametrize("served, use_lookup", [
+        ("artifact", False),
+        ("lookup_artifact", True),
+    ], ids=["live", "lookup"])
+    def test_decisions_identical_at_any_batch_size(self, request,
+                                                   populations, served,
+                                                   use_lookup):
         _, test = populations
-        floor = Floor(artifact)
+        floor = Floor(request.getfixturevalue(served),
+                      use_lookup=use_lookup)
         reference = floor.run_dataset(test, keep_decisions=True)
         for batch_size in (7, 64, 100000):
             report = floor.run_dataset(test, batch_size=batch_size,
@@ -84,18 +100,14 @@ class TestBatchInvariance:
         assert np.array_equal(whole.decisions, by_row.decisions)
         assert np.array_equal(whole.decisions, ragged.decisions)
 
-    def test_lookup_floor_matches_lookup_program(self, artifact,
+    def test_lookup_floor_matches_lookup_program(self, lookup_artifact,
                                                  populations):
         _, test = populations
-        art = Artifact(
-            artifact.model, artifact.specifications,
-            cost_model=artifact.cost_model,
-            provenance=artifact.provenance).with_lookup(resolution=21)
-        floor = Floor(art)           # lookup auto-selected
+        floor = Floor(lookup_artifact)           # lookup auto-selected
         outcome = floor.dispose(test.values)
-        kept = test.project(art.kept).values
+        kept = test.project(lookup_artifact.kept).values
         assert np.array_equal(outcome.first_pass,
-                              art.lookup.classify(kept))
+                              lookup_artifact.lookup.classify(kept))
 
     def test_empty_stream_yields_empty_report(self, artifact):
         report = Floor(artifact).run_stream([], keep_decisions=True)

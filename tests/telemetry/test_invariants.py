@@ -15,7 +15,15 @@ from repro.floor import TestFloor as Floor
 from repro.learn import SVC
 from repro.mems import TEMPERATURES, AccelerometerBench
 from repro.runtime.simulation import generate_instances
-from repro.telemetry import Telemetry, disable, set_telemetry
+from repro.telemetry import (
+    JsonlSink,
+    Telemetry,
+    disable,
+    parse_prometheus,
+    prometheus_text,
+    read_trace,
+    set_telemetry,
+)
 
 from tests.synthetic import SLOT_PATHS, SyntheticDut, make_synthetic_dataset
 
@@ -95,6 +103,32 @@ class TestFloorBitIdentity:
         assert np.array_equal(baseline.decisions, observed.decisions)
         assert np.array_equal(baseline.first_pass, observed.first_pass)
         assert baseline.cost == observed.cost
+
+    def test_traced_lot_identical_and_recorded(self, floor_setup,
+                                               tmp_path):
+        """A whole lot under a JSONL-traced registry: the report is
+        bit-identical, the trace holds the lot span and the closing
+        snapshot, and the registry's export parses."""
+        _, _, artifact, rows = floor_setup
+        disable()
+        baseline = Floor(artifact).run_stream([rows], keep_decisions=True)
+        trace = str(tmp_path / "trace.jsonl")
+        tel = Telemetry(run_id="invariant", sink=JsonlSink(trace))
+        previous = set_telemetry(tel)
+        try:
+            observed = Floor(artifact).run_stream([rows],
+                                                  keep_decisions=True)
+        finally:
+            set_telemetry(previous)
+        families = parse_prometheus(prometheus_text(tel))
+        tel.close()
+        assert np.array_equal(baseline.decisions, observed.decisions)
+        assert baseline.n_shipped == observed.n_shipped
+        assert baseline.total_cost == observed.total_cost
+        spans, snapshots = read_trace(trace)
+        assert "floor.lot" in {span["name"] for span in spans}
+        assert snapshots
+        assert "repro_stage_calls_total" in families
 
     def test_training_identical_telemetry_on_and_off(self, floor_setup):
         train, test, baseline_artifact, rows = floor_setup
