@@ -231,17 +231,20 @@ class TestProgramArtifact:
             provenance=provenance,
         )
         if lookup_resolution is not None:
-            artifact.with_lookup(
+            artifact = artifact.with_lookup(
                 resolution=(None if lookup_resolution == "auto"
                             else int(lookup_resolution)))
         return artifact
 
     def with_lookup(self, resolution=None, max_cells=None):
-        """Attach a grid lookup table built from the model; returns self."""
+        """A shallow copy carrying a grid lookup table built from the
+        model; ``self`` is left as it is, so floors built from a
+        shared artifact keep scoring the live model."""
         kwargs = {} if max_cells is None else {"max_cells": max_cells}
-        self.lookup = LookupTable(self.model, resolution=resolution,
-                                  **kwargs)
-        return self
+        artifact = copy.copy(self)
+        artifact.lookup = LookupTable(self.model, resolution=resolution,
+                                      **kwargs)
+        return artifact
 
     def with_profile(self, profile, train=None, model_factory=None,
                      train_bank=True):

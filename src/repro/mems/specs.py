@@ -119,22 +119,61 @@ def _fit_second_order(freqs, response, tally):
     Jacobian that reproduces scipy's 2-point ``approx_derivative``
     operation for operation -- so every fitted parameter is bitwise
     what ``least_squares`` returns, without its wrapper overhead.
+
+    The log-magnitude residual at ``(log_a, log_f0, log_q)`` is built
+    from terms, each computed once per point into preallocated
+    buffers: ``u = (f/f0)**2`` and ``a = (1 - u)**2`` (``log_f0``
+    only), ``half = 0.5 * log(a + u/q**2)`` and
+    ``r = (log_a - half) - log_resp``.  Each forward-difference
+    column recomputes only what its parameter moves: the ``log_a``
+    column reuses the base point's ``half`` (no transcendental), the
+    ``log_q`` column reuses its ``u`` and ``a`` (one scalar ``exp``),
+    and the ``log_f0`` column is a full evaluation into scratch
+    buffers.  The bits hold because every value is the same ufunc on
+    the same operands in the same order as the plain residual
+    ``log_a - 0.5 * log((1 - u)**2 + u / q**2) - log_resp``; scalar
+    ``exp`` stays scalar, and ``log`` never runs in place.
     """
-    freqs = np.asarray(list(freqs), dtype=float)
+    if not isinstance(freqs, np.ndarray):
+        freqs = list(freqs)
+    freqs = np.asarray(freqs, dtype=float)
     response = np.asarray(response, dtype=float)
     if freqs.shape != response.shape or freqs.size < 5:
         raise AnalysisError("fit needs matching sweeps of >= 5 points")
     if not np.all(np.isfinite(response)) or np.any(response <= 0):
         raise AnalysisError("response must be finite and strictly positive")
     log_resp = np.log(response)
+    # Terms of the point fun() last evaluated, and scratch terms for
+    # the log_f0 column; mag2 is log's separate input.  Scalar operands
+    # go in through 0-d arrays: they round like the float they hold
+    # and skip numpy's per-call scalar conversion.
+    u, a, mag2, half = np.empty((4, freqs.size))
+    su, sa, smag2, shalf = np.empty((4, freqs.size))
+    one, point5, s = np.array(1.0), np.array(0.5), np.empty(())
 
-    def residual(p):
-        log_a, log_f0, log_q = p
-        f0 = np.exp(log_f0)
-        q = np.exp(log_q)
-        u = (freqs / f0) ** 2
-        mag2 = (1.0 - u) ** 2 + u / q ** 2
-        return log_a - 0.5 * np.log(mag2) - log_resp
+    def half_from_q(log_q, u, a, mag2, half):
+        s[()] = np.exp(log_q) ** 2
+        np.divide(u, s, mag2)
+        np.add(a, mag2, mag2)
+        np.log(mag2, half)
+        np.multiply(point5, half, half)
+
+    def terms(log_f0, log_q, u, a, mag2, half):
+        s[()] = np.exp(log_f0)
+        np.divide(freqs, s, u)
+        np.square(u, u)
+        np.subtract(one, u, a)
+        np.square(a, a)
+        half_from_q(log_q, u, a, mag2, half)
+
+    def column(out, log_a, half, r0, step):
+        # ((log_a - half) - log_resp - r0) / step, in place in a row.
+        s[()] = log_a
+        np.subtract(s, half, out)
+        np.subtract(out, log_resp, out)
+        np.subtract(out, r0, out)
+        s[()] = step
+        np.divide(out, s, out)
 
     # MINPACK asks for the residual and then the Jacobian at the same
     # point, and leastsq probes both at p0 before MINPACK does:
@@ -146,7 +185,11 @@ def _fit_second_order(freqs, response, tally):
         nonlocal f_key, f_val, n_evals
         key = x.tobytes()
         if key != f_key:
-            f_key, f_val = key, residual(x)
+            terms(x[1], x[2], u, a, mag2, half)
+            s[()] = x[0]
+            r = np.subtract(s, half)
+            np.subtract(r, log_resp, r)
+            f_key, f_val = key, r
             n_evals += 1
         return f_val
 
@@ -154,19 +197,25 @@ def _fit_second_order(freqs, response, tally):
         # scipy's 2-point rule, step by step, one perturbed column at
         # a time (a stacked evaluation takes numpy's other exp/log
         # paths).  Python floats round exactly like float64 scalars.
+        # fun(x) leaves x's terms in the buffers the columns reuse.
         nonlocal j_key, j_val, n_evals
         key = x.tobytes()
         if key == j_key:
             return j_val
         r0 = fun(x)
         jt = np.empty((x.size, r0.size))
-        for i, xi in enumerate(x.tolist()):
+        steps = []
+        for xi in x.tolist():
             axi = abs(xi)
             h = (_FD_REL_STEP * (1.0 if xi >= 0 else -1.0)
                  * (1.0 if axi <= 1.0 else axi))
-            x1 = x.copy()
-            x1[i] = xi + h
-            jt[i] = (residual(x1) - r0) / ((xi + h) - xi)
+            steps.append((xi + h, (xi + h) - xi))
+        (a1, da), (f1, df), (q1, dq) = steps
+        column(jt[0], a1, half, r0, da)
+        terms(f1, x[2], su, sa, smag2, shalf)
+        column(jt[1], x[0], shalf, r0, df)
+        half_from_q(q1, u, a, smag2, shalf)
+        column(jt[2], x[0], shalf, r0, dq)
         n_evals += x.size
         j_key, j_val = key, jt.T
         return j_val

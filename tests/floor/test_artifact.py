@@ -56,11 +56,7 @@ class TestRoundTrip:
     def test_lookup_survives_round_trip(self, tmp_path, artifact,
                                         populations):
         _, test = populations
-        art = Artifact(
-            artifact.model, artifact.specifications,
-            cost_model=artifact.cost_model,
-            baseline=artifact.baseline,
-            provenance=artifact.provenance).with_lookup(resolution=21)
+        art = artifact.with_lookup(resolution=21)
         path = tmp_path / "lut.rtp"
         art.save(path)
         loaded = Artifact.load(path)
@@ -69,6 +65,19 @@ class TestRoundTrip:
         values = test.project(art.kept).values
         assert np.array_equal(loaded.lookup.classify(values),
                               art.lookup.classify(values))
+
+    def test_with_lookup_leaves_a_shared_artifact_live(self, artifact,
+                                                       populations):
+        _, test = populations
+        live = Floor(artifact).dispose(test.values)
+        lut = artifact.with_lookup(resolution=9)
+        assert artifact.lookup is None
+        assert lut is not artifact and lut.lookup is not None
+        floor = Floor(artifact)
+        assert "live model" in repr(floor)
+        outcome = floor.dispose(test.values)
+        assert np.array_equal(outcome.decisions, live.decisions)
+        assert np.array_equal(outcome.first_pass, live.first_pass)
 
     def test_unpicklable_model_factory_is_dropped_on_save(self, tmp_path):
         train = make_synthetic_dataset(n=120, seed=5)
@@ -98,7 +107,6 @@ class TestRoundTrip:
         loaded.save(cold_path)
         Floor(loaded).run_dataset(test)
         Floor(loaded.with_lookup(resolution=9)).run_dataset(test)
-        loaded.lookup = None
         warm_path = tmp_path / "warm.rtp"
         loaded.save(warm_path)
         assert warm_path.read_bytes() == cold_path.read_bytes()

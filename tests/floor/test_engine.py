@@ -25,12 +25,8 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 @pytest.fixture(scope="module")
 def lookup_artifact(artifact):
-    """A copy of the package artifact with a 21-point lookup table
-    (``with_lookup`` attaches in place, and ``artifact`` is shared)."""
-    return Artifact(
-        artifact.model, artifact.specifications,
-        cost_model=artifact.cost_model,
-        provenance=artifact.provenance).with_lookup(resolution=21)
+    """A copy of the package artifact with a 21-point lookup table."""
+    return artifact.with_lookup(resolution=21)
 
 
 class TestAgainstTestProgram:

@@ -14,6 +14,7 @@ from repro.core.pipeline import CompactionPipeline
 from repro.floor import TestFloor as Floor
 from repro.learn import SVC
 from repro.mems import TEMPERATURES, AccelerometerBench
+from repro.process.montecarlo import generate_dataset
 from repro.runtime.simulation import generate_instances
 from repro.telemetry import (
     JsonlSink,
@@ -71,6 +72,22 @@ def test_mems_population_identical_telemetry_on_and_off(path):
     assert counters["repro_mems_fits_total"] == 6 * len(TEMPERATURES)
     assert (counters["repro_mems_fit_evals_total"]
             > counters["repro_mems_fits_total"])
+
+
+@pytest.mark.parametrize("path", ["scalar", "batched"])
+def test_mems_fit_counters_are_pinned(path):
+    """MINPACK's path through every fit, counted: a rewrite of the
+    fit's callbacks that changes one step or evaluation moves these."""
+    tel = Telemetry(run_id="invariant")
+    previous = set_telemetry(tel)
+    try:
+        generate_dataset(SLOT_PATHS[path](AccelerometerBench()), 24,
+                         seed=7)
+    finally:
+        set_telemetry(previous)
+    counters = {c["name"]: c["value"] for c in tel.snapshot()["counters"]}
+    assert counters["repro_mems_fits_total"] == 72
+    assert counters["repro_mems_fit_evals_total"] == 1312
 
 
 @pytest.fixture(scope="module")
