@@ -8,8 +8,8 @@ compares wall-clock time and results:
    ~5 circuit analyses per instance;
 2. the same population with ``n_jobs`` workers -- **bit-identical by
    construction** (per-instance ``SeedSequence`` streams);
-3. a device x lot batch through the :func:`repro.process.montecarlo.
-   generate_many` scheduler, serial vs. parallel.
+3. a device x lot batch, one :func:`repro.process.montecarlo.
+   generate_dataset` call per lot, serial vs. parallel.
 
 Result equivalence is asserted unconditionally in every environment;
 the >= 2x speedup assertion needs real cores and fires only on
@@ -35,15 +35,21 @@ import numpy as np
 from benchmarks.harness import print_table, run_once, wall_time
 from repro.mems import AccelerometerBench
 from repro.opamp import OpAmpBench
-from repro.process.montecarlo import generate_dataset, generate_many
+from repro.process.montecarlo import generate_dataset
 from repro.runtime import cpu_count
 
 #: Instances in the single-population comparison (op-amp: ~56 ms each).
 N_OPAMP = 48
-#: Per-lot sizes for the generate_many batch comparison.
+#: Per-lot sizes for the lot batch comparison.
 LOT_SIZES = ((N_OPAMP, 1001), (N_OPAMP // 2, 2002))
 #: Worker count for the parallel modes.
 N_JOBS = min(4, cpu_count())
+
+
+def generate_lots(requests, n_jobs=None):
+    """One dataset per ``(dut, n, seed)`` lot, generated in turn."""
+    return [generate_dataset(dut, n, seed, n_jobs=n_jobs)
+            for dut, n, seed in requests]
 
 
 def run_experiment():
@@ -58,17 +64,17 @@ def run_experiment():
 
     requests = [(opamp, n, seed) for n, seed in LOT_SIZES] + \
         [(mems, 200, 7)]
-    lots_serial, t_lots_serial = wall_time(generate_many, requests)
+    lots_serial, t_lots_serial = wall_time(generate_lots, requests)
     lots_par, t_lots_par = wall_time(
-        generate_many, requests, n_jobs=N_JOBS)
+        generate_lots, requests, n_jobs=N_JOBS)
 
     rows = [
         ("opamp x{} serial".format(N_OPAMP), t_serial, 1.0),
         ("opamp x{} n_jobs={}".format(N_OPAMP, N_JOBS), t_par,
          t_serial / t_par),
-        ("generate_many {} lots serial".format(len(requests)),
+        ("{} lots serial".format(len(requests)),
          t_lots_serial, 1.0),
-        ("generate_many {} lots n_jobs={}".format(len(requests), N_JOBS),
+        ("{} lots n_jobs={}".format(len(requests), N_JOBS),
          t_lots_par, t_lots_serial / t_lots_par),
     ]
     print_table(

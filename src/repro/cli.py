@@ -38,7 +38,7 @@ populations bit-identical at any worker count.  Both benches
 implement ``measure_batch``, which is used when present: whole
 instance populations are stacked into single LAPACK solves through
 the batched MNA kernel (:mod:`repro.circuit.batch`); ``batch``
-simulates all its lots through one scheduler.
+simulates its lots one population after another.
 On the greedy-loop commands
 (``fig5``, ``batch``, ``deploy``), ``--jobs N`` evaluates upcoming
 compaction candidates speculatively in N worker processes (identical
@@ -113,9 +113,10 @@ def cmd_table2(args):
 def _populations(bench, requests, args):
     """Populations for ``(n, seed)`` requests: simulate or replay.
 
-    Without ``--dataset`` every request is simulated on the fly
-    through the parallel generation engine.  With ``--dataset DIR``
-    each population comes from a manifested shard store under ``DIR``
+    Without ``--dataset`` every request is simulated on the fly, one
+    :func:`~repro.process.montecarlo.generate_dataset` call each.
+    With ``--dataset DIR`` each population comes from a manifested
+    shard store under ``DIR``
     (:func:`repro.data.ensure_dataset`): rows already on disk are
     memory-mapped and only the shortfall is simulated -- and the rows
     are bit-identical to the direct simulation, so results match
@@ -128,10 +129,10 @@ def _populations(bench, requests, args):
         return [ensure_dataset(root, bench, n, seed,
                                n_jobs=args.sim_jobs).head(n)
                 for n, seed in requests]
-    from repro.process.montecarlo import generate_many
+    from repro.process.montecarlo import generate_dataset
 
-    return generate_many([(bench, n, seed) for n, seed in requests],
-                         n_jobs=args.sim_jobs)
+    return [generate_dataset(bench, n, seed, n_jobs=args.sim_jobs)
+            for n, seed in requests]
 
 
 def _simulate_pair(bench, args):
@@ -254,9 +255,9 @@ def cmd_batch(args):
         seed = args.seed + 2 * lot
         requests.append((args.train, seed))
         requests.append((args.test, seed + 1))
-    # One scheduler simulates every lot's instances concurrently; the
-    # per-instance seed tree keeps the datasets identical to 2*lots
-    # separate generate_dataset calls at any --sim-jobs.
+    # Each lot's train and test populations are simulated in turn,
+    # each fanned out over --sim-jobs workers; the per-instance seed
+    # tree keeps every dataset identical at any --sim-jobs.
     populations = _populations(bench, requests, args)
     pairs = list(zip(populations[0::2], populations[1::2]))
 

@@ -62,11 +62,10 @@ class CompactionPipeline:
         """Paper Fig. 1 end to end: simulate the populations, then run.
 
         The training population is generated with ``seed`` and the
-        held-out population with ``seed + 1``, both through the
-        deterministic generation engine
-        (:func:`repro.process.montecarlo.generate_many`) so the two
-        simulations share one worker pool when ``sim_jobs`` is set --
-        the result is identical at any ``sim_jobs``.
+        held-out population with ``seed + 1``, one
+        :func:`repro.process.montecarlo.generate_dataset` call each,
+        fanned out over ``sim_jobs`` workers -- the result is
+        identical at any ``sim_jobs``.
 
         ``dataset_root`` sources both populations from manifested
         shard stores under that directory instead
@@ -82,11 +81,10 @@ class CompactionPipeline:
             test = ensure_dataset(dataset_root, dut, n_test, seed + 1,
                                   n_jobs=sim_jobs).head(n_test)
             return self.run(train, test)
-        from repro.process.montecarlo import generate_many
+        from repro.process.montecarlo import generate_dataset
 
-        train, test = generate_many(
-            [(dut, n_train, seed), (dut, n_test, seed + 1)],
-            n_jobs=sim_jobs)
+        train = generate_dataset(dut, n_train, seed, n_jobs=sim_jobs)
+        test = generate_dataset(dut, n_test, seed + 1, n_jobs=sim_jobs)
         return self.run(train, test)
 
     def deploy(self, train, test, cost_model=None, device=None,

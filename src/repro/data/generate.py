@@ -119,7 +119,6 @@ def generate_shards(root, dut, n_rows, seed, shard_rows=DEFAULT_SHARD_ROWS,
     any ``shard_rows`` and ``n_jobs``.
     """
     root = os.fspath(root)
-    os.makedirs(root, exist_ok=True)
     if _store_exists(root):
         raise DatasetError(
             "{} already holds a shard store; use extend_shards to grow "
@@ -129,6 +128,11 @@ def generate_shards(root, dut, n_rows, seed, shard_rows=DEFAULT_SHARD_ROWS,
     n_rows = int(n_rows)
     budget = (default_max_failures(n_rows)
               if max_failures is None else int(max_failures))
+    report = GenerationReport(n_requested=n_rows)
+    # The scheduler checks the seed and budget before the store exists.
+    batches = generate_instance_batches(
+        dut, n_rows, seed, batch_size=shard_rows,
+        n_jobs=n_jobs, max_failures=budget, report=report)
     manifest = Manifest(
         device=device or dataset_device_name(dut), seed=seed,
         shard_rows=shard_rows, n_rows=0,
@@ -137,10 +141,7 @@ def generate_shards(root, dut, n_rows, seed, shard_rows=DEFAULT_SHARD_ROWS,
         "op": "generate", "start": 0, "stop": 0, "max_failures": budget,
         "elapsed_s": 0.0, "instances_per_minute": 0.0,
     })
-    report = GenerationReport(n_requested=n_rows)
-    batches = generate_instance_batches(
-        dut, n_rows, seed, batch_size=manifest.shard_rows,
-        n_jobs=n_jobs, max_failures=budget, report=report)
+    os.makedirs(root, exist_ok=True)
     with get_telemetry().span("data.generate", rows=n_rows,
                               device=manifest.device):
         _append_batches(root, manifest, batches, report)

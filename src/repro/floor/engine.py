@@ -236,11 +236,6 @@ class TestFloor:
             None if cost_model is None
             else (cost_model.cost(self._kept), cost_model.full_cost()))
 
-    @classmethod
-    def from_file(cls, path, **kwargs):
-        """Load an artifact file and build a floor over it."""
-        return cls(TestProgramArtifact.load(path), **kwargs)
-
     # -- the batched hot path ---------------------------------------------
     def _first_pass(self, kept_values):
         """Vectorized +1/-1/0 classification of one batch."""

@@ -16,8 +16,6 @@ is assumed, this subpackage implements the full stack:
   SMO warm starts across the member fits;
 * :mod:`repro.learn.model_selection` -- train/test splitting, k-fold
   cross-validation and grid search;
-* :mod:`repro.learn.preprocessing` -- range normalization (paper
-  Section 4.3) and standardization;
 * :mod:`repro.learn.ridge` -- a ridge-regression baseline used by the
   classification-versus-regression ablation (paper Section 4.1).
 """
@@ -30,7 +28,6 @@ from repro.learn.model_selection import (
     train_test_split,
 )
 from repro.learn.ovr import OneVsRestSVCBank
-from repro.learn.preprocessing import RangeNormalizer, StandardScaler
 from repro.learn.ridge import RidgeRegressor
 from repro.learn.svm import SVC
 
@@ -43,7 +40,5 @@ __all__ = [
     "KFold",
     "cross_val_score",
     "grid_search",
-    "RangeNormalizer",
-    "StandardScaler",
     "RidgeRegressor",
 ]

@@ -14,11 +14,7 @@ specification list.
 
 from repro.process.dataset import SpecDataset
 from repro.process.defects import DefectInjector
-from repro.process.montecarlo import (
-    GenerationReport,
-    generate_dataset,
-    generate_many,
-)
+from repro.process.montecarlo import GenerationReport, generate_dataset
 from repro.process.variation import (
     LognormalDisturbance,
     NormalDisturbance,
@@ -31,7 +27,6 @@ __all__ = [
     "SpecDataset",
     "DefectInjector",
     "generate_dataset",
-    "generate_many",
     "GenerationReport",
     "Parameter",
     "ProcessModel",

@@ -3,8 +3,8 @@
 ``generate_dataset`` repeatedly: samples a process-perturbed parameter
 set, sets up and simulates the device, takes the specification
 measurements and stores them -- until the requested number of training
-instances is reached.  ``generate_many`` batches several independent
-populations (device x temperature x lot) through one scheduler.
+instances is reached.  Each population is one call; the scheduler
+behind it is :func:`repro.runtime.simulation.generate_instance_batches`.
 
 Seeding
 -------
@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import DatasetError, ReproError
+from repro.errors import ReproError
 from repro.process.dataset import SpecDataset
 
 def default_max_failures(n_instances):
@@ -182,14 +182,14 @@ def generate_dataset(dut, n_instances, seed, on_error="resample",
     n_instances:
         Number of device instances in the returned dataset.
     seed:
-        Seed for the random process disturbances; generation is fully
-        reproducible (see the module docstring).
+        Non-negative integer seed for the random process disturbances;
+        generation is fully reproducible (see the module docstring).
     on_error:
         ``"resample"`` (default): when a simulation fails to converge
         or a measurement cannot be extracted, record the failure and
         draw a fresh instance.  ``"raise"``: propagate the first error.
     max_failures:
-        Abort (raise) at exactly this many failures with
+        Abort (raise) at exactly this many failures (at least 1) with
         ``"resample"``; defaults to ``max(10, n_instances // 10)``.
     return_report:
         When True, return ``(dataset, GenerationReport)``.
@@ -201,11 +201,11 @@ def generate_dataset(dut, n_instances, seed, on_error="resample",
     Returns
     -------
     SpecDataset or (SpecDataset, GenerationReport)
+
+    A bad size, seed, budget or ``on_error`` raises
+    :class:`~repro.errors.DatasetError` from the scheduler,
+    :func:`repro.runtime.simulation.generate_instance_batches`.
     """
-    if n_instances <= 0:
-        raise DatasetError("n_instances must be positive")
-    if on_error not in ("resample", "raise"):
-        raise DatasetError("on_error must be 'resample' or 'raise'")
     from repro.runtime.simulation import generate_instances
 
     values, report = generate_instances(
@@ -215,51 +215,3 @@ def generate_dataset(dut, n_instances, seed, on_error="resample",
     if return_report:
         return dataset, report
     return dataset
-
-
-def generate_many(requests, n_jobs=None, on_error="resample",
-                  max_failures=None, return_reports=False):
-    """Generate several independent Monte-Carlo populations at once.
-
-    This is the lot scheduler for device x temperature x lot batches:
-    all requested populations are flattened into one pool of instance
-    simulations, so many small lots keep every worker busy.
-
-    Parameters
-    ----------
-    requests:
-        Sequence of ``(dut, n_instances, seed)`` tuples, one per
-        population.  DUTs may differ between requests.
-    n_jobs:
-        Worker processes shared across *all* populations (``None``/``1``
-        serial, ``-1`` one per CPU); output is independent of the
-        worker count.
-    on_error, max_failures:
-        As in :func:`generate_dataset`, applied to every request
-        (``max_failures`` defaults per lot from its own size).
-    return_reports:
-        When True, return ``(dataset, GenerationReport)`` pairs.
-
-    Returns
-    -------
-    list of SpecDataset (or of (SpecDataset, GenerationReport))
-        In request order.
-    """
-    requests = [tuple(request) for request in requests]
-    for request in requests:
-        if len(request) != 3:
-            raise DatasetError(
-                "generate_many expects (dut, n_instances, seed) requests")
-    if on_error not in ("resample", "raise"):
-        raise DatasetError("on_error must be 'resample' or 'raise'")
-    from repro.runtime.simulation import generate_lot_instances
-
-    results = generate_lot_instances(
-        [(dut, n, seed, max_failures) for dut, n, seed in requests],
-        n_jobs=n_jobs, on_error=on_error)
-
-    out = []
-    for (dut, _, _), (values, report) in zip(requests, results):
-        dataset = SpecDataset(dut.specifications, values)
-        out.append((dataset, report) if return_reports else dataset)
-    return out

@@ -9,11 +9,13 @@ the runtime pieces both lean on:
 ``repro.runtime.simulation``
     The deterministic parallel Monte-Carlo generation engine:
     per-instance ``SeedSequence`` streams fan device simulation out
-    across processes with bit-identical datasets at any worker count,
-    including the :func:`~repro.runtime.simulation.
-    generate_lot_instances` scheduler for whole lot batches.  A DUT's
-    ``measure_batch`` is used when present, routing slot chunks
-    through the stacked MNA kernel (:mod:`repro.circuit.batch`).
+    across processes with bit-identical datasets at any worker count.
+    One scheduler, :func:`~repro.runtime.simulation.
+    generate_instance_batches`, streams every population, and one
+    slot loop, :func:`~repro.runtime.simulation.
+    simulate_slots_batched`, simulates every slot: through a DUT's
+    ``measure_batch`` when present (the stacked MNA kernel of
+    :mod:`repro.circuit.batch`), else through ``measure``.
 ``repro.runtime.parallel``
     The process-pool plumbing (worker resolution, ordered maps,
     serial fallbacks) everything above shares.
@@ -23,7 +25,6 @@ from repro.runtime.parallel import cpu_count, parallel_map, resolve_n_jobs
 from repro.runtime.simulation import (
     generate_instance_batches,
     generate_instances,
-    generate_lot_instances,
     instance_streams,
     simulate_slots_batched,
 )
@@ -32,7 +33,6 @@ __all__ = [
     "cpu_count",
     "generate_instance_batches",
     "generate_instances",
-    "generate_lot_instances",
     "instance_streams",
     "parallel_map",
     "resolve_n_jobs",

@@ -113,6 +113,22 @@ class TestExtendSemantics:
         with pytest.raises(DatasetError):
             generate_shards(tmp_path / "s", SyntheticDut(), 0, 1)
 
+    @pytest.mark.parametrize("seed", [None, -1, 1.5], ids=repr)
+    def test_generate_rejects_bad_seed(self, tmp_path, seed):
+        with pytest.raises(DatasetError, match="seed"):
+            generate_shards(tmp_path / "s", SyntheticDut(), 8, seed)
+        assert not (tmp_path / "s").exists()
+
+    def test_budget_below_one_rejected(self, tmp_path):
+        dut = SyntheticDut()
+        with pytest.raises(DatasetError, match="max_failures"):
+            generate_shards(tmp_path / "s", dut, 8, 1, max_failures=0)
+        assert not (tmp_path / "s").exists()
+        generate_shards(tmp_path / "t", dut, 8, 1, shard_rows=8)
+        with pytest.raises(DatasetError, match="max_failures"):
+            extend_shards(tmp_path / "t", dut, 16, max_failures=0)
+        assert ShardedSpecDataset(tmp_path / "t").n_rows == 8
+
     def test_manifest_records_events_and_throughput(self, tmp_path):
         dut = SyntheticDut()
         generate_shards(tmp_path / "s", dut, 20, 1, shard_rows=8)

@@ -4,7 +4,7 @@
 and costs a pre-binning revision produced for a deterministic traffic
 pattern.  Every test here replays that traffic through today's code --
 the floor at every (batch_size, n_jobs) combination on the default
-(batched) slot path plus once through the per-slot scalar path, one
+(batched) slot path plus once through the scalar ``measure``, one
 whole-population ``dispose`` (the offline evaluation path), the
 per-request dispose-slice view and the live HTTP service -- and asserts
 bit-identical output.  On top of the legacy surface, the degenerate

@@ -4,8 +4,9 @@ The engine's promise: the generated dataset is a pure function of
 ``(dut, seed, n_instances)`` -- independent of worker count, execution
 order and slot path, with failures and resamples confined to their own
 instance slot.  A DUT with ``measure_batch`` takes the batched path;
-:class:`tests.synthetic.ScalarOnly` hides it to get the per-slot
-``measure`` loop, the oracle every parity test compares against.
+:class:`tests.synthetic.ScalarOnly` hides it so the same slot loop
+maps the scalar ``measure`` instead, the oracle every parity test
+compares against.
 """
 
 import numpy as np
@@ -14,10 +15,10 @@ import pytest
 from repro.errors import ConvergenceError, DatasetError
 from repro.mems import AccelerometerBench
 from repro.opamp import OpAmpBench
-from repro.process.montecarlo import generate_dataset, generate_many
+from repro.process.montecarlo import generate_dataset
 from repro.runtime.simulation import BATCH_SLOTS, instance_streams
 
-from tests.synthetic import ScalarOnly, SyntheticDut
+from tests.synthetic import SLOT_PATHS, ScalarOnly, SyntheticDut
 
 
 class PureFlakyDut(SyntheticDut):
@@ -141,8 +142,9 @@ class TestPerInstanceDeterminism:
 
     def test_abort_stops_simulating(self):
         """The failure budget bounds *work*, not just the outcome: a
-        serial per-slot run of a dead DUT simulates exactly
-        max_failures times however many instances were requested."""
+        serial run of a dead measure-only DUT (one slot per task)
+        simulates exactly max_failures times however many instances
+        were requested."""
         dut = CountingAlwaysFailDut()
         with pytest.raises(DatasetError, match="aborted"):
             generate_dataset(ScalarOnly(dut), 1000, seed=0,
@@ -152,8 +154,8 @@ class TestPerInstanceDeterminism:
     def test_batched_abort_stops_within_one_chunk(self):
         """A DUT with measure_batch takes the batched path, where the
         abort lands at chunk granularity: each slot of the first chunk
-        retries up to the budget, so a dead DUT costs more than the
-        per-slot loop but at most BATCH_SLOTS x max_failures calls."""
+        retries up to the budget, so a dead DUT costs more than one
+        slot per task but at most BATCH_SLOTS x max_failures calls."""
         dut = CountingAlwaysFailDut()
         with pytest.raises(DatasetError, match="aborted"):
             generate_dataset(dut, 1000, seed=0, max_failures=5)
@@ -184,7 +186,7 @@ class NonFiniteDut(SyntheticDut):
 
 
 class TestBatchedEngine:
-    """The batched path: same dataset, reports and aborts as per-slot."""
+    """The batched path: same dataset, reports and aborts as scalar."""
 
     def test_batched_equals_scalar(self):
         dut = SyntheticDut()
@@ -201,7 +203,7 @@ class TestBatchedEngine:
 
     def test_resampled_slots_identical_with_failures(self):
         """Failing slots redraw from their own streams in retry waves;
-        dataset and report match the per-slot path exactly."""
+        dataset and report match the scalar path exactly."""
         dut = PureFlakyDut()
         scalar, rs = generate_dataset(ScalarOnly(dut), 60, seed=5,
                                       max_failures=100,
@@ -256,16 +258,6 @@ class TestBatchedEngine:
         big = generate_dataset(dut, 32, seed=9)
         small = generate_dataset(dut, 8, seed=9)
         assert np.array_equal(small.values, big.values[:8])
-
-    def test_generate_many_batched_equals_scalar(self):
-        """Lots on either path share one scheduler."""
-        duts = [SyntheticDut(seed=s) for s in (1, 2, 3)]
-        scalar = generate_many([(ScalarOnly(dut), 15, s)
-                                for s, dut in enumerate(duts, 1)])
-        mixed = generate_many([(ScalarOnly(dut) if s == 2 else dut, 15, s)
-                               for s, dut in enumerate(duts, 1)])
-        for a, b in zip(scalar, mixed):
-            assert np.array_equal(a.values, b.values)
 
     def test_streaming_batches_batched_equals_scalar(self):
         from repro.runtime.simulation import generate_instance_batches
@@ -356,38 +348,6 @@ class TestBatchedEngineMems:
         assert rs.n_failed > 0
         assert np.array_equal(scalar.values, batched.values)
         assert rs.failures == rb.failures
-
-
-class TestGenerateMany:
-    def test_matches_individual_runs(self):
-        dut_a = SyntheticDut(seed=99)
-        dut_b = PureFlakyDut(seed=7)
-        batch = generate_many([(dut_a, 20, 1), (dut_b, 30, 2)],
-                              max_failures=100)
-        individual = [
-            generate_dataset(dut_a, 20, seed=1),
-            generate_dataset(dut_b, 30, seed=2, max_failures=100),
-        ]
-        assert len(batch) == 2
-        for got, want in zip(batch, individual):
-            assert np.array_equal(got.values, want.values)
-
-    def test_parallel_equals_serial(self):
-        requests = [(SyntheticDut(seed=s), 15, s) for s in (1, 2, 3)]
-        serial = generate_many(requests)
-        parallel = generate_many(requests, n_jobs=2)
-        for a, b in zip(serial, parallel):
-            assert np.array_equal(a.values, b.values)
-
-    def test_reports_returned_in_order(self):
-        requests = [(SyntheticDut(), 5, 0), (SyntheticDut(), 9, 1)]
-        out = generate_many(requests, return_reports=True)
-        assert [r.n_requested for _, r in out] == [5, 9]
-        assert [len(ds) for ds, _ in out] == [5, 9]
-
-    def test_malformed_request_rejected(self):
-        with pytest.raises(DatasetError, match="requests"):
-            generate_many([(SyntheticDut(), 5)])
 
 
 @pytest.mark.slow
@@ -536,6 +496,66 @@ class TestInstanceBatchStreaming:
         ref_b, _ = generate_instances(dut_b, 24, seed=2)
         assert np.array_equal(np.vstack(got_a), ref_a)
         assert np.array_equal(np.vstack(got_b), ref_b)
+
+
+class WrongShapeDut(SyntheticDut):
+    """Measures one value too few (a contract bug)."""
+
+    def measure(self, params):
+        return super().measure(params)[:-1]
+
+
+def _streamed(dut, n, seed, **kw):
+    from repro.runtime.simulation import generate_instance_batches
+
+    return list(generate_instance_batches(dut, n, seed, batch_size=3,
+                                          **kw))
+
+
+#: The two ways into the scheduler, by name.
+ENTRY_POINTS = {"generate_dataset": generate_dataset,
+                "generate_instance_batches": _streamed}
+
+
+class TestArgumentChecks:
+    """The scheduler checks seeds and budgets once, with typed errors."""
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("seed", [None, -1, 1.5, True, "3"], ids=repr)
+    def test_bad_seed_rejected(self, entry, seed):
+        with pytest.raises(DatasetError,
+                           match="seed must be a non-negative integer"):
+            ENTRY_POINTS[entry](SyntheticDut(), 6, seed)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("max_failures", [0, -2])
+    def test_budget_below_one_rejected(self, entry, max_failures):
+        dut = CountingAlwaysFailDut()
+        with pytest.raises(DatasetError,
+                           match="max_failures must be at least 1"):
+            ENTRY_POINTS[entry](ScalarOnly(dut), 6, 0,
+                                max_failures=max_failures)
+        assert dut.calls == 0
+
+    def test_checked_at_the_call_not_the_first_batch(self):
+        from repro.runtime.simulation import generate_instance_batches
+
+        with pytest.raises(DatasetError, match="seed"):
+            generate_instance_batches(SyntheticDut(), 6, None,
+                                      batch_size=3)
+
+    def test_numpy_integer_seed_is_the_int_seed(self):
+        dut = SyntheticDut()
+        assert np.array_equal(generate_dataset(dut, 6, 4).values,
+                              generate_dataset(dut, 6, np.int64(4)).values)
+
+    @pytest.mark.parametrize("path, method", [("batched", "measure_batch"),
+                                              ("scalar", "measure")])
+    def test_shape_error_names_the_dut_method(self, path, method):
+        dut = SLOT_PATHS[path](WrongShapeDut())
+        with pytest.raises(DatasetError,
+                           match=r"DUT {}\(\) returned shape".format(method)):
+            generate_dataset(dut, 4, seed=0)
 
 
 class TestSeedTreeRanges:

@@ -72,10 +72,10 @@ class SyntheticDut:
 
 
 class ScalarOnly:
-    """DUT proxy without ``measure_batch``: the per-slot scalar oracle.
+    """DUT proxy without ``measure_batch``: the scalar oracle.
 
     Forwards the DUT protocol minus ``measure_batch``, so generation
-    simulates every slot through ``measure``.
+    measures every slot through ``measure``.
     """
 
     def __init__(self, dut):

@@ -47,7 +47,7 @@ def opamp_data():
     """Small real op-amp population.
 
     Generated on the batched MNA kernel, the path every bench takes:
-    its datasets are bytewise the per-slot scalar loop's (same sha256
+    its datasets are bytewise the scalar ``measure``'s (same sha256
     of ``values`` and ``labels``) at about a sixth of the time.
     """
     bench = OpAmpBench()
