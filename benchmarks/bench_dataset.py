@@ -13,11 +13,11 @@ Exercises the two promises of :mod:`repro.data` on the op-amp bench
 2. **Out-of-core training.**  The guard-banded strict/loose SVM pair
    is fitted twice: in RAM on the materialized
    :class:`~repro.process.dataset.SpecDataset`, and out-of-core on the
-   memory-mapped :class:`~repro.data.ShardedSpecDataset` with a small
-   kernel-column budget (the SMO precompute limit is lowered for the
-   comparison so the bounded column cache actually serves the fit).
-   Alphas, intercepts and per-device decisions must match **bitwise**
-   -- asserted unconditionally in every environment.
+   memory-mapped :class:`~repro.data.ShardedSpecDataset` (the SMO
+   precompute limit is lowered for the comparison so the solver's
+   bounded kernel-column cache actually serves the fit).  Alphas,
+   intercepts and per-device decisions must match **bitwise** --
+   asserted unconditionally in every environment.
 
 The speed bar (extension beating cold regeneration wall-clock) is
 measured only on hosts with >= 4 CPUs; the equivalence assertions
@@ -44,7 +44,8 @@ if __name__ == "__main__":
 import numpy as np
 
 from benchmarks.harness import print_table, run_once, wall_time
-from repro.data import ShardedSpecDataset, fit_guard_banded, generate_shards
+from repro.core.guardband import GuardBandedClassifier
+from repro.data import ShardedSpecDataset, generate_shards
 from repro.data.generate import extend_shards
 from repro.learn import smo
 from repro.opamp import OpAmpBench
@@ -56,10 +57,6 @@ EXTEND_SPEEDUP_FLOOR = 1.5
 
 #: Sizes: cold store, prefix store, shard width.
 N, N_PREFIX, SHARD_ROWS = 600, 300, 128
-
-#: Kernel-column budget for the out-of-core fit: a few 64-column
-#: blocks, far below the full Gram -- eviction pressure is the point.
-COLUMN_BUDGET = 4 << 20
 
 
 def _generation(root, n, n_prefix, shard_rows, seed):
@@ -98,6 +95,11 @@ def _generation(root, n, n_prefix, shard_rows, seed):
     }
 
 
+def _fit_guard_banded(data, features):
+    return GuardBandedClassifier(features, delta=0.05,
+                                 warm_start=True).fit(data)
+
+
 def _training(store):
     """In-RAM vs out-of-core guard-banded fit; asserts bit identity."""
     dataset = store.to_dataset()
@@ -108,11 +110,8 @@ def _training(store):
     limit = smo.PRECOMPUTE_LIMIT
     smo.PRECOMPUTE_LIMIT = 16
     try:
-        ram, t_ram = wall_time(
-            fit_guard_banded, dataset, features, column_budget=None)
-        ooc, t_ooc = wall_time(
-            fit_guard_banded, store, features,
-            column_budget=COLUMN_BUDGET)
+        ram, t_ram = wall_time(_fit_guard_banded, dataset, features)
+        ooc, t_ooc = wall_time(_fit_guard_banded, store, features)
     finally:
         smo.PRECOMPUTE_LIMIT = limit
 
@@ -130,7 +129,6 @@ def _training(store):
     return {
         "n_rows": store.n_rows,
         "n_features": len(features),
-        "column_budget_bytes": COLUMN_BUDGET,
         "in_ram_seconds": t_ram,
         "out_of_core_seconds": t_ooc,
         "alphas_bitwise_equal": True,

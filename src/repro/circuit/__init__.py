@@ -55,9 +55,6 @@ from repro.circuit.batch import (
     BatchDCResult,
     BatchTransientResult,
     CircuitBatch,
-    solve_ac_batch,
-    solve_dc_batch,
-    solve_transient_batch,
 )
 
 __all__ = [
@@ -86,7 +83,4 @@ __all__ = [
     "BatchDCResult",
     "BatchACResult",
     "BatchTransientResult",
-    "solve_dc_batch",
-    "solve_ac_batch",
-    "solve_transient_batch",
 ]

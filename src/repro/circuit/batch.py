@@ -1313,18 +1313,3 @@ class CircuitBatch:
     def __repr__(self):
         return "CircuitBatch({!r}, B={}, n={})".format(
             self._proto.title, self.size, self.n_unknowns)
-
-
-def solve_dc_batch(circuits, **kwargs):
-    """One-shot stacked DC solve; see :meth:`CircuitBatch.solve_dc`."""
-    return CircuitBatch(circuits).solve_dc(**kwargs)
-
-
-def solve_ac_batch(circuits, freqs, x_op, **kwargs):
-    """One-shot stacked AC sweep; see :meth:`CircuitBatch.solve_ac`."""
-    return CircuitBatch(circuits).solve_ac(freqs, x_op, **kwargs)
-
-
-def solve_transient_batch(circuits, t_stop, dt, **kwargs):
-    """One-shot stacked transient; see :meth:`CircuitBatch.solve_transient`."""
-    return CircuitBatch(circuits).solve_transient(t_stop, dt, **kwargs)

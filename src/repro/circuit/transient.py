@@ -95,8 +95,7 @@ def _build_b(circuit, reactive, t, dt, states):
     return b
 
 
-def solve_transient(circuit, t_stop, dt, x0=None, method="trap",
-                    record_nodes=None):
+def solve_transient(circuit, t_stop, dt, x0=None, method="trap"):
     """Integrate ``circuit`` from 0 to ``t_stop`` with fixed step ``dt``.
 
     Parameters
@@ -112,9 +111,7 @@ def solve_transient(circuit, t_stop, dt, x0=None, method="trap",
     method:
         ``"trap"`` (trapezoidal, default) or ``"be"`` (backward Euler).
         The very first step always uses backward Euler to avoid the
-        trapezoidal start-up ringing artifact.
-    record_nodes:
-        Unused hook kept for API compatibility; all unknowns are
+        trapezoidal start-up ringing artifact.  Every unknown is
         recorded (the systems here are small).
 
     Returns

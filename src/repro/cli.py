@@ -153,6 +153,21 @@ def _bench(device):
     return AccelerometerBench()
 
 
+def _known_device(explicit, recorded, source):
+    """The bench for ``--device``, else for the device ``source`` records.
+
+    ``source`` names the artifact or store in the error message.
+    Returns ``(device, None)``, or ``(None, exit code)`` after a
+    :func:`_fail` line when neither names a known bench.
+    """
+    device = explicit or {"mems-accelerometer": "mems"}.get(recorded,
+                                                            recorded)
+    if device in ("opamp", "mems"):
+        return device, None
+    return None, _fail("{} names unknown device {!r}; pass --device".format(
+        source, recorded))
+
+
 def _default_cost_model(device):
     """Uniform costs (op-amp) or per-insertion fixture costs (MEMS).
 
@@ -358,14 +373,10 @@ def cmd_floor(args):
     except OSError as exc:
         return _fail("cannot read artifact {}: {}".format(
             args.artifact, exc))
-    device = args.device or artifact.provenance.get("device")
-    aliases = {"mems-accelerometer": "mems"}
-    device = aliases.get(device, device)
-    if device not in ("opamp", "mems"):
-        print("artifact does not name a known device (provenance says "
-              "{!r}); pass --device".format(
-                  artifact.provenance.get("device")), file=sys.stderr)
-        return 2
+    device, failed = _known_device(
+        args.device, artifact.provenance.get("device"), "artifact")
+    if failed:
+        return failed
     from repro.errors import ReproError
 
     bench = _bench(device)
@@ -450,15 +461,13 @@ def cmd_dataset_extend(args):
     from repro.data import ShardedSpecDataset, extend_shards
     from repro.errors import ReproError
 
-    aliases = {"mems-accelerometer": "mems"}
     try:
         existing = ShardedSpecDataset(args.root)
     except ReproError as exc:
         return _fail(exc)
-    device = args.device or aliases.get(existing.device, existing.device)
-    if device not in ("opamp", "mems"):
-        return _fail("store names unknown device {!r}; pass "
-                     "--device".format(existing.device))
+    device, failed = _known_device(args.device, existing.device, "store")
+    if failed:
+        return failed
     bench = _bench(device)
     print("Extending {} from {} to {} rows...".format(
         args.root, existing.n_rows, args.rows), file=sys.stderr)
@@ -506,11 +515,9 @@ def cmd_dataset_verify(args):
     except ReproError as exc:
         return _fail(exc)
     if getattr(args, "repair", False):
-        aliases = {"mems-accelerometer": "mems"}
-        device = args.device or aliases.get(store.device, store.device)
-        if device not in ("opamp", "mems"):
-            return _fail("store names unknown device {!r}; pass "
-                         "--device".format(store.device))
+        device, failed = _known_device(args.device, store.device, "store")
+        if failed:
+            return failed
         try:
             repaired = repair_shards(args.root, _bench(device),
                                      n_jobs=args.sim_jobs)

@@ -26,7 +26,6 @@ import numpy as np
 from repro.core.metrics import GUARD
 from repro.core.specs import BAD, GOOD
 from repro.errors import CompactionError
-from repro.learn.columns import KernelColumnCache
 from repro.learn.svm import SVC, shared_train_kernel, warm_startable
 
 
@@ -131,20 +130,13 @@ class GuardBandedClassifier:
         model's dual solution.  The two label vectors differ only on
         guard-band devices, so the seed is near-optimal and the second
         fit converges in a fraction of the iterations.
-    column_budget:
-        Optional byte budget for out-of-core fits.  When set, the
-        strict/loose pair shares one bounded
-        :class:`~repro.learn.columns.KernelColumnCache` over the
-        training features instead of materializing quadratic Gram
-        matrices -- the fit path for shard-store populations far above
-        the SMO precompute limit.  Fits are bit-identical with or
-        without a budget; only the working set changes.
 
     Below the SMO precompute limit the strict/loose pair shares one
     :class:`~repro.learn.kernels.SharedGram` over the training features:
-    one Gram build serves both fits.  The Gram and the column cache
-    live for one :meth:`fit` only; nothing of them stays on the fitted
-    classifier or its models.
+    one Gram build serves both fits, and it lives for one :meth:`fit`
+    only.  Above the limit each SMO solve keeps its own byte-bounded
+    kernel-column cache (:mod:`repro.learn.columns`), so a fit on a
+    shard store far above the limit has a bounded working set.
 
     The classifier is trained from a *full*
     :class:`~repro.process.dataset.SpecDataset` (all specifications
@@ -154,11 +146,12 @@ class GuardBandedClassifier:
     :class:`~repro.data.store.ShardedSpecDataset` works as well: its
     label computations stream shard by shard (the ``shifted_labels``
     protocol below), so only the thin ``(n, len(feature_names))``
-    feature matrix is ever materialized.
+    feature matrix is ever materialized, and the fit is bitwise the
+    in-RAM fit on the same rows.
     """
 
     def __init__(self, feature_names, delta=0.05, model_factory=None,
-                 warm_start=False, column_budget=None):
+                 warm_start=False):
         self.feature_names = tuple(feature_names)
         if not self.feature_names:
             raise CompactionError(
@@ -176,8 +169,6 @@ class GuardBandedClassifier:
         # Default: cross-validated hyperparameter selection per fit.
         self.model_factory = model_factory or AutoTunedSVCFactory()
         self.warm_start = bool(warm_start)
-        self.column_budget = (None if column_budget is None
-                              else int(column_budget))
 
     def _delta_for(self, names):
         """Per-spec delta array for the given specification names."""
@@ -231,10 +222,7 @@ class GuardBandedClassifier:
             return elim_specs.shifted(deltas).labels(elim_values)
 
         self._no_guard = self._no_guard and not np.any(elim_deltas)
-        columns = None
-        if self.column_budget is not None:
-            columns = KernelColumnCache(X, max_bytes=self.column_budget)
-        with shared_train_kernel(X, columns) as attach:
+        with shared_train_kernel(X) as attach:
             if self._no_guard:
                 y = shifted(None)
                 if hasattr(self.model_factory, "tune"):

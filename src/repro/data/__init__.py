@@ -3,8 +3,11 @@
 ``repro.data`` keeps arbitrarily large populations on disk as
 fixed-boundary columnar shards plus a JSON manifest, and feeds them to
 the rest of the stack -- floor, pipeline, benches, CLI, out-of-core
-training -- through memory-mapped views.  Three invariants carry the
-whole layer (see ARCHITECTURE.md, "The data plane"):
+training -- through memory-mapped views.  Out-of-core training is
+``GuardBandedClassifier(...).fit(store)``: labels stream shard by shard
+and only the thin feature matrix is built, so the fit is bitwise the
+in-RAM one.  Three invariants carry the whole layer (see
+ARCHITECTURE.md, "The data plane"):
 
 1. **Any shard in isolation**: each row is a pure function of
    ``(device, seed, row index)`` via the per-instance seed tree, so
@@ -29,7 +32,6 @@ from repro.data.generate import (
 from repro.data.manifest import Manifest
 from repro.data.shard import array_sha256
 from repro.data.store import ShardedSpecDataset
-from repro.data.training import fit_guard_banded, fit_ovr_bank
 
 __all__ = [
     "DEFAULT_SHARD_ROWS",
@@ -39,8 +41,6 @@ __all__ = [
     "dataset_device_name",
     "ensure_dataset",
     "extend_shards",
-    "fit_guard_banded",
-    "fit_ovr_bank",
     "generate_shards",
     "repair_shards",
 ]

@@ -101,8 +101,8 @@ def _sanitized_model(model):
 
     A deployed program never refits, so the training-time model
     factory -- which may be an unpicklable closure -- is dropped.
-    (Training Grams and column caches never reach the file: they live
-    for one fit, and SVC's ``__getstate__`` excludes them besides.)
+    (Training Grams never reach the file: they live for one fit, and
+    SVC's ``__getstate__`` excludes them besides.)
     """
     model = copy.copy(model)
     model.model_factory = None

@@ -8,14 +8,16 @@ is assumed, this subpackage implements the full stack:
   kernels and Gram-matrix evaluation;
 * :mod:`repro.learn.smo` -- the Platt/Keerthi sequential minimal
   optimization (SMO) dual solver with LIBSVM's second-order working
-  set selection (WSS2) and a kernel cache;
+  set selection (WSS2);
+* :mod:`repro.learn.columns` -- the byte-bounded kernel-column cache
+  the solver builds for problems too large for a Gram matrix;
 * :mod:`repro.learn.svm` -- the :class:`~repro.learn.svm.SVC` public
   estimator (fit / predict / decision_function);
 * :mod:`repro.learn.ovr` -- one-vs-rest :class:`SVC` banks for
   multi-bin grade prediction, sharing one training Gram matrix and
   SMO warm starts across the member fits;
-* :mod:`repro.learn.model_selection` -- train/test splitting, k-fold
-  cross-validation and grid search;
+* :mod:`repro.learn.model_selection` -- k-fold cross-validation and
+  grid search;
 * :mod:`repro.learn.ridge` -- a ridge-regression baseline used by the
   classification-versus-regression ablation (paper Section 4.1).
 """
@@ -25,7 +27,6 @@ from repro.learn.model_selection import (
     KFold,
     cross_val_score,
     grid_search,
-    train_test_split,
 )
 from repro.learn.ovr import OneVsRestSVCBank
 from repro.learn.ridge import RidgeRegressor
@@ -36,7 +37,6 @@ __all__ = [
     "OneVsRestSVCBank",
     "kernel_function",
     "KERNELS",
-    "train_test_split",
     "KFold",
     "cross_val_score",
     "grid_search",

@@ -1,13 +1,11 @@
-"""Bounded kernel-column sources for out-of-core SVM fits.
+"""The bounded kernel-column cache of large SVM fits.
 
-:class:`KernelColumnCache` is the fit-side counterpart of the chunked
-scoring in :meth:`repro.learn.svm.SVC.decision_function`: instead of a
-quadratic Gram matrix, training keeps only a byte-bounded LRU set of
-kernel column *blocks* over one shared feature matrix.  Attach it to a
-model with :meth:`SVC.set_train_columns` (or the bank-level
-:meth:`OneVsRestSVCBank.set_train_columns`), and every fit sharing the
-same ``X`` -- the guard-banded strict/loose pair, all one-vs-rest
-members -- draws columns from the same cache.
+Above :data:`repro.learn.smo.PRECOMPUTE_LIMIT` rows,
+:func:`repro.learn.smo.solve_smo` keeps no quadratic Gram matrix: it
+builds one :class:`KernelColumnCache` over its training matrix and
+kernel, sized by :data:`repro.learn.smo.CACHE_BYTES`, and draws kernel
+columns from a byte-bounded LRU set of column *blocks* (LIBSVM's
+kernel cache, Chang & Lin 2011).  The cache lives for one solve.
 
 Bit-identity contract
 ---------------------
@@ -16,27 +14,23 @@ A column block is computed as ``kernel(X, X[i0:i1])`` with block width
 >= 2.  Such blocks go through the general BLAS GEMM kernel, whose
 columns are bitwise identical for any block width and alignment; the
 row-sum and element-wise stages of the RBF pipeline are chunk-invariant
-as well.  The same class also serves :func:`repro.learn.smo.solve_smo`'s
-own large-problem route (through :meth:`KernelColumnCache.provider`
-with the solver's kernel callable), so an in-RAM fit above the
-precompute limit and an out-of-core fit draw the very same column
-bytes -- out-of-core fits reproduce in-RAM large-problem fits exactly,
-alphas included.  Problems at or below
-:data:`repro.learn.smo.PRECOMPUTE_LIMIT` ignore the attached source and
-precompute the Gram matrix as always (the full-matrix product takes
-BLAS's symmetric-rank-k path, which differs from GEMM in the last ulp,
-so mixing the two would break identity).
+as well.  So the budget never changes a bit of a fit, only which blocks
+are kept, and a fit on the thin feature matrix of a shard store
+(:meth:`repro.data.store.ShardedSpecDataset.normalized_values`) is
+bitwise the in-RAM fit on the same rows.  Problems at or below the
+precompute limit precompute the Gram matrix instead (the full-matrix
+product takes BLAS's symmetric-rank-k path, which differs from GEMM in
+the last ulp, so mixing the two would break identity).
 
 The solver's second-order pair selection needs the whole kernel
-diagonal before its first step.  :meth:`ColumnProvider.diagonal`
+diagonal before its first step.  :meth:`KernelColumnCache.diagonal`
 computes every block once, with the shapes column fetches use, and
 reads the block diagonals, so ``diagonal()[t]`` is bitwise
 ``column(t)[t]`` and the contract above extends to the pair choice.
-That pass costs the kernel work of one full Gram matrix, once per
-kernel and cache.  Its blocks fill the LRU while it has room, so with
-a budget for the whole matrix no column is computed twice.  The
-diagonals themselves (``n`` floats per kernel) are kept outside the
-byte budget.
+That pass costs the kernel work of one full Gram matrix.  Its blocks
+fill the LRU while it has room, so with a budget for the whole matrix
+no column is computed twice.  The diagonal itself (``n`` floats) is
+kept outside the byte budget.
 """
 
 from collections import OrderedDict
@@ -44,30 +38,9 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.errors import LearningError
-from repro.learn.kernels import kernel_function
-
-#: Default cache budget: 256 MiB of kernel blocks.
-DEFAULT_BUDGET_BYTES = 256 * 1024 * 1024
 
 #: Columns fetched per kernel evaluation.
 BLOCK_COLUMNS = 64
-
-
-class ColumnProvider:
-    """Per-kernel handle served to :func:`repro.learn.smo.solve_smo`."""
-
-    def __init__(self, cache, key, kernel):
-        self._cache = cache
-        self._key = key
-        self._kernel = kernel
-
-    def column(self, i):
-        """Kernel column ``i`` (a read-only view into a cached block)."""
-        return self._cache._column(self._key, self._kernel, i)
-
-    def diagonal(self):
-        """The kernel diagonal, ``diagonal()[t]`` bitwise ``column(t)[t]``."""
-        return self._cache._diagonal(self._key, self._kernel)
 
 
 class KernelColumnCache:
@@ -76,9 +49,10 @@ class KernelColumnCache:
     Parameters
     ----------
     X:
-        The shared ``(n, k)`` training feature matrix (e.g. the thin
-        normalized matrix assembled by
-        :meth:`repro.data.store.ShardedSpecDataset.normalized_values`).
+        The ``(n, k)`` training feature matrix.
+    kernel:
+        Kernel callable ``(A, B) -> Gram`` (see
+        :func:`repro.learn.kernels.kernel_function`).
     max_bytes:
         Budget for cached blocks; at least two blocks are always kept
         so the SMO working pair never thrashes.
@@ -86,34 +60,26 @@ class KernelColumnCache:
         Columns per fetch (>= 2).
     """
 
-    def __init__(self, X, max_bytes=DEFAULT_BUDGET_BYTES,
-                 block_columns=BLOCK_COLUMNS):
+    def __init__(self, X, kernel, max_bytes, block_columns=BLOCK_COLUMNS):
         X = np.ascontiguousarray(X, dtype=float)
         if X.ndim != 2 or X.shape[0] < 1:
             raise LearningError(
                 "KernelColumnCache needs a non-empty 2-D matrix")
         self._X = X
+        self._kernel = kernel
         n = X.shape[0]
         self._block = max(2, min(int(block_columns), max(2, n)))
         per_block = 8 * n * self._block
         self._max_blocks = max(2, int(max_bytes) // max(1, per_block))
-        #: ``(kernel key, first column) -> block``, oldest first.
+        #: ``first column -> block``, oldest first.
         self._blocks = OrderedDict()
-        #: ``kernel key -> diagonal`` (n floats each, never evicted and
-        #: not counted against ``max_bytes``).
-        self._diagonals = {}
+        #: The kernel diagonal (n floats, not counted against
+        #: ``max_bytes``), once :meth:`diagonal` has run.
+        self._diagonal = None
         #: Fetch statistics (plain ints: the column fetch is the SMO hot
         #: path, so callers aggregate them once per solve).
         self.n_fetches = 0
         self.n_hits = 0
-
-    @property
-    def X(self):
-        return self._X
-
-    @property
-    def n_samples(self):
-        return self._X.shape[0]
 
     @property
     def max_blocks(self):
@@ -122,30 +88,6 @@ class KernelColumnCache:
     @property
     def n_cached_blocks(self):
         return len(self._blocks)
-
-    def matches(self, X):
-        """Whether ``X`` is exactly the cached feature matrix."""
-        X = np.asarray(X)
-        return X.shape == self._X.shape and np.array_equal(X, self._X)
-
-    def provider(self, kernel):
-        """A ``column(i)`` source for one kernel.
-
-        ``kernel`` is either an RBF width (blocks keyed by the float
-        value, so every provider of one gamma shares them) or any
-        kernel callable ``(A, B) -> Gram`` such as the one
-        :func:`repro.learn.smo.solve_smo` holds (blocks keyed by the
-        callable).
-        """
-        if callable(kernel):
-            return ColumnProvider(self, kernel, kernel)
-        gamma = float(kernel)
-        return ColumnProvider(self, gamma,
-                              kernel_function("rbf", gamma=gamma))
-
-    def column(self, gamma, i):
-        """RBF kernel column ``i`` at width ``gamma``."""
-        return self.provider(gamma).column(i)
 
     def _block_range(self, i):
         n = self._X.shape[0]
@@ -157,28 +99,28 @@ class KernelColumnCache:
             i0 = max(0, i1 - 2)
         return i0, i1
 
-    def _column(self, key, kernel, i):
+    def column(self, i):
+        """Kernel column ``i`` (a read-only view into a cached block)."""
         i = int(i)
         if not 0 <= i < self._X.shape[0]:
             raise LearningError("column index {} out of range".format(i))
         i0, i1 = self._block_range(i)
-        key = (key, i0)
-        block = self._blocks.get(key)
+        block = self._blocks.get(i0)
         if block is None:
-            block = kernel(self._X, self._X[i0:i1])
+            block = self._kernel(self._X, self._X[i0:i1])
             if len(self._blocks) >= self._max_blocks:
                 self._blocks.popitem(last=False)
-            self._blocks[key] = block
+            self._blocks[i0] = block
             self.n_fetches += 1
         else:
-            self._blocks.move_to_end(key)
+            self._blocks.move_to_end(i0)
             self.n_hits += 1
         return block[:, i - i0]
 
-    def _diagonal(self, key, kernel):
-        diag = self._diagonals.get(key)
-        if diag is not None:
-            return diag
+    def diagonal(self):
+        """The kernel diagonal, ``diagonal()[t]`` bitwise ``column(t)[t]``."""
+        if self._diagonal is not None:
+            return self._diagonal
         # Each block is computed once, with exactly the shapes column
         # fetches use; while the LRU has room the block enters it under
         # the key a column fetch would use, so those fetches hit.
@@ -187,16 +129,15 @@ class KernelColumnCache:
         t = 0
         while t < n:
             i0, i1 = self._block_range(t)
-            block_key = (key, i0)
-            block = self._blocks.get(block_key)
+            block = self._blocks.get(i0)
             if block is None:
-                block = kernel(self._X, self._X[i0:i1])
+                block = self._kernel(self._X, self._X[i0:i1])
                 self.n_fetches += 1
                 if len(self._blocks) < self._max_blocks:
-                    self._blocks[block_key] = block
+                    self._blocks[i0] = block
             rows = np.arange(t, i1)
             diag[t:i1] = block[rows, rows - i0]
             t = i1
         diag.flags.writeable = False
-        self._diagonals[key] = diag
+        self._diagonal = diag
         return diag

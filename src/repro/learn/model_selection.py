@@ -1,4 +1,4 @@
-"""Model selection utilities: splits, k-fold CV and grid search.
+"""Model selection utilities: k-fold CV and grid search.
 
 :func:`grid_search` works through its (configuration group, fold)
 chains one ``C`` level at a time: the level's fits are one lockstep SMO
@@ -13,27 +13,6 @@ import numpy as np
 
 from repro.errors import LearningError
 from repro.telemetry import get_telemetry
-
-
-def train_test_split(X, y, test_fraction=0.25, seed=0):
-    """Random split of ``(X, y)`` into train and test parts.
-
-    Returns ``(X_train, X_test, y_train, y_test)``.
-    """
-    X = np.asarray(X)
-    y = np.asarray(y)
-    n = X.shape[0]
-    if y.shape[0] != n:
-        raise LearningError("X and y have different sample counts")
-    if not 0.0 < test_fraction < 1.0:
-        raise LearningError("test_fraction must be in (0, 1)")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    k = int(round(test_fraction * n))
-    if k == 0 or k == n:
-        raise LearningError("split produces an empty part")
-    test_idx, train_idx = order[:k], order[k:]
-    return X[train_idx], X[test_idx], y[train_idx], y[test_idx]
 
 
 class KFold:

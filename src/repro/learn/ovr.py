@@ -45,14 +45,9 @@ class OneVsRestSVCBank:
     warm_start:
         Seed each member's SMO run from the previous member's dual
         solution (default True).
-    column_source:
-        Optional bounded kernel-column source shared by every member
-        fit above the SMO precompute limit (see
-        :meth:`set_train_columns`).
     """
 
-    def __init__(self, classes, model_factory=None, warm_start=True,
-                 column_source=None):
+    def __init__(self, classes, model_factory=None, warm_start=True):
         self.classes = tuple(classes)
         if len(self.classes) < 2:
             raise LearningError(
@@ -62,26 +57,12 @@ class OneVsRestSVCBank:
             raise LearningError("bank classes must be unique")
         self.model_factory = model_factory or (
             lambda: SVC(C=50.0, gamma="scale"))
-        self._column_source = column_source
         self.warm_start = bool(warm_start)
         self._fitted = False
 
     @property
     def n_classes(self):
         return len(self.classes)
-
-    def set_train_columns(self, source):
-        """Attach/detach a shared bounded kernel-column source.
-
-        The out-of-core sibling of the shared Gram: every member fit
-        above the precompute limit draws kernel columns from one
-        :class:`~repro.learn.columns.KernelColumnCache` instead of K
-        per-member caches -- the bank-level analogue of sharing the
-        Gram matrix, at a bounded working set.  Members hold it only
-        while :meth:`fit` runs.
-        """
-        self._column_source = source
-        return self
 
     # -- training ---------------------------------------------------------
     def fit(self, X, y):
@@ -111,7 +92,7 @@ class OneVsRestSVCBank:
         alpha_prev = None
         with tel.span("train.ovr", rows=X.shape[0],
                       classes=self.n_classes), \
-                shared_train_kernel(X, self._column_source) as attach:
+                shared_train_kernel(X) as attach:
             for cls in self.classes:
                 target = np.where(y == cls, 1.0, -1.0)
                 model = attach(self.model_factory())
@@ -182,16 +163,13 @@ class OneVsRestSVCBank:
         return float(np.mean(self.predict(X) == y))
 
     # -- pickling ---------------------------------------------------------
-    # A column source is a process-local cache; it never travels.
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["_column_source"] = None
         state.pop("model_factory", None)
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self.__dict__.setdefault("_column_source", None)
         # The factory is only needed for (re)fitting; a deserialized
         # bank is for prediction, so a default factory suffices.
         self.__dict__.setdefault(

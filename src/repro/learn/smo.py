@@ -12,14 +12,15 @@ index of ``I_up`` (as in Keerthi et al.'s maximal violating pair), then
 the ``j`` of ``I_low`` whose two-variable step would raise the dual
 objective most, solves that subproblem analytically, and updates a
 cached gradient.  The rule needs the kernel diagonal up front: the
-in-RAM routes read it off the Gram matrix, the column routes from
-:meth:`repro.learn.columns.ColumnProvider.diagonal`, in the very bits
-the column fetches carry, so every route selects the same pairs.
+in-RAM routes read it off the Gram matrix, the large-problem route from
+:meth:`repro.learn.columns.KernelColumnCache.diagonal`, in the very
+bits the column fetches carry.
 
 The Gram matrix is precomputed when the problem is small enough
-(quadratic memory); otherwise kernel columns are computed on demand
-and kept in a bounded :class:`repro.learn.columns.KernelColumnCache`.
-A caller that already holds the Gram matrix (e.g. the
+(quadratic memory, at most :data:`PRECOMPUTE_LIMIT` rows); otherwise
+the solver builds its own :class:`repro.learn.columns.KernelColumnCache`
+within :data:`CACHE_BYTES` and computes kernel columns on demand.  A
+caller that already holds the Gram matrix (e.g. the
 :class:`~repro.learn.kernels.SharedGram` of a guard-band pair's fit)
 can pass it in directly via ``gram=`` and skip the kernel evaluation
 entirely.
@@ -67,6 +68,9 @@ from repro.telemetry import get_telemetry
 DEFAULT_TOL = 1e-3
 #: Problems up to this size precompute the full Gram matrix.
 PRECOMPUTE_LIMIT = 6000
+#: Byte budget of the kernel-column cache of a larger problem.  It
+#: decides only which column blocks stay cached, never a bit of the fit.
+CACHE_BYTES = 256 * 1024 * 1024
 #: Byte budget of the solver's memo of pair-curvature rows (every row
 #: is kept up to n = 1024; larger problems keep fewer and recompute).
 ETA_CACHE_BYTES = 8 * 1024 * 1024
@@ -266,7 +270,7 @@ class _Member:
 
 
 class _ColumnRows:
-    """Kernel rows of one problem from a column source, indexed like a
+    """Kernel rows of one problem from a column cache, indexed like a
     Gram matrix by one-row slices (the kernel is symmetric)."""
 
     def __init__(self, get_col):
@@ -585,8 +589,7 @@ def _solve_stack(problems, checked):
 
 
 def solve_smo(kernel, X, y, C, tol=DEFAULT_TOL, max_iter=None,
-              cache_columns=512, gram=None, columns=None,
-              alpha_init=None):
+              gram=None, alpha_init=None):
     """Run SMO on ``(X, y)`` with penalty ``C`` and kernel ``kernel``.
 
     The B = 1 call of the lockstep loop of :func:`solve_smo_stack`.
@@ -609,22 +612,10 @@ def solve_smo(kernel, X, y, C, tol=DEFAULT_TOL, max_iter=None,
     max_iter:
         Hard ceiling on two-variable updates (default ``max(2000,
         200 * n)``).
-    cache_columns:
-        Kernel-column cache size for large problems.
     gram:
         Optional precomputed ``(n, n)`` Gram matrix; skips all kernel
         evaluations (used by :class:`repro.learn.svm.SVC` when a
         :class:`~repro.learn.kernels.SharedGram` serves its fit).
-    columns:
-        Optional external column source with a ``column(i)`` method
-        returning kernel column ``i`` and a ``diagonal()`` method whose
-        entry ``t`` is bitwise ``column(t)[t]`` (e.g. the bounded block
-        cache of :mod:`repro.learn.columns`).  Consulted only for
-        problems *above* :data:`PRECOMPUTE_LIMIT`: below it the Gram
-        matrix is precomputed exactly as without a source, so attaching
-        one never changes small-problem results, while large problems
-        get block-fetched columns that are bit-identical to the internal
-        cache's at a caller-bounded working set.
     alpha_init:
         Optional dual warm start; repaired with :func:`repair_alpha`
         and silently ignored when no feasible repair exists.
@@ -640,19 +631,9 @@ def solve_smo(kernel, X, y, C, tol=DEFAULT_TOL, max_iter=None,
             kernel, X, y, C, tol=tol, max_iter=max_iter, gram=gram,
             alpha_init=alpha_init)], [(X, y)])
         return result
-    cache = None
-    if columns is not None:
-        get_col = columns.column
-        d = columns.diagonal()
-        route = "columns"
-    else:
-        cache = KernelColumnCache(X, max_bytes=8 * n * cache_columns)
-        provider = cache.provider(kernel)
-        get_col = provider.column
-        d = provider.diagonal()
-        route = "cache"
-    member = _Member(y, C, tol, max_iter, alpha_init, get_col, route)
-    steps = _lockstep([member], _ColumnRows(get_col),
-                      np.asarray(d, dtype=float)[None])
+    cache = KernelColumnCache(X, kernel, CACHE_BYTES)
+    member = _Member(y, C, tol, max_iter, alpha_init, cache.column, "cache")
+    steps = _lockstep([member], _ColumnRows(cache.column),
+                      cache.diagonal()[None])
     _record([member], steps, cache)
     return member.result

@@ -73,24 +73,7 @@ class SVC:
         self._fitted = False
         self._constant = None
         self._gram_view = None
-        self._column_source = None
         self._sv_norms = None
-
-    def set_train_columns(self, source):
-        """Attach a bounded kernel-column source (or ``None``).
-
-        ``source`` must expose ``matches(X)`` and ``provider(gamma)``
-        returning a ``column(i)`` object -- see
-        :class:`repro.learn.columns.KernelColumnCache`.  Like the Gram
-        view, it is consulted only for the RBF kernel and only when
-        ``matches(X)`` confirms the training matrix; unlike the Gram
-        view it keeps memory bounded (an LRU set of column blocks), so
-        it is the fit path for out-of-core training on populations far
-        above :data:`repro.learn.smo.PRECOMPUTE_LIMIT`.  A precomputed
-        Gram view, when also attached and matching, wins.
-        """
-        self._column_source = source
-        return self
 
     def set_train_gram_view(self, view):
         """Attach a precomputed training-Gram provider (or ``None``).
@@ -125,16 +108,11 @@ class SVC:
                 and view.matches(X)):
             gram = view.gram(self.gamma_)
             tel.counter("repro_learn_gram_view_hits_total", 1)
-        columns = None
-        source = self._column_source
-        if (gram is None and source is not None and self.kernel == "rbf"
-                and source.matches(X)):
-            columns = source.provider(self.gamma_)
         with tel.span("train.svc", rows=X.shape[0],
                       kernel=self.kernel) as span:
             result = solve_smo(self._kernel, X, y, self.C, tol=self.tol,
                                max_iter=self.max_iter, gram=gram,
-                               columns=columns, alpha_init=alpha_init)
+                               alpha_init=alpha_init)
             span.set(iterations=result.iterations,
                      converged=result.converged)
         return self._adopt(result, X, y)
@@ -144,7 +122,7 @@ class SVC:
         """Fit each model on its ``(X, y)``, bitwise as its ``fit`` would.
 
         The two-class fits of plain :class:`SVC` s on the dense route
-        (no Gram view or column source attached, at most
+        (no Gram view attached, at most
         :data:`repro.learn.smo.PRECOMPUTE_LIMIT` rows) are solved in
         lockstep (:func:`repro.learn.smo.solve_smo_stack`): one stack
         per ``C``, cut within :data:`repro.learn.smo.STACK_BYTES` by
@@ -156,8 +134,7 @@ class SVC:
         stacks = {}
         for model, X, y in zip(models, Xs, ys):
             if (getattr(type(model), "fit", None) is not SVC.fit
-                    or model._gram_view is not None
-                    or model._column_source is not None):
+                    or model._gram_view is not None):
                 model.fit(X, y)
                 continue
             X, y = model._begin(X, y)
@@ -319,13 +296,11 @@ class SVC:
         state.pop("_kernel", None)
         state.pop("_sv_norms", None)
         state["_gram_view"] = None
-        state["_column_source"] = None
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
         self.__dict__.setdefault("_gram_view", None)
-        self.__dict__.setdefault("_column_source", None)
         self._sv_norms = None
         if self._fitted and self._constant is None and hasattr(self, "gamma_"):
             self._kernel = kernel_function(
@@ -352,32 +327,28 @@ def warm_startable(model):
                for p in params)
 
 
-def _set_train_kernel(model, gram, columns):
-    """Attach ``gram`` and ``columns`` to ``model`` where it takes them."""
+def _set_train_gram(model, gram):
+    """Attach ``gram`` to ``model`` where it takes a Gram view."""
     if hasattr(model, "set_train_gram_view"):
         model.set_train_gram_view(gram)
-    if hasattr(model, "set_train_columns"):
-        model.set_train_columns(columns)
 
 
 @contextmanager
-def shared_train_kernel(X, columns=None):
+def shared_train_kernel(X):
     """Share one training kernel among the models of one fit.
 
     Yields ``attach(model)``, which points a new model's training
     kernel at one :class:`~repro.learn.kernels.SharedGram` over ``X``
     (when ``X`` is small enough for SMO to precompute a Gram at all,
-    :data:`repro.learn.smo.PRECOMPUTE_LIMIT`) and at ``columns``, a
-    bounded column source such as
-    :class:`~repro.learn.columns.KernelColumnCache` (or None), and
-    returns the model.  On exit every attached model is detached, so
-    nothing outlives the fit.
+    :data:`repro.learn.smo.PRECOMPUTE_LIMIT`) and returns the model.
+    On exit every attached model is detached, so nothing outlives the
+    fit.
     """
     gram = SharedGram(X) if len(X) <= smo.PRECOMPUTE_LIMIT else None
     attached = []
 
     def attach(model):
-        _set_train_kernel(model, gram, columns)
+        _set_train_gram(model, gram)
         attached.append(model)
         return model
 
@@ -385,4 +356,4 @@ def shared_train_kernel(X, columns=None):
         yield attach
     finally:
         for model in attached:
-            _set_train_kernel(model, None, None)
+            _set_train_gram(model, None)

@@ -275,20 +275,6 @@ def _named_specs_from_response(geometry, response, temperature_c,
             _specs_from_response(geometry, response, tally).items()}
 
 
-def measure_at_temperature(geometry, temperature_c):
-    """Measure the four specifications of one instance at one temperature.
-
-    Returns a dict keyed by *base* specification name.
-    """
-    response = frequency_response(geometry, SWEEP_FREQUENCIES,
-                                  temperature_c)
-    tally = _FitTally()
-    try:
-        return _specs_from_response(geometry, response, tally)
-    finally:
-        tally.publish()
-
-
 def measure_accelerometer(geometry=None):
     """All twelve specification tests of one accelerometer instance.
 

@@ -15,7 +15,6 @@ from repro.circuit import (
     CircuitBatch,
     solve_ac,
     solve_dc,
-    solve_dc_batch,
     solve_transient,
 )
 from repro.circuit import devices as dev
@@ -200,7 +199,7 @@ class TestDCParity:
         circuits = [_mosfet_amp(1.2 * (1 + rng.uniform(-0.3, 0.3)),
                                 rd=10e3 * (1 + rng.uniform(-0.3, 0.3)))
                     for _ in range(8)]
-        res = solve_dc_batch(circuits)
+        res = CircuitBatch(circuits).solve_dc()
         assert all(error is None for error in res.errors)
         for k, circuit in enumerate(circuits):
             scalar = solve_dc(circuit)
@@ -213,7 +212,7 @@ class TestDCParity:
         the scalar iteration stops."""
         circuits = [_mosfet_amp(0.2), _mosfet_amp(1.1),
                     _mosfet_amp(4.5, rd=100.0)]
-        res = solve_dc_batch(circuits)
+        res = CircuitBatch(circuits).solve_dc()
         iteration_counts = set()
         for k, circuit in enumerate(circuits):
             scalar = solve_dc(circuit)
@@ -224,7 +223,7 @@ class TestDCParity:
 
     def test_accessors_match_scalar(self):
         circuits = [_mosfet_amp(1.2), _mosfet_amp(1.4)]
-        res = solve_dc_batch(circuits)
+        res = CircuitBatch(circuits).solve_dc()
         for k, circuit in enumerate(circuits):
             scalar = solve_dc(circuit)
             assert res.v("d")[k] == scalar.v("d")
@@ -242,7 +241,7 @@ class TestDCParity:
                     _gm_cancel(2.0 * good_gm)]
         with pytest.raises(ConvergenceError):
             solve_dc(circuits[1])  # scalar: the instance is hopeless
-        res = solve_dc_batch(circuits)
+        res = CircuitBatch(circuits).solve_dc()
         assert res.errors[0] is None and res.errors[2] is None
         assert isinstance(res.errors[1], ConvergenceError)
         assert not res.ok[1] and np.all(np.isnan(res.x[1]))
@@ -262,7 +261,7 @@ class TestDCParity:
                          1e3 * (1 + rng.uniform(-0.4, 0.4)))
             ckt.diode("D1", "out", "0")
             circuits.append(ckt)
-        res = solve_dc_batch(circuits)
+        res = CircuitBatch(circuits).solve_dc()
         assert all(error is None for error in res.errors)
         for k, circuit in enumerate(circuits):
             np.testing.assert_allclose(res.x[k], solve_dc(circuit).x,

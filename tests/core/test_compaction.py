@@ -277,8 +277,7 @@ class _FailingFactory:
 
 
 def _attached(model):
-    return (model._gram_view is not None
-            or model._column_source is not None)
+    return model._gram_view is not None
 
 
 class TestGramCacheLifetime:

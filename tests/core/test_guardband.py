@@ -142,7 +142,7 @@ class TestGuardBandedClassifier:
                                      alpha_init=alone.alpha_)
         assert shared._loose.alpha_.tobytes() == loose.alpha_.tobytes()
         for model in (shared._strict, shared._loose):
-            assert model._gram_view is None and model._column_source is None
+            assert model._gram_view is None
 
     def test_type_error_inside_warm_fit_propagates(self):
         """A TypeError raised inside the loose warm fit reaches the

@@ -1,12 +1,11 @@
-"""Model selection tests: splits, k-fold, grid search."""
+"""Model selection tests: k-fold, grid search."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import LearningError
-from repro.learn import SVC, KFold, cross_val_score, grid_search, \
-    train_test_split
+from repro.learn import SVC, KFold, cross_val_score, grid_search
 
 
 def _blobs(n=80, seed=0):
@@ -14,29 +13,6 @@ def _blobs(n=80, seed=0):
     X1 = rng.normal([2, 0], 0.6, (n // 2, 2))
     X2 = rng.normal([-2, 0], 0.6, (n // 2, 2))
     return np.vstack([X1, X2]), np.r_[np.ones(n // 2), -np.ones(n // 2)]
-
-
-class TestTrainTestSplit:
-    def test_sizes_and_disjointness(self):
-        X = np.arange(40).reshape(20, 2).astype(float)
-        y = np.arange(20)
-        Xtr, Xte, ytr, yte = train_test_split(X, y, test_fraction=0.25,
-                                              seed=1)
-        assert Xte.shape == (5, 2) and Xtr.shape == (15, 2)
-        assert set(ytr) | set(yte) == set(range(20))
-        assert set(ytr) & set(yte) == set()
-
-    def test_deterministic_given_seed(self):
-        X = np.arange(30).reshape(15, 2).astype(float)
-        y = np.arange(15)
-        a = train_test_split(X, y, seed=7)
-        b = train_test_split(X, y, seed=7)
-        assert np.array_equal(a[0], b[0])
-
-    def test_invalid_fraction(self):
-        X, y = np.zeros((4, 1)), np.zeros(4)
-        with pytest.raises(LearningError):
-            train_test_split(X, y, test_fraction=1.5)
 
 
 class TestKFold:

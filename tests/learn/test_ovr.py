@@ -14,7 +14,6 @@ import pytest
 
 from repro.errors import LearningError
 from repro.learn import kernels
-from repro.learn.columns import KernelColumnCache
 from repro.learn.kernels import squared_distances
 from repro.learn.ovr import OneVsRestSVCBank
 from repro.learn.svm import SVC
@@ -102,7 +101,7 @@ class TestEquivalenceToColdFits:
             assert model.intercept_ == alone.intercept_
         # ... and the Gram does not outlive the fit.
         for model in bank.models_:
-            assert model._gram_view is None and model._column_source is None
+            assert model._gram_view is None
 
 
 class TestPredictionSurface:
@@ -238,17 +237,14 @@ class TestValidation:
 class TestPickling:
     def test_round_trip_predicts_identically(self, blobs, query):
         X, y = blobs
-        bank = OneVsRestSVCBank(CLASSES, model_factory=factory,
-                                column_source=KernelColumnCache(X))
-        bank.fit(X, y)
+        bank = OneVsRestSVCBank(CLASSES, model_factory=factory).fit(X, y)
         clone = pickle.loads(pickle.dumps(bank))
         assert clone.classes == bank.classes
         assert (clone.predict_index(query)
                 == bank.predict_index(query)).all()
-        # Process-local caches never travel.
-        assert clone._column_source is None
+        # Process-local Grams never travel.
         for model in clone.models_:
-            assert model._gram_view is None and model._column_source is None
+            assert model._gram_view is None
 
     def test_unpickled_bank_can_refit(self, blobs):
         """The default factory restored on load keeps fit() working."""

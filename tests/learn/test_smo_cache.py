@@ -1,8 +1,8 @@
 """SMO kernel-column-cache path tests (large-problem mode).
 
-Above the precompute limit the solver serves columns from
-:class:`repro.learn.columns.KernelColumnCache` through a provider of its
-own kernel callable -- the same class out-of-core fits use.
+Above the precompute limit the solver serves columns from its own
+:class:`repro.learn.columns.KernelColumnCache`, sized by
+:data:`repro.learn.smo.CACHE_BYTES`.
 """
 
 import numpy as np
@@ -22,10 +22,9 @@ def _blobs(n=80, seed=0):
 
 
 def _solver_cache(kernel, X, max_columns, block):
-    """The cache ``solve_smo`` builds for ``cache_columns=max_columns``."""
-    cache = KernelColumnCache(X, max_bytes=8 * len(X) * max_columns,
-                              block_columns=block)
-    return cache, cache.provider(kernel)
+    """A cache like the solver's, with room for ``max_columns``."""
+    return KernelColumnCache(X, kernel, 8 * len(X) * max_columns,
+                             block_columns=block)
 
 
 class TestColumnCache:
@@ -39,7 +38,7 @@ class TestColumnCache:
         """
         X, _ = _blobs(20)
         kernel = kernel_function("rbf", gamma=1.0)
-        _, cache = _solver_cache(kernel, X, max_columns=64, block=4)
+        cache = _solver_cache(kernel, X, max_columns=64, block=4)
         for i in (0, 5, 19):
             i0 = (i // 4) * 4
             expect = kernel(X, X[i0:i0 + 4].copy())[:, i - i0]
@@ -50,13 +49,13 @@ class TestColumnCache:
 
         Widths below ``n`` all go through general GEMM; a block
         spanning the whole matrix would hand BLAS the original buffer
-        back (the syrk special case), which is fine in practice only
-        because both the internal and the external cache use the same
-        default width.
+        back (the syrk special case), which never happens in practice
+        because the solver caches only problems above the precompute
+        limit, far wider than a block.
         """
         X, _ = _blobs(30, seed=1)
         kernel = kernel_function("rbf", gamma=0.5)
-        caches = [_solver_cache(kernel, X, max_columns=64, block=b)[1]
+        caches = [_solver_cache(kernel, X, max_columns=64, block=b)
                   for b in (2, 4, 7, 16)]
         for i in range(len(X)):
             cols = [c.column(i) for c in caches]
@@ -66,12 +65,12 @@ class TestColumnCache:
     def test_eviction_keeps_results_correct(self):
         X, _ = _blobs(30)
         kernel = kernel_function("rbf", gamma=0.5)
-        cache, provider = _solver_cache(kernel, X, max_columns=8, block=4)
-        reference = [np.array(provider.column(i)) for i in range(len(X))]
+        cache = _solver_cache(kernel, X, max_columns=8, block=4)
+        reference = [np.array(cache.column(i)) for i in range(len(X))]
         # Touch more blocks than the cache holds, then re-read: the
         # refetched columns must be bitwise stable.
         for i in range(len(X)):
-            assert np.array_equal(provider.column(i), reference[i])
+            assert np.array_equal(cache.column(i), reference[i])
         assert cache.n_cached_blocks <= cache.max_blocks == 2
 
 
@@ -82,7 +81,8 @@ class TestCacheModeEquivalence:
         kernel = kernel_function("rbf", gamma=1.0)
         dense = solve_smo(kernel, X, y, C=10.0)
         monkeypatch.setattr(smo_module, "PRECOMPUTE_LIMIT", 10)
-        cached = solve_smo(kernel, X, y, C=10.0, cache_columns=16)
+        monkeypatch.setattr(smo_module, "CACHE_BYTES", 8 * len(X) * 16)
+        cached = solve_smo(kernel, X, y, C=10.0)
         # Same decision function on the training points.
         K = kernel(X, X)
         f_dense = K @ (dense.alpha * y) + dense.bias
@@ -94,8 +94,9 @@ class TestCacheModeEquivalence:
         X, y = _blobs(90, seed=7)
         kernel = kernel_function("rbf", gamma=1.0)
         monkeypatch.setattr(smo_module, "PRECOMPUTE_LIMIT", 10)
-        roomy = solve_smo(kernel, X, y, C=10.0, cache_columns=512)
-        tight = solve_smo(kernel, X, y, C=10.0, cache_columns=4)
+        roomy = solve_smo(kernel, X, y, C=10.0)
+        monkeypatch.setattr(smo_module, "CACHE_BYTES", 8 * len(X) * 4)
+        tight = solve_smo(kernel, X, y, C=10.0)
         assert np.array_equal(roomy.alpha, tight.alpha)
         assert roomy.bias == tight.bias
 

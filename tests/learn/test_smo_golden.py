@@ -9,10 +9,11 @@ assumed.  The oracle is :func:`_reference_solve`, a plain-numpy form of
 the solver's second-order (WSS2) loop; a first-order form of the same
 loop checks that both rules solve the same QP.
 
-The cases cover the dense, precomputed-``gram``, internal column-cache
-and external ``columns=`` routes, warm starts (feasible and repaired
-seeds), problems where the box bound ``C`` binds and where it does not,
-an iteration-capped run and a degenerate-box stop.
+The cases cover the dense, precomputed-``gram`` and column-cache routes
+(the cache at three budgets and two kernel widths), warm starts
+(feasible and repaired seeds), problems where the box bound ``C`` binds
+and where it does not, an iteration-capped run and a degenerate-box
+stop.
 
 To print the records of the current solver (e.g. after a deliberate
 numerical change), run ``python tests/learn/test_smo_golden.py``.
@@ -26,7 +27,6 @@ import numpy as np
 import pytest
 
 from repro.learn import smo as smo_module
-from repro.learn.columns import KernelColumnCache
 from repro.learn.kernels import kernel_function
 from repro.learn.smo import solve_smo
 
@@ -40,14 +40,16 @@ def _blobs(n, spread, seed):
 
 
 @contextlib.contextmanager
-def _precompute_limit(limit):
-    """Force problems above ``limit`` rows onto the column routes."""
-    saved = smo_module.PRECOMPUTE_LIMIT
+def _column_cache(limit, cache_bytes):
+    """Force problems above ``limit`` rows onto the column-cache route,
+    with a cache of ``cache_bytes``."""
+    saved = smo_module.PRECOMPUTE_LIMIT, smo_module.CACHE_BYTES
     smo_module.PRECOMPUTE_LIMIT = limit
+    smo_module.CACHE_BYTES = cache_bytes
     try:
         yield
     finally:
-        smo_module.PRECOMPUTE_LIMIT = saved
+        smo_module.PRECOMPUTE_LIMIT, smo_module.CACHE_BYTES = saved
 
 
 def _dense(n, spread, seed, C, kernel="rbf", gamma=1.0, **kw):
@@ -61,19 +63,10 @@ def _gram(n, spread, seed, C, kernel, gamma):
     return solve_smo(None, X, y, C, gram=k(X, X))
 
 
-def _cache(n, spread, seed, C, cache_columns):
+def _cache(n, spread, seed, C, n_columns, gamma=1.0):
     X, y = _blobs(n, spread, seed)
-    with _precompute_limit(10):
-        return solve_smo(kernel_function("rbf", gamma=1.0), X, y, C,
-                         cache_columns=cache_columns)
-
-
-def _columns(n, spread, seed, C, gamma):
-    X, y = _blobs(n, spread, seed)
-    provider = KernelColumnCache(X, max_bytes=1 << 16).provider(gamma)
-    with _precompute_limit(10):
-        return solve_smo(kernel_function("rbf", gamma=gamma), X, y, C,
-                         columns=provider)
+    with _column_cache(10, 8 * n * n_columns):
+        return solve_smo(kernel_function("rbf", gamma=gamma), X, y, C)
 
 
 def _warm_from_smaller_c():
@@ -116,7 +109,7 @@ CASES = {
     "gram_poly": lambda: _gram(60, 0.7, 7, 1.0, "poly", 0.5),
     "cache_roomy": lambda: _cache(90, 0.9, 8, 10.0, 512),
     "cache_tight": lambda: _cache(90, 0.9, 8, 10.0, 4),
-    "columns_rbf": lambda: _columns(100, 0.6, 9, 100.0, 0.8),
+    "columns_rbf": lambda: _cache(100, 0.6, 9, 100.0, 8, gamma=0.8),
     "warm_from_smaller_c": _warm_from_smaller_c,
     "warm_repaired": _warm_repaired,
     "degenerate_box": _degenerate_box,

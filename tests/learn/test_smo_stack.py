@@ -37,11 +37,12 @@ def _gram(n, spread, seed, C, kernel, gamma):
 
 
 def _column_gram(n, spread, seed, C, gamma):
-    """The column routes' problem on a Gram of their column bits (block
-    fetches differ from the full product in the last ulp)."""
+    """The column-cache route's problem on a Gram of its column bits
+    (block fetches differ from the full product in the last ulp)."""
     X, y = _blobs(n, spread, seed)
-    provider = KernelColumnCache(X, max_bytes=1 << 20).provider(gamma)
-    K = np.array([provider.column(i) for i in range(n)])
+    cache = KernelColumnCache(X, kernel_function("rbf", gamma=gamma),
+                              1 << 20)
+    K = np.array([cache.column(i) for i in range(n)])
     return SMOProblem(None, X, y, C, gram=K)
 
 

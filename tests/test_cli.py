@@ -244,6 +244,22 @@ class TestCleanErrors:
         assert main(["floor", "--artifact", str(path)]) == 2
         assert "artifact" in self._last_error(capsys)
 
+    def test_floor_artifact_naming_unknown_device(self, tmp_path, capsys):
+        """One ``error:`` line, like every other operator error."""
+        from repro.core.guardband import GuardBandedClassifier
+        from repro.floor import TestProgramArtifact
+        from tests.synthetic import make_synthetic_dataset
+
+        train = make_synthetic_dataset(n=20, seed=1)
+        model = GuardBandedClassifier(train.names).fit(train)
+        path = tmp_path / "widget.rtp"
+        TestProgramArtifact(model, train.specifications,
+                            provenance={"device": "widget"}).save(str(path))
+        assert main(["floor", "--artifact", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "'widget'" in err[0] and "--device" in err[0]
+
     def test_deploy_missing_output_directory(self, capsys):
         """Must fail before minutes of simulation, not at the save."""
         assert main(["deploy", "--device", "opamp",
