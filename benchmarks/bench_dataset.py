@@ -96,8 +96,7 @@ def _generation(root, n, n_prefix, shard_rows, seed):
 
 
 def _fit_guard_banded(data, features):
-    return GuardBandedClassifier(features, delta=0.05,
-                                 warm_start=True).fit(data)
+    return GuardBandedClassifier(features, delta=0.05).fit(data)
 
 
 def _training(store):

@@ -6,30 +6,24 @@ from a few hundred to 5000 instances; both error components fall
 (noisily) with more data.
 """
 
-import os
-
 from benchmarks.harness import datasets, load_population, print_table, \
     run_once
 from repro.core.compaction import TestCompactor as Compactor
 
 #: The eliminated test of Fig. 6.
 ELIMINATED = ("bw_3db",)
-#: Training sizes swept at the default scale.
+#: Training sizes swept (the paper sweeps on to 5000).
 SIZES = (250, 500, 1000)
-#: Extra sizes at REPRO_BENCH_SCALE=full (paper sweeps to 5000).
-SIZES_FULL = (250, 500, 1000, 2000, 5000)
 
 
 def bench_fig6_training_size_sweep(benchmark):
     """Sweep the training size for the bw_3db elimination."""
-    full = os.environ.get("REPRO_BENCH_SCALE") == "full"
-    sizes = SIZES_FULL if full else SIZES
     _, test = datasets("opamp")
     compactor = Compactor(guard_band=0.05)
 
     def sweep():
         rows = []
-        for n in sizes:
+        for n in SIZES:
             train = load_population("opamp", n, 1001)
             _, report = compactor.evaluate_subset(train, test, ELIMINATED)
             rows.append((n, 100 * report.yield_loss_rate,

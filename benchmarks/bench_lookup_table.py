@@ -22,8 +22,7 @@ def bench_lookup_table_deployment(benchmark):
     compactor = Compactor(guard_band=0.03)
     model, _ = compactor.evaluate_subset(train, test, eliminated)
 
-    lut = run_once(benchmark,
-                   lambda: LookupTable(model, max_cells=250_000))
+    lut = run_once(benchmark, lambda: LookupTable(model))
 
     values = test.project(lut.feature_names).values
     t0 = time.perf_counter()

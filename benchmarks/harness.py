@@ -12,50 +12,25 @@ Scaling
 -------
 
 The paper uses 5000/1000 (op-amp) and 1000/1000 (MEMS) instances.  The
-default benchmark scale is reduced to keep a full ``pytest
-benchmarks/`` run in minutes; set ``REPRO_BENCH_SCALE=full`` to run at
-paper scale (the cached full-size op-amp population takes ~5 minutes
-to create on a laptop).  Whenever the cached store holds at least as
-many rows as the request, the benchmark takes its head instead of
-simulating; a shorter store is extended in place.
-
-Set ``REPRO_BENCH_SIM_JOBS=N`` (``-1`` = all CPUs) to fan uncached
-population generation out across worker processes through
-:mod:`repro.runtime.simulation` (each worker runs the batched MNA
-kernel of :mod:`repro.circuit.batch` on its slot chunks); per-instance
-seeding keeps every cached population bit-identical to a serial run,
-so the cache remains valid at any worker count.
+op-amp benchmark populations are reduced (:data:`SIZES`) to keep a full
+``pytest benchmarks/`` run in minutes; the paper-scale op-amp flow runs
+from the CLI, ``repro fig5 --train 5000 --test 1000 --sim-jobs -1``.
+Whenever the cached store holds at least as many rows as the request,
+the benchmark takes its head instead of simulating; a shorter store is
+extended in place.
 """
 
-import os
 import time
 from pathlib import Path
 
 #: Cache directory for Monte-Carlo populations (repo-local).
 CACHE_DIR = Path(__file__).resolve().parent.parent / ".cache"
 
-#: (train, test) sizes per device at each scale.
-SCALES = {
-    "default": {"opamp": (1200, 500), "mems": (1000, 1000)},
-    "full": {"opamp": (5000, 1000), "mems": (1000, 1000)},
-}
+#: (train, test) sizes per device.
+SIZES = {"opamp": (1200, 500), "mems": (1000, 1000)}
 
 #: Fixed generation seeds (train, test) per device.
 SEEDS = {"opamp": (1001, 2002), "mems": (7, 8)}
-
-
-def bench_scale():
-    """The active scale name (``REPRO_BENCH_SCALE`` env override)."""
-    scale = os.environ.get("REPRO_BENCH_SCALE", "default")
-    if scale not in SCALES:
-        raise ValueError("REPRO_BENCH_SCALE must be one of {}".format(
-            sorted(SCALES)))
-    return scale
-
-
-def sim_jobs():
-    """Worker processes for population generation (env override)."""
-    return int(os.environ.get("REPRO_BENCH_SIM_JOBS", "1"))
 
 
 def _make_bench(device):
@@ -70,7 +45,7 @@ def _make_bench(device):
     raise ValueError("unknown device {!r}".format(device))
 
 
-def load_population(device, n, seed, n_jobs=None):
+def load_population(device, n, seed, n_jobs=1):
     """Load (or simulate and cache) a Monte-Carlo population.
 
     Populations live in manifested shard stores under ``.cache/``,
@@ -78,27 +53,23 @@ def load_population(device, n, seed, n_jobs=None):
     memory-mapped and its first ``n`` rows returned (per-instance
     seeding makes the prefix identical to a fresh ``n``-row
     generation); a shorter store is *extended* -- only the shortfall
-    is simulated.  ``n_jobs`` parallelizes that generation (default:
-    the ``REPRO_BENCH_SIM_JOBS`` environment override) without
+    is simulated.  ``n_jobs`` parallelizes that generation without
     changing any cached byte.
     """
     from repro.data import ensure_dataset
 
     CACHE_DIR.mkdir(exist_ok=True)
     bench = _make_bench(device)
-    store = ensure_dataset(
-        CACHE_DIR, bench, n, seed,
-        n_jobs=sim_jobs() if n_jobs is None else n_jobs)
+    store = ensure_dataset(CACHE_DIR, bench, n, seed, n_jobs=n_jobs)
     return store.head(n)
 
 
-def datasets(device, scale=None, n_jobs=None):
-    """(train, test) populations for ``device`` at the active scale."""
-    scale = scale or bench_scale()
-    n_train, n_test = SCALES[scale][device]
+def datasets(device):
+    """(train, test) populations for ``device`` at :data:`SIZES`."""
+    n_train, n_test = SIZES[device]
     seed_train, seed_test = SEEDS[device]
-    train = load_population(device, n_train, seed_train, n_jobs=n_jobs)
-    test = load_population(device, n_test, seed_test, n_jobs=n_jobs)
+    train = load_population(device, n_train, seed_train)
+    test = load_population(device, n_test, seed_test)
     return train, test
 
 

@@ -50,7 +50,7 @@ def main():
         len(model.feature_names)))
     print("Live-model evaluation on the lot: {}".format(report.summary()))
 
-    lut = LookupTable(model, max_cells=250_000)
+    lut = LookupTable(model)
     print("\nLookup table: {} cells at resolution {} "
           "({} kB on the tester)".format(
               lut.n_cells, lut.resolution, lut.memory_bytes() // 1024))

@@ -18,22 +18,22 @@ contribution:
     (paper Fig. 1).
 ``repro.learn``
     A from-scratch support-vector-machine classifier (SMO solver),
-    model-selection and normalization utilities.
+    one-vs-rest banks and model-selection utilities.
 ``repro.core``
     The paper's contribution: statistical-learning-based specification
     test compaction with guard banding, grid data compaction, test
-    ordering and cost modeling (paper Fig. 2, Sections 3-4).  The
-    greedy loop shares Gram matrices across its fits, warm-starts
-    SMO, and with ``n_jobs > 1`` evaluates candidates speculatively
-    in worker processes -- bitwise the serial result.
+    ordering and cost modeling (paper Fig. 2, Sections 3-4).  Each
+    guard-banded pair builds one Gram matrix for its strict and loose
+    fits and warm-starts the loose SMO run from the strict solution;
+    with ``n_jobs > 1`` the greedy loop evaluates candidates
+    speculatively in worker processes -- bitwise the serial result.
 ``repro.tester``
     The grid lookup table a tester consults in place of the live SVM
     pair (paper Section 3.3).
 ``repro.runtime``
     The production runtime: deterministic multi-process Monte-Carlo
     generation (per-instance seed streams, bit-identical at any worker
-    count), subset-keyed kernel/Gram caching and the process pools
-    shared by every fan-out.
+    count) and the process pools shared by every fan-out.
 ``repro.floor``
     The production test floor: deployable test-program artifacts
     (save a trained program to one versioned file, load it on any

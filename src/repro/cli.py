@@ -752,6 +752,23 @@ def _lookup_resolution(value):
             "must be an integer or 'auto', not {!r}".format(value))
 
 
+def _n_jobs(value):
+    """argparse type for --jobs/--sim-jobs: a non-zero worker count.
+
+    ``-1`` means one worker per CPU.  Zero is refused at parse time,
+    before any population is simulated.
+    """
+    try:
+        n_jobs = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "must be an integer, not {!r}".format(value))
+    if n_jobs == 0:
+        raise argparse.ArgumentTypeError(
+            "must not be 0 (1 = serial, -1 = all CPUs)")
+    return n_jobs
+
+
 def build_parser():
     """Construct the argparse command tree."""
     parser = argparse.ArgumentParser(
@@ -775,7 +792,7 @@ def build_parser():
     def add_jobs(p):
         # Only the greedy-loop commands consume workers; advertising
         # --jobs on the table printers would be a silent no-op.
-        p.add_argument("--jobs", type=int, default=1,
+        p.add_argument("--jobs", type=_n_jobs, default=1,
                        help="worker processes for compaction "
                             "(-1 = all CPUs; default serial)")
         return p
@@ -783,7 +800,7 @@ def build_parser():
     def add_sim_jobs(p):
         # Only the commands that simulate Monte-Carlo populations;
         # table1/table2 measure a single nominal instance.
-        p.add_argument("--sim-jobs", type=int, default=1,
+        p.add_argument("--sim-jobs", type=_n_jobs, default=1,
                        help="worker processes for Monte-Carlo "
                             "generation (-1 = all CPUs; default "
                             "serial; identical datasets at any count)")
@@ -958,7 +975,7 @@ def build_parser():
                      help="rows per shard (default {}; fixed for the "
                           "store's lifetime)".format(
                               _default_shard_rows()))
-    gen.add_argument("--sim-jobs", type=int, default=1,
+    gen.add_argument("--sim-jobs", type=_n_jobs, default=1,
                      help="worker processes (-1 = all CPUs; identical "
                           "shards at any count)")
     add_telemetry(gen)
@@ -971,7 +988,7 @@ def build_parser():
                           "never re-simulated)")
     ext.add_argument("--device", choices=("opamp", "mems"), default=None,
                      help="override the manifest's device label")
-    ext.add_argument("--sim-jobs", type=int, default=1,
+    ext.add_argument("--sim-jobs", type=_n_jobs, default=1,
                      help="worker processes (-1 = all CPUs)")
     add_telemetry(ext)
     ext.set_defaults(func=cmd_dataset_extend)
@@ -990,7 +1007,7 @@ def build_parser():
                         default=None,
                         help="override the manifest's device label "
                              "(--repair only)")
-    verify.add_argument("--sim-jobs", type=int, default=1,
+    verify.add_argument("--sim-jobs", type=_n_jobs, default=1,
                         help="worker processes for --repair "
                              "(-1 = all CPUs)")
     verify.set_defaults(func=cmd_dataset_verify)

@@ -227,7 +227,7 @@ class TestCompactor:
         base = self.model_factory or AutoTunedSVCFactory()
         model = GuardBandedClassifier(
             feature_names, delta=self.guard_band,
-            model_factory=self._wrapped_factory(base), warm_start=True)
+            model_factory=self._wrapped_factory(base))
         model.fit(train)
         return model
 

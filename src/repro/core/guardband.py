@@ -29,11 +29,6 @@ from repro.errors import CompactionError
 from repro.learn.svm import SVC, shared_train_kernel, warm_startable
 
 
-def default_model_factory():
-    """A reasonable fixed SVC configuration (no per-problem tuning)."""
-    return SVC(C=50.0, kernel="rbf", gamma="scale")
-
-
 #: Hyperparameter grid explored by the auto-tuned factory.  The RBF
 #: width needed to resolve the pass/fail boundary depends strongly on
 #: how many tests remain in the feature set, so a per-fit search beats
@@ -42,6 +37,15 @@ AUTO_TUNE_GRID = {
     "C": [50.0, 500.0],
     "gamma": ["scale", 2.0, 8.0, 32.0],
 }
+#: Cross-validation folds of the tuning grid search.
+TUNE_SPLITS = 3
+#: Seed of the tuning folds and of the tuning subsample.
+TUNE_SEED = 0
+#: Largest training set the grid search sees; larger ones are
+#: subsampled (hyperparameter selection needs far fewer points than
+#: the final fit, and the cap keeps the search fast on paper-scale,
+#: 5000-instance training sets).
+MAX_TUNE_SAMPLES = 1500
 
 
 class AutoTunedSVCFactory:
@@ -50,53 +54,40 @@ class AutoTunedSVCFactory:
     The grid search runs once, on the labels of the first ``tune`` call
     (the compaction flow tunes on the strict guard-band labels); both
     guard-band models then share the winning hyperparameters, keeping
-    the pair consistent.
+    the pair consistent.  The search is :data:`AUTO_TUNE_GRID` scored
+    by :data:`TUNE_SPLITS`-fold accuracy with :data:`TUNE_SEED`, on at
+    most :data:`MAX_TUNE_SAMPLES` rows.
     """
 
-    def __init__(self, param_grid=None, n_splits=3, seed=0,
-                 max_tune_samples=1500, n_jobs=1):
-        self.param_grid = dict(param_grid or AUTO_TUNE_GRID)
-        self.n_splits = int(n_splits)
-        self.seed = seed
-        self.max_tune_samples = int(max_tune_samples)
-        #: Worker processes for the grid search (the dominant cost of
-        #: a compaction run); results are identical at any value.
-        #: Leave at 1 inside an already-parallel engine run -- nesting
-        #: pools oversubscribes the machine.
-        self.n_jobs = int(n_jobs)
+    def __init__(self):
         self.best_params_ = None
 
     def tune(self, X, y):
         """Pick hyperparameters by k-fold accuracy on ``(X, y)``.
 
         Tuning runs on a random subsample of at most
-        ``max_tune_samples`` rows -- hyperparameter selection needs far
-        fewer points than the final fit, and the subsample keeps the
-        grid search fast on paper-scale (5000-instance) training sets.
+        :data:`MAX_TUNE_SAMPLES` rows.
         """
         from repro.learn.model_selection import grid_search
 
         X = np.asarray(X, dtype=float)
         y = np.asarray(y)
-        if np.unique(y).size < 2 or len(y) < 3 * self.n_splits:
+        if np.unique(y).size < 2 or len(y) < 3 * TUNE_SPLITS:
             self.best_params_ = {}
             return self
-        if len(y) > self.max_tune_samples:
-            rng = np.random.default_rng(self.seed)
-            idx = rng.choice(len(y), self.max_tune_samples, replace=False)
+        if len(y) > MAX_TUNE_SAMPLES:
+            rng = np.random.default_rng(TUNE_SEED)
+            idx = rng.choice(len(y), MAX_TUNE_SAMPLES, replace=False)
             X, y = X[idx], y[idx]
             if np.unique(y).size < 2:
                 self.best_params_ = {}
                 return self
         self.best_params_, _, _ = grid_search(
-            SVC, self.param_grid, X, y, n_splits=self.n_splits,
-            seed=self.seed, n_jobs=self.n_jobs)
+            SVC, AUTO_TUNE_GRID, X, y, n_splits=TUNE_SPLITS, seed=TUNE_SEED)
         return self
 
     def __call__(self):
-        # Tuned params (a grid may search "kernel" too) override the
-        # RBF default.
-        return SVC(**{"kernel": "rbf", **(self.best_params_ or {})})
+        return SVC(**(self.best_params_ or {}))
 
 
 class _ConstantGood:
@@ -124,12 +115,14 @@ class GuardBandedClassifier:
         band: every device gets a confident good/bad prediction.
     model_factory:
         Zero-argument callable producing an unfitted classifier with
-        ``fit``/``predict`` (defaults to :func:`default_model_factory`).
-    warm_start:
-        When True, the loose model's SMO run is seeded from the strict
-        model's dual solution.  The two label vectors differ only on
-        guard-band devices, so the seed is near-optimal and the second
-        fit converges in a fraction of the iterations.
+        ``fit``/``predict`` (defaults to a fresh
+        :class:`AutoTunedSVCFactory`).
+
+    The loose model's SMO run is seeded from the strict model's dual
+    solution whenever the model's ``fit`` takes ``alpha_init``.  The two
+    label vectors differ only on guard-band devices, so the seed is
+    near-optimal and the second fit converges in a fraction of the
+    iterations.
 
     Below the SMO precompute limit the strict/loose pair shares one
     :class:`~repro.learn.kernels.SharedGram` over the training features:
@@ -150,8 +143,7 @@ class GuardBandedClassifier:
     in-RAM fit on the same rows.
     """
 
-    def __init__(self, feature_names, delta=0.05, model_factory=None,
-                 warm_start=False):
+    def __init__(self, feature_names, delta=0.05, model_factory=None):
         self.feature_names = tuple(feature_names)
         if not self.feature_names:
             raise CompactionError(
@@ -168,7 +160,6 @@ class GuardBandedClassifier:
             self.delta = float(delta)
         # Default: cross-validated hyperparameter selection per fit.
         self.model_factory = model_factory or AutoTunedSVCFactory()
-        self.warm_start = bool(warm_start)
 
     def _delta_for(self, names):
         """Per-spec delta array for the given specification names."""
@@ -245,7 +236,7 @@ class GuardBandedClassifier:
     def _fit_loose(self, model, X, y_loose):
         """Fit the loose model, warm-started from the strict solution."""
         alpha0 = getattr(self._strict, "alpha_", None)
-        if self.warm_start and alpha0 is not None and warm_startable(model):
+        if alpha0 is not None and warm_startable(model):
             return model.fit(X, y_loose, alpha_init=alpha0)
         return model.fit(X, y_loose)
 

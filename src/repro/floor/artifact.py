@@ -236,14 +236,12 @@ class TestProgramArtifact:
                             else int(lookup_resolution)))
         return artifact
 
-    def with_lookup(self, resolution=None, max_cells=None):
+    def with_lookup(self, resolution=None):
         """A shallow copy carrying a grid lookup table built from the
         model; ``self`` is left as it is, so floors built from a
         shared artifact keep scoring the live model."""
-        kwargs = {} if max_cells is None else {"max_cells": max_cells}
         artifact = copy.copy(self)
-        artifact.lookup = LookupTable(self.model, resolution=resolution,
-                                      **kwargs)
+        artifact.lookup = LookupTable(self.model, resolution=resolution)
         return artifact
 
     def with_profile(self, profile, train=None, model_factory=None,

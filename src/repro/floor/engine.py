@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.core.metrics import GUARD
 from repro.core.specs import BAD, GOOD
-from repro.errors import ArtifactError, CompactionError
+from repro.errors import CompactionError
 from repro.floor.artifact import TestProgramArtifact
 from repro.floor.monitor import DriftMonitor
 from repro.floor.report import FloorReport, LotReport
@@ -161,7 +161,9 @@ class TestFloor:
     artifact:
         A :class:`~repro.floor.artifact.TestProgramArtifact`, or a
         path to one saved with
-        :meth:`~repro.floor.artifact.TestProgramArtifact.save`.
+        :meth:`~repro.floor.artifact.TestProgramArtifact.save`.  Its
+        lookup table scores the first pass when it carries one, else
+        the live guard-banded model does.
     retest_policy:
         ``"full_retest"`` (default), ``"accept"`` or ``"reject"`` --
         the paper Section 4.2 guard-band handling.  ``full_retest``
@@ -172,10 +174,6 @@ class TestFloor:
     batch_size:
         Devices per vectorized disposition batch (memory/throughput
         knob; never affects any decision).
-    use_lookup:
-        ``None`` (default) uses the artifact's lookup table when one
-        is attached; ``True`` requires it; ``False`` forces the live
-        guard-banded model.
     monitor:
         ``None`` (default) builds a
         :class:`~repro.floor.monitor.DriftMonitor` from the artifact's
@@ -189,20 +187,14 @@ class TestFloor:
     """
 
     def __init__(self, artifact, retest_policy=RETEST_FULL,
-                 batch_size=DEFAULT_BATCH_SIZE, use_lookup=None,
-                 monitor=None, bin_boundary_margin=0.0):
+                 batch_size=DEFAULT_BATCH_SIZE, monitor=None,
+                 bin_boundary_margin=0.0):
         if isinstance(artifact, (str, os.PathLike)):
             artifact = TestProgramArtifact.load(artifact)
         check_retest_policy(retest_policy)
         batch_size = int(batch_size)
         if batch_size < 1:
             raise CompactionError("batch_size must be positive")
-        if use_lookup is None:
-            use_lookup = artifact.lookup is not None
-        if use_lookup and artifact.lookup is None:
-            raise ArtifactError(
-                "artifact has no lookup table; build one with "
-                "with_lookup() or pass use_lookup=False")
         if monitor is None:
             monitor = (DriftMonitor(artifact.baseline)
                        if artifact.baseline is not None else None)
@@ -212,7 +204,7 @@ class TestFloor:
         self.retest_policy = retest_policy
         self.batch_size = batch_size
         self.monitor = monitor
-        self._use_lookup = bool(use_lookup)
+        self._use_lookup = artifact.lookup is not None
         self._specs = artifact.specifications
         self._kept = artifact.kept
         self._kept_idx = np.array(

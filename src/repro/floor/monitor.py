@@ -23,7 +23,7 @@ adapting the decision rule on the floor would invalidate the escape
 and yield-loss guarantees the program was signed off with.
 
 Everything here is deterministic: statistics depend only on the stream
-contents and the configured window, never on timing or worker count.
+contents and the fixed window, never on timing or worker count.
 """
 
 from collections import deque
@@ -34,6 +34,18 @@ import numpy as np
 from repro.core.metrics import GUARD
 from repro.errors import CompactionError
 from repro.rules.binning import bin_histogram
+
+#: Per-spec mean-chart alarm threshold in standard errors.  Deliberately
+#: wide: at floor-scale windows the standard error is tiny, so a tight
+#: threshold would page on physically irrelevant drifts.
+Z_THRESHOLD = 6.0
+#: Guard-rate and bin-rate chart threshold in binomial sigmas.
+GUARD_Z_THRESHOLD = 5.0
+#: Number of most recent batches the rolling window spans.
+WINDOW_BATCHES = 64
+#: No chart is evaluated until the window holds at least this many
+#: devices (early small-sample windows are pure noise).
+MIN_DEVICES = 256
 
 
 @dataclass(frozen=True)
@@ -99,7 +111,7 @@ class DriftAlarm:
     expected: float
     #: Signed distance from expectation in control-limit sigmas.
     z_score: float
-    #: Configured alarm threshold (sigmas).
+    #: Alarm threshold of the chart (sigmas).
     threshold: float
     #: Devices in the window the statistic was computed over.
     window_devices: int
@@ -123,34 +135,14 @@ class DriftAlarm:
 class DriftMonitor:
     """Rolling control charts over a disposition stream.
 
-    Parameters
-    ----------
-    baseline:
-        The :class:`DriftBaseline` captured at train time.
-    z_threshold:
-        Per-spec mean-chart alarm threshold in standard errors.  The
-        default is deliberately wide: at floor-scale windows the
-        standard error is tiny, so a tight threshold would page on
-        physically irrelevant drifts.
-    guard_z_threshold:
-        Guard-rate chart threshold in binomial sigmas.
-    window_batches:
-        Number of most recent batches the rolling window spans.
-    min_devices:
-        No chart is evaluated until the window holds at least this
-        many devices (early small-sample windows are pure noise).
+    ``baseline`` is the :class:`DriftBaseline` captured at train time.
+    The window spans the last :data:`WINDOW_BATCHES` batches, and the
+    charts (:data:`Z_THRESHOLD`, :data:`GUARD_Z_THRESHOLD`) are
+    evaluated once it holds :data:`MIN_DEVICES` devices.
     """
 
-    def __init__(self, baseline, z_threshold=6.0, guard_z_threshold=5.0,
-                 window_batches=64, min_devices=256):
-        if z_threshold <= 0 or guard_z_threshold <= 0:
-            raise CompactionError("alarm thresholds must be positive")
-        if window_batches < 1:
-            raise CompactionError("window_batches must be at least 1")
+    def __init__(self, baseline):
         self.baseline = baseline
-        self.z_threshold = float(z_threshold)
-        self.guard_z_threshold = float(guard_z_threshold)
-        self.min_devices = int(min_devices)
         self._mu0 = np.asarray(baseline.mean, dtype=float)
         # Zero-variance training columns would make any change an
         # infinite-z alarm; floor the scale at a tiny epsilon so the
@@ -172,7 +164,7 @@ class DriftMonitor:
         else:
             self._bin_names = ()
             self._bin_p0 = {}
-        self._window = deque(maxlen=int(window_batches))
+        self._window = deque(maxlen=WINDOW_BATCHES)
         #: Total devices observed since construction / last reset.
         self.n_seen = 0
         # Alarm subjects active at the last gauge export -- the state
@@ -194,7 +186,7 @@ class DriftMonitor:
         -------
         tuple of DriftAlarm
             Alarms active for the *current* window (empty when the
-            window is still below ``min_devices`` or in control).
+            window is still below :data:`MIN_DEVICES` or in control).
         """
         self.observe(kept_values, first_pass, bins=bins,
                      bin_names=bin_names)
@@ -260,7 +252,7 @@ class DriftMonitor:
     def alarms(self):
         """Evaluate the control charts over the current window."""
         n_window = sum(n for n, _, _, _ in self._window)
-        if n_window < self.min_devices:
+        if n_window < MIN_DEVICES:
             return ()
         total = np.sum([s for _, s, _, _ in self._window], axis=0)
         mean_window = total / n_window
@@ -269,26 +261,26 @@ class DriftMonitor:
 
         out = []
         for i, name in enumerate(self.baseline.names):
-            if abs(z_specs[i]) > self.z_threshold:
+            if abs(z_specs[i]) > Z_THRESHOLD:
                 out.append(DriftAlarm(
                     kind="spec-mean", subject=name,
                     observed=float(mean_window[i]),
                     expected=float(self._mu0[i]),
                     z_score=float(z_specs[i]),
-                    threshold=self.z_threshold,
+                    threshold=Z_THRESHOLD,
                     window_devices=n_window))
 
         n_guard = sum(g for _, _, g, _ in self._window)
         p_window = n_guard / n_window
         sigma_p = np.sqrt(self._p0 * (1.0 - self._p0) / n_window)
         z_guard = (p_window - self._p0) / sigma_p
-        if abs(z_guard) > self.guard_z_threshold:
+        if abs(z_guard) > GUARD_Z_THRESHOLD:
             out.append(DriftAlarm(
                 kind="guard-rate", subject="guard-band rate",
                 observed=float(p_window),
                 expected=float(self.baseline.guard_rate),
                 z_score=float(z_guard),
-                threshold=self.guard_z_threshold,
+                threshold=GUARD_Z_THRESHOLD,
                 window_devices=n_window))
 
         # Per-bin rate charts: same binomial construction as the guard
@@ -302,14 +294,14 @@ class DriftMonitor:
                 p0 = self._bin_p0[name]
                 sigma = np.sqrt(p0 * (1.0 - p0) / n_window)
                 z = (observed[name] - p0) / sigma
-                if abs(z) > self.guard_z_threshold:
+                if abs(z) > GUARD_Z_THRESHOLD:
                     out.append(DriftAlarm(
                         kind="bin-rate",
                         subject="bin {!r} rate".format(name),
                         observed=float(observed[name]),
                         expected=float(bin_rates.get(name, p0)),
                         z_score=float(z),
-                        threshold=self.guard_z_threshold,
+                        threshold=GUARD_Z_THRESHOLD,
                         window_devices=n_window))
         return tuple(out)
 
@@ -320,7 +312,7 @@ class DriftMonitor:
         the guard-band rate chart, the per-bin window rates, the
         active alarms, and the window size -- the full picture an
         operator dashboard needs, where :meth:`alarms` reports only
-        violations.  Below ``min_devices`` the statistics are still
+        violations.  Below :data:`MIN_DEVICES` the statistics are still
         reported (they are what the window holds) but ``alarms`` is
         empty, matching :meth:`alarms`.
         """
@@ -408,5 +400,5 @@ class DriftMonitor:
     def __repr__(self):
         return ("DriftMonitor({} specs, z>{:g}, guard z>{:g}, "
                 "{} devices seen)".format(
-                    len(self.baseline.names), self.z_threshold,
-                    self.guard_z_threshold, self.n_seen))
+                    len(self.baseline.names), Z_THRESHOLD,
+                    GUARD_Z_THRESHOLD, self.n_seen))

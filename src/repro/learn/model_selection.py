@@ -56,18 +56,7 @@ def cross_val_score(estimator, X, y, n_splits=5, seed=0):
     return np.asarray(scores)
 
 
-#: Per-process tuning context for the parallel grid search; set by the
-#: pool initializer so the (potentially large) training matrix crosses
-#: the process boundary once per worker instead of once per task.
-_GRID_CONTEXT = {}
-
-
-def _grid_search_init(estimator_factory, X, y, n_splits, seed):
-    _GRID_CONTEXT.update(estimator_factory=estimator_factory, X=X, y=y,
-                         n_splits=n_splits, seed=seed)
-
-
-def _grid_search_task(chains):
+def _score_chains(estimator_factory, X, y, folds, chains):
     """Score ``(configs, fold)`` chains along ascending ``C``.
 
     A chain is the configurations of one group (every parameter but
@@ -82,17 +71,12 @@ def _grid_search_task(chains):
     at the next ``C``.  Estimators without the flag are always refit.
     Returns ``(per-chain scores, fits reused)``.
     """
-    ctx = _GRID_CONTEXT
-    X = np.asarray(ctx["X"])
-    y = np.asarray(ctx["y"])
-    folds = list(KFold(ctx["n_splits"], ctx["seed"]).split(X.shape[0]))
-    factory = ctx["estimator_factory"]
     scores = [[] for _ in chains]
     reused = 0
     level = 0
     open_chains = list(range(len(chains)))
     while open_chains:
-        models = [factory(**chains[c][0][level]).clone()
+        models = [estimator_factory(**chains[c][0][level]).clone()
                   for c in open_chains]
         train = [folds[chains[c][1]][0] for c in open_chains]
         Xs = [X[idx] for idx in train]
@@ -119,8 +103,7 @@ def _grid_search_task(chains):
     return scores, reused
 
 
-def grid_search(estimator_factory, param_grid, X, y, n_splits=3, seed=0,
-                n_jobs=1):
+def grid_search(estimator_factory, param_grid, X, y, n_splits=3, seed=0):
     """Exhaustive hyperparameter search by cross-validated accuracy.
 
     Parameters
@@ -136,17 +119,13 @@ def grid_search(estimator_factory, param_grid, X, y, n_splits=3, seed=0,
         Training data.
     n_splits, seed:
         Cross-validation configuration.
-    n_jobs:
-        Score across this many worker processes (``-1`` = all CPUs).
-        The unit of work is a chain: the configurations sharing every
-        parameter but ``C``, on one fold, scored along ascending ``C``
-        so a fit that ``C`` never bound is reused (bitwise) for the
-        larger values.  One ``C`` level of every open chain is fit at
-        once, as one lockstep SMO stack for :class:`SVC` estimators.
-        Each stacked fit is bitwise its fit alone, so splitting the
-        chains into ``n_jobs`` chunks returns exactly the serial
-        result.  The factory and data must be picklable for
-        ``n_jobs > 1``.
+
+    The unit of work is a chain: the configurations sharing every
+    parameter but ``C``, on one fold, scored along ascending ``C`` so a
+    fit that ``C`` never bound is reused (bitwise) for the larger
+    values.  One ``C`` level of every open chain is fit at once, as one
+    lockstep SMO stack for :class:`SVC` estimators; each stacked fit is
+    bitwise its fit alone.
 
     Returns
     -------
@@ -171,26 +150,20 @@ def grid_search(estimator_factory, param_grid, X, y, n_splits=3, seed=0,
     units = [sorted(members, key=lambda k: float(configs[k]["C"]))
              if "C" in param_grid else members
              for members in groups.values()]
-    from repro.runtime.parallel import parallel_map, resolve_n_jobs
-
+    X = np.asarray(X)
+    y = np.asarray(y)
+    folds = list(KFold(n_splits, seed).split(X.shape[0]))
     chains = [([configs[k] for k in unit], fold)
               for unit in units for fold in range(n_splits)]
-    n_chunks = max(1, min(resolve_n_jobs(n_jobs), len(chains)))
-    bounds = [len(chains) * c // n_chunks for c in range(n_chunks + 1)]
-    outcomes = parallel_map(
-        _grid_search_task,
-        [chains[lo:hi] for lo, hi in zip(bounds, bounds[1:])],
-        n_jobs=n_jobs, initializer=_grid_search_init,
-        initargs=(estimator_factory, X, y, n_splits, seed))
-    chain_scores = [s for chunk, _ in outcomes for s in chunk]
+    chain_scores, reused = _score_chains(estimator_factory, X, y, folds,
+                                         chains)
     scores = [None] * len(configs)
     for u, unit in enumerate(units):
         for level, k in enumerate(unit):
             scores[k] = float(np.mean(np.asarray(
                 [chain_scores[u * n_splits + fold][level]
                  for fold in range(n_splits)])))
-    get_telemetry().counter("repro_learn_grid_fits_reused_total",
-                            sum(reused for _, reused in outcomes))
+    get_telemetry().counter("repro_learn_grid_fits_reused_total", reused)
     results = list(zip(configs, scores))
     best_params, best_score = None, -np.inf
     for params, score in results:

@@ -42,12 +42,12 @@ class OneVsRestSVCBank:
     model_factory:
         Zero-argument callable producing an unfitted binary ``SVC``
         for each class (defaults to ``SVC(C=50.0, gamma="scale")``).
-    warm_start:
-        Seed each member's SMO run from the previous member's dual
-        solution (default True).
+
+    Each member's SMO run after the first is seeded from the previous
+    member's dual solution whenever its ``fit`` takes ``alpha_init``.
     """
 
-    def __init__(self, classes, model_factory=None, warm_start=True):
+    def __init__(self, classes, model_factory=None):
         self.classes = tuple(classes)
         if len(self.classes) < 2:
             raise LearningError(
@@ -57,7 +57,6 @@ class OneVsRestSVCBank:
             raise LearningError("bank classes must be unique")
         self.model_factory = model_factory or (
             lambda: SVC(C=50.0, gamma="scale"))
-        self.warm_start = bool(warm_start)
         self._fitted = False
 
     @property
@@ -96,8 +95,7 @@ class OneVsRestSVCBank:
             for cls in self.classes:
                 target = np.where(y == cls, 1.0, -1.0)
                 model = attach(self.model_factory())
-                if (self.warm_start and alpha_prev is not None
-                        and warm_startable(model)):
+                if alpha_prev is not None and warm_startable(model):
                     model.fit(X, target, alpha_init=alpha_prev)
                     tel.counter("repro_learn_warm_start_reuse_total", 1)
                 else:

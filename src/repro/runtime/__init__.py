@@ -17,11 +17,11 @@ the runtime pieces both lean on:
     ``measure_batch`` when present (the stacked MNA kernel of
     :mod:`repro.circuit.batch`), else through ``measure``.
 ``repro.runtime.parallel``
-    The process-pool plumbing (worker resolution, ordered maps,
-    serial fallbacks) everything above shares.
+    The process-pool plumbing (worker-count resolution, pool
+    construction) the compactor and the scheduler share.
 """
 
-from repro.runtime.parallel import cpu_count, parallel_map, resolve_n_jobs
+from repro.runtime.parallel import cpu_count, resolve_n_jobs
 from repro.runtime.simulation import (
     generate_instance_batches,
     generate_instances,
@@ -34,7 +34,6 @@ __all__ = [
     "generate_instance_batches",
     "generate_instances",
     "instance_streams",
-    "parallel_map",
     "resolve_n_jobs",
     "simulate_slots_batched",
 ]

@@ -1,11 +1,12 @@
-"""Process-pool plumbing shared by compaction, generation and tuning.
+"""Process-pool plumbing shared by compaction and generation.
 
-All process fan-out goes through this module so the serial fallback,
-worker-count resolution and pool construction are decided in exactly
-one place.  Everything shipped to a worker must be picklable;
-module-level task functions plus an ``initializer`` that parks large
-shared state (datasets, compactor configuration) in a worker global
-keep the per-task payload small.
+The speculative compactor (:mod:`repro.core.compaction`) and the
+Monte-Carlo scheduler (:mod:`repro.runtime.simulation`) build their
+pools here, so worker-count resolution and pool construction are
+decided in exactly one place.  Everything shipped to a worker must be
+picklable; module-level task functions plus an ``initializer`` that
+parks large shared state (datasets, compactor configuration) in a
+worker global keep the per-task payload small.
 """
 
 import os
@@ -49,21 +50,3 @@ def make_pool(n_jobs, initializer=None, initargs=()):
                                initializer=initializer,
                                initargs=initargs)
 
-
-def parallel_map(fn, items, n_jobs=1, initializer=None, initargs=()):
-    """``[fn(item) for item in items]`` with optional process fan-out.
-
-    Results are returned in input order regardless of completion
-    order.  With ``n_jobs`` resolving to 1 (or at most one item) the
-    map runs serially in-process -- the degenerate path used whenever
-    process startup would cost more than it buys.
-    """
-    items = list(items)
-    n_jobs = resolve_n_jobs(n_jobs)
-    if n_jobs <= 1 or len(items) <= 1:
-        if initializer is not None:
-            initializer(*initargs)
-        return [fn(item) for item in items]
-    with make_pool(min(n_jobs, len(items)), initializer=initializer,
-                   initargs=initargs) as pool:
-        return list(pool.map(fn, items))

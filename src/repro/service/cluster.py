@@ -77,7 +77,7 @@ from repro.telemetry import Telemetry, prometheus_text
 DEFAULT_HEALTH_INTERVAL = 0.5
 #: Seconds a worker gets to report its port and pass its first health
 #: check (covers the interpreter + numpy import cost of a spawn).
-DEFAULT_SPAWN_TIMEOUT = 60.0
+SPAWN_TIMEOUT = 60.0
 #: Seconds a health probe may take before the worker is declared dead.
 PROBE_TIMEOUT = 5.0
 #: Seconds a proxied control-plane call may take (artifact loads).
@@ -260,7 +260,6 @@ class ClusterService(HttpApp):
         max_resident: int = DEFAULT_MAX_RESIDENT,
         admin_token: str | None = None,
         health_interval: float = DEFAULT_HEALTH_INTERVAL,
-        spawn_timeout: float = DEFAULT_SPAWN_TIMEOUT,
         telemetry: Telemetry | None = None,
         state_dir: str | None = None,
     ):
@@ -303,7 +302,6 @@ class ClusterService(HttpApp):
             )
         self.n_workers = int(n_workers)
         self.health_interval = float(health_interval)
-        self.spawn_timeout = float(spawn_timeout)
         self._worker_kwargs = {
             "retest_policy": retest_policy,
             "max_batch_size": int(max_batch_size),
@@ -420,14 +418,14 @@ class ClusterService(HttpApp):
             raise ServiceError(
                 "worker {} failed to start: {}".format(worker.index, value)
             )
-        await wait_healthy("127.0.0.1", value, timeout=self.spawn_timeout)
+        await wait_healthy("127.0.0.1", value, timeout=SPAWN_TIMEOUT)
         worker.process = process
         worker.port = value
         worker.generation += 1
         worker.healthy = True
 
     async def _await_message(self, parent, process):
-        deadline = time.monotonic() + self.spawn_timeout
+        deadline = time.monotonic() + SPAWN_TIMEOUT
         while time.monotonic() < deadline:
             if parent.poll():
                 try:
@@ -451,7 +449,7 @@ class ClusterService(HttpApp):
             await asyncio.sleep(0.02)
         process.kill()
         raise ServiceError(
-            "worker did not report a port within {:g}s".format(self.spawn_timeout)
+            "worker did not report a port within {:g}s".format(SPAWN_TIMEOUT)
         )
 
     async def _respawn(self, worker: WorkerHandle) -> None:

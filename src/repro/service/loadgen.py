@@ -66,12 +66,13 @@ MAX_RETRIES = 500
 class RetryBackoff:
     """Seeded, jittered exponential backoff for one client connection.
 
-    Each retry of a request sleeps ``base * factor**attempt`` capped at
-    ``cap``, scaled by a jitter factor in ``[0.75, 1.25)`` drawn from
-    the client's own seeded generator -- concurrent clients retrying
-    the same respawn window desynchronize instead of stampeding, yet
-    every client's delay sequence is an exact replay of its seed (the
-    same determinism discipline as the traffic itself).  A server-sent
+    Each retry of a request sleeps
+    ``BACKOFF_SECONDS * BACKOFF_FACTOR**attempt`` capped at
+    ``BACKOFF_CAP``, scaled by a jitter factor in ``[0.75, 1.25)``
+    drawn from the client's own seeded generator -- concurrent clients
+    retrying the same respawn window desynchronize instead of
+    stampeding, yet every client's delay sequence is an exact replay of
+    its seed (the same determinism discipline as the traffic itself).  A server-sent
     ``Retry-After`` (429 backpressure, 503 respawn windows) floors the
     sleep: the server's explicit schedule outranks the local guess.
 
@@ -79,21 +80,12 @@ class RetryBackoff:
     can report its realized backoff and tests can assert replayability.
     """
 
-    def __init__(
-        self,
-        seed_seq=None,
-        base: float = BACKOFF_SECONDS,
-        factor: float = BACKOFF_FACTOR,
-        cap: float = BACKOFF_CAP,
-    ):
+    def __init__(self, seed_seq=None):
         self._rng = np.random.default_rng(seed_seq)
-        self.base = float(base)
-        self.factor = float(factor)
-        self.cap = float(cap)
         self.delays: list[float] = []
 
     def next_delay(self, attempt: int, retry_after: float | None = None) -> float:
-        delay = min(self.cap, self.base * self.factor ** int(attempt))
+        delay = min(BACKOFF_CAP, BACKOFF_SECONDS * BACKOFF_FACTOR ** int(attempt))
         delay *= 0.75 + 0.5 * float(self._rng.random())
         if retry_after is not None:
             delay = max(delay, float(retry_after))

@@ -12,8 +12,9 @@ import numpy as np
 
 from repro.errors import CompactionError
 
-#: Default ceiling on the table size (cells).
-DEFAULT_MAX_CELLS = 250_000
+#: Ceiling on the table size (cells): the memory guard for the dense
+#: table.
+MAX_CELLS = 250_000
 #: The normalized-space window covered by the grid.  One normalized
 #: unit is the acceptability range; the margin covers the out-of-range
 #: neighbourhood so marginal-bad devices index real cells.
@@ -30,25 +31,23 @@ class LookupTable:
         A fitted :class:`~repro.core.guardband.GuardBandedClassifier`.
     resolution:
         Cells per dimension; ``None`` picks the largest resolution
-        whose total cell count stays below ``max_cells``.
-    max_cells:
-        Memory guard for the dense table.
+        whose total cell count stays below :data:`MAX_CELLS`.
     """
 
-    def __init__(self, model, resolution=None, max_cells=DEFAULT_MAX_CELLS):
+    def __init__(self, model, resolution=None):
         self.feature_names = model.feature_names
         d = len(self.feature_names)
         if resolution is None:
-            resolution = int(np.floor(max_cells ** (1.0 / d)))
+            resolution = int(np.floor(MAX_CELLS ** (1.0 / d)))
             resolution = max(resolution, 3)
         resolution = int(resolution)
         if resolution < 2:
             raise CompactionError("lookup resolution must be >= 2")
-        if resolution ** d > max_cells:
+        if resolution ** d > MAX_CELLS:
             raise CompactionError(
                 "lookup table would need {} cells (> {}); lower the "
                 "resolution or keep fewer tests".format(
-                    resolution ** d, max_cells))
+                    resolution ** d, MAX_CELLS))
         self.resolution = resolution
         self._model = model
         self._feature_specs = model._feature_specs

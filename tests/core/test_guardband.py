@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core import guardband
 from repro.core.guardband import AutoTunedSVCFactory, GuardBandedClassifier
 from repro.core.metrics import GUARD
 from repro.core.specs import BAD, GOOD
 from repro.errors import CompactionError
-from repro.learn import SVC
+from repro.learn import SVC, model_selection
 from repro.telemetry import Telemetry, set_telemetry
 
 from tests.synthetic import make_synthetic_dataset
@@ -128,8 +129,7 @@ class TestGuardBandedClassifier:
         previous = set_telemetry(tel)
         try:
             shared = GuardBandedClassifier(
-                kept, delta=0.05, model_factory=_fixed_factory,
-                warm_start=True).fit(train)
+                kept, delta=0.05, model_factory=_fixed_factory).fit(train)
         finally:
             set_telemetry(previous)
         counters = {c["name"]: c["value"]
@@ -155,8 +155,7 @@ class TestGuardBandedClassifier:
             return made[-1]
 
         model = GuardBandedClassifier(train.names[:4], delta=0.05,
-                                      model_factory=factory,
-                                      warm_start=True)
+                                      model_factory=factory)
         with pytest.raises(TypeError, match="inside the warm fit"):
             model.fit(train)
         # The loose model was tried warm once and never refit cold.
@@ -177,24 +176,26 @@ class TestGuardBandedClassifier:
 
 
 class TestAutoTunedFactory:
-    def test_tunes_then_builds_with_best_params(self):
+    def test_tunes_then_builds_with_best_params(self, monkeypatch):
         rng = np.random.default_rng(0)
         X = rng.uniform(-1, 1, (150, 2))
         y = np.where(X[:, 0] ** 2 + X[:, 1] ** 2 < 0.5, 1, -1)
-        factory = AutoTunedSVCFactory(
-            param_grid={"C": [10.0], "gamma": [0.5, 8.0]})
+        monkeypatch.setattr(guardband, "AUTO_TUNE_GRID",
+                            {"C": [10.0], "gamma": [0.5, 8.0]})
+        factory = AutoTunedSVCFactory()
         factory.tune(X, y.astype(float))
         assert factory.best_params_["C"] == 10.0
         model = factory()
         assert model.C == 10.0
 
-    def test_tuned_kernel_overrides_the_rbf_default(self):
+    def test_tuned_kernel_overrides_the_rbf_default(self, monkeypatch):
         """A grid over "kernel" builds the winner, not a TypeError."""
         rng = np.random.default_rng(2)
         X = rng.normal(size=(90, 2))
         y = np.where(X[:, 0] + 0.3 * X[:, 1] > 0, 1.0, -1.0)
-        factory = AutoTunedSVCFactory(
-            param_grid={"C": [1.0, 10.0], "kernel": ["rbf", "linear"]})
+        monkeypatch.setattr(guardband, "AUTO_TUNE_GRID",
+                            {"C": [1.0, 10.0], "kernel": ["rbf", "linear"]})
+        factory = AutoTunedSVCFactory()
         factory.tune(X, y)
         assert factory.best_params_["kernel"] in ("rbf", "linear")
         model = factory().fit(X, y)
@@ -208,11 +209,22 @@ class TestAutoTunedFactory:
         assert factory.best_params_ == {}
         assert isinstance(factory(), SVC)
 
-    def test_subsampling_applies(self):
+    def test_subsampling_applies(self, monkeypatch):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(400, 2))
         y = np.where(X[:, 0] > 0, 1.0, -1.0)
-        factory = AutoTunedSVCFactory(
-            param_grid={"C": [10.0], "gamma": [1.0]}, max_tune_samples=50)
+        monkeypatch.setattr(guardband, "AUTO_TUNE_GRID",
+                            {"C": [10.0], "gamma": [1.0]})
+        monkeypatch.setattr(guardband, "MAX_TUNE_SAMPLES", 50)
+        seen = []
+
+        def spy(factory, grid, X, y, **kwargs):
+            seen.append(X.shape)
+            return real(factory, grid, X, y, **kwargs)
+
+        real = model_selection.grid_search
+        monkeypatch.setattr(model_selection, "grid_search", spy)
+        factory = AutoTunedSVCFactory()
         factory.tune(X, y)
-        assert factory.best_params_ is not None
+        assert seen == [(50, 2)]
+        assert factory.best_params_ == {"C": 10.0, "gamma": 1.0}

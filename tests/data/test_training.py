@@ -53,8 +53,7 @@ def cache_route(monkeypatch):
 
 def _fit(data):
     return GuardBandedClassifier(FEATURES, delta=0.05,
-                                 model_factory=FixedSVCFactory(),
-                                 warm_start=True).fit(data)
+                                 model_factory=FixedSVCFactory()).fit(data)
 
 
 def _assert_same_pair(a, b):

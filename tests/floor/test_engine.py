@@ -63,16 +63,12 @@ class TestAgainstTestProgram:
 
 
 class TestBatchInvariance:
-    @pytest.mark.parametrize("served, use_lookup", [
-        ("artifact", False),
-        ("lookup_artifact", True),
-    ], ids=["live", "lookup"])
+    @pytest.mark.parametrize("served", ["artifact", "lookup_artifact"],
+                             ids=["live", "lookup"])
     def test_decisions_identical_at_any_batch_size(self, request,
-                                                   populations, served,
-                                                   use_lookup):
+                                                   populations, served):
         _, test = populations
-        floor = Floor(request.getfixturevalue(served),
-                      use_lookup=use_lookup)
+        floor = Floor(request.getfixturevalue(served))
         reference = floor.run_dataset(test, keep_decisions=True)
         for batch_size in (7, 64, 100000):
             report = floor.run_dataset(test, batch_size=batch_size,
@@ -185,18 +181,21 @@ class TestSimulatedTraffic:
 
 class TestLotEndAlarms:
     def test_transient_drift_rolls_out_of_the_report(self, artifact,
-                                                     populations):
+                                                     populations,
+                                                     monkeypatch):
         """A mid-lot excursion that has left the rolling window must
         not be reported as active at lot end."""
         from repro.floor import DriftMonitor
+        from repro.floor import monitor as monitor_module
 
         _, test = populations
         drifted = test.values.copy()
         kept_idx = [test.specifications.index(n)
                     for n in artifact.kept]
         drifted[:, kept_idx] += 5.0      # far off the baseline
-        monitor = DriftMonitor(artifact.baseline, window_batches=3,
-                               min_devices=50)
+        monkeypatch.setattr(monitor_module, "WINDOW_BATCHES", 3)
+        monkeypatch.setattr(monitor_module, "MIN_DEVICES", 50)
+        monitor = DriftMonitor(artifact.baseline)
         floor = Floor(artifact, monitor=monitor)
 
         # Drift only, never recovered: alarms at lot end.
@@ -213,17 +212,19 @@ class TestLotEndAlarms:
 class TestNonFiniteRows:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_row_cannot_blind_the_drift_monitor(
-            self, artifact, populations, bad):
+            self, artifact, populations, bad, monkeypatch):
         """Regression: a NaN row used to enter the monitor window,
         turning every windowed mean NaN -- so drifted traffic raised
         no alarm until that row rolled out of the window."""
         from repro.floor import DriftMonitor
+        from repro.floor import monitor as monitor_module
 
         _, test = populations
         kept_idx = [test.specifications.index(n)
                     for n in artifact.kept]
-        monitor = DriftMonitor(artifact.baseline, window_batches=8,
-                               min_devices=50)
+        monkeypatch.setattr(monitor_module, "WINDOW_BATCHES", 8)
+        monkeypatch.setattr(monitor_module, "MIN_DEVICES", 50)
+        monitor = DriftMonitor(artifact.baseline)
         floor = Floor(artifact, monitor=monitor)
 
         poisoned = test.values[:16].copy()
@@ -247,11 +248,6 @@ class TestConfiguration:
     def test_bad_batch_size_rejected(self, artifact):
         with pytest.raises(CompactionError, match="batch_size"):
             Floor(artifact, batch_size=0)
-
-    def test_lookup_required_but_absent(self, artifact):
-        assert artifact.lookup is None
-        with pytest.raises(ArtifactError, match="no lookup"):
-            Floor(artifact, use_lookup=True)
 
     def test_wrong_row_width_rejected(self, artifact):
         floor = Floor(artifact)

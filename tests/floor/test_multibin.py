@@ -19,6 +19,7 @@ from repro.core.metrics import GUARD
 from repro.core.specs import GOOD
 from repro.floor import TestFloor as Floor
 from repro.floor import TestProgramArtifact as Artifact
+from repro.floor import monitor as monitor_module
 from repro.floor.monitor import DriftMonitor
 from repro.rules import ToleranceProfile, ToleranceRule
 from repro.runtime.simulation import generate_instance_batches
@@ -182,10 +183,12 @@ class TestBinDriftCharts:
         first = np.full(n, GOOD)
         return kept, first
 
-    def test_bin_rate_excursion_fires_bin_alarm(self, banked_artifact):
+    def test_bin_rate_excursion_fires_bin_alarm(self, banked_artifact,
+                                                monkeypatch):
         baseline = banked_artifact.baseline
         assert baseline.bin_rates         # with_profile populated them
-        monitor = DriftMonitor(baseline, min_devices=50)
+        monkeypatch.setattr(monitor_module, "MIN_DEVICES", 50)
+        monitor = DriftMonitor(baseline)
         kept, first = self.in_control_batch(baseline, 200)
         # Every device lands in FAST: far above its training rate.
         bins = np.full(200, GRADE_ORDER.index("FAST"))
@@ -196,9 +199,11 @@ class TestBinDriftCharts:
         subjects = {a.subject for a in alarms if a.kind == "bin-rate"}
         assert any("FAST" in s for s in subjects)
 
-    def test_training_mix_raises_no_bin_alarm(self, banked_artifact):
+    def test_training_mix_raises_no_bin_alarm(self, banked_artifact,
+                                              monkeypatch):
         baseline = banked_artifact.baseline
-        monitor = DriftMonitor(baseline, min_devices=50)
+        monkeypatch.setattr(monitor_module, "MIN_DEVICES", 50)
+        monitor = DriftMonitor(baseline)
         n = 400
         kept, first = self.in_control_batch(baseline, n)
         # Reproduce the training bin mix as closely as counts allow.
@@ -211,14 +216,16 @@ class TestBinDriftCharts:
         assert not [a for a in alarms if a.kind == "bin-rate"]
 
     def test_legacy_baseline_charts_nothing_per_bin(self,
-                                                    profile_only_artifact):
+                                                    profile_only_artifact,
+                                                    monkeypatch):
         """A baseline without bin rates never raises bin alarms."""
         baseline = copy.copy(profile_only_artifact.baseline)
         baseline = type(baseline)(
             names=baseline.names, mean=baseline.mean, std=baseline.std,
             guard_rate=baseline.guard_rate, n_train=baseline.n_train,
             bin_rates=None)
-        monitor = DriftMonitor(baseline, min_devices=10)
+        monkeypatch.setattr(monitor_module, "MIN_DEVICES", 10)
+        monitor = DriftMonitor(baseline)
         kept = np.tile(np.asarray(baseline.mean), (100, 1))
         alarms = monitor.update(kept, np.full(100, GUARD),
                                 bins=np.zeros(100, dtype=int),

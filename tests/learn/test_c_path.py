@@ -80,13 +80,11 @@ class CountingSVC(SVC):
         return CountingSVC(**self.get_params())
 
 
-@pytest.mark.parametrize("n_jobs", [1, 2])
 @pytest.mark.parametrize("problem", sorted(PROBLEMS))
-def test_grid_search_equals_cold_reference(problem, n_jobs):
+def test_grid_search_equals_cold_reference(problem):
     blobs, grid = PROBLEMS[problem]
     X, y = _blobs(*blobs)
-    got, reused = _reused(
-        lambda: grid_search(SVC, grid, X, y, n_splits=3, n_jobs=n_jobs))
+    got, reused = _reused(lambda: grid_search(SVC, grid, X, y, n_splits=3))
     assert got == _cold_reference(grid, X, y)
     total = 3 * len(grid["C"]) * len(grid["gamma"])
     if problem == "binding":
@@ -239,8 +237,7 @@ def _single_class_fold_problem():
     return X, y
 
 
-@pytest.mark.parametrize("n_jobs", [1, 2])
-def test_single_class_fold_equals_cold_reference(n_jobs):
+def test_single_class_fold_equals_cold_reference():
     X, y = _single_class_fold_problem()
     for train_idx, _ in KFold(3, 0).split(len(y)):
         if np.unique(y[train_idx]).size == 1:
@@ -248,29 +245,16 @@ def test_single_class_fold_equals_cold_reference(n_jobs):
     else:
         raise AssertionError("no single-class training fold")
     grid = {"C": [1.0, 10.0], "gamma": [0.5, 2.0]}
-    got = grid_search(SVC, grid, X, y, n_splits=3, n_jobs=n_jobs)
+    got = grid_search(SVC, grid, X, y, n_splits=3)
     assert got == _cold_reference(grid, X, y)
 
 
-@pytest.mark.parametrize("n_jobs", [1, 2])
-def test_duck_typed_estimator_equals_cold_reference(n_jobs):
+def test_duck_typed_estimator_equals_cold_reference():
     blobs, grid = PROBLEMS["mixed"]
     X, y = _blobs(*blobs)
-    got, reused = _reused(
-        lambda: grid_search(Wrapped, grid, X, y, n_splits=3, n_jobs=n_jobs))
+    got, reused = _reused(lambda: grid_search(Wrapped, grid, X, y, n_splits=3))
     assert reused == 0
     assert got == _cold_reference(grid, X, y)
-
-
-def test_spy_reuse_is_the_same_at_any_n_jobs():
-    """CountingSVC keeps its own fit (the per-estimator protocol) in
-    worker processes too: results and reuse match the serial search."""
-    blobs, grid = PROBLEMS["mixed"]
-    X, y = _blobs(*blobs)
-    serial = _reused(lambda: grid_search(CountingSVC, grid, X, y))
-    assert _reused(lambda: grid_search(CountingSVC, grid, X, y,
-                                       n_jobs=2)) == serial
-    assert serial[0] == _cold_reference(grid, X, y)
 
 
 def _learn_counters(fn):

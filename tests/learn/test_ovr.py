@@ -64,18 +64,20 @@ class TestEquivalenceToColdFits:
         assert (bank.predict_index(query)
                 == cold_prediction(X, y, query)).all()
 
-    def test_warm_start_off_is_also_equivalent(self, blobs, query):
-        X, y = blobs
-        bank = OneVsRestSVCBank(CLASSES, model_factory=factory,
-                                warm_start=False).fit(X, y)
-        assert (bank.predict_index(query)
-                == cold_prediction(X, y, query)).all()
-
     def test_shared_gram_view_changes_nothing_and_hits_cache(
             self, blobs, monkeypatch):
         X, y = blobs
-        cold = [factory().fit(X, np.where(y == cls, 1.0, -1.0))
-                for cls in CLASSES]
+        # The same warm-start chain, each fit building its own kernel.
+        alone, alpha = [], None
+        for cls in CLASSES:
+            target = np.where(y == cls, 1.0, -1.0)
+            model = factory()
+            if alpha is None:
+                model.fit(X, target)
+            else:
+                model.fit(X, target, alpha_init=alpha)
+            alpha = model.alpha_
+            alone.append(model)
         builds = []
 
         def counted(A, B, bb=None):
@@ -86,8 +88,7 @@ class TestEquivalenceToColdFits:
         tel = Telemetry(run_id="bank")
         previous = set_telemetry(tel)
         try:
-            bank = OneVsRestSVCBank(CLASSES, model_factory=factory,
-                                    warm_start=False).fit(X, y)
+            bank = OneVsRestSVCBank(CLASSES, model_factory=factory).fit(X, y)
         finally:
             set_telemetry(previous)
         # One Gram build serves all K member fits ...
@@ -96,9 +97,9 @@ class TestEquivalenceToColdFits:
                     for c in tel.snapshot()["counters"]}
         assert counters["repro_learn_gram_view_hits_total"] == len(CLASSES)
         # ... bitwise the fits that build their own ...
-        for model, alone in zip(bank.models_, cold):
-            assert model.alpha_.tobytes() == alone.alpha_.tobytes()
-            assert model.intercept_ == alone.intercept_
+        for model, own in zip(bank.models_, alone):
+            assert model.alpha_.tobytes() == own.alpha_.tobytes()
+            assert model.intercept_ == own.intercept_
         # ... and the Gram does not outlive the fit.
         for model in bank.models_:
             assert model._gram_view is None

@@ -14,7 +14,7 @@ from repro.errors import CompactionError
 from repro.learn import kernels
 from repro.learn.kernels import squared_distances
 from repro.learn.svm import SVC
-from repro.runtime.parallel import parallel_map, resolve_n_jobs
+from repro.runtime.parallel import resolve_n_jobs
 from repro.telemetry import Telemetry, set_telemetry
 
 from tests.synthetic import make_synthetic_dataset
@@ -85,14 +85,3 @@ class TestParallelHelpers:
         assert resolve_n_jobs(-1) >= 1
         with pytest.raises(CompactionError):
             resolve_n_jobs(0)
-
-    def test_parallel_map_orders_results(self):
-        items = list(range(7))
-        assert parallel_map(_square, items, n_jobs=2) == \
-            [i * i for i in items]
-        assert parallel_map(_square, items, n_jobs=1) == \
-            [i * i for i in items]
-
-
-def _square(x):
-    return x * x

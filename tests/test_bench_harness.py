@@ -1,43 +1,10 @@
-"""Benchmark-harness tests (caching and scale selection)."""
+"""Benchmark-harness tests (population caching and printing)."""
 
 import numpy as np
 import pytest
 
 from benchmarks import harness
 from repro.mems import MEMS_SPECIFICATIONS
-
-
-class TestScales:
-    def test_default_scale_selected(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
-        assert harness.bench_scale() == "default"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "full")
-        assert harness.bench_scale() == "full"
-
-    def test_invalid_scale_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "gigantic")
-        with pytest.raises(ValueError):
-            harness.bench_scale()
-
-    def test_every_scale_covers_every_device(self):
-        for sizes in harness.SCALES.values():
-            assert set(sizes) == {"opamp", "mems"}
-        assert set(harness.SEEDS) == {"opamp", "mems"}
-
-    def test_sim_jobs_default_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_SIM_JOBS", raising=False)
-        assert harness.sim_jobs() == 1
-
-    def test_sim_jobs_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_SIM_JOBS", "-1")
-        assert harness.sim_jobs() == -1
-
-    def test_sim_jobs_invalid_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_SIM_JOBS", "many")
-        with pytest.raises(ValueError):
-            harness.sim_jobs()
 
 
 class TestLoadPopulation:

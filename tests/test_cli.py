@@ -280,6 +280,30 @@ class TestCleanErrors:
         assert main(["serve", "--artifact", "opamp=/no/such.rtp"]) == 2
         assert "/no/such.rtp" in self._last_error(capsys)
 
+    @pytest.mark.parametrize("argv", [
+        ["fig5", "--train", "20", "--test", "10", "--sim-jobs", "0"],
+        ["fig5", "--train", "20", "--test", "10", "--jobs", "0"],
+        ["batch", "--lots", "1", "--train", "20", "--test", "10",
+         "--jobs", "0"],
+        ["batch", "--lots", "1", "--train", "20", "--test", "10",
+         "--sim-jobs", "0"],
+        ["floor", "--artifact", "/no/such.rtp", "--sim-jobs", "0"],
+    ], ids=["fig5-sim-jobs", "fig5-jobs", "batch-jobs", "batch-sim-jobs",
+            "floor-sim-jobs"])
+    def test_zero_worker_count_refused_before_simulating(self, argv,
+                                                         capsys):
+        """A zero worker count is a usage error found at parse time, not
+        a traceback after the populations were simulated."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1
+        assert argv[-2] in errors[0] and "must not be 0" in errors[0]
+
 
 class TestFastCommands:
     def test_table1_prints_eleven_specs(self, capsys):

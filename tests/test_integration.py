@@ -84,7 +84,7 @@ class TestMemsEndToEnd:
 
         artifact = Artifact(model, test.specifications,
                             cost_model=cost_model,
-                            lookup=LookupTable(model, max_cells=100_000))
+                            lookup=LookupTable(model, resolution=17))
         outcome = Floor(artifact).run_dataset(test)
         assert outcome.cost_reduction > 0.5
         assert outcome.yield_loss_rate + outcome.defect_escape_rate < 0.1

@@ -176,7 +176,7 @@ class TestCostAccounting:
 class TestLookupTableProgram:
     def test_program_runs_from_lookup_table(self):
         model, test, cost = _setup()
-        lut = LookupTable(model, max_cells=30000)
+        lut = LookupTable(model, resolution=13)
         outcome = _floor(model, test, cost, lookup=lut).run_dataset(
             test, keep_decisions=True)
         assert outcome.yield_loss_rate + outcome.defect_escape_rate < 0.1
