@@ -49,7 +49,6 @@ from repro.circuit.devices import (
 from repro.circuit.dc import solve_dc, DCResult
 from repro.circuit.ac import solve_ac, ACResult
 from repro.circuit.transient import solve_transient, TransientResult
-from repro.circuit.sweep import sweep_dc, DCSweepResult
 from repro.circuit.batch import (
     BatchACResult,
     BatchDCResult,
@@ -77,8 +76,6 @@ __all__ = [
     "DCResult",
     "ACResult",
     "TransientResult",
-    "sweep_dc",
-    "DCSweepResult",
     "CircuitBatch",
     "BatchDCResult",
     "BatchACResult",

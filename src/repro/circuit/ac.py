@@ -84,15 +84,6 @@ class ACResult:
                 "device {!r} has no branch-current unknown".format(device_name))
         return self._X[:, device.aux]
 
-    def transfer(self, out_node, in_node):
-        """Complex transfer function ``V(out)/V(in)`` across the sweep."""
-        vin = self.v(in_node)
-        if np.any(vin == 0):
-            raise AnalysisError(
-                "input node {!r} has zero AC voltage; cannot form "
-                "transfer function".format(in_node))
-        return self.v(out_node) / vin
-
     def __repr__(self):
         return "ACResult({} frequencies)".format(len(self.freqs))
 

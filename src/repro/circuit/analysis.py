@@ -11,12 +11,6 @@ import numpy as np
 from repro.errors import AnalysisError
 
 
-def db(values):
-    """Convert magnitudes to decibels (20*log10)."""
-    values = np.abs(np.asarray(values, dtype=complex))
-    return 20.0 * np.log10(np.maximum(values, 1e-300))
-
-
 def _log_interp_crossing(freqs, mags, level):
     """Frequency where ``mags`` first falls below ``level``.
 

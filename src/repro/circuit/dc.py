@@ -63,9 +63,8 @@ class DCResult:
 def assemble_static_G(circuit):
     """Build the static (device-value) conductance matrix only.
 
-    The static stamps are independent of the source values, so a DC
-    sweep can assemble this matrix once and reuse it across every sweep
-    point (and every homotopy fallback attempt within a point).
+    The static stamps are independent of the source values, so one
+    assembly serves every homotopy fallback attempt of a solve.
     """
     n = circuit.n_unknowns
     G = np.zeros((n, n))
@@ -110,11 +109,10 @@ def assemble_dc_b(circuit):
 def _assemble_static(circuit):
     """Build the static conductance matrix and DC right-hand side.
 
-    Split into :func:`assemble_static_G` / :func:`assemble_dc_b` so
-    callers that re-solve the same circuit with different source values
-    (DC sweeps) can reuse the matrix; no built-in ``stamp_dc`` touches
-    ``G``, so splitting the loops preserves every accumulation order
-    bit for bit.
+    Split into :func:`assemble_static_G` / :func:`assemble_dc_b` like
+    the batched kernel, which replays ``stamp_dc`` as right-hand-side
+    rows only; no built-in ``stamp_dc`` touches ``G``, so splitting the
+    loops preserves every accumulation order bit for bit.
     """
     return assemble_static_G(circuit), assemble_dc_b(circuit)
 
@@ -152,7 +150,7 @@ def _newton(circuit, G0, b0, nonlinear, x0, gshunt=0.0, source_scale=1.0,
 
 
 def solve_dc(circuit, x0=None, max_iter=MAX_ITER, vtol=VTOL,
-             use_homotopy=True, static=None):
+             use_homotopy=True):
     """Compute the DC operating point of ``circuit``.
 
     Parameters
@@ -165,13 +163,8 @@ def solve_dc(circuit, x0=None, max_iter=MAX_ITER, vtol=VTOL,
         Newton iteration limit and node-voltage tolerance.
     use_homotopy:
         When True (default), fall back to gmin stepping and then source
-        stepping if the plain Newton iteration fails.
-    static:
-        Optional precomputed ``(G0, b0)`` pair from
-        :func:`assemble_static_G` / :func:`assemble_dc_b`.  Repeated
-        solves of one circuit (DC sweeps, warm-started retries) pass
-        this to skip re-stamping; the assembly is already shared across
-        all homotopy fallback attempts within one call.
+        stepping if the plain Newton iteration fails.  The static
+        assembly is shared across all fallback attempts of one call.
 
     Returns
     -------
@@ -184,7 +177,7 @@ def solve_dc(circuit, x0=None, max_iter=MAX_ITER, vtol=VTOL,
     """
     circuit.compile()
     _, nonlinear, _ = circuit.partition()
-    G0, b0 = _assemble_static(circuit) if static is None else static
+    G0, b0 = _assemble_static(circuit)
     n = circuit.n_unknowns
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
 

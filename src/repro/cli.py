@@ -68,6 +68,7 @@ pass over the same devices.
 """
 
 import argparse
+import math
 import sys
 
 from repro import compact_specification_tests
@@ -769,6 +770,49 @@ def _n_jobs(value):
     return n_jobs
 
 
+def _non_negative(value):
+    """argparse type for --tolerance: a finite float >= 0.
+
+    Checked at parse time, before any population is simulated; NaN
+    would otherwise accept every candidate.
+    """
+    try:
+        number = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "must be a number, not {!r}".format(value))
+    if not 0.0 <= number < math.inf:
+        raise argparse.ArgumentTypeError(
+            "must be finite and >= 0, not {!r}".format(value))
+    return number
+
+
+def _guard_band(value):
+    """argparse type for --guard: a fraction in [0, 0.5).
+
+    A shift of half the span or more collapses every specification's
+    strict range.
+    """
+    number = _non_negative(value)
+    if number >= 0.5:
+        raise argparse.ArgumentTypeError(
+            "must be below 0.5, not {!r}".format(value))
+    return number
+
+
+def _positive_int(value):
+    """argparse type for --lots: an integer >= 1."""
+    try:
+        number = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "must be an integer, not {!r}".format(value))
+    if number < 1:
+        raise argparse.ArgumentTypeError(
+            "must be at least 1, not {!r}".format(value))
+    return number
+
+
 def build_parser():
     """Construct the argparse command tree."""
     parser = argparse.ArgumentParser(
@@ -783,8 +827,8 @@ def build_parser():
         p.add_argument("--test", type=int,
                        default=defaults.get("test", 400))
         p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--tolerance", type=float, default=0.01)
-        p.add_argument("--guard", type=float,
+        p.add_argument("--tolerance", type=_non_negative, default=0.01)
+        p.add_argument("--guard", type=_guard_band,
                        default=defaults.get("guard", 0.05))
         p.set_defaults(func=fn)
         return p
@@ -832,7 +876,7 @@ def build_parser():
     batch = add_telemetry(
         add_sim_jobs(add("batch", cmd_batch, train=300, test=200)))
     add_jobs(batch)
-    batch.add_argument("--lots", type=int, default=4,
+    batch.add_argument("--lots", type=_positive_int, default=4,
                        help="number of independent Monte-Carlo lots")
     batch.add_argument("--device", choices=("opamp", "mems"),
                        default="opamp")
@@ -860,7 +904,7 @@ def build_parser():
                        help="path saved by `repro deploy`")
     floor.add_argument("--devices", type=int, default=2000,
                        help="simulated devices per lot")
-    floor.add_argument("--lots", type=int, default=1,
+    floor.add_argument("--lots", type=_positive_int, default=1,
                        help="lots in the schedule (seeds are "
                             "--seed, --seed+1, ...)")
     floor.add_argument("--seed", type=int, default=1)

@@ -79,12 +79,6 @@ class CompactionResult:
     #: reuse and the speculation counts (``n_jobs > 1``).
     stats: dict = field(default_factory=dict)
 
-    @property
-    def compaction_ratio(self):
-        """Fraction of tests eliminated."""
-        total = len(self.kept) + len(self.eliminated)
-        return len(self.eliminated) / total
-
     def summary(self):
         """Multi-line human-readable summary."""
         lines = [
@@ -195,7 +189,7 @@ class TestCompactor:
     def __init__(self, tolerance=0.01, guard_band=0.05, order=None,
                  model_factory=None, grid_compactor=None,
                  count_guard_as_error=False, min_kept=1, n_jobs=1):
-        if tolerance < 0:
+        if not tolerance >= 0:
             raise CompactionError("tolerance must be non-negative")
         if min_kept < 1:
             raise CompactionError("min_kept must be at least 1")

@@ -61,15 +61,6 @@ class ClassificationReport:
         """Prediction error e_p = yield loss + defect escape."""
         return (self.n_yield_loss + self.n_defect_escape) / self.n_total
 
-    @property
-    def accuracy(self):
-        """Correct confident predictions over confident predictions."""
-        confident = self.n_total - self.n_guard
-        if confident == 0:
-            return 1.0
-        wrong = self.n_yield_loss + self.n_defect_escape
-        return (confident - wrong) / confident
-
     def summary(self):
         """One-line human-readable summary (paper percentage scale)."""
         return ("yield loss {:.2%}  defect escape {:.2%}  guard band {:.2%}"

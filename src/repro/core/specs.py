@@ -72,10 +72,6 @@ class Specification:
         """
         return (np.asarray(value, dtype=float) - self.low) / self.span
 
-    def denormalize(self, value):
-        """Inverse of :meth:`normalize`."""
-        return np.asarray(value, dtype=float) * self.span + self.low
-
     def shifted(self, delta_fraction):
         """Return a copy with both bounds moved inward (or outward).
 
@@ -160,18 +156,6 @@ class SpecificationSet:
         """A new set restricted to ``names`` (order taken from ``names``)."""
         return SpecificationSet([self[name] for name in names])
 
-    def without(self, names):
-        """A new set excluding ``names`` (original order preserved)."""
-        drop = set(names)
-        unknown = drop - set(self.names)
-        if unknown:
-            raise CompactionError(
-                "unknown specification(s): {}".format(sorted(unknown)))
-        kept = [s for s in self._specs if s.name not in drop]
-        if not kept:
-            raise CompactionError("cannot drop every specification")
-        return SpecificationSet(kept)
-
     # The bound cache is process-local derived state: dropping it keeps
     # pickles -- and so artifact bytes and registry SHA-256 pins --
     # exactly what they were before the cache existed.
@@ -202,11 +186,6 @@ class SpecificationSet:
     def highs(self):
         """Array of upper bounds (in specification order)."""
         return np.array([s.high for s in self._specs])
-
-    @property
-    def nominals(self):
-        """Array of nominal values (in specification order)."""
-        return np.array([s.nominal for s in self._specs])
 
     # -- pass/fail analysis ---------------------------------------------------
     def _check_matrix(self, values):
@@ -240,12 +219,6 @@ class SpecificationSet:
         values = self._check_matrix(values)
         lows, _, spans = self._bound_arrays()
         return (values - lows) / spans
-
-    def denormalize(self, values):
-        """Inverse of :meth:`normalize`."""
-        values = self._check_matrix(values)
-        lows, _, spans = self._bound_arrays()
-        return values * spans + lows
 
     def shifted(self, delta_fraction):
         """Apply :meth:`Specification.shifted` to every member.

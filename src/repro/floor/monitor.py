@@ -176,22 +176,6 @@ class DriftMonitor:
         self._window.clear()
         self.n_seen = 0
 
-    def update(self, kept_values, first_pass, bins=None, bin_names=()):
-        """Feed one disposition batch; returns the current alarms.
-
-        :meth:`observe` followed by :meth:`alarms`; see :meth:`observe`
-        for the parameters.
-
-        Returns
-        -------
-        tuple of DriftAlarm
-            Alarms active for the *current* window (empty when the
-            window is still below :data:`MIN_DEVICES` or in control).
-        """
-        self.observe(kept_values, first_pass, bins=bins,
-                     bin_names=bin_names)
-        return self.alarms()
-
     def observe(self, kept_values, first_pass, bins=None, bin_names=()):
         """Record one disposition batch into the rolling window.
 

@@ -82,7 +82,3 @@ class AccelerometerGeometry:
             updates[name] = getattr(self, name) + rng.normal(
                 0.0, angle_sigma_deg)
         return replace(self, **updates)
-
-    def as_dict(self):
-        """All fields as a plain dict."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}

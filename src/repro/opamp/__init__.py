@@ -18,7 +18,6 @@ from repro.opamp.specs import (
     OPAMP_SPECIFICATIONS,
     OpAmpBench,
     measure_opamp,
-    measure_stability,
 )
 
 __all__ = [
@@ -27,5 +26,4 @@ __all__ = [
     "OpAmpBench",
     "OPAMP_SPECIFICATIONS",
     "measure_opamp",
-    "measure_stability",
 ]

@@ -102,10 +102,6 @@ class OpAmpParameters:
         }
         return replace(self, **updates)
 
-    def as_dict(self):
-        """Return all parameters as a plain ``dict`` (for serialization)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 def build_opamp(circuit, params, inp, inn, out, vdd, vss="0", prefix=""):
     """Instantiate the op-amp devices into ``circuit``.

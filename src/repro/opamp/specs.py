@@ -411,55 +411,3 @@ class OpAmpBench:
                                 max_failures=max_failures,
                                 return_report=return_report)
 
-
-def measure_stability(params=None):
-    """Open-loop stability diagnostics (beyond the paper's Table 1).
-
-    Returns a dict with:
-
-    ``phase_margin_deg``
-        180 degrees plus the open-loop phase at the unity-gain
-        frequency; healthy two-stage designs sit around 60-80 degrees.
-    ``gain_margin_db``
-        Loop attenuation (in dB below 0) at the -180 degree phase
-        crossing, or ``inf`` when the phase never reaches -180 degrees
-        inside the sweep.
-
-    These are not specification tests in the paper, but they are the
-    standard design-verification companions of the Table 1 AC specs
-    and are exercised by the test suite to validate the simulator's
-    phase behaviour.
-    """
-    if params is None:
-        params = OpAmpParameters()
-    ckt = _ac_bench(params)
-    op = solve_dc(ckt)
-    ckt.device("Vinp").ac = 0.5
-    ckt.device("Vac2").ac = -0.5
-    response = solve_ac(ckt, AC_FREQUENCIES, op).v("out")
-    mags = np.abs(response)
-    # The bias tee makes the DC response positive real (two inversions);
-    # unwrap the phase from the low-frequency end.
-    phase = np.unwrap(np.angle(response))
-    phase_deg = np.degrees(phase - phase[0])
-
-    ugf = ana.unity_gain_frequency(AC_FREQUENCIES, mags)
-    phase_at_ugf = float(np.interp(np.log10(ugf),
-                                   np.log10(AC_FREQUENCIES), phase_deg))
-    phase_margin = 180.0 + phase_at_ugf
-
-    crossings = np.flatnonzero((phase_deg[:-1] > -180.0)
-                               & (phase_deg[1:] <= -180.0))
-    if crossings.size:
-        k = int(crossings[0])
-        frac = (-180.0 - phase_deg[k]) / (phase_deg[k + 1] - phase_deg[k])
-        log_f180 = (np.log10(AC_FREQUENCIES[k])
-                    + frac * (np.log10(AC_FREQUENCIES[k + 1])
-                              - np.log10(AC_FREQUENCIES[k])))
-        mag_at_180 = float(np.interp(log_f180, np.log10(AC_FREQUENCIES),
-                                     mags))
-        gain_margin = -20.0 * np.log10(max(mag_at_180, 1e-300))
-    else:
-        gain_margin = float("inf")
-    return {"phase_margin_deg": phase_margin,
-            "gain_margin_db": gain_margin}

@@ -9,14 +9,13 @@ specification list.
   and the :class:`~repro.process.variation.ProcessModel` abstraction;
 * :mod:`repro.process.montecarlo` -- the generation loop;
 * :mod:`repro.process.dataset` -- the :class:`~repro.process.dataset.SpecDataset`
-  container (measurements + labels + persistence).
+  container (measurements + labels).
 """
 
 from repro.process.dataset import SpecDataset
 from repro.process.defects import DefectInjector
 from repro.process.montecarlo import GenerationReport, generate_dataset
 from repro.process.variation import (
-    LognormalDisturbance,
     NormalDisturbance,
     Parameter,
     ProcessModel,
@@ -32,5 +31,4 @@ __all__ = [
     "ProcessModel",
     "UniformDisturbance",
     "NormalDisturbance",
-    "LognormalDisturbance",
 ]

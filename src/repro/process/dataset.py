@@ -1,4 +1,4 @@
-"""The :class:`SpecDataset` container: measurements, labels, persistence.
+"""The :class:`SpecDataset` container: measurements and labels.
 
 A dataset holds one row per simulated device instance and one column
 per specification measurement, together with the
@@ -9,11 +9,9 @@ keeps the ground-truth labels of the complete test set -- exactly what
 the compaction procedure needs.
 """
 
-import json
-
 import numpy as np
 
-from repro.core.specs import Specification, SpecificationSet
+from repro.core.specs import SpecificationSet
 from repro.errors import DatasetError
 
 
@@ -132,72 +130,3 @@ class SpecDataset:
         if k == 0 or k == n:
             raise DatasetError("split produces an empty part")
         return self.subset(order[:k]), self.subset(order[k:])
-
-    def concat(self, other):
-        """Concatenate two datasets over the same specifications."""
-        if self.specifications != other.specifications:
-            raise DatasetError("datasets have different specifications")
-        return SpecDataset(
-            self.specifications,
-            np.vstack([self.values, other.values]),
-            labels=np.concatenate([self.labels, other.labels]))
-
-    def relabeled(self, specifications):
-        """Re-derive labels against a *different* specification set.
-
-        Used by the guard-band construction, which classifies the same
-        measurements against inward/outward-shifted ranges.
-        """
-        return SpecDataset(specifications, self.values)
-
-    # -- persistence ----------------------------------------------------------
-    def save(self, path):
-        """Serialize to an ``.npz`` archive (values + spec metadata).
-
-        The metadata records the exact stored dtypes (including byte
-        order, e.g. ``"<f8"``), so :meth:`load` can reject a file whose
-        arrays do not match what this process wrote -- a truncated or
-        foreign-endian file must fail loudly, never feed subtly wrong
-        floats into a compaction run.
-        """
-        meta = {
-            "specifications": [{
-                "name": s.name, "unit": s.unit, "nominal": s.nominal,
-                "low": s.low, "high": s.high,
-                "description": s.description,
-            } for s in self.specifications],
-            "values_dtype": self.values.dtype.str,
-            "labels_dtype": np.asarray(self.labels).dtype.str,
-        }
-        np.savez_compressed(
-            path, values=self.values, labels=self.labels,
-            spec_json=np.array(json.dumps(meta)))
-
-    @classmethod
-    def load(cls, path):
-        """Load a dataset written by :meth:`save`.
-
-        Files written before dtype recording (spec metadata as a bare
-        list) still load; files that *do* record dtypes are checked
-        and a mismatch raises :class:`~repro.errors.DatasetError`.
-        """
-        with np.load(path, allow_pickle=False) as archive:
-            meta = json.loads(str(archive["spec_json"]))
-            spec_meta = (meta["specifications"]
-                         if isinstance(meta, dict) else meta)
-            if isinstance(meta, dict):
-                for key, name in (("values_dtype", "values"),
-                                  ("labels_dtype", "labels")):
-                    recorded = meta.get(key)
-                    actual = archive[name].dtype.str
-                    if recorded is not None and recorded != actual:
-                        raise DatasetError(
-                            "dataset file {} stores {} as dtype {} but "
-                            "records {} -- refusing a mismatched "
-                            "(e.g. foreign-endian) load".format(
-                                path, name, actual, recorded))
-            specs = SpecificationSet([
-                Specification(m["name"], m["unit"], m["nominal"],
-                              m["low"], m["high"], m.get("description", ""))
-                for m in spec_meta])
-            return cls(specs, archive["values"], labels=archive["labels"])

@@ -72,20 +72,6 @@ class NormalDisturbance(Disturbance):
 
 
 @dataclass(frozen=True)
-class LognormalDisturbance(Disturbance):
-    """Multiplicative lognormal disturbance (always positive).
-
-    Suitable for strictly positive quantities with skewed variation,
-    e.g. sheet resistances and saturation currents.
-    """
-
-    sigma_log: float
-
-    def sample(self, rng, nominal):
-        return nominal * float(np.exp(rng.normal(0.0, self.sigma_log)))
-
-
-@dataclass(frozen=True)
 class Parameter:
     """A named DUT parameter with its nominal value and disturbance."""
 
@@ -137,14 +123,6 @@ class ProcessModel:
     def sample(self, rng):
         """Draw one complete parameter assignment as a dict."""
         return {p.name: p.sample(rng) for p in self._params}
-
-    def sample_many(self, rng, n):
-        """Draw ``n`` assignments as an ``(n, n_params)`` array."""
-        out = np.empty((n, len(self._params)))
-        for i in range(n):
-            for j, p in enumerate(self._params):
-                out[i, j] = p.sample(rng)
-        return out
 
     def __len__(self):
         return len(self._params)

@@ -71,11 +71,7 @@ from repro.service.loadgen import (
     split_url,
     wait_healthy,
 )
-from repro.service.registry import (
-    ArtifactRegistry,
-    RegistryEntry,
-    file_checksum,
-)
+from repro.service.registry import ArtifactRegistry, RegistryEntry
 from repro.service.server import FloorService, HttpApp
 
 __all__ = [
@@ -96,7 +92,6 @@ __all__ = [
     "StateJournal",
     "TrafficPlan",
     "WorkerHandle",
-    "file_checksum",
     "offline_reference",
     "run_load",
     "shard_for",

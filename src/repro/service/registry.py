@@ -47,15 +47,6 @@ from repro.floor.artifact import TestProgramArtifact
 DEFAULT_MAX_RESIDENT = 8
 
 
-def file_checksum(path: str | os.PathLike) -> str:
-    """SHA-256 hex digest of a file's bytes."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _read_and_hash(path: str) -> tuple[str, bytes]:
     """One read of an artifact file: ``(sha256 hexdigest, bytes)``.
 

@@ -116,15 +116,6 @@ def test_ac_requires_positive_frequencies():
         solve_ac(ckt, [], op)
 
 
-def test_transfer_function_helper():
-    ckt = _rc_circuit()
-    op = solve_dc(ckt)
-    ac = solve_ac(ckt, np.logspace(0, 4, 11), op)
-    h = ac.transfer("out", "in")
-    assert np.abs(h[0]) == pytest.approx(1.0, abs=1e-3)
-    assert np.all(np.abs(h) <= 1.0 + 1e-12)
-
-
 def test_nonlinear_in_omega_reactive_device_falls_back():
     """A user reactive device whose stamp is not omega-linear must
     still solve correctly: the hoisted entry list detects it and

@@ -14,11 +14,6 @@ def _second_order(freqs, f0, q, a=1.0):
 
 
 class TestFrequencyMeasures:
-    def test_db_conversion(self):
-        assert ana.db([1.0])[0] == pytest.approx(0.0)
-        assert ana.db([10.0])[0] == pytest.approx(20.0)
-        assert np.isfinite(ana.db([0.0])[0])  # clamped, not -inf
-
     def test_bandwidth_of_first_order(self):
         fc = 1e3
         freqs = np.logspace(0, 6, 301)

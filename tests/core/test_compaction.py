@@ -130,7 +130,6 @@ class TestGreedyLoop:
         result = _compactor().run(synthetic_train, synthetic_test)
         text = result.summary()
         assert "eliminated" in text and "kept" in text
-        assert 0.0 <= result.compaction_ratio <= 1.0
 
 
 class TestEvaluateSubset:
@@ -162,6 +161,8 @@ class TestValidation:
     def test_negative_tolerance_rejected(self):
         with pytest.raises(CompactionError):
             Compactor(tolerance=-0.1)
+        with pytest.raises(CompactionError):
+            Compactor(tolerance=float("nan"))
 
     def test_min_kept_validated(self):
         with pytest.raises(CompactionError):

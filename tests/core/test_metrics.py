@@ -17,7 +17,6 @@ class TestEvaluatePredictions:
         assert rep.yield_loss_rate == 0.0
         assert rep.defect_escape_rate == 0.0
         assert rep.guard_rate == 0.0
-        assert rep.accuracy == 1.0
 
     def test_counts(self):
         y = np.array([GOOD, GOOD, BAD, BAD, GOOD, BAD])
@@ -38,7 +37,6 @@ class TestEvaluatePredictions:
         rep = evaluate_predictions(y, p)
         assert rep.error_rate == 0.0
         assert rep.guard_rate == 1.0
-        assert rep.accuracy == 1.0  # no confident predictions, no errors
 
     @given(n=st.integers(1, 200), seed=st.integers(0, 100))
     @settings(max_examples=40, deadline=None)
@@ -54,7 +52,6 @@ class TestEvaluatePredictions:
         assert rep.n_defect_escape <= rep.n_bad
         assert rep.n_guard_good + rep.n_guard_bad == rep.n_guard
         assert rep.n_good + rep.n_bad == rep.n_total
-        assert 0.0 <= rep.accuracy <= 1.0
 
     def test_summary_format(self):
         y = np.array([GOOD, BAD])

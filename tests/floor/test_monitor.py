@@ -50,7 +50,8 @@ class TestCharts:
             batch = _stream(rng, baseline, 100)
             first = np.full(100, GOOD)
             first[:5] = GUARD          # ~ the 5% baseline guard rate
-            alarms = monitor.update(batch, first)
+            monitor.observe(batch, first)
+            alarms = monitor.alarms()
         assert alarms == ()
 
     def test_mean_shift_fires_the_spec_chart(self):
@@ -60,7 +61,8 @@ class TestCharts:
         alarms = ()
         for _ in range(10):
             batch = _stream(rng, baseline, 200, shift=1.0)
-            alarms = monitor.update(batch, np.full(200, GOOD))
+            monitor.observe(batch, np.full(200, GOOD))
+            alarms = monitor.alarms()
         kinds = {a.kind for a in alarms}
         assert "spec-mean" in kinds
         spec_alarm = next(a for a in alarms if a.kind == "spec-mean")
@@ -78,7 +80,8 @@ class TestCharts:
             batch = _stream(rng, baseline, 200)
             first = np.full(200, GOOD)
             first[:80] = GUARD         # 40% guard vs 2% expected
-            alarms = monitor.update(batch, first)
+            monitor.observe(batch, first)
+            alarms = monitor.alarms()
         assert any(a.kind == "guard-rate" for a in alarms)
         guard_alarm = next(a for a in alarms if a.kind == "guard-rate")
         assert guard_alarm.observed > guard_alarm.expected
@@ -89,7 +92,8 @@ class TestCharts:
         monitor = DriftMonitor(baseline)
         rng = np.random.default_rng(10)
         batch = _stream(rng, baseline, 500, shift=5.0)
-        assert monitor.update(batch, np.full(500, GOOD)) == ()
+        monitor.observe(batch, np.full(500, GOOD))
+        assert monitor.alarms() == ()
 
     def test_window_is_bounded_and_rolls(self, monkeypatch):
         baseline, _ = _baseline()
@@ -99,13 +103,14 @@ class TestCharts:
         rng = np.random.default_rng(11)
         # Four drifted batches fire the chart...
         for _ in range(4):
-            alarms = monitor.update(_stream(rng, baseline, 100, 2.0),
-                                    np.full(100, GOOD))
+            monitor.observe(_stream(rng, baseline, 100, 2.0),
+                            np.full(100, GOOD))
+            alarms = monitor.alarms()
         assert any(a.kind == "spec-mean" for a in alarms)
         # ...and four healthy batches roll the drift out of the window.
         for _ in range(4):
-            alarms = monitor.update(_stream(rng, baseline, 100),
-                                    np.full(100, GOOD))
+            monitor.observe(_stream(rng, baseline, 100), np.full(100, GOOD))
+            alarms = monitor.alarms()
         assert not any(a.kind == "spec-mean" for a in alarms)
         assert len(monitor._window) == 4
 
@@ -114,8 +119,7 @@ class TestCharts:
         monkeypatch.setattr(monitor_module, "MIN_DEVICES", 100)
         monitor = DriftMonitor(baseline)
         rng = np.random.default_rng(12)
-        monitor.update(_stream(rng, baseline, 400, 3.0),
-                       np.full(400, GOOD))
+        monitor.observe(_stream(rng, baseline, 400, 3.0), np.full(400, GOOD))
         assert monitor.alarms() != ()
         monitor.reset()
         assert monitor.n_seen == 0
@@ -127,8 +131,8 @@ class TestCharts:
                                  n_train=100)
         monkeypatch.setattr(monitor_module, "MIN_DEVICES", 10)
         monitor = DriftMonitor(baseline)
-        alarms = monitor.update(np.full((50, 1), 1.0 + 1e-6),
-                                np.full(50, GOOD))
+        monitor.observe(np.full((50, 1), 1.0 + 1e-6), np.full(50, GOOD))
+        alarms = monitor.alarms()
         assert all(np.isfinite(a.z_score) for a in alarms)
         assert any(a.kind == "spec-mean" for a in alarms)
 
@@ -136,37 +140,11 @@ class TestCharts:
         baseline, _ = _baseline()
         monitor = DriftMonitor(baseline)
         with pytest.raises(CompactionError, match="measured specs"):
-            monitor.update(np.zeros((5, 7)), np.full(5, GOOD))
+            monitor.observe(np.zeros((5, 7)), np.full(5, GOOD))
 
 
 class TestRecordOnly:
     """``observe`` records; charts are evaluated only when asked."""
-
-    def test_observe_then_alarms_equals_update(self, monkeypatch):
-        baseline, _ = _baseline()
-        monkeypatch.setattr(monitor_module, "WINDOW_BATCHES", 6)
-        monkeypatch.setattr(monitor_module, "MIN_DEVICES", 120)
-        updated = DriftMonitor(baseline)
-        observed = DriftMonitor(baseline)
-        rng = np.random.default_rng(13)
-        bin_names = ("A", "B", "C")
-        for step, shift in enumerate((0.0, 0.0, 2.5, 2.5, 0.0, 3.0, 0.0)):
-            batch = _stream(rng, baseline, 40 + 7 * step, shift)
-            first = rng.choice([GOOD, GUARD, -1], size=batch.shape[0])
-            bins = rng.integers(0, 3, size=batch.shape[0])
-            want = updated.update(batch, first, bins=bins,
-                                  bin_names=bin_names)
-            assert observed.observe(batch, first, bins=bins,
-                                    bin_names=bin_names) is None
-            assert observed.alarms() == want
-            assert observed.chart_state() == updated.chart_state()
-        assert observed.n_seen == updated.n_seen
-
-    def test_observe_validates_like_update(self):
-        baseline, _ = _baseline()
-        with pytest.raises(CompactionError, match="measured specs"):
-            DriftMonitor(baseline).observe(np.zeros((5, 7)),
-                                           np.full(5, GOOD))
 
     def test_dispose_never_evaluates_a_chart(self, monkeypatch):
         from tests.floor.test_dispose_golden import _program, _traffic

@@ -192,8 +192,8 @@ class TestBinDriftCharts:
         kept, first = self.in_control_batch(baseline, 200)
         # Every device lands in FAST: far above its training rate.
         bins = np.full(200, GRADE_ORDER.index("FAST"))
-        alarms = monitor.update(kept, first, bins=bins,
-                                bin_names=GRADE_ORDER)
+        monitor.observe(kept, first, bins=bins, bin_names=GRADE_ORDER)
+        alarms = monitor.alarms()
         kinds = {a.kind for a in alarms}
         assert "bin-rate" in kinds
         subjects = {a.subject for a in alarms if a.kind == "bin-rate"}
@@ -211,8 +211,9 @@ class TestBinDriftCharts:
             np.full(int(round(baseline.bin_rates[name] * n)),
                     GRADE_ORDER.index(name))
             for name in GRADE_ORDER])[:n]
-        alarms = monitor.update(kept[:len(bins)], first[:len(bins)],
-                                bins=bins, bin_names=GRADE_ORDER)
+        monitor.observe(kept[:len(bins)], first[:len(bins)],
+                        bins=bins, bin_names=GRADE_ORDER)
+        alarms = monitor.alarms()
         assert not [a for a in alarms if a.kind == "bin-rate"]
 
     def test_legacy_baseline_charts_nothing_per_bin(self,
@@ -227,9 +228,10 @@ class TestBinDriftCharts:
         monkeypatch.setattr(monitor_module, "MIN_DEVICES", 10)
         monitor = DriftMonitor(baseline)
         kept = np.tile(np.asarray(baseline.mean), (100, 1))
-        alarms = monitor.update(kept, np.full(100, GUARD),
-                                bins=np.zeros(100, dtype=int),
-                                bin_names=("PASS", "FAIL"))
+        monitor.observe(kept, np.full(100, GUARD),
+                        bins=np.zeros(100, dtype=int),
+                        bin_names=("PASS", "FAIL"))
+        alarms = monitor.alarms()
         assert all(a.kind != "bin-rate" for a in alarms)
         # The window still tracks the observed mix for operators.
         assert monitor.bin_rates_window() == {"PASS": 1.0, "FAIL": 0.0}

@@ -48,9 +48,3 @@ class TestGeometry:
         a = nominal.perturbed(np.random.default_rng(9))
         b = nominal.perturbed(np.random.default_rng(9))
         assert a == b
-
-    def test_as_dict(self):
-        geo = AccelerometerGeometry()
-        d = geo.as_dict()
-        assert d["beam_length"] == geo.beam_length
-        assert AccelerometerGeometry(**d) == geo

@@ -35,12 +35,6 @@ class TestParameters:
         b = nominal.perturbed(np.random.default_rng(5))
         assert a == b
 
-    def test_as_dict_roundtrip(self):
-        params = OpAmpParameters()
-        d = params.as_dict()
-        assert d["w1"] == params.w1
-        assert OpAmpParameters(**d) == params
-
 
 class TestNetlist:
     def test_build_adds_expected_devices(self):

@@ -81,84 +81,3 @@ class TestViewsAndSplits:
         assert len(sub) == 3
         assert np.array_equal(sub.values[1], ds.values[5])
         assert sub.labels[1] == ds.labels[5]
-
-    def test_concat(self):
-        a = make_synthetic_dataset(n=10, seed=1)
-        b = make_synthetic_dataset(n=15, seed=2)
-        c = a.concat(b)
-        assert len(c) == 25
-        with pytest.raises(DatasetError):
-            a.concat(make_synthetic_dataset(n=5, n_specs=5))
-
-    def test_relabeled_against_shifted_ranges(self):
-        ds = SpecDataset(_specs(), [[0.02, 5.0]])
-        assert ds.labels.tolist() == [GOOD]
-        strict = ds.relabeled(_specs().shifted(0.05))
-        assert strict.labels.tolist() == [BAD]  # 0.02 < shrunk low bound
-
-
-class TestPersistence:
-    def test_save_load_roundtrip(self, tmp_path):
-        ds = make_synthetic_dataset(n=30)
-        path = tmp_path / "ds.npz"
-        ds.save(path)
-        loaded = SpecDataset.load(path)
-        assert np.array_equal(loaded.values, ds.values)
-        assert np.array_equal(loaded.labels, ds.labels)
-        assert loaded.specifications == ds.specifications
-        assert loaded.names == ds.names
-
-
-class TestDtypeRecording:
-    def test_meta_records_dtype_and_endianness(self, tmp_path):
-        ds = make_synthetic_dataset(n=8)
-        path = tmp_path / "ds.npz"
-        ds.save(path)
-        import json
-
-        with np.load(path, allow_pickle=False) as archive:
-            meta = json.loads(str(archive["spec_json"]))
-        assert meta["values_dtype"] == ds.values.dtype.str == "<f8"
-        assert meta["labels_dtype"] == np.asarray(ds.labels).dtype.str
-
-    def test_roundtrip_preserves_dtypes(self, tmp_path):
-        ds = make_synthetic_dataset(n=8)
-        path = tmp_path / "ds.npz"
-        ds.save(path)
-        loaded = SpecDataset.load(path)
-        assert loaded.values.dtype == ds.values.dtype
-        assert np.asarray(loaded.labels).dtype == \
-            np.asarray(ds.labels).dtype
-
-    def test_mismatched_dtype_rejected(self, tmp_path):
-        """A file whose recorded dtype contradicts its stored arrays
-        (e.g. rewritten on a foreign-endian host) must fail loudly."""
-        import json
-
-        ds = make_synthetic_dataset(n=8)
-        path = tmp_path / "ds.npz"
-        ds.save(path)
-        with np.load(path, allow_pickle=False) as archive:
-            payload = {name: archive[name] for name in archive.files}
-            meta = json.loads(str(payload["spec_json"]))
-        meta["values_dtype"] = ">f8"
-        payload["spec_json"] = np.array(json.dumps(meta))
-        np.savez_compressed(path, **payload)
-        with pytest.raises(DatasetError):
-            SpecDataset.load(path)
-
-    def test_legacy_bare_list_meta_still_loads(self, tmp_path):
-        """Pre-dtype files stored the spec list directly; keep loading
-        them (no dtype check is possible, but nothing breaks)."""
-        import json
-
-        ds = make_synthetic_dataset(n=8)
-        path = tmp_path / "ds.npz"
-        ds.save(path)
-        with np.load(path, allow_pickle=False) as archive:
-            payload = {name: archive[name] for name in archive.files}
-            meta = json.loads(str(payload["spec_json"]))
-        payload["spec_json"] = np.array(json.dumps(meta["specifications"]))
-        np.savez_compressed(path, **payload)
-        loaded = SpecDataset.load(path)
-        assert np.array_equal(loaded.values, ds.values)

@@ -304,6 +304,34 @@ class TestCleanErrors:
         assert len(errors) == 1
         assert argv[-2] in errors[0] and "must not be 0" in errors[0]
 
+    @pytest.mark.parametrize("argv", [
+        ["fig5", "--train", "20", "--test", "10", "--tolerance", "nan"],
+        ["fig5", "--train", "20", "--test", "10", "--tolerance", "-1"],
+        ["fig5", "--train", "20", "--test", "10", "--tolerance", "inf"],
+        ["deploy", "--train", "20", "--test", "10", "--guard", "-1"],
+        ["table3", "--train", "20", "--test", "10", "--guard", "nan"],
+        ["fig5", "--train", "20", "--test", "10", "--guard", "0.5"],
+        ["batch", "--train", "20", "--test", "10", "--lots", "0"],
+        ["batch", "--train", "20", "--test", "10", "--lots", "-2"],
+        ["floor", "--artifact", "/no/such.rtp", "--lots", "0"],
+    ], ids=["tolerance-nan", "tolerance-negative", "tolerance-inf",
+            "guard-negative", "guard-nan", "guard-collapses",
+            "batch-lots-zero", "batch-lots-negative", "floor-lots-zero"])
+    def test_out_of_range_value_refused_before_simulating(self, argv,
+                                                          capsys):
+        """A NaN, negative or collapsing value is a usage error found at
+        parse time, not a run that keeps every test or a traceback
+        after the populations were simulated."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Simulating" not in captured.err
+        errors = [line for line in captured.err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1 and argv[-2] in errors[0]
+
 
 class TestFastCommands:
     def test_table1_prints_eleven_specs(self, capsys):

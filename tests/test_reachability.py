@@ -1,0 +1,190 @@
+"""Lint: no public name in ``src/`` that only tests reach.
+
+Every public module-level function or class under ``src/repro``, and
+every public method of a public class, must be referenced from
+``src/``, ``benchmarks/``, ``perfbench/`` or ``examples/`` outside its
+own definition.  A reference is a bare name, an attribute, or a string
+constant that names it (``getattr`` targets, perfbench hook paths).
+Imports and ``__all__`` entries are not references: re-exporting a
+name reaches nothing.  The match is by name, so a method that shares
+its name with a reached one passes; the lint catches entry points that
+nothing calls, not every dead override.
+
+A name that only tests use, on purpose, is listed in :data:`KEEP` with
+the reason; a kept class keeps its methods.  A keep entry whose name is
+gone or has gained a caller fails too, so the list stays exact.
+"""
+
+import ast
+import functools
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CALLER_DIRS = ("src", "benchmarks", "perfbench", "examples")
+_NAME_PATH = re.compile(r"[A-Za-z_][\w.:]*")
+
+_USER_PROCESS_MODEL = (
+    "process-variation model for a user's own DUT; no built-in DUT uses "
+    "it (ROADMAP item 8)")
+
+#: Public names no caller reaches, kept for the tests that use them.
+KEEP = {
+    "repro.circuit.devices.Mosfet.operating_region":
+        "oracle: the op-amp design test checks every transistor of the "
+        "bias point is in saturation",
+    "repro.circuit.devices.Sine":
+        "circuit builder for the transient tests",
+    "repro.circuit.devices.Pwl":
+        "circuit builder for the transient tests",
+    "repro.circuit.netlist.Circuit.current_source":
+        "circuit builder for the DC and transient-clock tests",
+    "repro.circuit.netlist.Circuit.vccs":
+        "circuit builder for the controlled-source and batch tests",
+    "repro.circuit.netlist.Circuit.diode":
+        "circuit builder for the DC, transient and batch tests",
+    "repro.mems.mechanics.resonant_frequency":
+        "analytic oracle the simulated accelerometer is checked against",
+    "repro.mems.mechanics.quality_factor_analytic":
+        "analytic oracle the simulated accelerometer is checked against",
+    "repro.mems.mechanics.sense_capacitance":
+        "analytic oracle the mechanics tests check against",
+    "repro.mems.specs.fit_second_order":
+        "the public face of the MEMS fit that its golden and oracle "
+        "tests pin",
+    "repro.learn.columns.KernelColumnCache.max_blocks":
+        "observed by the column-cache eviction tests",
+    "repro.learn.columns.KernelColumnCache.n_cached_blocks":
+        "observed by the column-cache eviction tests",
+    "repro.learn.model_selection.cross_val_score":
+        "cold reference every grid-search score is compared against",
+    "repro.learn.svm.SVC.get_params":
+        "the estimator protocol the SVC and C-path tests check",
+    "repro.runtime.simulation.instance_streams":
+        "the spawned seed tree instance_streams_range is checked "
+        "against",
+    "repro.process.variation.Parameter": _USER_PROCESS_MODEL,
+    "repro.process.variation.ProcessModel": _USER_PROCESS_MODEL,
+    "repro.process.variation.UniformDisturbance": _USER_PROCESS_MODEL,
+    "repro.process.variation.NormalDisturbance": _USER_PROCESS_MODEL,
+    "repro.process.variation.Disturbance.sample":
+        "the interface the kept disturbances implement",
+    "repro.service.registry.ArtifactRegistry.resident_keys":
+        "observed by the registry's LRU-bound tests",
+    "repro.service.cluster.ClusterService.kill_worker":
+        "fault injection for the crash-recovery and retry tests",
+    "repro.chaos.inject.FaultInjector":
+        "seeded fault injection for the chaos tests",
+    "repro.chaos.inject.FaultInjector.n_fired":
+        "seeded fault injection for the chaos tests",
+    "repro.chaos.inject.FaultPlan.kill_schedule":
+        "seeded fault injection for the chaos tests",
+    "repro.chaos.inject.corrupt_file":
+        "seeded fault injection for the chaos and repair tests",
+    "repro.telemetry.core.Telemetry.current_span":
+        "observed by the span-nesting tests",
+    "repro.telemetry.core.NullTelemetry.current_span":
+        "the no-op twin of Telemetry.current_span",
+}
+
+
+def public_definitions(tree, module):
+    """``{qualified name: bare name}`` of a module's public API."""
+    found = {}
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+            continue
+        if node.name.startswith("_"):
+            continue
+        found["{}.{}".format(module, node.name)] = node.name
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if (isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not sub.name.startswith("_")):
+                    found["{}.{}.{}".format(module, node.name,
+                                            sub.name)] = sub.name
+    return found
+
+
+def referenced_names(tree):
+    """Names a module uses outside their own definitions."""
+    names = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.ImportFrom, ast.Import)):
+            return
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        if isinstance(node, ast.Name):
+            used = [node.id]
+        elif isinstance(node, ast.Attribute):
+            used = [node.attr]
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and _NAME_PATH.fullmatch(node.value)):
+            used = re.split(r"[.:]", node.value)
+        else:
+            used = []
+        names.update(n for n in used if n not in enclosing)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return names
+
+
+@functools.lru_cache(maxsize=None)
+def _census():
+    """``(public definitions, names referenced by non-test code)``."""
+    src = ROOT / "src"
+    definitions = {}
+    for path in sorted(src.rglob("*.py")):
+        module = ".".join(path.relative_to(src).with_suffix("").parts)
+        module = module.removesuffix(".__init__")
+        definitions.update(public_definitions(
+            ast.parse(path.read_text(), filename=str(path)), module))
+    referenced = set()
+    for directory in CALLER_DIRS:
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            referenced |= referenced_names(
+                ast.parse(path.read_text(), filename=str(path)))
+    return definitions, referenced
+
+
+def test_every_public_name_has_a_caller_or_a_keep_reason():
+    definitions, referenced = _census()
+    assert len(definitions) > 500
+    unreached = sorted(
+        q for q, name in definitions.items()
+        if name not in referenced and q not in KEEP
+        and q.rpartition(".")[0] not in KEEP)
+    assert not unreached, (
+        "public names that only tests reach; delete them (and their "
+        "tests) or give a reason in KEEP: {}".format(", ".join(unreached)))
+
+
+def test_keep_entries_name_existing_unreached_definitions():
+    definitions, referenced = _census()
+    stale = sorted(q for q in KEEP
+                   if q not in definitions or definitions[q] in referenced)
+    assert not stale, "KEEP entries that are gone or now reached: {}".format(
+        ", ".join(stale))
+
+
+def test_census_counts_uses_not_imports_or_own_body():
+    source = (
+        "from pkg import imported\n"
+        "__all__ = ['exported']\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1)\n"
+        "def caller(obj):\n"
+        "    getattr(obj, 'by_string')\n"
+        "    return obj.method(plain_name, 'pkg.mod:Cls.hooked')\n")
+    names = referenced_names(ast.parse(source))
+    assert {"method", "plain_name", "by_string", "hooked", "Cls"} <= names
+    assert not {"imported", "exported", "recursive"} & names
