@@ -29,7 +29,11 @@ serial one.
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.core.guardband import AutoTunedSVCFactory, GuardBandedClassifier
+from repro.core.guardband import (
+    AutoTunedSVCFactory,
+    GuardBandedClassifier,
+    checked_delta,
+)
 from repro.core.metrics import ClassificationReport, evaluate_predictions
 from repro.core.ordering import FunctionalOrder, OrderingStrategy
 from repro.errors import CompactionError
@@ -196,8 +200,7 @@ class TestCompactor:
         self.tolerance = float(tolerance)
         # Scalar fraction, or a per-spec dict as produced by
         # repro.core.guardband.distribution_guard_deltas.
-        self.guard_band = (dict(guard_band) if isinstance(guard_band, dict)
-                           else float(guard_band))
+        self.guard_band = checked_delta(guard_band)
         self.order = order
         # None selects a fresh cross-validated AutoTunedSVCFactory per
         # model fit (hyperparameters re-tuned as the feature set shrinks).

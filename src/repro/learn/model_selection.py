@@ -1,10 +1,9 @@
 """Model selection utilities: k-fold CV and grid search.
 
-:func:`grid_search` works through its (configuration group, fold)
-chains one ``C`` level at a time: the level's fits are one lockstep SMO
-stack for :class:`~repro.learn.svm.SVC` estimators (see
-:func:`repro.learn.smo.solve_smo_stack`), and a fit that ``C`` never
-bound is reused, bitwise, for the rest of its chain.
+:func:`grid_search` fits every (configuration, fold) pair at once: one
+lockstep SMO stack for :class:`~repro.learn.svm.SVC` estimators (see
+:func:`repro.learn.smo.solve_smo_stack`), cut only by the stack's byte
+budget.
 """
 
 import itertools
@@ -12,7 +11,6 @@ import itertools
 import numpy as np
 
 from repro.errors import LearningError
-from repro.telemetry import get_telemetry
 
 
 class KFold:
@@ -56,51 +54,29 @@ def cross_val_score(estimator, X, y, n_splits=5, seed=0):
     return np.asarray(scores)
 
 
-def _score_chains(estimator_factory, X, y, folds, chains):
-    """Score ``(configs, fold)`` chains along ascending ``C``.
+def _fold_scores(estimator_factory, X, y, folds, configs):
+    """Accuracy of every configuration on every fold, ``[config][fold]``.
 
-    A chain is the configurations of one group (every parameter but
-    ``C`` shared, ascending ``C``) on one fold.  The chains still open
-    at a ``C`` level are fit together -- through the estimator's
-    ``fit_stack`` when it has one (:meth:`repro.learn.svm.SVC.fit_stack`
-    solves the level's QPs in lockstep), else one ``fit`` at a time --
-    and scored on their folds.  A fit whose estimator reports
-    ``c_bound_ is False`` is bitwise the fit at every larger ``C`` (see
-    :attr:`repro.learn.smo.SMOResult.c_bound`), so its score is reused
-    for the rest of its chain; any other fit is followed by a cold fit
-    at the next ``C``.  Estimators without the flag are always refit.
-    Returns ``(per-chain scores, fits reused)``.
+    Every (configuration, fold) pair is fit at once -- through the
+    estimator's ``fit_stack`` when it has one
+    (:meth:`repro.learn.svm.SVC.fit_stack` solves the fold QPs in
+    lockstep, each stacked fit bitwise its fit alone), else one ``fit``
+    at a time -- and scored on its fold.
     """
-    scores = [[] for _ in chains]
-    reused = 0
-    level = 0
-    open_chains = list(range(len(chains)))
-    while open_chains:
-        models = [estimator_factory(**chains[c][0][level]).clone()
-                  for c in open_chains]
-        train = [folds[chains[c][1]][0] for c in open_chains]
-        Xs = [X[idx] for idx in train]
-        ys = [y[idx] for idx in train]
-        fit_stack = getattr(models[0], "fit_stack", None)
-        if fit_stack is not None:
-            fit_stack(models, Xs, ys)
-        else:
-            for model, X_fold, y_fold in zip(models, Xs, ys):
-                model.fit(X_fold, y_fold)
-        still_open = []
-        for c, model in zip(open_chains, models):
-            test_idx = folds[chains[c][1]][1]
-            score = model.score(X[test_idx], y[test_idx])
-            left = len(chains[c][0]) - level - 1
-            scores[c].append(score)
-            if getattr(model, "c_bound_", True) is False:
-                scores[c].extend([score] * left)
-                reused += left
-            elif left:
-                still_open.append(c)
-        open_chains = still_open
-        level += 1
-    return scores, reused
+    pairs = [(params, fold) for params in configs for fold in folds]
+    models = [estimator_factory(**params).clone() for params, _ in pairs]
+    Xs = [X[train] for _, (train, _) in pairs]
+    ys = [y[train] for _, (train, _) in pairs]
+    fit_stack = getattr(models[0], "fit_stack", None)
+    if fit_stack is not None:
+        fit_stack(models, Xs, ys)
+    else:
+        for model, X_fold, y_fold in zip(models, Xs, ys):
+            model.fit(X_fold, y_fold)
+    scores = [model.score(X[test], y[test])
+              for model, (_, (_, test)) in zip(models, pairs)]
+    k = len(folds)
+    return [scores[c * k:(c + 1) * k] for c in range(len(configs))]
 
 
 def grid_search(estimator_factory, param_grid, X, y, n_splits=3, seed=0):
@@ -110,9 +86,7 @@ def grid_search(estimator_factory, param_grid, X, y, n_splits=3, seed=0):
     ----------
     estimator_factory:
         Callable ``(**params) -> estimator``; typically
-        :class:`repro.learn.svm.SVC` itself.  Estimators built from
-        params that differ only in ``C`` must differ only in their
-        penalty (the fit reuse below relies on it).
+        :class:`repro.learn.svm.SVC` itself.
     param_grid:
         Dict mapping parameter name to a list of candidate values.
     X, y:
@@ -120,12 +94,9 @@ def grid_search(estimator_factory, param_grid, X, y, n_splits=3, seed=0):
     n_splits, seed:
         Cross-validation configuration.
 
-    The unit of work is a chain: the configurations sharing every
-    parameter but ``C``, on one fold, scored along ascending ``C`` so a
-    fit that ``C`` never bound is reused (bitwise) for the larger
-    values.  One ``C`` level of every open chain is fit at once, as one
-    lockstep SMO stack for :class:`SVC` estimators; each stacked fit is
-    bitwise its fit alone.
+    Every (configuration, fold) fit is one problem of one lockstep SMO
+    stack for :class:`SVC` estimators; each stacked fit is bitwise its
+    fit alone.
 
     Returns
     -------
@@ -140,30 +111,12 @@ def grid_search(estimator_factory, param_grid, X, y, n_splits=3, seed=0):
     configs = [dict(zip(names, values))
                for values in itertools.product(
                    *(param_grid[n] for n in names))]
-    # Group by the positions of every non-C value (values themselves
-    # need not be hashable), each group in ascending C.
-    groups = {}
-    for k, positions in enumerate(itertools.product(
-            *(range(len(param_grid[n])) for n in names))):
-        key = tuple(p for n, p in zip(names, positions) if n != "C")
-        groups.setdefault(key, []).append(k)
-    units = [sorted(members, key=lambda k: float(configs[k]["C"]))
-             if "C" in param_grid else members
-             for members in groups.values()]
     X = np.asarray(X)
     y = np.asarray(y)
     folds = list(KFold(n_splits, seed).split(X.shape[0]))
-    chains = [([configs[k] for k in unit], fold)
-              for unit in units for fold in range(n_splits)]
-    chain_scores, reused = _score_chains(estimator_factory, X, y, folds,
-                                         chains)
-    scores = [None] * len(configs)
-    for u, unit in enumerate(units):
-        for level, k in enumerate(unit):
-            scores[k] = float(np.mean(np.asarray(
-                [chain_scores[u * n_splits + fold][level]
-                 for fold in range(n_splits)])))
-    get_telemetry().counter("repro_learn_grid_fits_reused_total", reused)
+    scores = [float(np.mean(np.asarray(fold_scores)))
+              for fold_scores in _fold_scores(estimator_factory, X, y,
+                                              folds, configs)]
     results = list(zip(configs, scores))
     best_params, best_score = None, -np.inf
     for params, score in results:

@@ -32,12 +32,6 @@ and shrunk in index order until the equality constraint
 ``sum_i alpha_i y_i = 0`` holds -- so a warm start never changes which
 problem is solved, only how many iterations it takes.
 
-Every result reports whether the penalty ``C`` ever influenced the run
-(:attr:`SMOResult.c_bound`).  When it did not, the run is bitwise the
-run for any larger ``C`` -- the exactness contract that lets
-:func:`repro.learn.model_selection.grid_search` reuse a fit along an
-ascending ``C`` path.
-
 **Lockstep stacks.** :func:`solve_smo_stack` solves B independent
 problems in one WSS2 loop.  At the fold sizes model selection fits
 (tens of rows), numpy's per-call overhead, not the vector length, sets
@@ -112,7 +106,7 @@ def repair_alpha(alpha, y, C):
 class SMOResult:
     """Solution of the dual problem."""
 
-    def __init__(self, alpha, bias, iterations, converged, c_bound=True):
+    def __init__(self, alpha, bias, iterations, converged):
         #: Dual coefficients, one per training sample.
         self.alpha = alpha
         #: Intercept of the decision function.
@@ -121,18 +115,6 @@ class SMOResult:
         self.iterations = iterations
         #: False when the iteration limit was hit before the KKT gap closed.
         self.converged = converged
-        #: False when ``C`` never influenced the run: no alpha reached
-        #: ``C - 1e-12``, no step box was cut by ``C``, and the solve
-        #: did not end on a degenerate-box or stall break.  The result
-        #: is then bitwise the result for every larger ``C``: the pair
-        #: selection reads only ``F``, the kernel and the ``I_up`` /
-        #: ``I_low`` memberships, which depend on ``C`` only through
-        #: alphas at ``C - 1e-12``; for a pair of equal labels the box
-        #: ``[max(0, a_i + a_j - C), min(C, a_i + a_j)]`` depends on
-        #: ``C`` only when ``a_i + a_j > C``; for opposite labels its
-        #: upper end ``min(C, C + a_j - a_i)`` always does, so a step
-        #: clipped there marks the run, whichever ``j`` WSS2 chose.
-        self.c_bound = c_bound
 
 
 class SMOProblem:
@@ -202,7 +184,7 @@ class _Member:
 
     __slots__ = ("n", "C", "c_top", "gap", "max_iter", "route", "y",
                  "alpha", "up", "low", "up_count", "low_count", "F0",
-                 "c_bound", "warm_started", "result")
+                 "warm_started", "result")
 
     def __init__(self, y, C, tol, max_iter, alpha_init, get_col, route):
         n = y.shape[0]
@@ -215,12 +197,7 @@ class _Member:
         self.route = route
         alpha = np.zeros(n)
         self.warm_started = False
-        self.c_bound = bool(c_top <= 0.0)
         if alpha_init is not None:
-            # A seed entry at the bound is clipped or shrunk by the
-            # repair, which then depends on C.
-            self.c_bound = self.c_bound or bool(
-                np.any(np.asarray(alpha_init, dtype=float) >= c_top))
             repaired = repair_alpha(alpha_init, y, C)
             if repaired is not None:
                 alpha = repaired
@@ -266,7 +243,7 @@ class _Member:
         else:
             bias = 0.0
         self.result = SMOResult(np.array(self.alpha), bias, iterations,
-                                converged, self.c_bound)
+                                converged)
 
 
 class _ColumnRows:
@@ -424,8 +401,7 @@ def _lockstep(members, G, D):
 
         # Two-variable analytic step (Platt 1998, with F_k playing the
         # role of Platt's prediction error E_k = f_k - y_k), per
-        # problem.  Every branch where C shapes the step marks the run
-        # C-bound; a problem that stops steps by zero.  Every active
+        # problem.  A problem that stops steps by zero.  Every active
         # problem has made steps - 1 updates so far.
         for a, m, y_l, alpha_l, C, c_top, up_l, low_l in state:
             if m.result is not None:
@@ -440,8 +416,6 @@ def _lockstep(members, G, D):
             s = yi * yj
             if s > 0:
                 total = ai_old + aj_old
-                if total > C:
-                    m.c_bound = True
                 L = max(0.0, total - C)
                 H = min(C, total)
             else:
@@ -450,7 +424,6 @@ def _lockstep(members, G, D):
             if H - L < 1e-14:
                 # Degenerate box for the selected pair: the pair
                 # selection can make no further progress.
-                m.c_bound = True
                 m.finish(F_up[a], F_low[a], False, steps - 1)
                 settle = True
                 ci_col[a] = cj_col[a] = 0.0
@@ -462,15 +435,12 @@ def _lockstep(members, G, D):
                          / den.item(a, j), L)
             if aj_new > H:
                 aj_new = H
-                if s < 0:
-                    m.c_bound = True
             ai_new = ai_old + s * (aj_old - aj_new)
 
             dai = ai_new - ai_old
             daj = aj_new - aj_old
             if abs(daj) < 1e-14:
                 # Numerical stall: no representable progress on this pair.
-                m.c_bound = True
                 m.finish(F_up[a], F_low[a], False, steps - 1)
                 settle = True
                 ci_col[a] = cj_col[a] = 0.0
@@ -482,8 +452,6 @@ def _lockstep(members, G, D):
             for k in (i, j):
                 ak = alpha_l[k]
                 yk = y_l[k]
-                if ak >= c_top:
-                    m.c_bound = True
                 new_up = (yk > 0 and ak < c_top) or (yk < 0 and ak > 1e-12)
                 if new_up != up_l[k]:
                     up_l[k] = new_up

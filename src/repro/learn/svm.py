@@ -124,14 +124,14 @@ class SVC:
         The two-class fits of plain :class:`SVC` s on the dense route
         (no Gram view attached, at most
         :data:`repro.learn.smo.PRECOMPUTE_LIMIT` rows) are solved in
-        lockstep (:func:`repro.learn.smo.solve_smo_stack`): one stack
-        per ``C``, cut within :data:`repro.learn.smo.STACK_BYTES` by
+        lockstep (:func:`repro.learn.smo.solve_smo_stack`), in stacks
+        cut within :data:`repro.learn.smo.STACK_BYTES` by
         :func:`repro.learn.smo.split_stack`, each traced as one
         ``train.svc_stack`` span.  Every other model -- single-class,
         larger, or of a class with its own ``fit`` -- is fit alone by
         its ``fit``.  Returns ``models``.
         """
-        stacks = {}
+        members = []
         for model, X, y in zip(models, Xs, ys):
             if (getattr(type(model), "fit", None) is not SVC.fit
                     or model._gram_view is not None):
@@ -143,21 +143,19 @@ class SVC:
             if X.shape[0] > smo.PRECOMPUTE_LIMIT:
                 model.fit(X, y)
             else:
-                stacks.setdefault(model.C, []).append((model, X, y))
+                members.append((model, X, y))
         tel = get_telemetry()
-        for C, members in stacks.items():
-            for stack in split_stack([len(y) for _, _, y in members]):
-                group = [members[k] for k in stack]
-                with tel.span("train.svc_stack", problems=len(group),
-                              C=C) as span:
-                    results, steps = solve_smo_stack([
-                        SMOProblem(model._kernel, X, y, model.C,
-                                   tol=model.tol, max_iter=model.max_iter)
-                        for model, X, y in group])
-                    span.set(steps=steps, iterations=sum(
-                        r.iterations for r in results))
-                for (model, X, y), result in zip(group, results):
-                    model._adopt(result, X, y)
+        for stack in split_stack([len(y) for _, _, y in members]):
+            group = [members[k] for k in stack]
+            with tel.span("train.svc_stack", problems=len(group)) as span:
+                results, steps = solve_smo_stack([
+                    SMOProblem(model._kernel, X, y, model.C,
+                               tol=model.tol, max_iter=model.max_iter)
+                    for model, X, y in group])
+                span.set(steps=steps, iterations=sum(
+                    r.iterations for r in results))
+            for (model, X, y), result in zip(group, results):
+                model._adopt(result, X, y)
         return models
 
     def _begin(self, X, y):
@@ -182,7 +180,6 @@ class SVC:
         if classes.size == 1:
             # Degenerate single-class problem: constant prediction.
             self._constant = float(classes[0])
-            self.c_bound_ = False
             self._fitted = True
             return X, y
         self._constant = None
@@ -195,9 +192,6 @@ class SVC:
         """Take an :class:`repro.learn.smo.SMOResult` as the fit."""
         self.converged_ = result.converged
         self.n_iter_ = result.iterations
-        #: Whether C influenced the solve (see SMOResult.c_bound); a
-        #: False fit is bitwise the fit at any larger C.
-        self.c_bound_ = result.c_bound
         self.intercept_ = result.bias
         #: Full-length dual vector, kept for warm-starting later fits.
         self.alpha_ = result.alpha

@@ -164,6 +164,12 @@ class TestValidation:
         with pytest.raises(CompactionError):
             Compactor(tolerance=float("nan"))
 
+    @pytest.mark.parametrize("guard_band", [
+        float("nan"), -0.05, {"s0": float("nan")}, {"s0": -0.05}])
+    def test_bad_guard_band_rejected_at_construction(self, guard_band):
+        with pytest.raises(CompactionError, match="non-negative"):
+            Compactor(guard_band=guard_band)
+
     def test_min_kept_validated(self):
         with pytest.raises(CompactionError):
             Compactor(min_kept=0)

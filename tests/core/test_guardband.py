@@ -174,6 +174,12 @@ class TestGuardBandedClassifier:
         with pytest.raises(CompactionError, match="not fitted"):
             unfit.predict_features(np.zeros((1, 1)))
 
+    @pytest.mark.parametrize("delta", [
+        float("nan"), {"s0": 0.05, "s1": float("nan")}, {"s0": -0.1}])
+    def test_nan_or_negative_delta_rejected_at_construction(self, delta):
+        with pytest.raises(CompactionError, match="non-negative"):
+            GuardBandedClassifier(["s0"], delta=delta)
+
 
 class TestAutoTunedFactory:
     def test_tunes_then_builds_with_best_params(self, monkeypatch):

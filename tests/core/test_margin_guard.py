@@ -24,6 +24,15 @@ class TestMarginGuardClassifier:
             MarginGuardClassifier(["s0"], margin=0.1,
                                   target_guard_fraction=0.1)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(delta=float("nan"), margin=0.1),
+        dict(delta=-0.1, margin=0.1),
+        dict(delta=0.05, margin=float("nan")),
+        dict(delta=0.05, margin=-0.1)])
+    def test_nan_or_negative_delta_and_margin_rejected(self, kwargs):
+        with pytest.raises(CompactionError, match="non-negative"):
+            MarginGuardClassifier(["s0"], **kwargs)
+
     def test_zero_margin_zero_delta_never_guards(self, synthetic_train):
         model = MarginGuardClassifier(
             synthetic_train.names[:4], delta=0.0, margin=0.0,

@@ -89,8 +89,8 @@ PROBLEMS = {
 def _same(got, want):
     assert got.alpha.tobytes() == want.alpha.tobytes()
     assert float(got.bias).hex() == float(want.bias).hex()
-    assert (got.iterations, got.converged, got.c_bound) == (
-        want.iterations, want.converged, want.c_bound)
+    assert (got.iterations, got.converged) == (
+        want.iterations, want.converged)
 
 
 def test_problems_mirror_the_golden_cases():

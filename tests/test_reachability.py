@@ -57,9 +57,10 @@ KEEP = {
     "repro.learn.columns.KernelColumnCache.n_cached_blocks":
         "observed by the column-cache eviction tests",
     "repro.learn.model_selection.cross_val_score":
-        "cold reference every grid-search score is compared against",
+        "the cold per-configuration reference every grid-search score "
+        "is compared against (test_model_selection.py)",
     "repro.learn.svm.SVC.get_params":
-        "the estimator protocol the SVC and C-path tests check",
+        "the estimator protocol the SVC and grid-search tests check",
     "repro.runtime.simulation.instance_streams":
         "the spawned seed tree instance_streams_range is checked "
         "against",
