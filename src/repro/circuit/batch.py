@@ -105,8 +105,13 @@ from repro.errors import AnalysisError, CircuitError, ConvergenceError
 from repro.telemetry import get_telemetry
 
 #: Upper bound on complex matrix entries per stacked AC solve chunk
-#: (~32 MiB of workspace at 16 bytes per entry).
-AC_CHUNK_ENTRIES = 1 << 21
+#: (~8 MiB of workspace at 16 bytes per entry): the peak memory of a
+#: simulation wave.  A 128-row MEMS sweep (5 unknowns x 121
+#: frequencies) stays one chunk; the 14-unknown op-amp sweep is solved
+#: in frequency blocks, so its peak does not grow with the wave size.
+#: Chunk boundaries never change a value: LAPACK solves every system
+#: alone.
+AC_CHUNK_ENTRIES = 1 << 19
 
 #: Node-voltage clamp per transient Newton iteration (V), matching the
 #: scalar ``transient._newton_step``.

@@ -446,11 +446,10 @@ def cmd_dataset_generate(args):
     bench = _bench(args.device)
     print("Generating {} {} instances into {}...".format(
         args.rows, args.device, args.root), file=sys.stderr)
-    shard_rows = args.shard_rows or _default_shard_rows()
     try:
         store = generate_shards(
             args.root, bench, args.rows, args.seed,
-            shard_rows=shard_rows, n_jobs=args.sim_jobs)
+            shard_rows=args.shard_rows, n_jobs=args.sim_jobs)
     except ReproError as exc:
         return _fail(exc)
     _print_dataset(store)
@@ -801,7 +800,7 @@ def _guard_band(value):
 
 
 def _positive_int(value):
-    """argparse type for --lots: an integer >= 1."""
+    """argparse type for counts and sizes: an integer >= 1."""
     try:
         number = int(value)
     except ValueError:
@@ -902,7 +901,7 @@ def build_parser():
     floor = sub.add_parser("floor", help=cmd_floor.__doc__)
     floor.add_argument("--artifact", required=True,
                        help="path saved by `repro deploy`")
-    floor.add_argument("--devices", type=int, default=2000,
+    floor.add_argument("--devices", type=_positive_int, default=2000,
                        help="simulated devices per lot")
     floor.add_argument("--lots", type=_positive_int, default=1,
                        help="lots in the schedule (seeds are "
@@ -911,7 +910,7 @@ def build_parser():
     floor.add_argument("--policy", default="full_retest",
                        choices=("full_retest", "accept", "reject"),
                        help="guard-band retest policy")
-    floor.add_argument("--batch-size", type=int, default=8192,
+    floor.add_argument("--batch-size", type=_positive_int, default=8192,
                        help="devices per vectorized disposition batch "
                             "(never changes any decision)")
     floor.add_argument("--device", choices=("opamp", "mems"),
@@ -1015,10 +1014,10 @@ def build_parser():
     gen.add_argument("--rows", type=int, required=True,
                      help="population size to simulate")
     gen.add_argument("--seed", type=int, default=1)
-    gen.add_argument("--shard-rows", type=int, default=None,
-                     help="rows per shard (default {}; fixed for the "
-                          "store's lifetime)".format(
-                              _default_shard_rows()))
+    gen.add_argument("--shard-rows", type=_positive_int,
+                     default=_default_shard_rows(),
+                     help="rows per shard (default %(default)s; fixed "
+                          "for the store's lifetime)")
     gen.add_argument("--sim-jobs", type=_n_jobs, default=1,
                      help="worker processes (-1 = all CPUs; identical "
                           "shards at any count)")

@@ -125,6 +125,9 @@ def generate_shards(root, dut, n_rows, seed, shard_rows=DEFAULT_SHARD_ROWS,
             "it".format(root))
     if int(n_rows) <= 0:
         raise DatasetError("n_rows must be positive")
+    if int(shard_rows) < 1:
+        raise DatasetError(
+            "shard_rows must be positive, not {!r}".format(shard_rows))
     n_rows = int(n_rows)
     budget = (default_max_failures(n_rows)
               if max_failures is None else int(max_failures))

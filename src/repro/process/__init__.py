@@ -5,8 +5,6 @@ a device description plus a manufacturing process model produce
 *training instances*, each simulated and measured against the full
 specification list.
 
-* :mod:`repro.process.variation` -- parameter disturbance distributions
-  and the :class:`~repro.process.variation.ProcessModel` abstraction;
 * :mod:`repro.process.montecarlo` -- the generation loop;
 * :mod:`repro.process.dataset` -- the :class:`~repro.process.dataset.SpecDataset`
   container (measurements + labels).
@@ -15,20 +13,10 @@ specification list.
 from repro.process.dataset import SpecDataset
 from repro.process.defects import DefectInjector
 from repro.process.montecarlo import GenerationReport, generate_dataset
-from repro.process.variation import (
-    NormalDisturbance,
-    Parameter,
-    ProcessModel,
-    UniformDisturbance,
-)
 
 __all__ = [
     "SpecDataset",
     "DefectInjector",
     "generate_dataset",
     "GenerationReport",
-    "Parameter",
-    "ProcessModel",
-    "UniformDisturbance",
-    "NormalDisturbance",
 ]

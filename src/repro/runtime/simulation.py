@@ -81,11 +81,13 @@ from repro.telemetry import get_telemetry
 #: Per-process worker state (set by :func:`_init_simulation_worker`).
 _WORKER = {}
 
-#: Slots per ``measure_batch`` call of a batch-capable DUT: large
-#: enough to amortize the stamp-plan compilation and stacked-solve
-#: overhead, small enough to bound the stacked-array working set (a
-#: transient waveform stack is ``slots x steps x unknowns`` floats).
-BATCH_SLOTS = 128
+#: Most slots per ``measure_batch`` call of a batch-capable DUT: each
+#: wave pays a fixed cost (per-tick numpy overhead over the op-amp's
+#: ~1,100 transient ticks, the DC and AC passes), so a batch runs as
+#: the fewest waves this cap allows.  The peak memory of a wave is
+#: the AC working set, which :data:`repro.circuit.batch.
+#: AC_CHUNK_ENTRIES` bounds independently of the wave size.
+BATCH_SLOTS = 192
 
 
 def _uses_batch(dut):
@@ -101,9 +103,16 @@ def _chunk_size(dut, n_instances, n_jobs):
 
 
 def _chunks(streams, size):
-    """``streams`` cut into consecutive tuples of at most ``size``."""
-    return [tuple(streams[start:start + size])
-            for start in range(0, len(streams), size)]
+    """``streams`` cut into the fewest consecutive tuples of at most
+    ``size``, balanced: their lengths differ by at most one.
+
+    At ``size`` 192, 150 slots run as one wave, 200 as 100 + 100 and
+    256 as 128 + 128.  Wave boundaries never change a value.
+    """
+    n = len(streams)
+    n_waves = -(-n // size)  # ceil division
+    return [tuple(streams[n * i // n_waves:n * (i + 1) // n_waves])
+            for i in range(n_waves)]
 
 
 def _batched_chunk_size(n_instances, n_jobs):

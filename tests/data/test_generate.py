@@ -113,6 +113,17 @@ class TestExtendSemantics:
         with pytest.raises(DatasetError):
             generate_shards(tmp_path / "s", SyntheticDut(), 0, 1)
 
+    @pytest.mark.parametrize("shard_rows", [0, -3])
+    def test_generate_rejects_nonpositive_shard_rows(self, tmp_path,
+                                                     shard_rows):
+        """The error names ``shard_rows``, not the scheduler's
+        ``batch_size`` it becomes."""
+        with pytest.raises(DatasetError, match="^shard_rows must be "
+                                               "positive"):
+            generate_shards(tmp_path / "s", SyntheticDut(), 8, 1,
+                            shard_rows=shard_rows)
+        assert not (tmp_path / "s").exists()
+
     @pytest.mark.parametrize("seed", [None, -1, 1.5], ids=repr)
     def test_generate_rejects_bad_seed(self, tmp_path, seed):
         with pytest.raises(DatasetError, match="seed"):

@@ -314,9 +314,20 @@ class TestCleanErrors:
         ["batch", "--train", "20", "--test", "10", "--lots", "0"],
         ["batch", "--train", "20", "--test", "10", "--lots", "-2"],
         ["floor", "--artifact", "/no/such.rtp", "--lots", "0"],
+        ["floor", "--artifact", "/no/such.rtp", "--batch-size", "0"],
+        ["floor", "--artifact", "/no/such.rtp", "--batch-size", "-1"],
+        ["floor", "--artifact", "/no/such.rtp", "--devices", "0"],
+        ["floor", "--artifact", "/no/such.rtp", "--devices", "-1"],
+        ["dataset", "generate", "/no/such/store", "--rows", "8",
+         "--shard-rows", "0"],
+        ["dataset", "generate", "/no/such/store", "--rows", "8",
+         "--shard-rows", "-3"],
     ], ids=["tolerance-nan", "tolerance-negative", "tolerance-inf",
             "guard-negative", "guard-nan", "guard-collapses",
-            "batch-lots-zero", "batch-lots-negative", "floor-lots-zero"])
+            "batch-lots-zero", "batch-lots-negative", "floor-lots-zero",
+            "floor-batch-size-zero", "floor-batch-size-negative",
+            "floor-devices-zero", "floor-devices-negative",
+            "dataset-shard-rows-zero", "dataset-shard-rows-negative"])
     def test_out_of_range_value_refused_before_simulating(self, argv,
                                                           capsys):
         """A NaN, negative or collapsing value is a usage error found at

@@ -24,10 +24,6 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 CALLER_DIRS = ("src", "benchmarks", "perfbench", "examples")
 _NAME_PATH = re.compile(r"[A-Za-z_][\w.:]*")
 
-_USER_PROCESS_MODEL = (
-    "process-variation model for a user's own DUT; no built-in DUT uses "
-    "it (ROADMAP item 8)")
-
 #: Public names no caller reaches, kept for the tests that use them.
 KEEP = {
     "repro.circuit.devices.Mosfet.operating_region":
@@ -64,12 +60,6 @@ KEEP = {
     "repro.runtime.simulation.instance_streams":
         "the spawned seed tree instance_streams_range is checked "
         "against",
-    "repro.process.variation.Parameter": _USER_PROCESS_MODEL,
-    "repro.process.variation.ProcessModel": _USER_PROCESS_MODEL,
-    "repro.process.variation.UniformDisturbance": _USER_PROCESS_MODEL,
-    "repro.process.variation.NormalDisturbance": _USER_PROCESS_MODEL,
-    "repro.process.variation.Disturbance.sample":
-        "the interface the kept disturbances implement",
     "repro.service.registry.ArtifactRegistry.resident_keys":
         "observed by the registry's LRU-bound tests",
     "repro.service.cluster.ClusterService.kill_worker":
