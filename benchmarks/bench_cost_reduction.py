@@ -14,32 +14,15 @@ figure.
 
 from benchmarks.harness import datasets, print_table, run_once
 from repro.core.compaction import TestCompactor as Compactor
-from repro.core.costmodel import TestCostModel as CostModel
 from repro.floor import TestFloor as Floor
 from repro.floor import TestProgramArtifact as Artifact
-from repro.mems import TEMPERATURES, tests_at_temperature
-
-#: Per-test application cost (units).
-TEST_COST = 1.0
-#: Thermal soak cost per temperature insertion; room needs no soak.
-SOAK_COST = {"-40C": 25.0, "27C": 2.0, "80C": 25.0}
-
-
-def build_cost_model():
-    """Soak-aware cost model over the twelve accelerometer tests."""
-    costs, groups = {}, {}
-    for temp in TEMPERATURES:
-        group = "{:g}C".format(temp)
-        for name in tests_at_temperature(temp):
-            costs[name] = TEST_COST
-            groups[name] = group
-    return CostModel(costs, groups, SOAK_COST)
+from repro.mems import soak_cost_model, tests_at_temperature
 
 
 def bench_cost_reduction(benchmark):
     """Quantify the cost saving of eliminating hot+cold tests."""
     train, test = datasets("mems")
-    cost_model = build_cost_model()
+    cost_model = soak_cost_model()
     eliminated = tests_at_temperature(-40) + tests_at_temperature(80)
 
     def flow():

@@ -17,21 +17,9 @@ Run:
 import sys
 
 from repro.core.compaction import TestCompactor
-from repro.core.costmodel import TestCostModel
 from repro.mems import (
-    TEMPERATURES, AccelerometerBench, tests_at_temperature,
+    AccelerometerBench, soak_cost_model, tests_at_temperature,
 )
-
-
-def build_cost_model():
-    """Per-test cost 1 unit; temperature soak 25 units, room 2 units."""
-    costs, groups = {}, {}
-    for temp in TEMPERATURES:
-        for name in tests_at_temperature(temp):
-            costs[name] = 1.0
-            groups[name] = "{:g}C".format(temp)
-    group_costs = {"-40C": 25.0, "27C": 2.0, "80C": 25.0}
-    return TestCostModel(costs, groups, group_costs)
 
 
 def main():
@@ -47,7 +35,7 @@ def main():
         train.yield_fraction, test.yield_fraction))
 
     compactor = TestCompactor(guard_band=0.03)
-    cost_model = build_cost_model()
+    cost_model = soak_cost_model()
     full_cost = cost_model.full_cost()
 
     cold = tests_at_temperature(-40)

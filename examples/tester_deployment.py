@@ -18,23 +18,11 @@ Run:
 """
 
 from repro.core.compaction import TestCompactor
-from repro.core.costmodel import TestCostModel
 from repro.floor import TestFloor, TestProgramArtifact
 from repro.mems import (
-    TEMPERATURES, AccelerometerBench, tests_at_temperature,
+    AccelerometerBench, soak_cost_model, tests_at_temperature,
 )
 from repro.tester import LookupTable
-
-
-def build_cost_model():
-    """Soak-aware cost model (same as the temperature example)."""
-    costs, groups = {}, {}
-    for temp in TEMPERATURES:
-        for name in tests_at_temperature(temp):
-            costs[name] = 1.0
-            groups[name] = "{:g}C".format(temp)
-    return TestCostModel(costs, groups,
-                         {"-40C": 25.0, "27C": 2.0, "80C": 25.0})
 
 
 def main():
@@ -58,7 +46,7 @@ def main():
         lut.agreement_with_model(lot)))
 
     artifact = TestProgramArtifact(model, lot.specifications,
-                                   cost_model=build_cost_model(),
+                                   cost_model=soak_cost_model(),
                                    lookup=lut)
     print("\n{:<14} {:>8} {:>8} {:>10} {:>12} {:>12}".format(
         "policy", "YL %", "DE %", "retested", "cost/device",

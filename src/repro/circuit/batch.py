@@ -904,10 +904,6 @@ class CircuitBatch:
                             mine.name, circuit.title, theirs.name))
 
     # -- index helpers -----------------------------------------------------
-    def circuit(self, k):
-        """The ``k``-th member circuit."""
-        return self._circuits[k]
-
     def node_index(self, node):
         """Matrix index of ``node`` (-1 for ground)."""
         if not self._proto.has_node(node):

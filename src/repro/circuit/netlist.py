@@ -49,11 +49,6 @@ class Circuit:
         """Number of non-ground nodes."""
         return len(self._node_names)
 
-    @property
-    def node_names(self):
-        """Tuple of non-ground node names in index order."""
-        return tuple(self._node_names)
-
     def has_node(self, name):
         """True when ``name`` is ground or a known circuit node."""
         return str(name) in GROUND_NAMES or str(name) in self._node_ids

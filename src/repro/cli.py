@@ -170,27 +170,16 @@ def _known_device(explicit, recorded, source):
 
 
 def _default_cost_model(device):
-    """Uniform costs (op-amp) or per-insertion fixture costs (MEMS).
-
-    The MEMS model reproduces the paper's Section 6 setting: every
-    measurement costs 1 unit and each temperature insertion pays a
-    fixture (soak) cost once -- 25 units hot/cold, 2 at room.
-    """
-    from repro.core.costmodel import TestCostModel
-
+    """Uniform costs (op-amp) or per-insertion fixture costs (MEMS,
+    :func:`repro.mems.soak_cost_model`)."""
     if device == "opamp":
+        from repro.core.costmodel import TestCostModel
         from repro.opamp import OPAMP_SPECIFICATIONS
 
         return TestCostModel.uniform(OPAMP_SPECIFICATIONS.names)
-    from repro.mems import TEMPERATURES, tests_at_temperature
+    from repro.mems import soak_cost_model
 
-    costs, groups = {}, {}
-    for temp in TEMPERATURES:
-        for name in tests_at_temperature(temp):
-            costs[name] = 1.0
-            groups[name] = "{:g}C".format(temp)
-    return TestCostModel(costs, groups,
-                         {"-40C": 25.0, "27C": 2.0, "80C": 25.0})
+    return soak_cost_model()
 
 
 def cmd_fig5(args):
@@ -821,9 +810,9 @@ def build_parser():
 
     def add(name, fn, **defaults):
         p = sub.add_parser(name, help=fn.__doc__)
-        p.add_argument("--train", type=int,
+        p.add_argument("--train", type=_positive_int,
                        default=defaults.get("train", 600))
-        p.add_argument("--test", type=int,
+        p.add_argument("--test", type=_positive_int,
                        default=defaults.get("test", 400))
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--tolerance", type=_non_negative, default=0.01)
@@ -1011,7 +1000,7 @@ def build_parser():
     gen.add_argument("root", help="store directory to create")
     gen.add_argument("--device", choices=("opamp", "mems"),
                      default="opamp")
-    gen.add_argument("--rows", type=int, required=True,
+    gen.add_argument("--rows", type=_positive_int, required=True,
                      help="population size to simulate")
     gen.add_argument("--seed", type=int, default=1)
     gen.add_argument("--shard-rows", type=_positive_int,
@@ -1026,7 +1015,7 @@ def build_parser():
 
     ext = dsub.add_parser("extend", help=cmd_dataset_extend.__doc__)
     ext.add_argument("root", help="existing store directory")
-    ext.add_argument("--rows", type=int, required=True,
+    ext.add_argument("--rows", type=_positive_int, required=True,
                      help="target population size (prefix rows are "
                           "never re-simulated)")
     ext.add_argument("--device", choices=("opamp", "mems"), default=None,

@@ -55,11 +55,6 @@ class CompactionStep:
     #: Tests eliminated so far (including this one when ``eliminated``).
     eliminated_so_far: tuple
 
-    @property
-    def error_rate(self):
-        """Candidate prediction error e_p."""
-        return self.report.error_rate
-
 
 @dataclass
 class CompactionResult:

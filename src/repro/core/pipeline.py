@@ -57,36 +57,6 @@ class CompactionPipeline:
             test = test.to_dataset()
         return self.compactor.run(train, test)
 
-    def run_simulated(self, dut, n_train, n_test, seed=0, sim_jobs=None,
-                      dataset_root=None):
-        """Paper Fig. 1 end to end: simulate the populations, then run.
-
-        The training population is generated with ``seed`` and the
-        held-out population with ``seed + 1``, one
-        :func:`repro.process.montecarlo.generate_dataset` call each,
-        fanned out over ``sim_jobs`` workers -- the result is
-        identical at any ``sim_jobs``.
-
-        ``dataset_root`` sources both populations from manifested
-        shard stores under that directory instead
-        (:func:`repro.data.ensure_dataset`): existing rows are
-        memory-mapped and only the shortfall is simulated, and the
-        rows are bit-identical to the direct generation.
-        """
-        if dataset_root is not None:
-            from repro.data import ensure_dataset
-
-            train = ensure_dataset(dataset_root, dut, n_train, seed,
-                                   n_jobs=sim_jobs).head(n_train)
-            test = ensure_dataset(dataset_root, dut, n_test, seed + 1,
-                                  n_jobs=sim_jobs).head(n_test)
-            return self.run(train, test)
-        from repro.process.montecarlo import generate_dataset
-
-        train = generate_dataset(dut, n_train, seed, n_jobs=sim_jobs)
-        test = generate_dataset(dut, n_test, seed + 1, n_jobs=sim_jobs)
-        return self.run(train, test)
-
     def deploy(self, train, test, cost_model=None, device=None,
                train_seed=None, lookup_resolution=None,
                extra_provenance=None):
@@ -107,13 +77,6 @@ class CompactionPipeline:
             train_seed=train_seed, lookup_resolution=lookup_resolution,
             extra_provenance=extra_provenance)
         return result, artifact
-
-    def run_many(self, pairs):
-        """Batch-compact ``(train, test)`` pairs, in input order.
-
-        Delegates to :meth:`~repro.core.compaction.TestCompactor.run_many`.
-        """
-        return self.compactor.run_many(pairs)
 
     def evaluate_elimination(self, train, test, eliminated):
         """Evaluate one fixed eliminated set (no greedy search).

@@ -64,14 +64,6 @@ class Specification:
         result = (value >= self.low) & (value <= self.high)
         return bool(result) if result.ndim == 0 else result
 
-    def normalize(self, value):
-        """Map the acceptability range onto [0, 1] (paper Section 4.3).
-
-        Good values land inside [0, 1]; out-of-range values fall
-        outside, preserving the pass/fail geometry.
-        """
-        return (np.asarray(value, dtype=float) - self.low) / self.span
-
     def shifted(self, delta_fraction):
         """Return a copy with both bounds moved inward (or outward).
 
@@ -177,16 +169,6 @@ class SpecificationSet:
             self._bounds = bounds
         return bounds
 
-    @property
-    def lows(self):
-        """Array of lower bounds (in specification order)."""
-        return np.array([s.low for s in self._specs])
-
-    @property
-    def highs(self):
-        """Array of upper bounds (in specification order)."""
-        return np.array([s.high for s in self._specs])
-
     # -- pass/fail analysis ---------------------------------------------------
     def _check_matrix(self, values):
         values = np.asarray(values, dtype=float)
@@ -209,13 +191,13 @@ class SpecificationSet:
         all_pass = self.passes(values).all(axis=1)
         return np.where(all_pass, GOOD, BAD)
 
-    def yield_fraction(self, values):
-        """Fraction of instances passing every specification."""
-        labels = self.labels(values)
-        return float(np.mean(labels == GOOD))
-
     def normalize(self, values):
-        """Map each column's acceptability range onto [0, 1]."""
+        """Map each column's acceptability range onto [0, 1] (paper
+        Section 4.3).
+
+        Good values land inside [0, 1]; out-of-range values fall
+        outside, preserving the pass/fail geometry.
+        """
         values = self._check_matrix(values)
         lows, _, spans = self._bound_arrays()
         return (values - lows) / spans
@@ -232,13 +214,3 @@ class SpecificationSet:
             np.asarray(delta_fraction, dtype=float), (len(self._specs),))
         return SpecificationSet(
             [s.shifted(d) for s, d in zip(self._specs, deltas)])
-
-    def describe(self):
-        """Multi-line, Table-1-style textual summary."""
-        header = "{:<18} {:>10} {:>14} {:>14} {:>14}".format(
-            "specification", "unit", "nominal", "low", "high")
-        lines = [header, "-" * len(header)]
-        for s in self._specs:
-            lines.append("{:<18} {:>10} {:>14.6g} {:>14.6g} {:>14.6g}".format(
-                s.name, s.unit, s.nominal, s.low, s.high))
-        return "\n".join(lines)

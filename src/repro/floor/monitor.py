@@ -233,16 +233,34 @@ class DriftMonitor:
             return {}
         return {name: count / n_window for name, count in totals.items()}
 
-    def alarms(self):
-        """Evaluate the control charts over the current window."""
+    def _charts(self):
+        """The window's chart statistics, evaluated once.
+
+        Returns ``(n_window, mean_window, z_specs, p_window, z_guard)``;
+        the four statistics are ``None`` when the window is empty.
+        """
         n_window = sum(n for n, _, _, _ in self._window)
-        if n_window < MIN_DEVICES:
-            return ()
+        if n_window == 0:
+            return 0, None, None, None, None
         total = np.sum([s for _, s, _, _ in self._window], axis=0)
         mean_window = total / n_window
         stderr = self._sigma0 / np.sqrt(n_window)
         z_specs = (mean_window - self._mu0) / stderr
+        n_guard = sum(g for _, _, g, _ in self._window)
+        p_window = n_guard / n_window
+        sigma_p = np.sqrt(self._p0 * (1.0 - self._p0) / n_window)
+        z_guard = (p_window - self._p0) / sigma_p
+        return n_window, mean_window, z_specs, p_window, z_guard
 
+    def alarms(self):
+        """Evaluate the control charts over the current window."""
+        return self._alarms(self._charts(), self.bin_rates_window())
+
+    def _alarms(self, charts, observed):
+        """The alarms of :meth:`_charts` output and window bin rates."""
+        n_window, mean_window, z_specs, p_window, z_guard = charts
+        if n_window < MIN_DEVICES:
+            return ()
         out = []
         for i, name in enumerate(self.baseline.names):
             if abs(z_specs[i]) > Z_THRESHOLD:
@@ -254,10 +272,6 @@ class DriftMonitor:
                     threshold=Z_THRESHOLD,
                     window_devices=n_window))
 
-        n_guard = sum(g for _, _, g, _ in self._window)
-        p_window = n_guard / n_window
-        sigma_p = np.sqrt(self._p0 * (1.0 - self._p0) / n_window)
-        z_guard = (p_window - self._p0) / sigma_p
         if abs(z_guard) > GUARD_Z_THRESHOLD:
             out.append(DriftAlarm(
                 kind="guard-rate", subject="guard-band rate",
@@ -270,7 +284,6 @@ class DriftMonitor:
         # Per-bin rate charts: same binomial construction as the guard
         # chart, one per bin the baseline carries a training rate for.
         if self._bin_p0:
-            observed = self.bin_rates_window()
             bin_rates = getattr(self.baseline, "bin_rates", {}) or {}
             for name in self._bin_names:
                 if name not in observed:
@@ -300,32 +313,27 @@ class DriftMonitor:
         reported (they are what the window holds) but ``alarms`` is
         empty, matching :meth:`alarms`.
         """
-        n_window = sum(n for n, _, _, _ in self._window)
+        charts = self._charts()
+        n_window, mean_window, z_specs, p_window, z_guard = charts
+        observed = self.bin_rates_window()
         state = {
             "window_devices": int(n_window),
             "devices_seen": int(self.n_seen),
             "specs": {},
             "guard": None,
-            "bins": self.bin_rates_window(),
-            "alarms": self.alarms(),
+            "bins": observed,
+            "alarms": self._alarms(charts, observed),
         }
         if n_window == 0:
             return state
-        total = np.sum([s for _, s, _, _ in self._window], axis=0)
-        mean_window = total / n_window
-        stderr = self._sigma0 / np.sqrt(n_window)
-        z_specs = (mean_window - self._mu0) / stderr
         for i, name in enumerate(self.baseline.names):
             state["specs"][name] = {
                 "mean": float(mean_window[i]),
                 "z": float(z_specs[i]),
             }
-        n_guard = sum(g for _, _, g, _ in self._window)
-        p_window = n_guard / n_window
-        sigma_p = np.sqrt(self._p0 * (1.0 - self._p0) / n_window)
         state["guard"] = {
             "rate": float(p_window),
-            "z": float((p_window - self._p0) / sigma_p),
+            "z": float(z_guard),
         }
         return state
 

@@ -155,11 +155,6 @@ class OneVsRestSVCBank:
         # certainty -> zero margin (maximally ambiguous).
         return np.where(np.isnan(diff), 0.0, diff)
 
-    def score(self, X, y):
-        """Mean accuracy against class labels ``y``."""
-        y = np.asarray(y).ravel()
-        return float(np.mean(self.predict(X) == y))
-
     # -- pickling ---------------------------------------------------------
     def __getstate__(self):
         state = self.__dict__.copy()

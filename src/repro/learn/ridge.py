@@ -56,11 +56,3 @@ class RidgeRegressor:
         out = X @ self.coef_ + self.intercept_
         return out.ravel() if self._single_output else out
 
-    def score(self, X, y):
-        """Coefficient of determination R^2 (uniform average)."""
-        y = np.asarray(y, dtype=float)
-        pred = self.predict(X)
-        ss_res = np.sum((y - pred) ** 2, axis=0)
-        ss_tot = np.sum((y - y.mean(axis=0)) ** 2, axis=0)
-        ss_tot = np.where(ss_tot > 0, ss_tot, 1.0)
-        return float(np.mean(1.0 - ss_res / ss_tot))

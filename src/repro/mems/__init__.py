@@ -31,6 +31,7 @@ from repro.mems.specs import (
     TEMPERATURES,
     AccelerometerBench,
     measure_accelerometer,
+    soak_cost_model,
     test_name,
     tests_at_temperature,
 )
@@ -48,6 +49,7 @@ __all__ = [
     "MEMS_SPECIFICATIONS",
     "TEMPERATURES",
     "measure_accelerometer",
+    "soak_cost_model",
     "test_name",
     "tests_at_temperature",
 ]

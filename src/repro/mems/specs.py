@@ -17,6 +17,7 @@ import numpy as np
 from scipy.optimize import leastsq
 
 from repro.circuit import analysis as ana
+from repro.core.costmodel import TestCostModel
 from repro.core.specs import Specification, SpecificationSet
 from repro.errors import AnalysisError
 from repro.mems import mechanics
@@ -53,6 +54,22 @@ def test_name(spec_name, temperature_c):
 def tests_at_temperature(temperature_c):
     """All four test names of one temperature insertion."""
     return tuple(test_name(base[0], temperature_c) for base in _BASE_SPECS)
+
+
+def soak_cost_model():
+    """The accelerometer's soak-aware test costs (paper Section 6).
+
+    Every measurement costs 1 unit, and each temperature insertion pays
+    its fixture (thermal soak) cost once: 25 units at -40 C and at
+    80 C, 2 at room temperature.
+    """
+    costs, groups = {}, {}
+    for temp in TEMPERATURES:
+        for name in tests_at_temperature(temp):
+            costs[name] = 1.0
+            groups[name] = "{:g}C".format(temp)
+    return TestCostModel(costs, groups,
+                         {"-40C": 25.0, "27C": 2.0, "80C": 25.0})
 
 
 def _build_specification_set():

@@ -9,7 +9,6 @@ from repro.rules.engine import (
     BoundProfile,
     ToleranceProfile,
     ToleranceRule,
-    Verdict,
 )
 
 __all__ = [
@@ -20,7 +19,6 @@ __all__ = [
     "BoundProfile",
     "ToleranceProfile",
     "ToleranceRule",
-    "Verdict",
     "assign_bins",
     "bin_histogram",
     "grade_indices",

@@ -6,30 +6,22 @@ per-customer tolerance profiles -- and the mapping is a contract that
 must be reviewable, serializable and validated, not code.  This module
 is that contract layer:
 
-* :class:`ToleranceRule` -- one axis-aligned spec-range predicate
-  ("gain in [5000, inf) and bandwidth in [1 MHz, inf) -> PREMIUM"),
-  with an optional per-spec **guard band**: the measurement
-  uncertainty below which a value this close to a rule boundary cannot
-  be trusted to stay on its side.
+* :class:`ToleranceRule` -- one axis-aligned spec-range box
+  ("gain in [5000, inf) and bandwidth in [1 MHz, inf) -> PREMIUM").
 * :class:`ToleranceProfile` -- an ordered rule set plus a default
   (fallback) bin.  Validation rejects rules whose regions overlap with
   positive measure while assigning different bins (the classic silent
-  mis-binning bug) and can prove the acceptable region is fully
-  covered by grading rules (no passing device ever falls through to
-  the fallback).  Because validated rules never materially overlap,
-  the documented first-match semantics are *order-independent*
-  everywhere except exact shared boundaries -- deterministic by
-  construction.
-* :class:`Verdict` -- one device's structured disposition: the bin,
-  the rule that fired, whether the match is *clear* (robust to the
-  declared measurement uncertainty) or *boundary*, and per-spec
-  exceedances against the acceptability ranges.
-
-Everything the streaming floor needs is vectorized through
-:meth:`ToleranceProfile.bind`, which pre-compiles the rule set against
-a :class:`~repro.core.specs.SpecificationSet` into dense bound
-matrices -- one broadcasted comparison per batch, no per-device
-Python.
+  mis-binning bug) and proves the acceptable region is fully covered
+  by grading rules (no passing device ever falls through to the
+  fallback).  Because validated rules never materially overlap, the
+  first-match semantics are *order-independent* everywhere except
+  exact shared boundaries -- deterministic by construction.
+* :class:`BoundProfile` -- the profile compiled by
+  :meth:`ToleranceProfile.bind` against a
+  :class:`~repro.core.specs.SpecificationSet`: a first-match box
+  lookup, one broadcasted comparison per batch and no per-device
+  Python.  There are no guard bands: a device's bin is the first box
+  its nominal measurements fall in.
 
 The binary floor is the degenerate case: the 2-bin profile built by
 :meth:`ToleranceProfile.binary_default` has one rule (every
@@ -101,18 +93,12 @@ class ToleranceRule:
         every conditioned specification value lies inside its closed
         interval.  Either side may be ``None`` (unbounded).
         Unconditioned specifications are unconstrained.
-    guard:
-        Optional ``{spec_name: half_width}`` measurement-uncertainty
-        guard bands, in specification units, for conditioned specs: a
-        device within ``half_width`` of that condition's boundary is a
-        *boundary* (uncertain) match rather than a clear one.
     description:
         Free-form documentation.
     """
 
     bin: str
     conditions: dict = field(default_factory=dict)
-    guard: dict = field(default_factory=dict)
     description: str = ""
 
     def __post_init__(self):
@@ -126,34 +112,7 @@ class ToleranceRule:
                 "rule for bin {!r} has no conditions; catch-all "
                 "behaviour belongs to the profile's default bin".format(
                     self.bin))
-        guard = {}
-        for name, width in dict(self.guard or {}).items():
-            width = float(width)
-            if not (math.isfinite(width) and width >= 0.0):
-                raise RuleError(
-                    "guard half-width for {!r} must be a finite "
-                    "non-negative number; got {}".format(name, width))
-            if name not in conditions:
-                raise RuleError(
-                    "guard band on {!r} but the rule has no condition "
-                    "on it".format(name))
-            guard[str(name)] = width
         object.__setattr__(self, "conditions", conditions)
-        object.__setattr__(self, "guard", guard)
-
-    def matches(self, measurements: dict) -> bool:
-        """Whether a ``{spec: value}`` mapping satisfies every condition."""
-        for name, (low, high) in self.conditions.items():
-            if name not in measurements:
-                raise RuleError(
-                    "measurement for conditioned spec {!r} missing".format(
-                        name))
-            value = float(measurements[name])
-            if low is not None and value < low:
-                return False
-            if high is not None and value > high:
-                return False
-        return True
 
     def to_dict(self) -> dict:
         out = {
@@ -163,8 +122,6 @@ class ToleranceRule:
                 for name, bounds in self.conditions.items()
             },
         }
-        if self.guard:
-            out["guard"] = dict(self.guard)
         if self.description:
             out["description"] = self.description
         return out
@@ -173,45 +130,15 @@ class ToleranceRule:
     def from_dict(cls, payload: dict) -> "ToleranceRule":
         if not isinstance(payload, dict):
             raise RuleError("a rule must be a JSON object")
-        unknown = set(payload) - {"bin", "conditions", "guard",
-                                  "description"}
+        unknown = set(payload) - {"bin", "conditions", "description"}
         if unknown:
             raise RuleError(
                 "unknown rule field(s): {}".format(sorted(unknown)))
         return cls(
             bin=payload.get("bin", ""),
             conditions=payload.get("conditions", {}),
-            guard=payload.get("guard", {}),
             description=payload.get("description", ""),
         )
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """One device's structured disposition through a profile.
-
-    ``clear`` is False for *boundary* matches: the declared
-    measurement uncertainty could move the device into a different
-    bin, so a floor running a boundary-retest policy re-measures it.
-    """
-
-    #: Assigned bin name.
-    bin: str
-    #: The :class:`ToleranceRule` that fired (None = default bin).
-    rule: ToleranceRule | None
-    #: Whether the assignment is robust to the guard-band uncertainty.
-    clear: bool
-    #: Spec name -> how far the value lies outside its acceptability
-    #: range (0.0 for passing specs); empty when no specification set
-    #: was supplied.
-    exceedances: dict = field(default_factory=dict)
-
-    def __str__(self):
-        worst = {k: v for k, v in self.exceedances.items() if v > 0}
-        return "Verdict({}{}{})".format(
-            self.bin,
-            "" if self.clear else ", boundary",
-            ", exceeds {}".format(sorted(worst)) if worst else "")
 
 
 class ToleranceProfile:
@@ -261,9 +188,6 @@ class ToleranceProfile:
         return (isinstance(other, ToleranceProfile)
                 and self.to_dict() == other.to_dict())
 
-    def __hash__(self):
-        return hash((self.name, self.rules, self.default_bin))
-
     @property
     def n_bins(self) -> int:
         return len(self.bins)
@@ -299,8 +223,7 @@ class ToleranceProfile:
                         "compatibility contract)")
 
     # -- validation --------------------------------------------------------
-    def validate(self, specifications=None,
-                 check_coverage: bool = True) -> "ToleranceProfile":
+    def validate(self, specifications=None) -> "ToleranceProfile":
         """Check the profile is safe to disposition devices with.
 
         * every conditioned spec exists in ``specifications`` (when
@@ -308,9 +231,9 @@ class ToleranceProfile:
         * no two rules assigning different bins overlap with positive
           measure (axis-aligned box intersection; rules for the *same*
           bin may overlap -- a bin region may be a union of boxes);
-        * with ``check_coverage`` and ``specifications``, the
-          acceptability box is fully covered by the rules, so no
-          passing device silently falls through to the default bin.
+        * with ``specifications``, the acceptability box is fully
+          covered by the rules, so no passing device silently falls
+          through to the default bin.
 
         Returns ``self``; raises :class:`~repro.errors.RuleError` on
         any violation.
@@ -329,7 +252,7 @@ class ToleranceProfile:
                         "specification(s) {}".format(
                             rule.bin, sorted(unknown)))
         self._check_overlaps()
-        if check_coverage and specifications is not None:
+        if specifications is not None:
             self._check_coverage(specifications)
         return self
 
@@ -379,8 +302,8 @@ class ToleranceProfile:
             if n_cells > MAX_COVERAGE_CELLS:
                 raise RuleError(
                     "coverage check would enumerate more than {} "
-                    "cells; simplify the profile or validate with "
-                    "check_coverage=False".format(MAX_COVERAGE_CELLS))
+                    "cells; simplify the profile".format(
+                        MAX_COVERAGE_CELLS))
         # Build the midpoint grid over conditioned dims; unconditioned
         # dims sit at their nominal (they cannot affect any rule).
         grids = np.meshgrid(*[mids for _, mids in axes], indexing="ij")
@@ -418,16 +341,6 @@ class ToleranceProfile:
         self.validate(specifications)
         return BoundProfile(self, specifications)
 
-    def assign(self, values, specifications) -> np.ndarray:
-        """Per-device bin indices for a full measurement matrix."""
-        return self.bind(specifications).assign(values)
-
-    def verdict(self, row, specifications,
-                uncertainty_scale: float = 1.0) -> Verdict:
-        """Structured :class:`Verdict` for one device row."""
-        return self.bind(specifications).verdict(
-            row, uncertainty_scale=uncertainty_scale)
-
     # -- persistence -------------------------------------------------------
     def to_dict(self) -> dict:
         return {
@@ -459,17 +372,9 @@ class ToleranceProfile:
             description=payload.get("description", ""),
         )
 
-    def save(self, path) -> "ToleranceProfile":
-        """Write the profile as a JSON document (validated first)."""
-        self.validate()
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=1, sort_keys=True)
-            handle.write("\n")
-        return self
-
     @classmethod
     def load(cls, path) -> "ToleranceProfile":
-        """Read a JSON profile written by :meth:`save`."""
+        """Read and validate a JSON profile document."""
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
@@ -481,28 +386,9 @@ class ToleranceProfile:
         profile.validate()
         return profile
 
-    def describe(self) -> str:
-        """Multi-line human-readable summary."""
-        lines = ["ToleranceProfile {!r}: {} bin(s) {}".format(
-            self.name, self.n_bins, " > ".join(self.bins))]
-        for rule in self.rules:
-            conds = ", ".join(
-                "{}{}".format(name, _format_interval(bounds))
-                for name, bounds in rule.conditions.items())
-            lines.append("  {} <- {}".format(rule.bin, conds))
-        lines.append("  {} <- (no rule matches)".format(self.default_bin))
-        return "\n".join(lines)
-
     def __repr__(self):
         return "ToleranceProfile({!r}, {} rules, bins={})".format(
             self.name, len(self.rules), list(self.bins))
-
-
-def _format_interval(bounds) -> str:
-    low, high = bounds
-    return " in [{}, {}]".format(
-        "-inf" if low is None else "{:g}".format(low),
-        "inf" if high is None else "{:g}".format(high))
 
 
 def _boxes_overlap(a: dict, b: dict) -> bool:
@@ -533,20 +419,18 @@ class BoundProfile:
     """A :class:`ToleranceProfile` compiled against a specification set.
 
     Dense per-rule bound matrices make matching one broadcasted
-    comparison per batch; everything is a pure function of the
+    comparison per batch; the result is a pure function of the
     profile, the specification order and the measurements, so
     assignments are identical at any batch size or engine.
     """
 
     def __init__(self, profile: ToleranceProfile, specifications):
         self.profile = profile
-        self.specifications = specifications
         names = specifications.names
         r, m = len(profile.rules), len(names)
         index = {name: j for j, name in enumerate(names)}
         self._lows = np.full((r, m), -np.inf)
         self._highs = np.full((r, m), np.inf)
-        self._guards = np.zeros((r, m))
         for i, rule in enumerate(profile.rules):
             for name, (low, high) in rule.conditions.items():
                 j = index[name]
@@ -554,28 +438,17 @@ class BoundProfile:
                     self._lows[i, j] = low
                 if high is not None:
                     self._highs[i, j] = high
-            for name, width in rule.guard.items():
-                self._guards[i, index[name]] = width
         self._rule_bins = np.array(
             [profile.bin_index(rule.bin) for rule in profile.rules])
         self._default_bin = profile.bin_index(profile.default_bin)
-        # conflicts[i, k]: rule k fires earlier than rule i and would
-        # assign a different bin -- uncertainty pushing a device from
-        # rule i's region into rule k's changes the outcome.
-        self._earlier_conflicts = [
-            np.array([k for k in range(i)
-                      if profile.rules[k].bin != profile.rules[i].bin],
-                     dtype=int)
-            for i in range(r)]
-        self._nondefault_rules = np.array(
-            [i for i in range(r)
-             if profile.rules[i].bin != profile.default_bin], dtype=int)
 
     @property
     def bins(self):
         return self.profile.bins
 
-    def _check(self, values) -> np.ndarray:
+    def assign(self, values) -> np.ndarray:
+        """Per-device bin indices: the bin of the first rule whose box
+        holds the row, else the default bin."""
         values = np.asarray(values, dtype=float)
         if values.ndim == 1:
             values = values[None, :]
@@ -584,87 +457,11 @@ class BoundProfile:
                 "measurement matrix must be (n, {}) in specification "
                 "order; got shape {}".format(
                     self._lows.shape[1], np.shape(values)))
-        return values
-
-    def _masks(self, values, lows, highs) -> np.ndarray:
-        """(r, n) rule-match masks for the given bound matrices."""
-        V = values[None, :, :]
-        return ((V >= lows[:, None, :])
-                & (V <= highs[:, None, :])).all(axis=2)
-
-    def match(self, values, uncertainty_scale: float = 1.0):
-        """Vectorized first-match assignment of a measurement batch.
-
-        Returns ``(bin_idx, rule_idx, clear)``:
-
-        * ``bin_idx`` -- per-device index into ``profile.bins``;
-        * ``rule_idx`` -- the rule that fired (``-1`` = default bin);
-        * ``clear`` -- True where the assignment is robust to the
-          declared per-spec measurement uncertainty (scaled by
-          ``uncertainty_scale``): the device stays inside its rule
-          with every conditioned value pulled ``guard`` inward, and no
-          earlier different-bin rule could capture it with its bounds
-          pushed ``guard`` outward.  Widening the uncertainty never
-          changes ``bin_idx`` -- it only moves devices from clear to
-          boundary.
-        """
-        if uncertainty_scale < 0:
-            raise RuleError("uncertainty_scale must be non-negative")
-        values = self._check(values)
-        nominal = self._masks(values, self._lows, self._highs)
-        any_match = nominal.any(axis=0)
-        rule_idx = np.where(any_match,
-                            nominal.argmax(axis=0), -1)
-        bin_idx = np.where(any_match,
-                           self._rule_bins[nominal.argmax(axis=0)],
-                           self._default_bin)
-
-        g = self._guards * float(uncertainty_scale)
-        if not g.any():
-            return bin_idx, rule_idx, np.ones(values.shape[0], bool)
-        shrunk = self._masks(values, self._lows + g, self._highs - g)
-        widened = self._masks(values, self._lows - g, self._highs + g)
-        clear = np.empty(values.shape[0], dtype=bool)
-        default_mask = rule_idx < 0
-        if default_mask.any():
-            reachable = (widened[self._nondefault_rules].any(axis=0)
-                         if self._nondefault_rules.size
-                         else np.zeros(values.shape[0], bool))
-            clear[default_mask] = ~reachable[default_mask]
-        for i in range(len(self.profile.rules)):
-            mine = rule_idx == i
-            if not mine.any():
-                continue
-            ok = shrunk[i]
-            conflicts = self._earlier_conflicts[i]
-            if conflicts.size:
-                ok = ok & ~widened[conflicts].any(axis=0)
-            clear[mine] = ok[mine]
-        return bin_idx, rule_idx, clear
-
-    def assign(self, values) -> np.ndarray:
-        """Per-device bin indices (nominal conditions only)."""
-        bin_idx, _, _ = self.match(values, uncertainty_scale=0.0)
-        return bin_idx
-
-    def verdict(self, row, uncertainty_scale: float = 1.0) -> Verdict:
-        """Structured :class:`Verdict` for one device row."""
-        values = self._check(row)
-        if values.shape[0] != 1:
-            raise RuleError("verdict() takes a single device row")
-        bin_idx, rule_idx, clear = self.match(
-            values, uncertainty_scale=uncertainty_scale)
-        specs = self.specifications
-        v = values[0]
-        exceedances = {
-            spec.name: float(max(0.0, spec.low - v[j], v[j] - spec.high))
-            for j, spec in enumerate(specs)}
-        return Verdict(
-            bin=self.bins[int(bin_idx[0])],
-            rule=(self.profile.rules[int(rule_idx[0])]
-                  if rule_idx[0] >= 0 else None),
-            clear=bool(clear[0]),
-            exceedances=exceedances)
+        V = values[:, None, :]
+        inside = ((V >= self._lows) & (V <= self._highs)).all(axis=2)
+        return np.where(inside.any(axis=1),
+                        self._rule_bins[inside.argmax(axis=1)],
+                        self._default_bin)
 
     def __repr__(self):
         return "BoundProfile({!r}, {} rules over {} specs)".format(

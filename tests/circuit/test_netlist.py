@@ -19,7 +19,6 @@ def test_node_ids_are_stable_and_dense():
     b = ckt.node_id("b")
     assert (a, b) == (0, 1)
     assert ckt.node_id("a") == 0
-    assert ckt.node_names == ("a", "b")
 
 
 def test_duplicate_device_name_rejected():

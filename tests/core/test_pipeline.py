@@ -8,7 +8,7 @@ from repro.core.pipeline import CompactionPipeline, \
 from repro.errors import CompactionError
 from repro.learn import SVC
 
-from tests.synthetic import SyntheticDut, make_synthetic_dataset
+from tests.synthetic import make_synthetic_dataset
 
 
 def _fixed_factory():
@@ -45,18 +45,6 @@ class TestCompactionPipeline:
             synthetic_train, synthetic_test, ["s5"])
         assert "s5" not in model.feature_names
         assert report.n_total == len(synthetic_test)
-
-    def test_run_simulated_end_to_end(self):
-        """Fig. 1 end to end: populations simulated, then compacted —
-        identical at any sim_jobs (the generation engine's contract)."""
-        dut = SyntheticDut()
-        pipeline = CompactionPipeline(tolerance=0.05, guard_band=0.05,
-                                      model_factory=_fixed_factory)
-        serial = pipeline.run_simulated(dut, 120, 80, seed=4)
-        parallel = pipeline.run_simulated(dut, 120, 80, seed=4,
-                                          sim_jobs=2)
-        assert serial.eliminated == parallel.eliminated
-        assert serial.final_report == parallel.final_report
 
     def test_default_is_the_serial_run_of_the_parallel_loop(self):
         """``CompactionPipeline()`` without ``n_jobs`` runs the cached

@@ -10,6 +10,7 @@ from repro.mems import (
     AccelerometerBench,
     AccelerometerGeometry,
     measure_accelerometer,
+    soak_cost_model,
 )
 # Aliased so pytest does not collect them as test functions.
 from repro.mems import test_name as spec_test_name
@@ -36,6 +37,15 @@ class TestNaming:
             assert len(block) == 4
             all_names.update(block)
         assert all_names == set(MEMS_SPECIFICATIONS.names)
+
+
+class TestSoakCostModel:
+    def test_dropping_hot_and_cold_tests_cuts_cost_by_29_of_32(self):
+        """1 unit per test plus soaks of 25 / 2 / 25: the room-only
+        program costs 6 of 64 units, the reduction lot-mems reports."""
+        model = soak_cost_model()
+        assert model.full_cost() == 64.0
+        assert model.reduction(temperature_block(27)) == 0.90625
 
 
 class TestSecondOrderFit:

@@ -1,5 +1,7 @@
 """CLI smoke tests (fast subcommands only)."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -266,6 +268,23 @@ class TestCleanErrors:
                      "--out", "/no/such/dir/x.rtp"]) == 2
         assert "/no/such/dir" in self._last_error(capsys)
 
+    def test_deploy_refuses_a_profile_with_guard_bands(self, tmp_path,
+                                                       capsys):
+        """Rules carry no guard bands; a profile with one is refused by
+        field name before any population is simulated."""
+        path = tmp_path / "grades.json"
+        path.write_text(json.dumps({
+            "name": "opamp-speed-grades", "default_bin": "REJECT",
+            "rules": [{"bin": "FAST", "conditions": {"ugf": [2.9, 3.35]},
+                       "guard": {"ugf": 0.05}}]}))
+        assert main(["deploy", "--device", "opamp", "--profile", str(path),
+                     "--out", str(tmp_path / "x.rtp")]) == 2
+        captured = capsys.readouterr()
+        assert "Simulating" not in captured.err
+        errors = [line for line in captured.err.splitlines() if line]
+        assert len(errors) == 1 and errors[0].startswith("error: ")
+        assert "'guard'" in errors[0]
+
     def test_loadgen_missing_artifact(self, capsys):
         assert main(["loadgen", "--url", "http://127.0.0.1:1",
                      "--artifact", "/no/such.rtp"]) == 2
@@ -322,12 +341,29 @@ class TestCleanErrors:
          "--shard-rows", "0"],
         ["dataset", "generate", "/no/such/store", "--rows", "8",
          "--shard-rows", "-3"],
+        ["dataset", "generate", "/no/such/store", "--rows", "0"],
+        ["dataset", "extend", "/no/such/store", "--rows", "0"],
+        ["fig5", "--test", "5", "--train", "0"],
+        ["fig5", "--train", "5", "--test", "0"],
+        ["table3", "--test", "5", "--train", "0"],
+        ["table3", "--train", "5", "--test", "-1"],
+        ["cost", "--test", "5", "--train", "0"],
+        ["cost", "--train", "5", "--test", "0"],
+        ["batch", "--test", "5", "--train", "-2"],
+        ["batch", "--train", "5", "--test", "0"],
+        ["deploy", "--test", "5", "--train", "0"],
+        ["deploy", "--train", "5", "--test", "0"],
     ], ids=["tolerance-nan", "tolerance-negative", "tolerance-inf",
             "guard-negative", "guard-nan", "guard-collapses",
             "batch-lots-zero", "batch-lots-negative", "floor-lots-zero",
             "floor-batch-size-zero", "floor-batch-size-negative",
             "floor-devices-zero", "floor-devices-negative",
-            "dataset-shard-rows-zero", "dataset-shard-rows-negative"])
+            "dataset-shard-rows-zero", "dataset-shard-rows-negative",
+            "dataset-generate-rows-zero", "dataset-extend-rows-zero",
+            "fig5-train-zero", "fig5-test-zero", "table3-train-zero",
+            "table3-test-negative", "cost-train-zero", "cost-test-zero",
+            "batch-train-negative", "batch-test-zero", "deploy-train-zero",
+            "deploy-test-zero"])
     def test_out_of_range_value_refused_before_simulating(self, argv,
                                                           capsys):
         """A NaN, negative or collapsing value is a usage error found at

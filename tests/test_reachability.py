@@ -3,12 +3,18 @@
 Every public module-level function or class under ``src/repro``, and
 every public method of a public class, must be referenced from
 ``src/``, ``benchmarks/``, ``perfbench/`` or ``examples/`` outside its
-own definition.  A reference is a bare name, an attribute, or a string
-constant that names it (``getattr`` targets, perfbench hook paths).
-Imports and ``__all__`` entries are not references: re-exporting a
-name reaches nothing.  The match is by name, so a method that shares
-its name with a reached one passes; the lint catches entry points that
-nothing calls, not every dead override.
+own definition.  A module-level name is reached by a bare name, an
+attribute, or a string constant that names it (``getattr`` targets,
+perfbench hook paths).  A method or property is reached only by an
+attribute or a string: a local variable or function that shares its
+name (a ``lows`` array beside a ``lows`` property) reaches
+nothing.  Imports and ``__all__`` entries are not references:
+re-exporting a name reaches nothing.
+
+The match is still by name, so a method that shares its name with a
+reached method of another class (``save``, ``describe``, ``score``)
+passes; such a collision remains a hand check.  The lint catches entry
+points that nothing calls, not every dead override.
 
 A name that only tests use, on purpose, is listed in :data:`KEEP` with
 the reason; a kept class keeps its methods.  A keep entry whose name is
@@ -80,7 +86,7 @@ KEEP = {
 
 
 def public_definitions(tree, module):
-    """``{qualified name: bare name}`` of a module's public API."""
+    """``{qualified name: (bare name, is a method)}`` of a module's API."""
     found = {}
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -88,19 +94,22 @@ def public_definitions(tree, module):
             continue
         if node.name.startswith("_"):
             continue
-        found["{}.{}".format(module, node.name)] = node.name
+        found["{}.{}".format(module, node.name)] = (node.name, False)
         if isinstance(node, ast.ClassDef):
             for sub in node.body:
                 if (isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not sub.name.startswith("_")):
                     found["{}.{}.{}".format(module, node.name,
-                                            sub.name)] = sub.name
+                                            sub.name)] = (sub.name, True)
     return found
 
 
 def referenced_names(tree):
-    """Names a module uses outside their own definitions."""
-    names = set()
+    """``(bare names, attribute and string names)`` a module uses.
+
+    Both leave out the names of the definitions enclosing the use.
+    """
+    bare, dotted = set(), set()
 
     def visit(node, enclosing):
         if isinstance(node, (ast.ImportFrom, ast.Import)):
@@ -113,25 +122,28 @@ def referenced_names(tree):
                              ast.ClassDef)):
             enclosing = enclosing | {node.name}
         if isinstance(node, ast.Name):
-            used = [node.id]
+            bare.update({node.id} - enclosing)
         elif isinstance(node, ast.Attribute):
-            used = [node.attr]
+            dotted.update({node.attr} - enclosing)
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and _NAME_PATH.fullmatch(node.value)):
-            used = re.split(r"[.:]", node.value)
-        else:
-            used = []
-        names.update(n for n in used if n not in enclosing)
+            dotted.update(set(re.split(r"[.:]", node.value)) - enclosing)
         for child in ast.iter_child_nodes(node):
             visit(child, enclosing)
 
     visit(tree, frozenset())
-    return names
+    return bare, dotted
+
+
+def reached(definitions, bare, dotted):
+    """The qualified names in ``definitions`` that some use reaches."""
+    return {q for q, (name, method) in definitions.items()
+            if name in dotted or (not method and name in bare)}
 
 
 @functools.lru_cache(maxsize=None)
 def _census():
-    """``(public definitions, names referenced by non-test code)``."""
+    """``(public definitions, the ones non-test code reaches)``."""
     src = ROOT / "src"
     definitions = {}
     for path in sorted(src.rglob("*.py")):
@@ -139,20 +151,22 @@ def _census():
         module = module.removesuffix(".__init__")
         definitions.update(public_definitions(
             ast.parse(path.read_text(), filename=str(path)), module))
-    referenced = set()
+    bare, dotted = set(), set()
     for directory in CALLER_DIRS:
         for path in sorted((ROOT / directory).rglob("*.py")):
-            referenced |= referenced_names(
+            names = referenced_names(
                 ast.parse(path.read_text(), filename=str(path)))
-    return definitions, referenced
+            bare |= names[0]
+            dotted |= names[1]
+    return definitions, reached(definitions, bare, dotted)
 
 
 def test_every_public_name_has_a_caller_or_a_keep_reason():
-    definitions, referenced = _census()
+    definitions, hit = _census()
     assert len(definitions) > 500
     unreached = sorted(
-        q for q, name in definitions.items()
-        if name not in referenced and q not in KEEP
+        q for q in definitions
+        if q not in hit and q not in KEEP
         and q.rpartition(".")[0] not in KEEP)
     assert not unreached, (
         "public names that only tests reach; delete them (and their "
@@ -160,9 +174,8 @@ def test_every_public_name_has_a_caller_or_a_keep_reason():
 
 
 def test_keep_entries_name_existing_unreached_definitions():
-    definitions, referenced = _census()
-    stale = sorted(q for q in KEEP
-                   if q not in definitions or definitions[q] in referenced)
+    definitions, hit = _census()
+    stale = sorted(q for q in KEEP if q not in definitions or q in hit)
     assert not stale, "KEEP entries that are gone or now reached: {}".format(
         ", ".join(stale))
 
@@ -176,6 +189,24 @@ def test_census_counts_uses_not_imports_or_own_body():
         "def caller(obj):\n"
         "    getattr(obj, 'by_string')\n"
         "    return obj.method(plain_name, 'pkg.mod:Cls.hooked')\n")
-    names = referenced_names(ast.parse(source))
-    assert {"method", "plain_name", "by_string", "hooked", "Cls"} <= names
-    assert not {"imported", "exported", "recursive"} & names
+    bare, dotted = referenced_names(ast.parse(source))
+    assert {"method", "by_string", "hooked", "Cls"} <= dotted
+    assert "plain_name" in bare
+    assert not {"imported", "exported", "recursive"} & (bare | dotted)
+    # A local named like a method does not reach it; a bare name does
+    # reach a module-level function.
+    module = (
+        "class Spec:\n"
+        "    def lows(self):\n"
+        "        return 0\n"
+        "    def highs(self):\n"
+        "        return 1\n"
+        "def lows_of(spec):\n"
+        "    return spec\n")
+    caller = (
+        "def bounds(spec):\n"
+        "    lows = lows_of(spec)\n"
+        "    return lows, spec.highs()\n")
+    definitions = public_definitions(ast.parse(module), "pkg")
+    hit = reached(definitions, *referenced_names(ast.parse(caller)))
+    assert hit == {"pkg.lows_of", "pkg.Spec.highs"}
