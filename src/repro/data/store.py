@@ -3,10 +3,11 @@
 The sharded dataset is the out-of-core sibling of
 :class:`~repro.process.dataset.SpecDataset`.  It exposes the same
 vocabulary the rest of the codebase already speaks --
-``specifications``, ``names``, ``normalized_values``, ``labels``,
-``column`` -- but backs them with read-only memmaps over the shard
-files, so the peak resident footprint of any consumer is bounded by
-how much it slices, not by the population size.
+``specifications``, ``names``, ``normalized_values`` -- and streams
+row batches (``iter_batches``, ``head``, ``to_dataset``), backed by
+read-only memmaps over the shard files, so the peak resident
+footprint of any consumer is bounded by how much it slices, not by
+the population size.
 
 Bit-identity contract: every accessor reproduces *exactly* the bytes
 the in-RAM path would produce.  Shards store values spec-major
@@ -115,45 +116,6 @@ class ShardedSpecDataset:
             for start in range(0, rows, step):
                 block = values[:, start:start + step]
                 yield np.ascontiguousarray(block.T, dtype=float)
-
-    # -- SpecDataset-compatible accessors ------------------------------------
-    @property
-    def values(self):
-        """Full row-major value matrix, materialized in RAM.
-
-        Provided for interop and small stores; out-of-core consumers
-        should prefer :meth:`iter_batches` / :meth:`normalized_values`.
-        """
-        out = np.empty((self.n_rows, self.n_specs), dtype=float)
-        row = 0
-        for batch in self.iter_batches():
-            out[row:row + batch.shape[0]] = batch
-            row += batch.shape[0]
-        return out
-
-    @property
-    def labels(self):
-        """Ground-truth +1/-1 labels against the full spec set."""
-        out = np.empty(self.n_rows, dtype=int)
-        row = 0
-        for batch in self.iter_batches():
-            out[row:row + batch.shape[0]] = \
-                self.specifications.labels(batch)
-            row += batch.shape[0]
-        return out
-
-    @property
-    def yield_fraction(self):
-        return float(np.mean(self.labels == 1))
-
-    def column(self, name):
-        """Measurement vector of one specification (contiguous reads)."""
-        idx = self.specifications.index(name)
-        parts = [np.asarray(self.shard_values(i)[idx, :])
-                 for i in range(self.n_shards)]
-        if not parts:
-            return np.empty(0, dtype=float)
-        return np.concatenate(parts)
 
     def normalized_values(self, names=None):
         """Range-normalized ``(n_rows, k)`` feature matrix.

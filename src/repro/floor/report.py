@@ -156,11 +156,6 @@ class FloorReport:
                      self.n_devices)
 
     @property
-    def guard_rate(self):
-        return _rate(sum(lot.n_guard for lot in self.lots),
-                     self.n_devices)
-
-    @property
     def cost_reduction(self):
         if self.full_cost <= 0:
             return 0.0

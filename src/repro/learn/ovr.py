@@ -134,11 +134,6 @@ class OneVsRestSVCBank:
         """Index (into ``classes``) of the highest-scoring member."""
         return self.decision_matrix(X, chunk_size=chunk_size).argmax(axis=1)
 
-    def predict(self, X, chunk_size=None):
-        """Predicted class identifiers."""
-        idx = self.predict_index(X, chunk_size=chunk_size)
-        return np.asarray(self.classes, dtype=object)[idx]
-
     def margins(self, X, chunk_size=None):
         """Top-1 minus top-2 decision score per device.
 

@@ -50,7 +50,20 @@ a single solve.  A problem that converges, reaches ``max_iter`` or
 takes the degenerate-box or stall break is frozen and dropped from the
 active arrays, so every problem's result is bitwise its solve alone.
 :func:`solve_smo` is the B = 1 call of the same loop.
+
+**Step bookkeeping.**  At these sizes a step costs interpreter work,
+kept small without moving a floating-point operation: the box clipping
+runs on plain comparisons that return exactly what builtin ``max`` /
+``min`` return (ties and signed zeros included); kernel rows, memoized
+``eta`` rows and, on a memo miss, every active ``K_ii`` are gathered
+by one ``take`` each (``"wrap"`` mode skips the bounds-check copy of
+indices known to be in range); memo keys and tags are checked by
+C-level ``map`` calls.  ``b_up`` and the step coefficients stay one
+scalar store per problem, cheaper than a slice assignment from a list
+below about ten problems, and most steps step one.
 """
+
+from operator import add as add_int
 
 import numpy as np
 
@@ -143,7 +156,7 @@ def _checked(X, y, C, tol):
     n = X.shape[0]
     if y.shape != (n,):
         raise LearningError("y shape mismatch")
-    if not np.all(np.isin(y, (-1.0, 1.0))):
+    if not ((y == 1.0) | (y == -1.0)).all():
         raise LearningError("labels must be -1/+1")
     if C <= 0:
         raise LearningError("C must be positive")
@@ -212,21 +225,23 @@ class _Member:
             F -= y
         else:
             F = -y.copy()
-        self.F0 = F
         # The two-variable step runs on Python floats mirrored from
         # alpha and y: the same IEEE operations in the same order as on
         # numpy scalars, without their per-operation overhead.  I_up /
         # I_low membership depends only on (alpha, y) and changes at
         # the two updated indices, so it is kept incrementally (the
         # loop keeps the gradient masked by it).
-        alpha_l = self.alpha = alpha.tolist()
-        y_l = self.y = y.tolist()
-        self.up = [(yk > 0 and ak < c_top) or (yk < 0 and ak > 1e-12)
-                   for ak, yk in zip(alpha_l, y_l)]
-        self.low = [(yk > 0 and ak > 1e-12) or (yk < 0 and ak < c_top)
-                    for ak, yk in zip(alpha_l, y_l)]
-        self.up_count = sum(self.up)
-        self.low_count = sum(self.low)
+        self.alpha = alpha.tolist()
+        self.y = y.tolist()
+        positive = y > 0
+        above, below = alpha > 1e-12, alpha < c_top
+        up = np.where(positive, below, above)
+        low = np.where(positive, above, below)
+        self.up, self.low = up.tolist(), low.tolist()
+        self.up_count = int(np.count_nonzero(up))
+        self.low_count = int(np.count_nonzero(low))
+        # F masked to I_up (+inf outside) and to I_low (-inf outside).
+        self.F0 = np.where(up, F, np.inf), np.where(low, F, -np.inf)
         self.result = None
 
     def finish(self, F_up, F_low, converged, iterations):
@@ -235,9 +250,9 @@ class _Member:
         # Bias from the KKT mid-point of the final up/low bounds.
         candidates = []
         if self.up_count:
-            candidates.append(float(np.min(F_up[:self.n])))
+            candidates.append(float(F_up[:self.n].min()))
         if self.low_count:
-            candidates.append(float(np.max(F_low[:self.n])))
+            candidates.append(float(F_low[:self.n].max()))
         if candidates:
             bias = -sum(candidates) / len(candidates)
         else:
@@ -279,18 +294,18 @@ def _lockstep(members, G, D):
     F_up = np.full((B, n_max), inf)
     F_low = np.full((B, n_max), -inf)
     for s, m in enumerate(members):
-        F_up[s, :m.n] = np.where(m.up, m.F0, inf)
-        F_low[s, :m.n] = np.where(m.low, m.F0, -inf)
+        F_up[s, :m.n], F_low[s, :m.n] = m.F0
         m.F0 = None
+    # K_ii is read by G-row index from the diagonals of the whole stack.
+    D_rows = D.reshape(-1)
     # Full-size buffers, viewed [:A] while A problems are active.
     # Array operands (not Python floats) for the per-step floors:
     # array-array ufuncs skip the scalar conversion.
     full = [np.zeros((B, n_max)), np.full((B, n_max), 1e-12)] + [
         np.empty((B, n_max)) for _ in range(5)]
     # Per-problem operands (b_up, K_ii, and the two step coefficients),
-    # written per problem and read as an (A, 1) column, or as a 0-d
-    # view for one problem: a 0-d array operand skips the Python-float
-    # conversion too.
+    # read as an (A, 1) column, or as a 0-d view for one problem: a 0-d
+    # array operand skips the Python-float conversion too.
     cols = [np.empty(B) for _ in range(4)]
     b_col, d_col, ci_col, cj_col = cols
     # Floored eta_it rows, memoized direct-mapped within ETA_CACHE_BYTES
@@ -299,6 +314,7 @@ def _lockstep(members, G, D):
     slots = _eta_slots(n_max)
     memo = np.empty((B * slots, n_max))
     tags = [-1] * (B * slots)
+    slot_of = slots.__rmod__
     add, subtract, multiply = np.add, np.subtract, np.multiply
     divide, maximum = np.divide, np.maximum
 
@@ -338,6 +354,7 @@ def _lockstep(members, G, D):
                 memo_base = [s * slots for s in stack]
                 zeros, eta_floor, gain, den_rows, step_i, step_j, rows = (
                     buf[:A] for buf in full)
+                d_set = d_col[:A]
                 b_up, d_i, coef_i, coef_j = (
                     col[0, ...] if A == 1 else col[:A, None] for col in cols)
 
@@ -371,23 +388,23 @@ def _lockstep(members, G, D):
             k = memo_base[0] + i % slots
             den = memo[k:k + 1]
             fresh = tags[k] != i
-            tags[k] = i
+            if fresh:
+                tags[k] = i
+                d_set[0] = D_rows.item(f)
         else:
             # One miss recomputes (and re-memoizes) every active row.
-            Ki = G.take([b + i for b, i in zip(base, I)], axis=0,
-                        out=rows)
-            keys = [s + i % slots for s, i in zip(memo_base, I)]
+            at = list(map(add_int, base, I))
+            Ki = G.take(at, 0, rows, "wrap")
+            keys = list(map(add_int, memo_base, map(slot_of, I)))
             den = den_rows
-            fresh = False
-            for k, i in zip(keys, I):
-                if tags[k] != i:
+            fresh = list(map(tags.__getitem__, keys)) != I
+            if fresh:
+                for k, i in zip(keys, I):
                     tags[k] = i
-                    fresh = True
-            if not fresh:
-                memo.take(keys, axis=0, out=den)
+                D_rows.take(at, 0, d_set, "wrap")
+            else:
+                memo.take(keys, 0, den, "wrap")
         if fresh:
-            for a, i in enumerate(I):
-                d_col[a] = D.item(a, i)
             add(D, d_i, den)
             add(Ki, Ki, step_i)
             subtract(den, step_i, den)
@@ -401,14 +418,15 @@ def _lockstep(members, G, D):
 
         # Two-variable analytic step (Platt 1998, with F_k playing the
         # role of Platt's prediction error E_k = f_k - y_k), per
-        # problem.  A problem that stops steps by zero.  Every active
-        # problem has made steps - 1 updates so far.
-        for a, m, y_l, alpha_l, C, c_top, up_l, low_l in state:
+        # problem, on plain comparisons: ``max(x, y)`` is ``y if y > x
+        # else x`` and ``min(x, y)`` is ``y if y < x else x``, ties and
+        # signed zeros included.  A problem that stops steps by zero.
+        # Every active problem has made steps - 1 updates so far.
+        for (a, m, y_l, alpha_l, C, c_top, up_l, low_l), i, j, F_i in zip(
+                state, I, J, b_vals):
             if m.result is not None:
                 ci_col[a] = cj_col[a] = 0.0
                 continue
-            i = I[a]
-            j = J[a]
             yi = y_l[i]
             yj = y_l[j]
             ai_old = alpha_l[i]
@@ -416,11 +434,15 @@ def _lockstep(members, G, D):
             s = yi * yj
             if s > 0:
                 total = ai_old + aj_old
-                L = max(0.0, total - C)
-                H = min(C, total)
+                L = total - C
+                H = total if total < C else C
             else:
-                L = max(0.0, aj_old - ai_old)
-                H = min(C, C + aj_old - ai_old)
+                L = aj_old - ai_old
+                H = C + aj_old - ai_old
+                if not H < C:
+                    H = C
+            if not L > 0.0:
+                L = 0.0
             if H - L < 1e-14:
                 # Degenerate box for the selected pair: the pair
                 # selection can make no further progress.
@@ -430,16 +452,16 @@ def _lockstep(members, G, D):
                 continue
             # F_j: j is in I_low unless every gain underflowed to 0.
             F_j = F_low.item(a, j) if low_l[j] else F_up.item(a, j)
-            F_i = b_vals[a]
-            aj_new = max(aj_old + yj * (F_i - F_j)
-                         / den.item(a, j), L)
+            aj_new = aj_old + yj * (F_i - F_j) / den.item(a, j)
+            if L > aj_new:
+                aj_new = L
             if aj_new > H:
                 aj_new = H
             ai_new = ai_old + s * (aj_old - aj_new)
 
             dai = ai_new - ai_old
             daj = aj_new - aj_old
-            if abs(daj) < 1e-14:
+            if -1e-14 < daj < 1e-14:
                 # Numerical stall: no representable progress on this pair.
                 m.finish(F_up[a], F_low[a], False, steps - 1)
                 settle = True
@@ -475,7 +497,7 @@ def _lockstep(members, G, D):
             f = base[0] + J[0]
             Kj = G[f:f + 1]
         else:
-            Kj = G.take([b + j for b, j in zip(base, J)], axis=0, out=rows)
+            Kj = G.take(list(map(add_int, base, J)), 0, rows, "wrap")
         multiply(Kj, coef_j, step_j)
         add(step_i, step_j, step_i)
         add(F_up, step_i, F_up)

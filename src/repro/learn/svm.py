@@ -10,6 +10,7 @@ penalty ``C`` that prices the unbounded slack errors the paper calls
 """
 
 import inspect
+from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
@@ -18,8 +19,10 @@ from repro.errors import LearningError
 from repro.learn.kernels import (
     SharedGram,
     kernel_function,
+    rbf_gram,
     resolve_gamma,
     row_norms_squared,
+    squared_distances,
 )
 from repro.learn import smo
 from repro.learn.smo import (
@@ -129,7 +132,8 @@ class SVC:
         :func:`repro.learn.smo.split_stack`, each traced as one
         ``train.svc_stack`` span.  Every other model -- single-class,
         larger, or of a class with its own ``fit`` -- is fit alone by
-        its ``fit``.  Returns ``models``.
+        its ``fit``.  Fits on one ``X`` object share its squared
+        distances.  Returns ``models``.
         """
         members = []
         for model, X, y in zip(models, Xs, ys):
@@ -144,14 +148,32 @@ class SVC:
                 model.fit(X, y)
             else:
                 members.append((model, X, y))
+        # The RBF fits on one training matrix (a grid search's folds)
+        # share its squared distances: the solver, which evaluates a
+        # problem's kernel only as kernel(X, X), gets them through a
+        # kernel bitwise the model's own on (X, X).
+        shared = Counter(id(X) for model, X, _ in members
+                         if model.kernel == "rbf")
+        distances = {}
+
+        def problem(model, X, y):
+            kernel = model._kernel
+            if model.kernel == "rbf" and shared[id(X)] > 1:
+                if id(X) not in distances:
+                    distances[id(X)] = squared_distances(X, X)
+                d2, gamma = distances[id(X)], model.gamma_
+
+                def kernel(A, B):
+                    return rbf_gram(d2, gamma)
+            return SMOProblem(kernel, X, y, model.C, tol=model.tol,
+                              max_iter=model.max_iter)
+
         tel = get_telemetry()
         for stack in split_stack([len(y) for _, _, y in members]):
             group = [members[k] for k in stack]
             with tel.span("train.svc_stack", problems=len(group)) as span:
-                results, steps = solve_smo_stack([
-                    SMOProblem(model._kernel, X, y, model.C,
-                               tol=model.tol, max_iter=model.max_iter)
-                    for model, X, y in group])
+                results, steps = solve_smo_stack(
+                    [problem(*member) for member in group])
                 span.set(steps=steps, iterations=sum(
                     r.iterations for r in results))
             for (model, X, y), result in zip(group, results):
@@ -162,7 +184,8 @@ class SVC:
         """Validate ``(X, y)`` and resolve the kernel for a fit.
 
         A single-class ``y`` makes the model a constant predictor (and
-        fitted); returns ``(X, y)`` as float arrays.
+        fitted); returns ``(X, y)`` as float arrays.  The labels of a
+        two-class ``y`` are validated once, by the solver.
         """
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float).ravel()
@@ -173,13 +196,13 @@ class SVC:
                     X.shape, y.shape))
         if X.shape[0] == 0:
             raise LearningError("cannot fit on an empty training set")
-        if not np.all(np.isin(y, (-1.0, 1.0))):
-            raise LearningError("labels must be -1/+1")
 
-        classes = np.unique(y)
-        if classes.size == 1:
+        positives = np.count_nonzero(y == 1.0)
+        if positives == y.size or not positives:
+            if not positives and not (y == -1.0).all():
+                raise LearningError("labels must be -1/+1")
             # Degenerate single-class problem: constant prediction.
-            self._constant = float(classes[0])
+            self._constant = 1.0 if positives else -1.0
             self._fitted = True
             return X, y
         self._constant = None
@@ -260,10 +283,6 @@ class SVC:
         """Mean accuracy on ``(X, y)``."""
         y = np.asarray(y).ravel()
         return float(np.mean(self.predict(X) == y))
-
-    def error_rate(self, X, y):
-        """Fraction of misclassified instances (the paper's e_p)."""
-        return 1.0 - self.score(X, y)
 
     def clone(self):
         """A new unfitted SVC with identical hyperparameters."""

@@ -83,10 +83,6 @@ class SpecDataset:
             len(self), self.n_specs, self.yield_fraction)
 
     # -- views ---------------------------------------------------------------
-    def column(self, name):
-        """Measurement vector of one specification."""
-        return self.values[:, self.specifications.index(name)]
-
     def project(self, names):
         """Dataset restricted to the given specification columns.
 
@@ -115,18 +111,3 @@ class SpecDataset:
             indices = indices.astype(int)
         return SpecDataset(self.specifications, self.values[indices],
                            labels=self.labels[indices])
-
-    def split(self, fraction, seed=0):
-        """Random split into ``(first, second)`` datasets.
-
-        ``fraction`` is the share of instances in the first part.
-        """
-        if not 0.0 < fraction < 1.0:
-            raise DatasetError("split fraction must be inside (0, 1)")
-        rng = np.random.default_rng(seed)
-        n = len(self)
-        order = rng.permutation(n)
-        k = int(round(fraction * n))
-        if k == 0 or k == n:
-            raise DatasetError("split produces an empty part")
-        return self.subset(order[:k]), self.subset(order[k:])

@@ -101,6 +101,10 @@ class ToleranceRule:
     conditions: dict = field(default_factory=dict)
     description: str = ""
 
+    #: Frozen but unhashable: ``conditions`` is a dict.  Without this
+    #: the dataclass would generate a ``__hash__`` that fails on it.
+    __hash__ = None  # type: ignore[assignment]
+
     def __post_init__(self):
         if not self.bin or not isinstance(self.bin, str):
             raise RuleError("rule bin name must be a non-empty string")

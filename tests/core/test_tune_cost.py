@@ -35,3 +35,30 @@ def test_opamp_program_tunes_in_132_fold_solves_and_11_stacks():
     assert len(result.steps) == 11
     assert stacks == [12] * 11
     assert sum(stacks) == 132
+
+
+def test_opamp_program_solver_path_is_pinned():
+    """The whole program's SMO work, counted by the telemetry registry:
+    154 solves (132 tuner fold QPs in 11 stacks, 22 strict / loose
+    fits), their iterations, and the lockstep steps the stacks share.
+    A step bookkeeping change that keeps every solution bitwise keeps
+    these counts; a step that took another iterate path moves them."""
+    bench = OpAmpBench()
+    train = generate_dataset(bench, 100, 3)
+    test = generate_dataset(bench, 150, 4)
+    tel = Telemetry(run_id="solver-path")
+    previous = set_telemetry(tel)
+    try:
+        CompactionPipeline(tolerance=0.02).run(train, test)
+    finally:
+        set_telemetry(previous)
+    counts = {}
+    for c in tel.snapshot()["counters"]:
+        if c["name"].startswith("repro_learn_smo_"):
+            counts[c["name"]] = counts.get(c["name"], 0) + c["value"]
+    # No solve stops unconverged (that counter would appear here too).
+    assert counts == {
+        "repro_learn_smo_solves_total": 154,
+        "repro_learn_smo_iterations_total": 29529,
+        "repro_learn_smo_lockstep_steps_total": 10149,
+    }

@@ -43,7 +43,7 @@ class TestRepair:
     def test_corrupted_shard_is_restored_hash_identical(self, tmp_path):
         root, store = _store(tmp_path)
         original_hashes = store.shard_hashes()
-        reference = np.array(store.values)
+        reference = store.to_dataset().values
         del store
 
         corrupted = ShardedSpecDataset(root)
@@ -57,7 +57,7 @@ class TestRepair:
         healed = ShardedSpecDataset(root)
         assert healed.verify() == 3
         assert healed.shard_hashes() == original_hashes
-        assert np.array_equal(healed.values, reference)
+        assert np.array_equal(healed.to_dataset().values, reference)
 
     def test_truncated_and_missing_shards_both_repair(self, tmp_path):
         root, store = _store(tmp_path, n=48)

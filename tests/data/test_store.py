@@ -48,18 +48,6 @@ class TestAccessorParity:
         assert store.device == "SyntheticDut"
         assert store.n_shards == (N + SHARD_ROWS - 1) // SHARD_ROWS
 
-    def test_values_bitwise(self, store, reference):
-        assert np.array_equal(store.values, reference.values)
-
-    def test_labels_bitwise(self, store, reference):
-        assert np.array_equal(store.labels, reference.labels)
-        assert store.yield_fraction == reference.yield_fraction
-
-    def test_column_bitwise(self, store, reference):
-        for name in store.names:
-            assert np.array_equal(store.column(name),
-                                  reference.column(name))
-
     def test_normalized_values_bitwise(self, store, reference):
         names = list(store.names[:3])
         assert np.array_equal(store.normalized_values(names),

@@ -132,4 +132,4 @@ class TestOvrBankOutOfCore:
         for model, other in zip(ram.models_, ooc.models_):
             assert model.alpha_.tobytes() == other.alpha_.tobytes()
             assert model.intercept_ == other.intercept_
-        assert np.array_equal(ram.predict(X_ram), ooc.predict(X))
+        assert np.array_equal(ram.predict_index(X_ram), ooc.predict_index(X))

@@ -106,12 +106,13 @@ class TestEquivalenceToColdFits:
 
 
 class TestPredictionSurface:
-    def test_predict_returns_class_identifiers(self, blobs):
+    def test_predict_index_recovers_training_classes(self, blobs):
         X, y = blobs
         bank = OneVsRestSVCBank(CLASSES, model_factory=factory).fit(X, y)
-        predicted = bank.predict(X)
-        assert set(predicted) <= set(CLASSES)
+        index = bank.predict_index(X)
+        assert set(index.tolist()) <= set(range(len(CLASSES)))
         # Blobs are well separated: training accuracy is essentially 1.
+        predicted = np.asarray(CLASSES, dtype=object)[index]
         assert np.mean(predicted == y) > 0.95
 
     def test_decision_matrix_shape_and_argmax(self, blobs, query):
@@ -149,7 +150,7 @@ class TestDegenerateClasses:
         present = y != "SLOW"
         bank = OneVsRestSVCBank(CLASSES, model_factory=factory)
         bank.fit(X[present], y[present])
-        predicted = set(bank.predict(query))
+        predicted = {CLASSES[k] for k in bank.predict_index(query)}
         assert "SLOW" not in predicted
         assert predicted <= {"FAST", "TYP"}
 

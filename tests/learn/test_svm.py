@@ -145,12 +145,6 @@ class TestSvc:
         assert clone.get_params() == model.get_params()
         assert clone is not model
 
-    def test_error_rate_complement_of_score(self):
-        X, y = _blobs(seed=11)
-        model = SVC().fit(X, y)
-        assert model.error_rate(X, y) == pytest.approx(
-            1.0 - model.score(X, y))
-
     @given(seed=st.integers(0, 50))
     @settings(max_examples=15, deadline=None)
     def test_training_labels_respected_when_separable(self, seed):

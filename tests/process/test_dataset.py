@@ -52,28 +52,12 @@ class TestViewsAndSplits:
         proj = ds.project(["b", "a"])
         assert proj.values[0].tolist() == [7.5, 0.25]
 
-    def test_column_accessor(self):
-        ds = SpecDataset(_specs(), [[0.25, 7.5], [0.5, 2.5]])
-        assert ds.column("b").tolist() == [7.5, 2.5]
-
     def test_normalized_values(self):
         ds = SpecDataset(_specs(), [[0.5, 2.5]])
         z = ds.normalized_values()
         assert np.allclose(z, [[0.5, 0.25]])
         z_sub = ds.normalized_values(["b"])
         assert np.allclose(z_sub, [[0.25]])
-
-    def test_split_partitions_instances(self):
-        ds = make_synthetic_dataset(n=100)
-        a, b = ds.split(0.7, seed=1)
-        assert len(a) == 70 and len(b) == 30
-        combined = np.vstack([a.values, b.values])
-        assert sorted(map(tuple, combined)) == sorted(map(tuple, ds.values))
-
-    def test_split_validation(self):
-        ds = make_synthetic_dataset(n=10)
-        with pytest.raises(DatasetError):
-            ds.split(1.5)
 
     def test_subset_by_indices(self):
         ds = make_synthetic_dataset(n=20)

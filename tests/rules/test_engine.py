@@ -111,6 +111,14 @@ class TestToleranceRule:
             json.loads(json.dumps(rule.to_dict())))
         assert again == rule
 
+    def test_rule_is_honestly_unhashable(self):
+        """A rule compares by value over a dict of conditions, so it
+        refuses ``hash`` by its own name, not from inside a generated
+        ``__hash__`` that trips over the dict."""
+        rule = ToleranceRule("A", {"g": (0.0, 1.0)})
+        with pytest.raises(TypeError, match="ToleranceRule"):
+            hash(rule)
+
 
 class TestOverlapRejection:
     @pytest.mark.parametrize("a_conds, b_conds", [
