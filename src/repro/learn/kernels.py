@@ -57,11 +57,6 @@ def squared_distances(A, B, bb=None):
     return d2
 
 
-def rbf_gram(d2, gamma):
-    """The RBF kernel ``exp(-gamma * d2)`` of squared distances ``d2``."""
-    return np.exp(-gamma * d2)
-
-
 class SharedGram:
     """The RBF Gram matrices of one training matrix, for one fit.
 
@@ -91,7 +86,7 @@ class SharedGram:
         if gamma not in self._grams:
             if self._d2 is None:
                 self._d2 = squared_distances(self._X, self._X)
-            self._grams[gamma] = rbf_gram(self._d2, gamma)
+            self._grams[gamma] = np.exp(-gamma * self._d2)
         return self._grams[gamma]
 
 
@@ -117,7 +112,7 @@ def kernel_function(name, gamma=1.0, degree=3, coef0=0.0):
         return poly
     if name == "rbf":
         def rbf(A, B, bb=None):
-            return rbf_gram(squared_distances(A, B, bb), gamma)
+            return np.exp(-gamma * squared_distances(A, B, bb))
         return rbf
     if name == "sigmoid":
         def sigmoid(A, B):

@@ -63,21 +63,18 @@ def _fold_scores(estimator_factory, X, y, folds, configs):
     lockstep, each stacked fit bitwise its fit alone), else one ``fit``
     at a time -- and scored on its fold.
     """
-    # One array per fold side, shared by every configuration (a
-    # stacked RBF fit then shares the fold's squared distances too).
-    data = [(X[train], y[train], X[test], y[test]) for train, test in folds]
-    pairs = [(params, fold) for params in configs for fold in data]
+    pairs = [(params, fold) for params in configs for fold in folds]
     models = [estimator_factory(**params).clone() for params, _ in pairs]
-    Xs = [fold[0] for _, fold in pairs]
-    ys = [fold[1] for _, fold in pairs]
+    Xs = [X[train] for _, (train, _) in pairs]
+    ys = [y[train] for _, (train, _) in pairs]
     fit_stack = getattr(models[0], "fit_stack", None)
     if fit_stack is not None:
         fit_stack(models, Xs, ys)
     else:
         for model, X_fold, y_fold in zip(models, Xs, ys):
             model.fit(X_fold, y_fold)
-    scores = [model.score(fold[2], fold[3])
-              for model, (_, fold) in zip(models, pairs)]
+    scores = [model.score(X[test], y[test])
+              for model, (_, (_, test)) in zip(models, pairs)]
     k = len(folds)
     return [scores[c * k:(c + 1) * k] for c in range(len(configs))]
 

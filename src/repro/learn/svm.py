@@ -10,7 +10,6 @@ penalty ``C`` that prices the unbounded slack errors the paper calls
 """
 
 import inspect
-from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
@@ -19,10 +18,8 @@ from repro.errors import LearningError
 from repro.learn.kernels import (
     SharedGram,
     kernel_function,
-    rbf_gram,
     resolve_gamma,
     row_norms_squared,
-    squared_distances,
 )
 from repro.learn import smo
 from repro.learn.smo import (
@@ -132,8 +129,7 @@ class SVC:
         :func:`repro.learn.smo.split_stack`, each traced as one
         ``train.svc_stack`` span.  Every other model -- single-class,
         larger, or of a class with its own ``fit`` -- is fit alone by
-        its ``fit``.  Fits on one ``X`` object share its squared
-        distances.  Returns ``models``.
+        its ``fit``.  Returns ``models``.
         """
         members = []
         for model, X, y in zip(models, Xs, ys):
@@ -148,32 +144,14 @@ class SVC:
                 model.fit(X, y)
             else:
                 members.append((model, X, y))
-        # The RBF fits on one training matrix (a grid search's folds)
-        # share its squared distances: the solver, which evaluates a
-        # problem's kernel only as kernel(X, X), gets them through a
-        # kernel bitwise the model's own on (X, X).
-        shared = Counter(id(X) for model, X, _ in members
-                         if model.kernel == "rbf")
-        distances = {}
-
-        def problem(model, X, y):
-            kernel = model._kernel
-            if model.kernel == "rbf" and shared[id(X)] > 1:
-                if id(X) not in distances:
-                    distances[id(X)] = squared_distances(X, X)
-                d2, gamma = distances[id(X)], model.gamma_
-
-                def kernel(A, B):
-                    return rbf_gram(d2, gamma)
-            return SMOProblem(kernel, X, y, model.C, tol=model.tol,
-                              max_iter=model.max_iter)
-
         tel = get_telemetry()
         for stack in split_stack([len(y) for _, _, y in members]):
             group = [members[k] for k in stack]
             with tel.span("train.svc_stack", problems=len(group)) as span:
-                results, steps = solve_smo_stack(
-                    [problem(*member) for member in group])
+                results, steps = solve_smo_stack([
+                    SMOProblem(model._kernel, X, y, model.C,
+                               tol=model.tol, max_iter=model.max_iter)
+                    for model, X, y in group])
                 span.set(steps=steps, iterations=sum(
                     r.iterations for r in results))
             for (model, X, y), result in zip(group, results):
@@ -184,8 +162,7 @@ class SVC:
         """Validate ``(X, y)`` and resolve the kernel for a fit.
 
         A single-class ``y`` makes the model a constant predictor (and
-        fitted); returns ``(X, y)`` as float arrays.  The labels of a
-        two-class ``y`` are validated once, by the solver.
+        fitted); returns ``(X, y)`` as float arrays.
         """
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float).ravel()
@@ -198,9 +175,9 @@ class SVC:
             raise LearningError("cannot fit on an empty training set")
 
         positives = np.count_nonzero(y == 1.0)
+        if positives + np.count_nonzero(y == -1.0) != y.size:
+            raise LearningError("labels must be -1/+1")
         if positives == y.size or not positives:
-            if not positives and not (y == -1.0).all():
-                raise LearningError("labels must be -1/+1")
             # Degenerate single-class problem: constant prediction.
             self._constant = 1.0 if positives else -1.0
             self._fitted = True

@@ -6,6 +6,12 @@ Each of the 11 greedy candidates tunes once, over one ``C`` and four
 gammas on 3 folds: one lockstep stack of 12 fold QPs.  A grid level
 that comes back, or a search that splits its fits into more stacks,
 moves these counts.
+
+The same run pins the whole program's SMO work, counted by the
+telemetry registry: 154 solves (the 132 fold QPs and 22 strict / loose
+fits), their iterations, and the lockstep steps the stacks share.  A
+change to the step bookkeeping that keeps every solution bitwise keeps
+these counts; a step that takes another iterate path moves them.
 """
 
 from repro.core.pipeline import CompactionPipeline
@@ -25,7 +31,8 @@ def test_opamp_program_tunes_in_132_fold_solves_and_11_stacks():
     train = generate_dataset(bench, 100, 3)
     test = generate_dataset(bench, 150, 4)
     events = _Events()
-    previous = set_telemetry(Telemetry(run_id="tune-cost", sink=events))
+    tel = Telemetry(run_id="tune-cost", sink=events)
+    previous = set_telemetry(tel)
     try:
         result = CompactionPipeline(tolerance=0.02).run(train, test)
     finally:
@@ -35,23 +42,6 @@ def test_opamp_program_tunes_in_132_fold_solves_and_11_stacks():
     assert len(result.steps) == 11
     assert stacks == [12] * 11
     assert sum(stacks) == 132
-
-
-def test_opamp_program_solver_path_is_pinned():
-    """The whole program's SMO work, counted by the telemetry registry:
-    154 solves (132 tuner fold QPs in 11 stacks, 22 strict / loose
-    fits), their iterations, and the lockstep steps the stacks share.
-    A step bookkeeping change that keeps every solution bitwise keeps
-    these counts; a step that took another iterate path moves them."""
-    bench = OpAmpBench()
-    train = generate_dataset(bench, 100, 3)
-    test = generate_dataset(bench, 150, 4)
-    tel = Telemetry(run_id="solver-path")
-    previous = set_telemetry(tel)
-    try:
-        CompactionPipeline(tolerance=0.02).run(train, test)
-    finally:
-        set_telemetry(previous)
     counts = {}
     for c in tel.snapshot()["counters"]:
         if c["name"].startswith("repro_learn_smo_"):

@@ -139,6 +139,15 @@ class TestSvc:
         with pytest.raises(LearningError, match="-1/\\+1"):
             SVC().fit(X, np.array([0, 1, 2, 3]))
 
+    def test_stacked_fit_rejects_bad_labels_before_any_solve(self):
+        X, y = _blobs()
+        good, bad = SVC(), SVC()
+        with pytest.raises(LearningError, match="-1/\\+1"):
+            SVC.fit_stack([good, bad], [X, X],
+                          [y, np.where(y > 0, 1.0, 2.0)])
+        with pytest.raises(LearningError, match="not fitted"):
+            good.predict(X)
+
     def test_clone_copies_hyperparameters(self):
         model = SVC(C=3.0, kernel="poly", degree=4)
         clone = model.clone()
